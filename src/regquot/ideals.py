@@ -139,8 +139,7 @@ def quotient_invariants(z_rows, b_rows, width, base) -> ModuleEntry:
     if width == 0 or not z_rows:
         return ModuleEntry()
     if base.kind == INTEGERS_LOCALIZED:
-        zlat = LocalLattice(z_rows, width, base.p)
-        zbasis = [zlat.E[r] for r, _, _ in zlat.pivots]
+        zbasis = LocalLattice(z_rows, width, base.p).basis()
         if not zbasis:
             return ModuleEntry()
         solver = LocalLattice(zbasis, width, base.p)
@@ -556,7 +555,7 @@ def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
         a_entry = quotient_invariants(z_all, rel_all, width, base)
         lat_all = _solver_for(base, ctx_all.rows, width)
         if base.kind == INTEGERS_LOCALIZED:
-            a_basis = [lat_all.E[r] for r, _, _ in lat_all.pivots]
+            a_basis = lat_all.basis()
         else:
             a_basis = IntLattice(z_all, width).basis()
         if not a_basis:
@@ -571,8 +570,7 @@ def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
             rel_i = ideal_context(ring, reli_gens, q).rows
             entry = quotient_invariants(z_i, _int_rows_for(base, rel_i), width, base)
             if base.kind == INTEGERS_LOCALIZED:
-                li = LocalLattice(ctx_i.rows, width, base.p)
-                bi_basis = [li.E[r] for r, _, _ in li.pivots]
+                bi_basis = LocalLattice(ctx_i.rows, width, base.p).basis()
             else:
                 bi_basis = IntLattice(z_i, width).basis()
             summand_data.append(

@@ -5,10 +5,21 @@ row span of a list of vectors.  Over the integers the canonical form is the
 row Hermite normal form with non-negative entries above each pivot; over
 Z_(p) rows are echelonized with p-power pivots (valuation pivoting), which
 is the denominator-cleared normal form for a discrete valuation ring.
+
+The p-local routines take ``int`` and ``Fraction`` entries with p-unit
+denominators, but they compute fraction-free: each row is an integer
+vector over one p-unit denominator, and elimination multiplies rows by
+p-units (Bareiss-style integer-preserving elimination), which are
+invertible over Z_(p).  ``Fraction`` s are built only for returned values,
+which are exactly the rationals that elimination over Q would give.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+
+from .errors import SemanticError
 
 
 def _sub_row(rows, i, j, q):
@@ -201,11 +212,10 @@ def lattice_intersection_rows(rows_a, rows_b, width):
 
 
 def pval(x, p) -> int | None:
-    """p-adic valuation of a rational; None stands for +infinity (x == 0)."""
-    x = Fraction(x)
-    if x == 0:
-        return None
+    """p-adic valuation of an int or Fraction; None stands for +infinity (x == 0)."""
     num, den = x.numerator, x.denominator
+    if num == 0:
+        return None
     v = 0
     while num % p == 0:
         num //= p
@@ -227,115 +237,182 @@ def p_part(n: int, p: int) -> int:
 
 def canonical_residue(x, p, k) -> int:
     """Representative of ``x`` modulo ``p^k * Z_(p)`` in ``[0, p^k)``."""
-    pk = p**k
-    if pk == 1:
-        return 0
-    fr = Fraction(x)
-    inv = pow(fr.denominator, -1, pk)
-    return (fr.numerator * inv) % pk
+    return _residue(x.numerator, x.denominator, p**k)
+
+
+def _residue(num, den, pk) -> int:
+    """``num / den`` modulo the p-power ``pk``, in ``[0, pk)``; ``den`` a p-unit."""
+    return num * pow(den, -1, pk) % pk if pk > 1 else 0
+
+
+def _cleared(vec):
+    """``(N, D)`` with ``vec == N / D``: integer numerators over the lcm ``D``
+    of the denominators."""
+    dens = [x.denominator for x in vec]
+    den = lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in vec], 1
+    return [x.numerator * (den // e) for x, e in zip(vec, dens)], den
+
+
+def _local_numerators(vec, p):
+    """``_cleared(vec)`` for a p-local ``vec``; other vectors raise ``SemanticError``."""
+    nums, den = _cleared(vec)
+    if den % p == 0:
+        bad = next(x for x in vec if x.denominator % p == 0)
+        raise SemanticError(
+            "denominator of %s is divisible by %d, not %d-local" % (bad, p, p)
+        )
+    return nums, den
+
+
+_ZERO = Fraction(0)
+
+
+def _fractions(nums, den):
+    """The rationals ``nums[j] / den``, sharing one ``Fraction`` for zero."""
+    return [Fraction(x, den) if x else _ZERO for x in nums]
+
+
+def _stripped(a, b, d):
+    """``a``, ``b`` and ``d`` divided by their common factor."""
+    g = gcd(d, *a, *b)
+    if g == 1:
+        return a, b, d
+    return [x // g for x in a], [x // g for x in b], d // g
 
 
 class LocalLattice:
-    """Span over Z_(p) of rational rows, echelonized with p-power pivots."""
+    """Span over Z_(p) of p-local rational rows, echelonized with p-power pivots.
+
+    Row ``i`` of the echelon form is kept fraction-free as integer vectors
+    ``A[i]`` and ``B[i]`` over one positive p-unit denominator ``d[i]``:
+    ``E[i] = A[i] / d[i]`` and ``U[i] = B[i] / d[i]``, with ``E == U * rows``.
+    Elimination is Bareiss-style and integer-preserving: the update
+    ``A[i] <- d[r]*A[i] - q*A[r]`` scales row ``i`` by the p-unit ``d[r]``,
+    and ``d[i] <- d[i]*d[r]`` divides that unit out again, so ``A[i] / d[i]``
+    is exactly the row that elimination over the rationals produces.
+    Pivots are chosen by (valuation, row index).  A pivot row is normalized
+    to the entry ``p^v`` by taking the unit part of its pivot as its
+    denominator, and entries above a pivot keep their canonical residue in
+    ``[0, p^v)``.  Each updated row is divided by its common factor with its
+    denominator, which keeps the integers small.
+
+    ``E``, ``U`` and ``basis()`` give the echelon rows as ``Fraction`` s,
+    built once on first use.  Rows whose denominator is divisible by ``p``
+    are not p-local and raise ``SemanticError``.
+    """
 
     def __init__(self, rows, width, p):
         self.p = p
         self.width = width
-        self.nrows = len(rows)
-        E = [[Fraction(x) for x in row] for row in rows]
-        m = len(E)
-        U = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+        self.nrows = m = len(rows)
+        A, d = [], []
+        for row in rows:
+            nums, den = _local_numerators(row, p)
+            A.append(nums)
+            d.append(den)
+        B = [[0] * m for _ in range(m)]
+        for i in range(m):
+            B[i][i] = d[i]
         pivots = []
         r = 0
         for c in range(width):
             if r == m:
                 break
-            cand = [(pval(E[i][c], p), i) for i in range(r, m) if E[i][c] != 0]
+            cand = [(pval(A[i][c], p), i) for i in range(r, m) if A[i][c]]
             if not cand:
                 continue
             v, i0 = min(cand)
             if i0 != r:
-                E[r], E[i0] = E[i0], E[r]
-                U[r], U[i0] = U[i0], U[r]
-            unit = E[r][c] / Fraction(p) ** v
-            E[r] = [x / unit for x in E[r]]
-            U[r] = [x / unit for x in U[r]]
-            pk = Fraction(p) ** v
+                A[r], A[i0] = A[i0], A[r]
+                B[r], B[i0] = B[i0], B[r]
+                d[r], d[i0] = d[i0], d[r]
+            pk = p**v
+            # E[r] / unit with unit = E[r][c] / p^v is A[r] over A[r][c] / p^v.
+            dr = A[r][c] // pk
+            if dr < 0:
+                A[r] = [-x for x in A[r]]
+                B[r] = [-x for x in B[r]]
+                dr = -dr
+            A[r], B[r], d[r] = _stripped(A[r], B[r], dr)
+            Ar, Br, dr = A[r], B[r], d[r]
             for i in range(m):
-                if i == r or E[i][c] == 0:
+                a = A[i][c]
+                if i == r or not a:
                     continue
                 if i > r:
-                    q = E[i][c] / pk
+                    q = a // pk
                 else:
-                    res = canonical_residue(E[i][c], p, v)
-                    q = (E[i][c] - res) / pk
+                    q = (a - _residue(a, d[i], pk) * d[i]) // pk
                 if q:
-                    E[i] = [a - q * b for a, b in zip(E[i], E[r])]
-                    U[i] = [a - q * b for a, b in zip(U[i], U[r])]
+                    A[i], B[i], d[i] = _stripped(
+                        [dr * x - q * y for x, y in zip(A[i], Ar)],
+                        [dr * x - q * y for x, y in zip(B[i], Br)],
+                        d[i] * dr,
+                    )
             pivots.append((r, c, v))
             r += 1
-        self.E, self.U, self.pivots = E, U, pivots
+        self._A, self._B, self._d = A, B, d
+        self.pivots = pivots
         self.rank = len(pivots)
 
-    def _reduce_with_coeffs(self, vec):
-        res = [Fraction(x) for x in vec]
-        coeffs = [Fraction(0)] * len(self.E)
+    @cached_property
+    def E(self):
+        return [_fractions(row, den) for row, den in zip(self._A, self._d)]
+
+    @cached_property
+    def U(self):
+        return [_fractions(row, den) for row, den in zip(self._B, self._d)]
+
+    def basis(self):
+        return [self.E[r] for r, _, _ in self.pivots]
+
+    def _reduce_numerators(self, vec, with_coeffs):
+        """``(N, D, W)``: ``vec`` reduced to ``N / D``, and when ``with_coeffs``
+        the coefficients ``W / D`` on the original rows of what was removed."""
+        p = self.p
+        N, D = _local_numerators(vec, p)
+        W = [0] * self.nrows if with_coeffs else None
         for r, c, v in self.pivots:
-            x = res[c]
-            if x == 0:
+            x = N[c]
+            if not x:
                 continue
-            target = canonical_residue(x, self.p, v)
-            q = (x - target) / Fraction(self.p) ** v
+            pk = p**v
+            q = (x - _residue(x, D, pk) * D) // pk
             if q:
-                res = [a - q * b for a, b in zip(res, self.E[r])]
-                coeffs[r] = q
-        return res, coeffs
+                dr = self._d[r]
+                N = [dr * a - q * b for a, b in zip(N, self._A[r])]
+                if with_coeffs:
+                    W = [dr * a + q * b for a, b in zip(W, self._B[r])]
+                D *= dr
+        return N, D, W
 
     def reduce(self, vec):
-        res, _ = self._reduce_with_coeffs(vec)
-        return res
+        """Canonical representative of ``vec`` modulo the lattice."""
+        N, D, _ = self._reduce_numerators(vec, False)
+        return _fractions(N, D)
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
 
     def solve(self, vec):
         """Z_(p) coefficients on the original rows giving ``vec``, or None."""
-        res, coeffs = self._reduce_with_coeffs(vec)
-        if any(res):
+        N, D, W = self._reduce_numerators(vec, True)
+        if any(N):
             return None
-        out = [Fraction(0)] * self.nrows
-        for r, q in enumerate(coeffs):
-            if q:
-                for j in range(self.nrows):
-                    out[j] += q * self.U[r][j]
-        return out
+        return _fractions(W, D)
 
 
 # -- denominator clearing ---------------------------------------------
 
 
-def _lcm(a, b):
-    from math import gcd
-
-    return a // gcd(a, b) * b
-
-
 def cleared_rows(rows):
     """Scale each row by the lcm of its denominators; returns integer rows."""
-    out = []
-    for row in rows:
-        mult = 1
-        for x in row:
-            fr = Fraction(x)
-            mult = _lcm(mult, fr.denominator)
-        out.append([int(Fraction(x) * mult) for x in row])
-    return out
+    return [_cleared(row)[0] for row in rows]
 
 
 def cleared_matrix(rows):
     """Scale the whole matrix by one common denominator multiple."""
-    mult = 1
-    for row in rows:
-        for x in row:
-            mult = _lcm(mult, Fraction(x).denominator)
-    return [[int(Fraction(x) * mult) for x in row] for row in rows], mult
+    mult = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (mult // x.denominator) for x in row] for row in rows], mult

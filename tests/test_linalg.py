@@ -9,6 +9,9 @@ from fractions import Fraction
 from math import gcd
 from random import Random
 
+import pytest
+
+from regquot.errors import SemanticError
 from regquot.linalg import (
     IntLattice,
     LocalLattice,
@@ -22,6 +25,7 @@ from regquot.linalg import (
     pval,
     snf_invariants,
 )
+from regquot.scalars import BaseRing
 
 
 def frac_rank(rows, width):
@@ -258,3 +262,186 @@ def test_cleared_rows_and_matrix():
     ints, mult = cleared_matrix(rows)
     assert mult == 6
     assert ints == [[2, 12], [3, 0]]
+
+
+# -- oracle for the fraction-free p-local lattice ----------------------
+
+
+def ref_pval(x, p):
+    x = Fraction(x)
+    if x == 0:
+        return None
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def ref_residue(x, p, k):
+    pk = p**k
+    if pk == 1:
+        return 0
+    fr = Fraction(x)
+    return fr.numerator * pow(fr.denominator, -1, pk) % pk
+
+
+class RefLocalLattice:
+    """Valuation-pivoted echelon form over Z_(p) computed in ``Fraction`` s.
+
+    This is the straightforward rational elimination; ``LocalLattice`` must
+    reproduce its pivots, rows, reductions and solutions exactly.
+    """
+
+    def __init__(self, rows, width, p):
+        self.p = p
+        self.nrows = len(rows)
+        E = [[Fraction(x) for x in row] for row in rows]
+        m = len(E)
+        U = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+        pivots = []
+        r = 0
+        for c in range(width):
+            if r == m:
+                break
+            cand = [(ref_pval(E[i][c], p), i) for i in range(r, m) if E[i][c] != 0]
+            if not cand:
+                continue
+            v, i0 = min(cand)
+            if i0 != r:
+                E[r], E[i0] = E[i0], E[r]
+                U[r], U[i0] = U[i0], U[r]
+            pk = Fraction(p) ** v
+            unit = E[r][c] / pk
+            E[r] = [x / unit for x in E[r]]
+            U[r] = [x / unit for x in U[r]]
+            for i in range(m):
+                if i == r or E[i][c] == 0:
+                    continue
+                if i > r:
+                    q = E[i][c] / pk
+                else:
+                    q = (E[i][c] - ref_residue(E[i][c], p, v)) / pk
+                if q:
+                    E[i] = [a - q * b for a, b in zip(E[i], E[r])]
+                    U[i] = [a - q * b for a, b in zip(U[i], U[r])]
+            pivots.append((r, c, v))
+            r += 1
+        self.E, self.U, self.pivots = E, U, pivots
+
+    def _reduce_with_coeffs(self, vec):
+        res = [Fraction(x) for x in vec]
+        coeffs = [Fraction(0)] * len(self.E)
+        for r, c, v in self.pivots:
+            x = res[c]
+            if x == 0:
+                continue
+            q = (x - ref_residue(x, self.p, v)) / Fraction(self.p) ** v
+            if q:
+                res = [a - q * b for a, b in zip(res, self.E[r])]
+                coeffs[r] = q
+        return res, coeffs
+
+    def reduce(self, vec):
+        return self._reduce_with_coeffs(vec)[0]
+
+    def solve(self, vec):
+        res, coeffs = self._reduce_with_coeffs(vec)
+        if any(res):
+            return None
+        out = [Fraction(0)] * self.nrows
+        for r, q in enumerate(coeffs):
+            if q:
+                for j in range(self.nrows):
+                    out[j] += q * self.U[r][j]
+        return out
+
+
+def local_entry(rng, p):
+    """A p-local rational: often zero, often carrying a power of p, with a
+    p-unit denominator."""
+    if rng.random() < 0.25:
+        return 0
+    num = rng.randint(-9, 9) * p ** rng.choice([0, 0, 0, 1, 2, 3])
+    den = rng.choice([1, 1, 1, 2, 3, 5, 7, 9, 11, 25])
+    while den % p == 0:
+        den = rng.choice([1, 7, 11, 13])
+    return Fraction(num, den) if den > 1 or rng.random() < 0.5 else num
+
+
+def local_matrix(rng, p):
+    m, w = rng.randint(1, 6), rng.randint(1, 6)
+    rows = [[local_entry(rng, p) for _ in range(w)] for _ in range(m)]
+    for i in range(1, m):
+        if rng.random() < 0.3:
+            # a dependent row: a Z_(p)-combination of earlier rows
+            coeffs = [local_entry(rng, p) for _ in range(i)]
+            rows[i] = [
+                sum((Fraction(q) * row[j] for q, row in zip(coeffs, rows)), Fraction(0))
+                for j in range(w)
+            ]
+    return rows, w
+
+
+def test_local_lattice_matches_fraction_oracle():
+    rng = Random(97)
+    for _ in range(2400):
+        p = rng.choice([2, 3, 5])
+        rows, w = local_matrix(rng, p)
+        lat = LocalLattice(rows, w, p)
+        ref = RefLocalLattice(rows, w, p)
+        assert lat.pivots == ref.pivots
+        assert lat.E == ref.E
+        assert lat.U == ref.U
+        assert lat.basis() == [ref.E[r] for r, _, _ in ref.pivots]
+        for _ in range(3):
+            if rng.random() < 0.5:
+                coeffs = [local_entry(rng, p) for _ in rows]
+                vec = [
+                    sum((Fraction(q) * row[j] for q, row in zip(coeffs, rows)), Fraction(0))
+                    for j in range(w)
+                ]
+            else:
+                vec = [local_entry(rng, p) for _ in range(w)]
+            want = ref.solve(vec)
+            assert lat.reduce(vec) == ref.reduce(vec)
+            assert lat.solve(vec) == want
+            assert lat.contains(vec) == (want is not None)
+
+
+def test_local_lattice_rejects_rows_that_are_not_p_local():
+    lat = LocalLattice([[Fraction(1, 3), 2]], 2, 2)
+    assert lat.contains([1, 6])
+    with pytest.raises(SemanticError) as err:
+        LocalLattice([[1, 0], [Fraction(3, 4), 1]], 2, 2)
+    with pytest.raises(SemanticError) as scalar_err:
+        BaseRing.integers_localized(2).normalize(Fraction(3, 4))
+    assert str(err.value) == str(scalar_err.value)
+    assert str(err.value) == "denominator of 3/4 is divisible by 2, not 2-local"
+
+
+def test_cleared_helpers_match_fraction_reference():
+    rng = Random(101)
+    for _ in range(500):
+        p = rng.choice([2, 3, 5])
+        rows, _ = local_matrix(rng, p)
+        expected_rows = []
+        for row in rows:
+            mult = 1
+            for x in row:
+                den = Fraction(x).denominator
+                mult = mult * den // gcd(mult, den)
+            expected_rows.append([int(Fraction(x) * mult) for x in row])
+        assert cleared_rows(rows) == expected_rows
+        mult = 1
+        for row in rows:
+            for x in row:
+                den = Fraction(x).denominator
+                mult = mult * den // gcd(mult, den)
+        assert cleared_matrix(rows) == (
+            [[int(Fraction(x) * mult) for x in row] for row in rows],
+            mult,
+        )
