@@ -3,8 +3,10 @@
 Exit codes: 0 when the computation succeeds, 1 when the mathematics
 refutes the request (a sequence is not regular, a square fails, a
 projection is not unital), 2 for malformed or semantically invalid
-input.  Timing appears only in the text output so the JSON report stays
-byte-identical across runs.
+input, and 3 for an internal error: an exception that is not an
+``AlgebraError`` is reported as one ``error[internal]`` line, so that a
+crash never reads as a refutation.  Timing appears only in the text
+output so the JSON report stays byte-identical across runs.
 """
 from __future__ import annotations
 
@@ -399,7 +401,14 @@ def main(argv=None) -> int:
     except AlgebraError as err:
         print("error[%s]: %s" % (type(err).__name__, err), file=sys.stderr)
         return 2
+    except Exception as err:
+        print("error[internal]: %s: %s" % (type(err).__name__, err), file=sys.stderr)
+        return 3
     print(render_text(report, time.monotonic() - started))
     if ns.json_path:
-        Path(ns.json_path).write_text(canonical_json(report.payload()))
+        try:
+            Path(ns.json_path).write_text(canonical_json(report.payload()))
+        except OSError as err:
+            print("error[IO]: %s" % err, file=sys.stderr)
+            return 2
     return report.status

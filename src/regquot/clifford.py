@@ -483,10 +483,6 @@ def _as_element(owner, v):
     return owner.scalar(v)
 
 
-def clifford_new(module: ConormalModule, form: BilinearFormData) -> CliffordAlgebra:
-    return CliffordAlgebra(module, form)
-
-
 def antipode(u: CliffordElement) -> CliffordElement:
     """The algebra automorphism negating every generator."""
     coeff = u.owner.coeff

@@ -71,8 +71,50 @@ class JobDescription:
         return canonical_json(self.data)
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a JSON integer; ``true`` and ``false`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_expressions(value, key: str, entries: bool = False) -> None:
+    """``value``, the field ``key`` when present, must be a list of
+    expression strings.
+
+    With ``entries`` the list may also hold sequence entry objects
+    ``{"element": ..., "obstruction": ...}`` with expression strings (an
+    obstruction may also be absent, null or 0).
+    """
+    if value is None:
+        return
+    if not isinstance(value, list):
+        raise SemanticError("%s must be a list of expressions" % key)
+    for item in value:
+        if entries and isinstance(item, dict):
+            obstruction = item.get("obstruction")
+            if not isinstance(item.get("element"), str) or not (
+                obstruction is None
+                or isinstance(obstruction, str)
+                or (_is_int(obstruction) and obstruction == 0)
+            ):
+                raise SemanticError(
+                    "%s entries need an element expression string and an "
+                    "optional obstruction expression string" % key
+                )
+        elif not isinstance(item, str):
+            raise SemanticError(
+                "%s entries must be expression strings, got %s"
+                % (key, json.dumps(item))
+            )
+
+
 def parse_job(text: str) -> JobDescription:
-    """Parse and structurally validate one job document."""
+    """Parse and structurally validate one job document.
+
+    Besides the blocks, the fields that commands read are type checked
+    here: expression lists must hold strings (``sequence`` also entry
+    objects), ``ideals`` must be a list of such lists, and integers must be
+    JSON integers, not booleans.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -90,7 +132,7 @@ def parse_job(text: str) -> JobDescription:
     if not isinstance(window, dict):
         raise SemanticError("window block must be an object")
     for key in ("degree", "laurent"):
-        if key in window and (not isinstance(window[key], int) or window[key] < 0):
+        if key in window and (not _is_int(window[key]) or window[key] < 0):
             raise SemanticError("window %s must be a non-negative integer" % key)
     ring = doc.get("ring")
     if ring is not None:
@@ -102,7 +144,7 @@ def parse_job(text: str) -> JobDescription:
                 raise SemanticError("each generator needs a name and a degree")
             if not str(gen["name"]).isidentifier():
                 raise SemanticError("generator name %r is not an identifier" % gen["name"])
-            if not isinstance(gen["degree"], int) or gen["degree"] % 2 or gen["degree"] < 0:
+            if not _is_int(gen["degree"]) or gen["degree"] % 2 or gen["degree"] < 0:
                 raise SemanticError(
                     "generator %s has degree %r; degrees must be even and >= 0"
                     % (gen["name"], gen["degree"])
@@ -112,8 +154,26 @@ def parse_job(text: str) -> JobDescription:
         if not isinstance(scenario, dict):
             raise SemanticError("scenario block must be an object")
         for key in ("p", "n"):
-            if not isinstance(scenario.get(key), int):
+            if not _is_int(scenario.get(key)):
                 raise SemanticError("scenario needs integer p and n")
+    if "index" in doc and not _is_int(doc["index"]):
+        raise SemanticError("index must be an integer")
+    if ring is not None:
+        _check_expressions(ring.get("relations"), "relations")
+    _check_expressions(doc.get("sequence"), "sequence", entries=True)
+    for key in ("first", "second", "factors", "target"):
+        _check_expressions(doc.get(key), key)
+    ideals = doc.get("ideals")
+    if ideals is not None:
+        if not isinstance(ideals, list) or not all(isinstance(b, list) for b in ideals):
+            raise SemanticError("ideals must be a list of expression lists")
+        for block in ideals:
+            _check_expressions(block, "ideals")
+    for key in ("source_pair", "target_pair"):
+        pair = doc.get(key)
+        if isinstance(pair, dict):
+            _check_expressions(pair.get("sequence"), "sequence", entries=True)
+            _check_expressions(pair.get("target"), "target")
     return JobDescription(command, doc)
 
 

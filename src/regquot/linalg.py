@@ -6,6 +6,12 @@ row Hermite normal form with non-negative entries above each pivot; over
 Z_(p) rows are echelonized with p-power pivots (valuation pivoting), which
 is the denominator-cleared normal form for a discrete valuation ring.
 
+Hermite forms follow Cohen, GTM 138, section 2.4.  ``IntLattice`` computes
+the Hermite form alone and builds the unimodular transform only when
+``solve`` first needs it.  ``snf_invariants`` first eliminates unit pivots
+on sparse rows, each of which splits off an invariant factor 1, and runs
+the general Smith elimination only on the rows that are left.
+
 The p-local routines take ``int`` and ``Fraction`` entries with p-unit
 denominators, but they compute fraction-free: each row is an integer
 vector over one p-unit denominator, and elimination multiplies rows by
@@ -26,16 +32,14 @@ def _sub_row(rows, i, j, q):
     rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
 
 
-def hnf_transform(rows, width):
-    """Row Hermite form of ``rows``.
+def _hermite(A, width):
+    """Reduce the integer rows ``A`` in place to row Hermite form.
 
-    Returns ``(H, T, pivots)`` with ``T`` unimodular, ``T * rows == H``,
-    zero rows of ``H`` last, and ``pivots`` a list of ``(row, col)`` pairs.
-    Entries above each pivot are reduced into ``[0, pivot)``.
+    Pivots are sought in the first ``width`` columns only, so columns past
+    ``width`` ride along with every row operation.  Returns the pivots as
+    ``(row, col)`` pairs.
     """
-    m = len(rows)
-    A = [[int(x) for x in row] for row in rows]
-    T = [[int(i == j) for j in range(m)] for i in range(m)]
+    m = len(A)
     pivots = []
     r = 0
     for c in range(width):
@@ -49,14 +53,12 @@ def hnf_transform(rows, width):
             i0 = min(nz, key=lambda i: abs(A[i][c]))
             if i0 != r:
                 A[r], A[i0] = A[i0], A[r]
-                T[r], T[i0] = T[i0], T[r]
             clean = True
             for i in range(r + 1, m):
                 if A[i][c] != 0:
                     q = A[i][c] // A[r][c]
                     if q:
                         _sub_row(A, i, r, q)
-                        _sub_row(T, i, r, q)
                     if A[i][c] != 0:
                         clean = False
             if clean:
@@ -66,25 +68,54 @@ def hnf_transform(rows, width):
             continue
         if A[r][c] < 0:
             A[r] = [-x for x in A[r]]
-            T[r] = [-x for x in T[r]]
         for i in range(r):
             q = A[i][c] // A[r][c]
             if q:
                 _sub_row(A, i, r, q)
-                _sub_row(T, i, r, q)
         pivots.append((r, c))
         r += 1
-    return A, T, pivots
+    return pivots
+
+
+def hnf_transform(rows, width):
+    """Row Hermite form of ``rows``.
+
+    Returns ``(H, T, pivots)`` with ``T`` unimodular, ``T * rows == H``,
+    zero rows of ``H`` last, and ``pivots`` a list of ``(row, col)`` pairs.
+    Entries above each pivot are reduced into ``[0, pivot)``.  ``T`` is
+    carried as ``m`` extra columns of each row, starting from the identity.
+    """
+    m = len(rows)
+    A = []
+    for i, row in enumerate(rows):
+        aug = [int(x) for x in row] + [0] * m
+        aug[len(row) + i] = 1
+        A.append(aug)
+    pivots = _hermite(A, width)
+    return [row[:-m] for row in A], [row[-m:] for row in A], pivots
 
 
 class IntLattice:
-    """Row span of integer vectors with canonical coset representatives."""
+    """Row span of integer vectors with canonical coset representatives.
+
+    Construction computes the Hermite form ``H`` and its pivots only.  The
+    transform ``T`` with ``T * rows == H`` is needed by ``solve`` alone: it
+    is a cached property that reruns the same elimination with the
+    transform on first use, so it equals the ``T`` of
+    ``hnf_transform(rows, width)``.
+    """
 
     def __init__(self, rows, width):
         self.width = width
         self.nrows = len(rows)
-        self.H, self.T, self.pivots = hnf_transform(rows, width)
+        self._rows = [[int(x) for x in row] for row in rows]
+        self.H = [list(row) for row in self._rows]
+        self.pivots = _hermite(self.H, width)
         self.rank = len(self.pivots)
+
+    @cached_property
+    def T(self):
+        return hnf_transform(self._rows, self.width)[1]
 
     def basis(self):
         return [self.H[r] for r, _ in self.pivots]
@@ -127,8 +158,51 @@ def kernel_basis(rows, width):
 
 
 def snf_invariants(rows):
-    """Invariant factors (positive, each dividing the next) of the row span."""
-    A = [list(map(int, row)) for row in rows if any(row)]
+    """Invariant factors (positive, each dividing the next) of the row span.
+
+    A unit-pivot phase runs first, on sparse ``{col: value}`` rows (Dumas,
+    Saunders & Villard, J. Symbolic Comput. 2001): while some row has an
+    entry +-1, take the shortest such row, subtract multiples of it from
+    every other row that is nonzero in the pivot column, and drop it.  Once
+    the pivot column is clear, column operations clear the rest of the
+    pivot row without touching any other row, so each such step splits off
+    one invariant factor 1.  The leftover rows, usually none, go to the
+    general smallest-entry elimination.
+    """
+    A = [{j: int(x) for j, x in enumerate(row) if x} for row in rows]
+    A = [row for row in A if row]
+    units = 0
+    while A:
+        best = None
+        for i, row in enumerate(A):
+            if (best is None or len(row) < len(A[best])) and 1 in map(abs, row.values()):
+                best = i
+        if best is None:
+            break
+        pivot = A.pop(best)
+        c, u = next((j, x) for j, x in pivot.items() if x in (1, -1))
+        for row in A:
+            a = row.get(c)
+            if a:
+                q = a * u
+                for j, x in pivot.items():
+                    v = row.get(j, 0) - q * x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+        A = [row for row in A if row]
+        units += 1
+    cols = sorted({j for row in A for j in row})
+    return [1] * units + _snf_general([[row.get(j, 0) for j in cols] for row in A])
+
+
+def _snf_general(A):
+    """Invariant factors of the nonzero integer rows ``A``, destroying ``A``.
+
+    Each step moves a smallest entry to the corner, clears its row and
+    column, and adds any row the corner does not divide into the first.
+    """
     invs = []
     while A and A[0]:
         best = None
@@ -176,6 +250,8 @@ def snf_invariants(rows):
                     row[0], row[bj] = row[bj], row[0]
                 continue
             d = abs(A[0][0])
+            if d == 1:
+                break
             off = None
             for i in range(1, len(A)):
                 if any(x % d for x in A[i]):

@@ -21,18 +21,7 @@ from .conormal import (
 from .derivations import cohomology_presentation
 from .errors import SemanticError, WindowTooSmall
 from .ring import GradedRing, Generator
-from .scalars import BaseRing
-
-
-def _is_prime(p: int) -> bool:
-    if not isinstance(p, int) or p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+from .scalars import BaseRing, is_prime
 
 
 @dataclass(frozen=True)
@@ -61,7 +50,7 @@ def minimum_window(p: int, n: int) -> int:
 
 
 def build_scenario(p: int, n: int, window=None, laurent: int = 2) -> MoravaScenario:
-    if not _is_prime(p):
+    if not isinstance(p, int) or not is_prime(p):
         raise SemanticError("p must be prime, got %r" % (p,))
     if not isinstance(n, int) or n < 1:
         raise SemanticError("n must be a positive integer")

@@ -136,12 +136,13 @@ class PairMorphism:
         self._verify_square()
 
     def _verify_square(self):
-        """Both projection routes to the final coefficients, degreewise."""
+        """Both projection routes to the final coefficients, in every degree
+        of the window."""
         ring = self.source.source.ring
         kq = self.source.target.coefficients
         gq = self.target.source.coefficients
         lq = self.target.target.coefficients
-        for d in ring.even_degrees(min(ring.degree_window, 8)):
+        for d in ring.even_degrees():
             for exps in ring.degree_exps(d):
                 m = ring.element({tuple(exps): ring.base.one()})
                 through_k = lq.nf(kq.nf(m))

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
+from regquot import cli
 from regquot.cli import main, run_job
 from regquot.errors import ParseError, SemanticError
 from regquot.jobio import canonical_json, parse_job
@@ -235,3 +236,61 @@ def test_text_report_has_timing(tmp_path, capsys):
 def test_timing_never_in_json(tmp_path):
     _, report = run_file(JOBS / "k1_p2.job", tmp_path)
     assert "elapsed" not in json.dumps(report)
+
+
+XY_RING = {
+    "base": "F2",
+    "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 2}],
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"command": "tor", "ring": XY_RING, "first": 5, "second": ["x"], "index": 1},
+        {"command": "multiply", "scenario": {"p": 2, "n": 1}, "factors": [3]},
+        {"command": "decompose", "ring": XY_RING, "ideals": [["x"], "x"]},
+        {
+            "command": "check-regular",
+            "ring": XY_RING,
+            "window": {"degree": True},
+            "sequence": ["x"],
+        },
+        {"command": "tor", "ring": XY_RING, "first": ["x"], "second": ["x"], "index": True},
+        {"command": "scenario", "scenario": {"p": 2, "n": True}},
+        {"command": "check-regular", "ring": XY_RING, "sequence": [{"element": 2}]},
+    ],
+    ids=[
+        "first-not-a-list",
+        "factor-not-a-string",
+        "ideal-not-a-list",
+        "window-degree-bool",
+        "index-bool",
+        "scenario-n-bool",
+        "sequence-element-not-a-string",
+    ],
+)
+def test_mistyped_job_fields_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[SemanticError]: ")
+    assert err.count("\n") == 1
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(doc, window, laurent):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setitem(cli._HANDLERS, "scenario", broken)
+    assert main([str(JOBS / "k1_p2.job")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error[internal]: ZeroDivisionError: division by zero\n"
+    assert captured.out == ""
+
+
+def test_unwritable_report_path_exits_2(tmp_path, capsys):
+    code = main([str(JOBS / "k1_p2.job"), "--json", str(tmp_path / "absent" / "r.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error[IO]: ")

@@ -6,6 +6,7 @@ for ranks, cofactor determinants for invariant factor products, explicit
 witnesses for membership).
 """
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from random import Random
 
@@ -445,3 +446,229 @@ def test_cleared_helpers_match_fraction_reference():
             [[int(Fraction(x) * mult) for x in row] for row in rows],
             mult,
         )
+
+
+# -- oracles for the unit-pivot Smith form and the lazy transform -------
+
+
+class RefSnf:
+    """Invariant factors by smallest-entry Smith elimination on dense rows.
+
+    This is the elimination without a unit-pivot phase, which rescans the
+    whole matrix at every pivot; ``snf_invariants`` must reproduce its
+    ``invariants`` list exactly.
+    """
+
+    def __init__(self, rows):
+        A = [list(map(int, row)) for row in rows if any(row)]
+        invs = []
+        while A and A[0]:
+            best = None
+            for i, row in enumerate(A):
+                for j, x in enumerate(row):
+                    if x and (best is None or abs(x) < best[0]):
+                        best = (abs(x), i, j)
+            if best is None:
+                break
+            _, bi, bj = best
+            A[0], A[bi] = A[bi], A[0]
+            for row in A:
+                row[0], row[bj] = row[bj], row[0]
+            while True:
+                dirty = False
+                for i in range(1, len(A)):
+                    if A[i][0]:
+                        q = A[i][0] // A[0][0]
+                        if q:
+                            A[i] = [a - q * b for a, b in zip(A[i], A[0])]
+                        if A[i][0]:
+                            dirty = True
+                if dirty:
+                    bi = min(
+                        (i for i in range(len(A)) if A[i][0]),
+                        key=lambda i: abs(A[i][0]),
+                    )
+                    A[0], A[bi] = A[bi], A[0]
+                    continue
+                dirty = False
+                for j in range(1, len(A[0])):
+                    if A[0][j]:
+                        q = A[0][j] // A[0][0]
+                        if q:
+                            for row in A:
+                                row[j] -= q * row[0]
+                        if A[0][j]:
+                            dirty = True
+                if dirty:
+                    bj = min(
+                        (j for j in range(len(A[0])) if A[0][j]),
+                        key=lambda j: abs(A[0][j]),
+                    )
+                    for row in A:
+                        row[0], row[bj] = row[bj], row[0]
+                    continue
+                d = abs(A[0][0])
+                off = None
+                for i in range(1, len(A)):
+                    if any(x % d for x in A[i]):
+                        off = i
+                        break
+                if off is None:
+                    break
+                A[0] = [a + b for a, b in zip(A[0], A[off])]
+            invs.append(abs(A[0][0]))
+            A = [row[1:] for row in A[1:]]
+            A = [row for row in A if any(row)]
+        self.invariants = invs
+
+
+def determinantal_invariants(rows):
+    """Invariant factors ``d_k / d_(k-1)``, where ``d_k`` is the gcd of all
+    k x k minors and the rank is the largest k with ``d_k != 0``."""
+    m, n = len(rows), len(rows[0])
+    invs, prev = [], 1
+    for k in range(1, min(m, n) + 1):
+        dk = 0
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                dk = gcd(dk, det([[rows[i][j] for j in cs] for i in rs]))
+        if dk == 0:
+            break
+        invs.append(dk // prev)
+        prev = dk
+    return invs
+
+
+def int_matrix(rng, max_rows, max_cols, entries):
+    """A seeded integer matrix with some zero rows and some rows that are
+    integer combinations of earlier rows."""
+    m, w = rng.randint(1, max_rows), rng.randint(1, max_cols)
+    rows = [[rng.choice(entries) for _ in range(w)] for _ in range(m)]
+    for i in range(m):
+        roll = rng.random()
+        if roll < 0.1:
+            rows[i] = [0] * w
+        elif roll < 0.3 and i:
+            coeffs = [rng.randint(-2, 2) for _ in range(i)]
+            rows[i] = combo(rows[:i], coeffs)
+    return rows, w
+
+
+def test_snf_matches_determinantal_divisors():
+    rng = Random(127)
+    mixed = 0
+    for _ in range(250):
+        # units and non-units together, so both phases of the elimination run
+        rows, _ = int_matrix(rng, 5, 5, [0, 0, 0, 1, -1, 2, -2, 3, 4, -6, 9])
+        invs = snf_invariants(rows)
+        assert invs == determinantal_invariants(rows)
+        mixed += 1 in invs and any(x > 1 for x in invs)
+    assert mixed >= 25
+
+
+def test_snf_matches_reference_elimination():
+    rng = Random(131)
+    for k in range(1200):
+        big = k % 12 == 0
+        rows, _ = int_matrix(
+            rng, 40 if big else 10, 30 if big else 8, [0] * 8 + [1, -1, 1, 2, -2, 3, -4, 6]
+        )
+        assert snf_invariants(rows) == RefSnf(rows).invariants
+
+
+def ref_hnf_transform(rows, width):
+    """Row Hermite form with a separately carried transform, the eager
+    form that ``hnf_transform``, ``kernel_basis`` and ``IntLattice.T`` must
+    reproduce."""
+    m = len(rows)
+    A = [[int(x) for x in row] for row in rows]
+    T = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def sub(i, j, q):
+        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
+        T[i] = [a - q * b for a, b in zip(T[i], T[j])]
+
+    pivots = []
+    r = 0
+    for c in range(width):
+        if r == m:
+            break
+        while True:
+            nz = [i for i in range(r, m) if A[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(A[i][c]))
+            A[r], A[i0] = A[i0], A[r]
+            T[r], T[i0] = T[i0], T[r]
+            for i in range(r + 1, m):
+                q = A[i][c] // A[r][c]
+                if q:
+                    sub(i, r, q)
+            if not any(A[i][c] for i in range(r + 1, m)):
+                break
+        if not nz:
+            continue
+        if A[r][c] < 0:
+            A[r] = [-x for x in A[r]]
+            T[r] = [-x for x in T[r]]
+        for i in range(r):
+            q = A[i][c] // A[r][c]
+            if q:
+                sub(i, r, q)
+        pivots.append((r, c))
+        r += 1
+    return A, T, pivots
+
+
+def ref_solve(H, T, pivots, vec):
+    res = list(vec)
+    coeffs = [0] * len(H)
+    for r, c in pivots:
+        q = res[c] // H[r][c]
+        res = [a - q * b for a, b in zip(res, H[r])]
+        coeffs[r] = q
+    if any(res):
+        return None
+    return combo(T, coeffs)
+
+
+def test_lazy_transform_matches_eager_hermite_form():
+    rng = Random(137)
+    for _ in range(400):
+        rows, w = int_matrix(rng, 6, 6, list(range(-5, 6)) + [0] * 4)
+        H, T, pivots = ref_hnf_transform(rows, w)
+        assert hnf_transform(rows, w) == (H, T, pivots)
+        assert kernel_basis(rows, w) == T[len(pivots) :]
+        lat = IntLattice(rows, w)
+        assert (lat.H, lat.pivots, lat.rank) == (H, pivots, len(pivots))
+        assert "T" not in vars(lat)
+        for _ in range(3):
+            if rng.random() < 0.5:
+                vec = combo(rows, [rng.randint(-3, 3) for _ in rows])
+            else:
+                vec = [rng.randint(-9, 9) for _ in range(w)]
+            assert lat.solve(vec) == ref_solve(H, T, pivots, vec)
+        assert lat.T == T
+
+
+def test_hermite_reduce_is_canonical_under_unimodular_row_operations():
+    rng = Random(139)
+    for _ in range(400):
+        rows, w = int_matrix(rng, 6, 6, list(range(-5, 6)) + [0] * 4)
+        moved = [list(row) for row in rows]
+        m = len(moved)
+        for _ in range(rng.randint(1, 10) if m > 1 else 0):
+            i, j = rng.sample(range(m), 2)
+            roll = rng.random()
+            if roll < 0.6:
+                q = rng.choice([-3, -2, -1, 1, 2, 3])
+                moved[i] = [a + q * b for a, b in zip(moved[i], moved[j])]
+            elif roll < 0.8:
+                moved[i], moved[j] = moved[j], moved[i]
+            else:
+                moved[i] = [-a for a in moved[i]]
+        lat, other = IntLattice(rows, w), IntLattice(moved, w)
+        assert other.basis() == lat.basis()
+        for _ in range(3):
+            vec = [rng.randint(-12, 12) for _ in range(w)]
+            assert other.reduce(vec) == lat.reduce(vec)

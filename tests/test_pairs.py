@@ -144,3 +144,20 @@ def test_pair_accepts_quotient_ring_target(z_ring):
     big = QuotientRingSpec(z_ring, [z_ring.constant(16)])
     pair = AdmissiblePair(big, QuotientRing(z_ring, (z_ring.constant(4),)))
     assert pair.target.sequence == (z_ring.constant(4),)
+
+
+def test_morphism_square_checked_over_the_whole_window():
+    # PairMorphism refuses pairs whose ideals do not nest, so the failing
+    # square is assembled directly: K = (x^5) is not inside L = (x^6), and
+    # the square fails in degree 10 of a window-12 ring only.
+    ring = GradedRing(BaseRing.prime_field(2), [Generator("x", 2)], degree_window=12)
+    x = ring.var("x")
+    morphism = object.__new__(PairMorphism)
+    morphism.source = make_pair(
+        QuotientRingSpec(ring, [x**5]), QuotientRing(ring, (x**5,))
+    )
+    morphism.target = make_pair(
+        QuotientRingSpec(ring, [x**6]), QuotientRing(ring, (x**6,))
+    )
+    with pytest.raises(NotWellDefined, match="in degree 10$"):
+        morphism._verify_square()
