@@ -282,12 +282,8 @@ def base_change_form(form: BilinearFormData, target) -> BilinearFormData:
     return BilinearFormData(new_module, entries)
 
 
-def opposite_form(spec: QuotientRingSpec, opposite_obstructions):
-    """The ring form of the opposite product data, and the mixed-pair form.
-
-    Opposite obstruction representatives are caller-supplied.  The mixed
-    form (opposite against the ring itself) is identically zero.
-    """
+def opposite(spec: QuotientRingSpec, opposite_obstructions) -> QuotientRingSpec:
+    """Same ring and sequence with the product tokens swapped."""
     obs = list(opposite_obstructions)
     if len(obs) != len(spec.sequence):
         raise SemanticError("one opposite obstruction per sequence entry required")
@@ -296,8 +292,16 @@ def opposite_form(spec: QuotientRingSpec, opposite_obstructions):
         if isinstance(c, int) and c == 0:
             c = None
         tokens.append(ProductToken(x, c))
-    op_spec = spec.with_products(tokens)
-    ring_form = characteristic_form_diagonal(op_spec)
+    return spec.with_products(tokens)
+
+
+def opposite_form(spec: QuotientRingSpec, opposite_obstructions):
+    """The ring form of the opposite product data, and the mixed-pair form.
+
+    Opposite obstruction representatives are caller-supplied.  The mixed
+    form (opposite against the ring itself) is identically zero.
+    """
+    ring_form = characteristic_form_diagonal(opposite(spec, opposite_obstructions))
     mixed = zero_form(conormal_module(spec, allow_unverified=True))
     return ring_form, mixed
 

@@ -4,7 +4,9 @@ All computations are degreewise and windowed.  Graded pieces of quotient
 modules are presented as integer (or p-local) lattices: a slice is a span
 ``Z`` of coefficient rows together with a relation span ``B``, and homology
 or quotient invariants come from Smith normal form of ``B`` written in a
-basis of ``Z``.
+basis of ``Z``.  Nothing here branches on the base ring:
+``linalg.lattice_for`` and ``linalg.module_invariants`` are the one place
+where it picks the integer or the p-local lattice.
 """
 from __future__ import annotations
 
@@ -22,17 +24,14 @@ from .errors import (
     WindowOverflow,
 )
 from .linalg import (
-    IntLattice,
-    LocalLattice,
     cleared_matrix,
     cleared_rows,
     kernel_basis,
+    lattice_for,
     lattice_intersection_rows,
-    p_part,
-    snf_invariants,
+    module_invariants,
 )
 from .ring import GradedRing, QuotientRing, RingElement, ideal_context
-from .scalars import INTEGERS_LOCALIZED, PRIME_FIELD
 
 
 # -- sequence and ideal validation ------------------------------------
@@ -127,46 +126,43 @@ class GradedModuleReport:
         }
 
 
-def _solver_for(base, rows, width):
-    """Lattice wrapper suited to the base ring, for membership and solving."""
-    if base.kind == INTEGERS_LOCALIZED:
-        return LocalLattice(rows, width, base.p)
-    return IntLattice([[int(x) for x in r] for r in rows], width)
-
-
 def quotient_invariants(z_rows, b_rows, width, base) -> ModuleEntry:
     """Invariants of Z/B for lattices B <= Z inside a rank-``width`` slice."""
     if width == 0 or not z_rows:
         return ModuleEntry()
-    if base.kind == INTEGERS_LOCALIZED:
-        zbasis = LocalLattice(z_rows, width, base.p).basis()
-        if not zbasis:
-            return ModuleEntry()
-        solver = LocalLattice(zbasis, width, base.p)
-        coords = []
-        for b in b_rows:
-            x = solver.solve(b)
-            if x is None:
-                raise SemanticError("relation span escapes the cycle span")
-            coords.append(x)
-        cleared, _ = cleared_matrix(coords) if coords else ([], 1)
-        invs = snf_invariants(cleared)
-        factors = tuple(sorted(f for f in (p_part(v, base.p) for v in invs) if f > 1))
-        return ModuleEntry(len(zbasis) - len(invs), factors)
-    zlat = IntLattice([[int(x) for x in r] for r in z_rows], width)
-    zbasis = zlat.basis()
+    zbasis = lattice_for(base, z_rows, width).basis()
     if not zbasis:
         return ModuleEntry()
-    solver = IntLattice(zbasis, width)
-    coords = []
-    for b in b_rows:
-        x = solver.solve([int(v) for v in b])
-        if x is None:
-            raise SemanticError("relation span escapes the cycle span")
-        coords.append(x)
-    invs = snf_invariants(coords)
-    factors = tuple(sorted(v for v in invs if v > 1))
-    return ModuleEntry(len(zbasis) - len(invs), factors)
+    solver = lattice_for(base, zbasis, width)
+    coords = [solver.solve(b) for b in b_rows]
+    if None in coords:
+        raise SemanticError("relation span escapes the cycle span")
+    rank, factors = module_invariants(base, coords)
+    return ModuleEntry(len(zbasis) - rank, factors)
+
+
+def _combine(base, coeffs, rows, width):
+    """The combination sum of ``c_k * rows[k]`` over ``base``, skipping zeros."""
+    out = [base.zero()] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, v in enumerate(row):
+                if v:
+                    out[j] = base.add(out[j], base.mul(c, v))
+    return out
+
+
+def _is_unit_row(base, coeffs, r, rows, lat, width) -> bool:
+    """Whether sum of ``(c_k - [k == r]) * rows[k]`` lies in ``lat``.
+
+    That is, whether ``coeffs`` is row ``r`` of the identity modulo ``lat``;
+    with ``r`` None, whether it is the zero row.
+    """
+    if r is not None:
+        coeffs = list(coeffs)
+        coeffs[r] = base.sub(coeffs[r], base.one())
+    diff = _combine(base, coeffs, rows, width)
+    return not any(diff) or lat.contains(diff)
 
 
 # -- regular sequences ------------------------------------------------
@@ -181,17 +177,14 @@ class RegularityReport:
     reason: str = ""
 
 
-def _cycle_rows(map_rows, target_rel_rows, source_width, target_width, base):
+def _cycle_rows(map_rows, target_rel_rows, source_width, target_width):
     """Generators of {x : x * M in span(target relations)}."""
     if target_width == 0 or not map_rows:
         rows = [[1 if i == j else 0 for j in range(source_width)] for i in range(source_width)]
         return rows
-    if base.kind == INTEGERS_LOCALIZED:
-        mat, _ = cleared_matrix(map_rows)
-        rel = cleared_rows(target_rel_rows)
-    else:
-        mat = [[int(x) for x in r] for r in map_rows]
-        rel = [[int(x) for x in r] for r in target_rel_rows]
+    # One common multiple keeps the kernel of M; per-row scaling keeps a span.
+    mat, _ = cleared_matrix(map_rows)
+    rel = cleared_rows(target_rel_rows)
     stacked = mat + rel
     out = []
     for k in kernel_basis(stacked, target_width):
@@ -229,7 +222,7 @@ def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport
                     used.append(m)
             if not rows:
                 continue
-            kernel = _cycle_rows(rows, tgt.rows, len(used), len(tgt.exps), base)
+            kernel = _cycle_rows(rows, tgt.rows, len(used), len(tgt.exps))
             for vec in kernel:
                 full = [0] * len(src.exps)
                 for val, m in zip(vec, used):
@@ -346,15 +339,9 @@ class KoszulComplex:
             d_i, t1 = self.differential_rows(i, q, tgt_basis=mid)
             d_im1, t2 = self.differential_rows(i - 1, q, src_basis=mid, tgt_basis=tgt)
             rel = self.relation_rows(i - 2, q, slice_basis=tgt)
-            lat = _solver_for(base, rel, len(tgt))
+            lat = lattice_for(base, rel, len(tgt))
             for row in d_i:
-                comp = [base.zero()] * len(tgt)
-                for val, drow in zip(row, d_im1):
-                    if not val:
-                        continue
-                    for j, v in enumerate(drow):
-                        if v:
-                            comp[j] = base.add(comp[j], base.mul(val, v))
+                comp = _combine(base, row, d_im1, len(tgt))
                 if any(comp) and not lat.contains(comp):
                     if t1 or t2:
                         raise WindowOverflow(
@@ -373,7 +360,7 @@ class KoszulComplex:
             i, q, src_basis=basis_i, tgt_basis=basis_down
         )
         rel_down = self.relation_rows(i - 1, q, slice_basis=basis_down)
-        z_rows = _cycle_rows(d_i, rel_down, len(basis_i), len(basis_down), base)
+        z_rows = _cycle_rows(d_i, rel_down, len(basis_i), len(basis_down))
         b_rows = []
         if basis_up:
             d_up, trunc_up = self.differential_rows(
@@ -386,8 +373,6 @@ class KoszulComplex:
                 "Koszul differential truncated at the window boundary"
             )
         b_rows.extend(self.relation_rows(i, q, slice_basis=basis_i))
-        if base.kind == INTEGERS_LOCALIZED:
-            b_rows = cleared_rows(b_rows)
         return quotient_invariants(z_rows, b_rows, len(basis_i), base)
 
 
@@ -423,15 +408,10 @@ def _product_gens(ring, a_gens, b_gens):
     out = []
     for g in a_gens:
         for h in b_gens:
-            if g.degree() + h.degree() <= ring.degree_window:
+            # a zero generator has no degree and adds nothing to the product
+            if not (g.is_zero() or h.is_zero()) and g.degree() + h.degree() <= ring.degree_window:
                 out.append(g * h)
     return tuple(out)
-
-
-def _int_rows_for(base, rows):
-    if base.kind == INTEGERS_LOCALIZED:
-        return cleared_rows(rows)
-    return [[int(x) for x in r] for r in rows]
 
 
 def tor1_equals_intersection_over_product(
@@ -443,14 +423,12 @@ def tor1_equals_intersection_over_product(
     top = ring.degree_window if window is None else min(window, ring.degree_window)
     t1 = tor(ring, jseq, kseq, 1, top)
     prod = _product_gens(ring, jseq, kseq)
-    base = ring.base
     for q in ring.even_degrees(top):
-        rows_j = _int_rows_for(base, _ideal_rows(ring, jseq, q))
-        rows_k = _int_rows_for(base, _ideal_rows(ring, kseq, q))
+        rows_j = cleared_rows(_ideal_rows(ring, jseq, q))
+        rows_k = cleared_rows(_ideal_rows(ring, kseq, q))
         width = len(ring.degree_exps(q))
         inter = lattice_intersection_rows(rows_j, rows_k, width)
-        rows_p = _int_rows_for(base, _ideal_rows(ring, prod, q))
-        entry = quotient_invariants(inter, rows_p, width, base)
+        entry = quotient_invariants(inter, _ideal_rows(ring, prod, q), width, ring.base)
         if entry != t1.entry(q):
             return False
     return True
@@ -471,29 +449,20 @@ def check_condition_ii(ring: GradedRing, ideals, window: int | None = None):
     base = ring.base
     results = []
     for k in range(2, len(fams) + 1):
-        prev: tuple = ()
-        for fam in fams[: k - 1]:
-            prev = prev + fam
+        prev = sum(fams[: k - 1], ())
         tail = fams[k - 1]
         prod = _product_gens(ring, prev, tail)
         holds = True
         for q in ring.even_degrees(top):
             width = len(ring.degree_exps(q))
-            rows_p = _int_rows_for(base, _ideal_rows(ring, prev, q))
-            rows_t = _int_rows_for(base, _ideal_rows(ring, tail, q))
+            rows_p = cleared_rows(_ideal_rows(ring, prev, q))
+            rows_t = cleared_rows(_ideal_rows(ring, tail, q))
             inter = lattice_intersection_rows(rows_p, rows_t, width)
             if not inter:
                 continue
-            prod_rows = _ideal_rows(ring, prod, q)
-            if base.kind == INTEGERS_LOCALIZED:
-                lat = LocalLattice(prod_rows, width, base.p)
-            else:
-                lat = IntLattice([[int(x) for x in r] for r in prod_rows], width)
-            for g in inter:
-                if not lat.contains(g):
-                    holds = False
-                    break
-            if not holds:
+            lat = lattice_for(base, _ideal_rows(ring, prod, q), width)
+            if not all(lat.contains(g) for g in inter):
+                holds = False
                 break
         results.append(holds)
     return results
@@ -523,8 +492,46 @@ class ConormalDecomposition:
         }
 
 
+def _solve_all(lat, vectors, n=None):
+    """The first ``n`` coefficients (all when ``n`` is None) of each vector
+    solved in ``lat``, or None when some vector is not in ``lat``."""
+    sols = [lat.solve(v) for v in vectors]
+    return None if None in sols else [x[:n] for x in sols]
+
+
+def _split_maps(base, ctx_all, owner, a_basis, bases, solvers, width):
+    """``(fwd, bwd)`` between A = I in one degree and the summands, or None.
+
+    ``fwd[s][r]`` is the part of ``a_basis[r]`` on the generator rows of
+    ideal ``s`` in ``ctx_all``, in the coordinates of summand ``s``;
+    ``bwd[s][k]`` is ``bases[s][k]`` in the coordinates of ``a_basis``.
+    """
+    sols = _solve_all(ctx_all.lattice, a_basis)
+    if sols is None:
+        return None
+    row_owner = [owner[gi] if kind == "gen" else None for kind, gi, _ in ctx_all.tags]
+    fwd = []
+    for s, (basis, solver) in enumerate(zip(bases, solvers)):
+        parts = [
+            _combine(base, [c if o == s else 0 for c, o in zip(x, row_owner)], ctx_all.rows, width)
+            for x in sols
+        ]
+        fwd.append(_solve_all(solver, parts, len(basis)))
+    a_solver = lattice_for(base, a_basis, width)
+    bwd = [_solve_all(a_solver, basis) for basis in bases]
+    return None if None in fwd or None in bwd else (fwd, bwd)
+
+
 def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
-    """Split I/I² into one summand per ideal, with verified inverse maps."""
+    """Split I/I² into one summand per ideal, with verified inverse maps.
+
+    In each degree the forward map splits every basis vector of I into the
+    parts its single ideals generate, and the backward map writes every
+    summand basis vector in the basis of I.  A degree where either map
+    fails is left out.  A degree is verified when backward∘forward is the
+    identity modulo I² and forward∘backward the identity on each summand
+    modulo its relations.
+    """
     fams = [_gens(ring, i) for i in ideals]
     for fam in fams:
         if not fam:
@@ -537,11 +544,8 @@ def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
         )
     top = ring.degree_window if window is None else min(window, ring.degree_window)
     base = ring.base
-    allgens: tuple = ()
-    owner = []
-    for idx, fam in enumerate(fams):
-        allgens = allgens + fam
-        owner.extend([idx] * len(fam))
+    allgens = sum(fams, ())
+    owner = [idx for idx, fam in enumerate(fams) for _ in fam]
     prod_all = _product_gens(ring, allgens, allgens)
     degrees = {}
     all_ok = True
@@ -550,158 +554,45 @@ def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
         if width == 0:
             continue
         ctx_all = ideal_context(ring, allgens, q)
-        z_all = _int_rows_for(base, ctx_all.rows)
-        rel_all = _int_rows_for(base, _ideal_rows(ring, prod_all, q))
-        a_entry = quotient_invariants(z_all, rel_all, width, base)
-        lat_all = _solver_for(base, ctx_all.rows, width)
-        if base.kind == INTEGERS_LOCALIZED:
-            a_basis = lat_all.basis()
-        else:
-            a_basis = IntLattice(z_all, width).basis()
+        a_basis = lattice_for(base, ctx_all.rows, width).basis()
         if not a_basis:
-            if not a_entry.is_zero():
-                all_ok = False
             continue
-        summand_data = []
-        for idx, fam in enumerate(fams):
-            ctx_i = ideal_context(ring, fam, q)
-            z_i = _int_rows_for(base, ctx_i.rows)
-            reli_gens = _product_gens(ring, allgens, fam)
-            rel_i = ideal_context(ring, reli_gens, q).rows
-            entry = quotient_invariants(z_i, _int_rows_for(base, rel_i), width, base)
-            if base.kind == INTEGERS_LOCALIZED:
-                bi_basis = LocalLattice(ctx_i.rows, width, base.p).basis()
-            else:
-                bi_basis = IntLattice(z_i, width).basis()
-            summand_data.append(
-                {
-                    "entry": entry,
-                    "basis": bi_basis,
-                    "solver": _solver_for(base, list(bi_basis) + list(rel_i), width),
-                    "rel_lat": _solver_for(base, rel_i, width),
-                }
+        rel_all = _ideal_rows(ring, prod_all, q)
+        a_entry = quotient_invariants(a_basis, rel_all, width, base)
+        entries, bases, solvers, rel_lats = [], [], [], []
+        for fam in fams:
+            basis = lattice_for(base, _ideal_rows(ring, fam, q), width).basis()
+            rel = _ideal_rows(ring, _product_gens(ring, allgens, fam), q)
+            entries.append(quotient_invariants(basis, rel, width, base))
+            bases.append(basis)
+            solvers.append(lattice_for(base, basis + rel, width))
+            rel_lats.append(lattice_for(base, rel, width))
+        maps = _split_maps(base, ctx_all, owner, a_basis, bases, solvers, width)
+        if maps is None:
+            all_ok = False
+            continue
+        fwd, bwd = maps
+        back_rows = [row for rows in bwd for row in rows]
+        rel_lat_all = lattice_for(base, rel_all, width)
+        ok = all(
+            # backward ∘ forward = identity on A modulo I² relations
+            _is_unit_row(
+                base,
+                _combine(base, [c for f in fwd for c in f[r]], back_rows, len(a_basis)),
+                r, a_basis, rel_lat_all, width,
             )
-        # forward: split each A-basis vector into per-ideal parts
-        ngens = len(allgens)
-        forward = []
-        ok = True
-        for a in a_basis:
-            tagged = ctx_all.solve_vector(a)
-            if tagged is None:
-                ok = False
-                break
-            parts = [[base.zero()] * width for _ in fams]
-            for (kind, gi, m), c in tagged:
-                if kind != "gen" or gi >= ngens:
-                    continue
-                g = allgens[gi]
-                tgt = parts[owner[gi]]
-                for exps, gc in g.terms.items():
-                    prod = tuple(x + y for x, y in zip(m, exps))
-                    j = ctx_all.exps.index(prod)
-                    tgt[j] = base.add(tgt[j], base.mul(c, gc))
-            coords = []
-            for data, part in zip(summand_data, parts):
-                sol = data["solver"].solve(part)
-                if sol is None:
-                    ok = False
-                    break
-                coords.append(list(sol[: len(data["basis"])]))
-            if not ok:
-                break
-            forward.append(coords)
-        if not ok:
-            all_ok = False
-            continue
-        # backward: each summand basis vector is an element of I
-        a_solver = _solver_for(base, list(a_basis), width)
-        backward = []
-        for data in summand_data:
-            rows = []
-            for b in data["basis"]:
-                sol = a_solver.solve(b)
-                if sol is None:
-                    ok = False
-                    break
-                rows.append(list(sol))
-            backward.append(rows)
-            if not ok:
-                break
-        if not ok:
-            all_ok = False
-            continue
-        rel_lat_all = _solver_for(base, rel_all, width)
-        # backward ∘ forward = identity on A modulo I² relations
-        for r, coords in enumerate(forward):
-            a_coords = [base.zero()] * len(a_basis)
-            for data, cvec, brows in zip(summand_data, coords, backward):
-                for c, brow in zip(cvec, brows):
-                    if not c:
-                        continue
-                    for jj, bc in enumerate(brow):
-                        if bc:
-                            a_coords[jj] = base.add(a_coords[jj], base.mul(c, bc))
-            diff = [base.zero()] * width
-            for jj, ac in enumerate(a_coords):
-                delta = base.sub(ac, base.one()) if jj == r else ac
-                if delta:
-                    for col in range(width):
-                        diff[col] = base.add(
-                            diff[col], base.mul(delta, a_basis[jj][col])
-                        )
-            if any(x != 0 for x in diff) and not rel_lat_all.contains(diff):
-                ok = False
-                break
-        if ok:
+            for r in range(len(a_basis))
+        ) and all(
             # forward ∘ backward = identity on each summand modulo its relations
-            for idx, (data, brows) in enumerate(zip(summand_data, backward)):
-                for r, brow in enumerate(brows):
-                    comp = [base.zero()] * len(data["basis"])
-                    other_bad = [
-                        [base.zero()] * len(sd["basis"]) for sd in summand_data
-                    ]
-                    for jj, bc in enumerate(brow):
-                        if not bc:
-                            continue
-                        for sidx, cvec in enumerate(forward[jj]):
-                            tgtv = comp if sidx == idx else other_bad[sidx]
-                            for kk, c in enumerate(cvec):
-                                if c:
-                                    tgtv[kk] = base.add(tgtv[kk], base.mul(bc, c))
-                    diff = [base.zero()] * width
-                    for kk, c in enumerate(comp):
-                        delta = base.sub(c, base.one()) if kk == r else c
-                        if delta:
-                            for col in range(width):
-                                diff[col] = base.add(
-                                    diff[col], base.mul(delta, data["basis"][kk][col])
-                                )
-                    if any(x != 0 for x in diff) and not data["rel_lat"].contains(diff):
-                        ok = False
-                        break
-                    for sidx, vec in enumerate(other_bad):
-                        if sidx == idx or not any(vec):
-                            continue
-                        off = [base.zero()] * width
-                        for kk, c in enumerate(vec):
-                            if c:
-                                for col in range(width):
-                                    off[col] = base.add(
-                                        off[col],
-                                        base.mul(c, summand_data[sidx]["basis"][kk][col]),
-                                    )
-                        if any(x != 0 for x in off) and not summand_data[sidx][
-                            "rel_lat"
-                        ].contains(off):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-        if not ok:
-            all_ok = False
-        degrees[q] = DecompositionDegree(
-            q, a_entry, [d["entry"] for d in summand_data], ok
+            _is_unit_row(
+                base,
+                _combine(base, brow, fwd[s], len(bases[s])),
+                r if s == idx else None, bases[s], rel_lats[s], width,
+            )
+            for idx, rows in enumerate(bwd)
+            for r, brow in enumerate(rows)
+            for s in range(len(fams))
         )
+        all_ok = all_ok and ok
+        degrees[q] = DecompositionDegree(q, a_entry, entries, ok)
     return ConormalDecomposition(degrees, all_ok)

@@ -139,18 +139,23 @@ def parse_job(text: str) -> JobDescription:
         if not isinstance(ring, dict) or "base" not in ring:
             raise SemanticError("ring block needs a base field")
         base_ring_from_name(ring["base"])
-        for gen in ring.get("generators", ()):
+        generators = ring.get("generators", [])
+        if not isinstance(generators, list):
+            raise SemanticError("ring generators must be a list")
+        for gen in generators:
             if not isinstance(gen, dict) or "name" not in gen or "degree" not in gen:
                 raise SemanticError("each generator needs a name and a degree")
-            if not str(gen["name"]).isidentifier():
+            if not isinstance(gen["name"], str) or not gen["name"].isidentifier():
                 raise SemanticError("generator name %r is not an identifier" % gen["name"])
             if not _is_int(gen["degree"]) or gen["degree"] % 2 or gen["degree"] < 0:
                 raise SemanticError(
                     "generator %s has degree %r; degrees must be even and >= 0"
                     % (gen["name"], gen["degree"])
                 )
-    scenario = doc.get("scenario")
-    if scenario is not None:
+    if command == "scenario" and "scenario" not in doc:
+        raise SemanticError("the scenario command needs a scenario block")
+    if "scenario" in doc:
+        scenario = doc["scenario"]
         if not isinstance(scenario, dict):
             raise SemanticError("scenario block must be an object")
         for key in ("p", "n"):

@@ -18,6 +18,12 @@ vector over one p-unit denominator, and elimination multiplies rows by
 p-units (Bareiss-style integer-preserving elimination), which are
 invertible over Z_(p).  ``Fraction`` s are built only for returned values,
 which are exactly the rationals that elimination over Q would give.
+
+``lattice_for`` and ``module_invariants`` are the one place where the base
+ring picks the lattice: Z_(p) gets the p-local lattice and p-parts of the
+invariant factors, and Z, F_p and Z/m get the integer lattice (F_p and Z/m
+through their ``modulus * I`` rows).  Localizing at p is exact, so the two
+need different pivots but nothing else.
 """
 from __future__ import annotations
 
@@ -26,6 +32,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .errors import SemanticError
+from .scalars import INTEGERS_LOCALIZED
 
 
 def _sub_row(rows, i, j, q):
@@ -492,3 +499,27 @@ def cleared_matrix(rows):
     """Scale the whole matrix by one common denominator multiple."""
     mult = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (mult // x.denominator) for x in row] for row in rows], mult
+
+
+# -- one lattice per base ring ----------------------------------------
+
+
+def lattice_for(base, rows, width):
+    """The span of ``rows`` over ``base``: a ``LocalLattice`` over Z_(p),
+    an ``IntLattice`` otherwise."""
+    if base.kind == INTEGERS_LOCALIZED:
+        return LocalLattice(rows, width, base.p)
+    return IntLattice(rows, width)
+
+
+def module_invariants(base, rows):
+    """``(rank, factors)`` of the span of ``rows`` over ``base``.
+
+    ``factors`` are the sorted invariant factors above 1 of the
+    denominator-cleared rows, as p-parts over Z_(p).  Clearing scales each
+    row by a unit of Z_(p), which keeps the span there.
+    """
+    invs = snf_invariants(cleared_rows(rows))
+    if base.kind == INTEGERS_LOCALIZED:
+        invs = [p_part(v, base.p) for v in invs]
+    return len(invs), tuple(sorted(v for v in invs if v > 1))

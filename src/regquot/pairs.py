@@ -17,11 +17,11 @@ from .clifford import (
     presentation_of,
 )
 from .conormal import (
-    ProductToken,
     QuotientRingSpec,
     base_change_form,
     characteristic_form_diagonal,
     conormal_module,
+    opposite,
     zero_form,
 )
 from .errors import (
@@ -228,19 +228,6 @@ def naturality_suite(m: PairMorphism) -> NaturalityReport:
         )
     )
     return NaturalityReport(tuple(checks))
-
-
-def opposite(spec: QuotientRingSpec, opposite_obstructions) -> QuotientRingSpec:
-    """Same ring and sequence with the product tokens swapped."""
-    obs = list(opposite_obstructions)
-    if len(obs) != len(spec.sequence):
-        raise SemanticError("one opposite obstruction per sequence entry required")
-    tokens = []
-    for x, c in zip(spec.sequence, obs):
-        if isinstance(c, int) and c == 0:
-            c = None
-        tokens.append(ProductToken(x, c))
-    return spec.with_products(tokens)
 
 
 def mixed_pair_presentation(spec: QuotientRingSpec):

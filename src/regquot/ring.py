@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import MixedRings, NonHomogeneous, SemanticError, WindowOverflow
-from .linalg import IntLattice, LocalLattice, cleared_rows, p_part, snf_invariants
-from .scalars import INTEGERS_LOCALIZED, INTEGERS_MOD, PRIME_FIELD, BaseRing
+from .linalg import lattice_for, module_invariants
+from .scalars import BaseRing
 
 
 @dataclass(frozen=True)
@@ -483,13 +483,8 @@ class IdealContext:
                     tag = ("gen", gi, m) if gi < len(tuple(gens)) else ("relation", gi, m)
                     rows.append(row)
                     tags.append(tag)
-        if base.kind == PRIME_FIELD:
-            modulus = base.p
-        elif base.kind == INTEGERS_MOD:
-            modulus = base.modulus
-        else:
-            modulus = None
-        if modulus is not None:
+        modulus = base.characteristic
+        if modulus:
             for j in range(width):
                 row = [0] * width
                 row[j] = modulus
@@ -498,10 +493,7 @@ class IdealContext:
         self.rows = rows
         self.tags = tags
         self.width = width
-        if base.kind == INTEGERS_LOCALIZED:
-            self.lattice = LocalLattice(rows, width, base.p)
-        else:
-            self.lattice = IntLattice([[int(x) for x in r] for r in rows], width)
+        self.lattice = lattice_for(base, rows, width)
 
     def reduce_vector(self, vec):
         base = self.ring.base
@@ -522,17 +514,7 @@ class IdealContext:
 
     def quotient_entry(self):
         """(free rank, nontrivial invariant factors) of this graded piece."""
-        base = self.ring.base
-        if base.kind == INTEGERS_LOCALIZED:
-            rows = cleared_rows(self.rows)
-            invs = snf_invariants(rows)
-            rank = len(invs)
-            factors = [p_part(x, base.p) for x in invs]
-            factors = [f for f in factors if f > 1]
-            return (self.width - rank, tuple(sorted(factors)))
-        invs = snf_invariants([[int(x) for x in r] for r in self.rows])
-        rank = len(invs)
-        factors = tuple(sorted(x for x in invs if x > 1))
+        rank, factors = module_invariants(self.ring.base, self.rows)
         return (self.width - rank, factors)
 
 

@@ -102,6 +102,15 @@ class BaseRing:
     def is_domain(self) -> bool:
         return self.kind != INTEGERS_MOD or is_prime(self.modulus)
 
+    @property
+    def characteristic(self) -> int:
+        """p for F_p, m for Z/m, and 0 for Z and Z_(p)."""
+        if self.kind == PRIME_FIELD:
+            return self.p
+        if self.kind == INTEGERS_MOD:
+            return self.modulus
+        return 0
+
     # -- arithmetic ---------------------------------------------------
 
     def normalize(self, a):

@@ -259,6 +259,12 @@ XY_RING = {
         {"command": "tor", "ring": XY_RING, "first": ["x"], "second": ["x"], "index": True},
         {"command": "scenario", "scenario": {"p": 2, "n": True}},
         {"command": "check-regular", "ring": XY_RING, "sequence": [{"element": 2}]},
+        {"command": "scenario"},
+        {"command": "scenario", "scenario": None},
+        {"command": "tor", "ring": {"base": "F2", "generators": 0}},
+        {"command": "tor", "ring": {"base": "F2", "generators": None}},
+        {"command": "tor", "ring": {"base": "F2", "generators": [{"name": False, "degree": 2}]}},
+        {"command": "tor", "ring": {"base": "F2", "generators": [{"name": None, "degree": 2}]}},
     ],
     ids=[
         "first-not-a-list",
@@ -268,6 +274,12 @@ XY_RING = {
         "index-bool",
         "scenario-n-bool",
         "sequence-element-not-a-string",
+        "scenario-block-missing",
+        "scenario-block-null",
+        "generators-zero",
+        "generators-null",
+        "generator-name-false",
+        "generator-name-null",
     ],
 )
 def test_mistyped_job_fields_exit_2(tmp_path, capsys, doc):
@@ -277,6 +289,50 @@ def test_mistyped_job_fields_exit_2(tmp_path, capsys, doc):
     err = capsys.readouterr().err
     assert err.startswith("error[SemanticError]: ")
     assert err.count("\n") == 1
+
+
+_DELETE = object()
+FUZZ_VALUES = (None, 0, 1, -1, 2, 3, True, 2.5, "", "x", "Z", "scenario", [], ["x"], [1], {}, {"p": 2})
+
+
+def _field_paths(value, path=()):
+    """Paths of every field and list entry below ``value``."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, sub in items:
+        yield path + (key,)
+        yield from _field_paths(sub, path + (key,))
+
+
+def test_mutated_bundled_jobs_never_exit_internal(tmp_path, capsys):
+    """Every single-field replacement or deletion in the bundled jobs gives a
+    report or a structured error: exit 0, 1 or 2, never 3."""
+    path = tmp_path / "job.json"
+    tried = 0
+    for name in ("exa.job", "k1_p2.job"):
+        doc = json.loads((JOBS / name).read_text())
+        for field in _field_paths(doc):
+            for value in FUZZ_VALUES + (_DELETE,):
+                mutated = json.loads(json.dumps(doc))
+                owner = mutated
+                for key in field[:-1]:
+                    owner = owner[key]
+                if value is _DELETE:
+                    del owner[field[-1]]
+                else:
+                    owner[field[-1]] = value
+                path.write_text(json.dumps(mutated))
+                code = main([str(path)])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (name, field, value, err)
+                if code == 2:
+                    assert err.startswith("error[") and err.count("\n") == 1, err
+                tried += 1
+    assert tried >= 200
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):

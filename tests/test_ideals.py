@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,12 +14,16 @@ from regquot.ideals import (
     HomogeneousIdeal,
     KoszulComplex,
     ModuleEntry,
+    _combine,
+    _is_unit_row,
     check_condition_ii,
     check_regular_sequence,
     decompose_conormal,
+    quotient_invariants,
     tor,
     tor1_equals_intersection_over_product,
 )
+from regquot.linalg import lattice_for
 from regquot.ring import GradedRing, Generator
 from regquot.scalars import BaseRing
 
@@ -248,3 +253,92 @@ def test_regular_pairs_satisfy_condition_ii(f2_xy):
                 f2_xy, [f], [g], window=6
             )
     assert found >= 3
+
+
+def test_p_unit_denominators_keep_tor_and_decomposition():
+    # The sequence (x/3, 5y/7 + x/3, z) against (5x/7) over Z_(2) differs
+    # from (x, 7x + 15y, z) against (5x) only by 2-unit factors on each
+    # entry.  Clearing the denominators of each Koszul map row separately
+    # would change the cycle coordinates, so every result must agree.
+    ring = GradedRing(
+        BaseRing.integers_localized(2),
+        [Generator("x", 2), Generator("y", 2), Generator("z", 2)],
+        degree_window=8,
+    )
+    x, y, z = ring.var("x"), ring.var("y"), ring.var("z")
+    third, five_sevenths = Fraction(1, 3), Fraction(5, 7)
+    scaled = [x * third, y * five_sevenths + x * third, z]
+    cleared = [x, 7 * x + 15 * y, z]
+    scaled_k, cleared_k = [x * five_sevenths], [5 * x]
+    for i in (0, 1, 2):
+        got = tor(ring, scaled, scaled_k, i).as_dict()
+        assert got == tor(ring, cleared, cleared_k, i).as_dict()
+        assert bool(got) == (i < 2)
+    dec_s = decompose_conormal(ring, [[g] for g in scaled])
+    dec_c = decompose_conormal(ring, [[g] for g in cleared])
+    assert dec_s.verified and dec_c.verified
+    assert dec_s.degrees == dec_c.degrees
+    assert tor1_equals_intersection_over_product(ring, scaled, scaled_k)
+    assert tor1_equals_intersection_over_product(ring, cleared, cleared_k)
+
+
+def test_quotient_invariants_localize_by_p_part():
+    # Z_(p) against Z on seeded Z >= B: localizing is exact, so the free
+    # rank is kept and the factors are the p-parts above 1 of the Z factors.
+    rng = random.Random(20261018)
+    integers = BaseRing.integers()
+    nontrivial = mixed = 0
+    for _ in range(200):
+        width = rng.randint(1, 4)
+        z_rows = [
+            [rng.choice((0, 0, 1, -1, 2, 3, 4, 6, 9)) for _ in range(width)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        b_rows = []
+        for _ in range(rng.randint(0, 4)):
+            coeffs = [rng.choice((0, 1, -1, 2, 3, 4, 5)) for _ in z_rows]
+            b_rows.append([sum(c * r[j] for c, r in zip(coeffs, z_rows)) for j in range(width)])
+        over_z = quotient_invariants(z_rows, b_rows, width, integers)
+        nontrivial += bool(over_z.factors)
+        mixed += any(f % 6 == 0 or f % 10 == 0 or f % 15 == 0 for f in over_z.factors)
+        for p in (2, 3, 5):
+            local = quotient_invariants(z_rows, b_rows, width, BaseRing.integers_localized(p))
+            assert local.free_rank == over_z.free_rank
+            parts = sorted(f for f in (_p_part(v, p) for v in over_z.factors) if f > 1)
+            assert list(local.factors) == parts
+    assert nontrivial >= 40 and mixed >= 10, (nontrivial, mixed)
+
+
+def _p_part(n, p):
+    out = 1
+    while n % p == 0:
+        n //= p
+        out *= p
+    return out
+
+
+def test_zero_generator_adds_nothing_to_products(f2_xy):
+    # 2x is zero over F_2: it has no degree, and it used to crash the
+    # product of ideals with a TypeError.
+    x, y = f2_xy.var("x"), f2_xy.var("y")
+    zero = 2 * x
+    assert check_condition_ii(f2_xy, [[x, zero], [y]]) == [True]
+    dec = decompose_conormal(f2_xy, [[x, zero], [y]])
+    assert dec.degrees == decompose_conormal(f2_xy, [[x], [y]]).degrees
+    assert tor1_equals_intersection_over_product(f2_xy, [x], [y, zero])
+
+
+@pytest.mark.parametrize("base", [BaseRing.integers(), BaseRing.integers_localized(3)])
+def test_unit_row_check(base):
+    # The decomposition check: sum (c_k - [k == r]) rows[k] in the lattice.
+    rows = [[1, 1], [0, 1]]
+    lat = lattice_for(base, [[2, 2]], 2)
+    assert _combine(base, [3, -1], rows, 2) == [3, 2]
+    assert _is_unit_row(base, [1, 0], 0, rows, lat, 2)
+    assert _is_unit_row(base, [0, 1], 1, rows, lat, 2)
+    assert _is_unit_row(base, [3, 0], 0, rows, lat, 2)
+    # [1, 1] is half of [2, 2], and 2 is a unit of Z_(3) only
+    assert _is_unit_row(base, [2, 0], 0, rows, lat, 2) == (base.p == 3)
+    assert not _is_unit_row(base, [1, 1], 0, rows, lat, 2)
+    assert _is_unit_row(base, [0, 0], None, rows, lat, 2)
+    assert not _is_unit_row(base, [0, 1], None, rows, lat, 2)

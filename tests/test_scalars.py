@@ -22,6 +22,7 @@ def test_integers_normalize():
     assert z.is_unit(-1)
     assert not z.is_unit(2)
     assert z.is_domain and not z.is_field
+    assert z.characteristic == 0
 
 
 def test_prime_field():
@@ -30,7 +31,7 @@ def test_prime_field():
     assert f5.add(3, 4) == 2
     assert f5.mul(2, 3) == 1
     assert f5.is_unit(4) and not f5.is_unit(0)
-    assert f5.is_field
+    assert f5.is_field and f5.characteristic == 5
     with pytest.raises(SemanticError):
         BaseRing.prime_field(6)
 
@@ -40,7 +41,7 @@ def test_integers_mod():
     assert z8.normalize(9) == 1
     assert z8.mul(2, 4) == 0
     assert z8.is_unit(3) and not z8.is_unit(2)
-    assert not z8.is_domain
+    assert not z8.is_domain and z8.characteristic == 8
     assert BaseRing.integers_mod(7).is_domain
     with pytest.raises(SemanticError):
         BaseRing.integers_mod(1)
@@ -51,7 +52,7 @@ def test_integers_localized():
     assert z2.normalize(Fraction(2, 3)) == Fraction(2, 3)
     assert z2.is_unit(Fraction(3, 5))
     assert not z2.is_unit(2)
-    assert z2.is_domain
+    assert z2.is_domain and z2.characteristic == 0
     with pytest.raises(SemanticError):
         z2.normalize(Fraction(1, 2))
     assert z2.render(Fraction(3, 1)) == "3"
