@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .clifford import antipode, homology_presentation, induced_algebra_map
+from .clifford import CliffordAlgebra, antipode, homology_presentation
 from .conormal import (
     base_change_form,
     characteristic_form_diagonal,
@@ -24,14 +24,11 @@ from .conormal import (
     zero_form,
 )
 from .derivations import (
-    bockstein,
     cohomology_presentation,
-    compose,
     duality_square_commutes,
+    generator_checks,
     leibniz_check,
-    theta_rank,
 )
-from .clifford import CliffordAlgebra
 from .errors import (
     AlgebraError,
     ConditionIIFails,
@@ -179,15 +176,8 @@ def _cmd_derivations(doc, window, laurent):
     spec, _ = _spec_and_target(doc, window, laurent)
     module = conormal_module(spec)
     ext = CliffordAlgebra(module, zero_form(module))
-    qs = [bockstein(ext, i) for i in range(ext.n)]
+    qs, squares, anti, rank = generator_checks(ext)
     leibniz = [leibniz_check(q) for q in qs]
-    squares = all(compose([q, q]).is_zero() for q in qs)
-    anti = all(
-        compose([qs[i], qs[j]]) == compose([qs[j], qs[i]]).negated()
-        for i in range(ext.n)
-        for j in range(i + 1, ext.n)
-    )
-    rank = theta_rank(ext)
     duality = duality_square_commutes(ext)
     ok = all(leibniz) and squares and anti and rank == 2**ext.n and duality
     results = {
@@ -273,7 +263,7 @@ def _pair_from_block(ring, block):
     tq = tuple(ring.parse(t) for t in target)
     from .ring import QuotientRing
 
-    return make_pair(spec, QuotientRing(ring, tq), bool(block.get("multiplicative", False)))
+    return make_pair(spec, QuotientRing(ring, tq), block.get("multiplicative", False))
 
 
 def _cmd_naturality(doc, window, laurent):
@@ -282,16 +272,15 @@ def _cmd_naturality(doc, window, laurent):
     target = _pair_from_block(ring, doc.get("target_pair"))
     morphism = PairMorphism(source, target)
     report = naturality_suite(morphism)
-    _, cl_f = homology_presentation(source.source, target.target)
-    _, cl_g = homology_presentation(target.source, target.target)
-    amap = induced_algebra_map(cl_f, cl_g)
+    if report.amap is None:
+        raise NotCompatible(report.detail("induced-map-exists"))
     results = {
         "checks": [
             {"name": name, "passed": passed, "detail": detail}
             for name, passed, detail in report.checks
         ],
         "all_pass": report.all_pass,
-        "images": [repr(img) for img in amap.images],
+        "images": [repr(img) for img in report.amap.images],
     }
     return (0 if report.all_pass else 1), results, ()
 

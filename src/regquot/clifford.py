@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .conormal import (
     BilinearFormData,
@@ -219,10 +220,9 @@ class CliffordAlgebra:
         return self.s.get(key, self.coeff.zero())
 
     def basis_words(self):
-        words = [()]
-        for i in range(self.n):
-            words = words + [w + (i,) for w in words]
-        return sorted(words, key=lambda w: (len(w), w))
+        """All strictly increasing index words, by length, then
+        lexicographically."""
+        return [w for k in range(self.n + 1) for w in combinations(range(self.n), k)]
 
     def generator_degree(self, i: int) -> int | None:
         return None if self.degrees is None else self.degrees[i]

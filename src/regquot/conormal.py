@@ -9,6 +9,7 @@ representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import (
     DegreeMismatch,
@@ -322,12 +323,11 @@ def exterior_rank_profile(module: ConormalModule, p: int, window: int | None = N
     """
     ring = module.ring
     top = ring.degree_window if window is None else min(window, ring.degree_window)
-    subsets_degrees = [0]
-    for d in module.degrees:
-        subsets_degrees = subsets_degrees + [s + d for s in subsets_degrees]
+    degs = module.degrees
+    shifts = [sum(c) for k in range(len(degs) + 1) for c in combinations(degs, k)]
     profile: dict = {}
     for q in ring.even_degrees(top):
-        for shift in subsets_degrees:
+        for shift in shifts:
             total = q + shift
             dim = quotient_dimension_over(module.coefficients, q, p)
             if dim is None:

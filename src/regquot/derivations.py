@@ -4,9 +4,14 @@ A derivation here is determined by its coefficient values on the
 generators and extends by the signed Leibniz rule; on a basis word it
 acts as a signed partial derivative.  Compositions of the generator
 derivations give the operator model of cohomology, checked against the
-dual-functional route on every basis word.
+dual-functional route on every basis word.  An operator is stored as a
+sparse matrix: a dict from each basis word with a nonzero image to the
+terms of that image.  A composite of the Q_i sends each word to at most
+one signed word, so the matrix has at most 2^n entries, not 4^n.
 """
 from __future__ import annotations
+
+from itertools import combinations
 
 from .clifford import (
     AlgebraPresentation,
@@ -80,13 +85,10 @@ class DerivationOperator:
                 if t % 2:
                     val = coeff.neg(val)
                 word = w[:t] + w[t + 1 :]
-                out[word] = coeff.add(out.get(word, coeff.zero()), val)
+                out[word] = coeff.add(out[word], val) if word in out else val
         return CliffordElement(self.owner, out)
 
     __call__ = apply
-
-    def matrix(self):
-        return operator_matrix(self.owner, self.apply)
 
     def is_zero(self) -> bool:
         return all(self.owner.coeff.is_zero(c) for c in self.images)
@@ -141,30 +143,29 @@ def bockstein(algebra: CliffordAlgebra, i: int) -> DerivationOperator:
 
 
 def operator_matrix(algebra: CliffordAlgebra, fn):
-    """Row-per-input matrix of a linear operator on the 2^n word basis."""
-    basis = algebra.basis_words()
-    index = {w: t for t, w in enumerate(basis)}
-    coeff = algebra.coeff
-    rows = []
-    for w in basis:
-        img = fn(algebra.element({w: coeff.one()}))
-        row = [coeff.zero()] * len(basis)
-        for u, c in img.terms.items():
-            row[index[u]] = c
-        rows.append(tuple(row))
-    return tuple(rows)
+    """Sparse matrix of a linear operator: each basis word with a nonzero
+    image under ``fn``, mapped to the terms of that image."""
+    one = algebra.coeff.one()
+    rows = {}
+    for w in algebra.basis_words():
+        img = fn(algebra.element({w: one}))
+        if img.terms:
+            rows[w] = img.terms
+    return rows
 
 
 class CohomologyOperator:
-    """Linear endo-operator stored as a matrix, with a formal word tag."""
+    """Linear endo-operator stored as a sparse matrix, with a formal word tag.
+
+    ``matrix`` maps each basis word with a nonzero image to that image's
+    terms, a dict from word to nonzero coefficient; the words it omits map
+    to zero, so the zero operator has the empty matrix.
+    """
 
     def __init__(self, owner: CliffordAlgebra, matrix, word=None, parity=None):
         _require_exterior(owner)
         self.owner = owner
-        self.matrix = tuple(tuple(row) for row in matrix)
-        size = 2 ** owner.n
-        if len(self.matrix) != size or any(len(r) != size for r in self.matrix):
-            raise SemanticError("matrix must act on the full word basis")
+        self.matrix = matrix
         self.word = None if word is None else tuple(word)
         if parity is None:
             if self.word is None:
@@ -176,35 +177,24 @@ class CohomologyOperator:
         if elem.owner != self.owner:
             raise MixedAlgebras("element of a different algebra")
         coeff = self.owner.coeff
-        basis = self.owner.basis_words()
-        index = {w: t for t, w in enumerate(basis)}
         out: dict = {}
         for w, c in elem.terms.items():
-            row = self.matrix[index[w]]
-            for t, entry in enumerate(row):
-                if coeff.is_zero(entry):
-                    continue
+            for u, entry in self.matrix.get(w, {}).items():
                 val = coeff.mul(c, entry)
-                if coeff.is_zero(val):
-                    continue
-                u = basis[t]
-                out[u] = coeff.add(out.get(u, coeff.zero()), val)
+                out[u] = coeff.add(out[u], val) if u in out else val
         return CliffordElement(self.owner, out)
 
     __call__ = apply
 
     def is_zero(self) -> bool:
-        coeff = self.owner.coeff
-        return all(coeff.is_zero(e) for row in self.matrix for e in row)
+        return not self.matrix
 
     def negated(self) -> "CohomologyOperator":
-        coeff = self.owner.coeff
-        return CohomologyOperator(
-            self.owner,
-            [[coeff.neg(e) for e in row] for row in self.matrix],
-            word=None,
-            parity=self.parity,
-        )
+        neg = self.owner.coeff.neg
+        rows = {
+            w: {u: neg(c) for u, c in row.items()} for w, row in self.matrix.items()
+        }
+        return CohomologyOperator(self.owner, rows, word=None, parity=self.parity)
 
     def __eq__(self, other):
         return (
@@ -225,12 +215,8 @@ def compose(ops, owner: CliffordAlgebra | None = None) -> CohomologyOperator:
         if owner is None:
             raise SemanticError("empty composition needs an explicit owner")
         _require_exterior(owner)
-        coeff = owner.coeff
-        size = 2 ** owner.n
-        rows = [
-            [coeff.one() if r == c else coeff.zero() for c in range(size)]
-            for r in range(size)
-        ]
+        one = owner.coeff.one()
+        rows = {w: {w: one} for w in owner.basis_words()}
         return CohomologyOperator(owner, rows, word=())
     first = ops[0]
     for op in ops:
@@ -267,46 +253,48 @@ def theta(algebra: CliffordAlgebra, indices) -> CohomologyOperator:
 def theta_rank(algebra: CliffordAlgebra) -> int:
     """Rank of the image of the formal exterior algebra in operators.
 
-    Each subset word is evaluated on the top basis word; the results are
-    unit multiples of pairwise distinct words, so counting the distinct
-    unit-coefficient outputs certifies the rank.
+    The generator derivations of each subset word are applied, rightmost
+    first, to the top basis word; the results are unit multiples of
+    pairwise distinct words, so counting the distinct unit-coefficient
+    outputs certifies the rank.
     """
     _require_exterior(algebra)
     coeff = algebra.coeff
-    top = tuple(range(algebra.n))
-    top_elem = algebra.element({top: coeff.one()})
+    qs = [bockstein(algebra, i) for i in range(algebra.n)]
+    top = algebra.element({tuple(range(algebra.n)): coeff.one()})
+    units = (coeff.one(), coeff.neg(coeff.one()))
     seen = set()
-    count = 0
-    subsets = [()]
-    for i in range(algebra.n):
-        subsets = subsets + [s + (i,) for s in subsets]
-    one = coeff.one()
-    minus = coeff.neg(one)
-    for s in subsets:
-        img = theta(algebra, s).apply(top_elem)
-        if len(img.terms) != 1:
-            continue
-        (word, c), = img.terms.items()
-        if c != one and c != minus:
-            continue
-        if word in seen:
-            continue
-        seen.add(word)
-        count += 1
-    return count
+    for s in algebra.basis_words():
+        img = top
+        for i in reversed(s):
+            img = qs[i].apply(img)
+        if len(img.terms) == 1:
+            (word, c), = img.terms.items()
+            if c in units:
+                seen.add(word)
+    return len(seen)
+
+
+def generator_checks(ext: CliffordAlgebra):
+    """``(qs, squares_zero, anticommute, theta_rank)`` for the generator
+    derivations Q_i of ``ext``: the formal-word map is injective when the
+    rank is 2^n."""
+    qs = [bockstein(ext, i) for i in range(ext.n)]
+    squares = all(compose([q, q]).is_zero() for q in qs)
+    anti = all(
+        compose([qs[i], qs[j]]) == compose([qs[j], qs[i]]).negated()
+        for i, j in combinations(range(ext.n), 2)
+    )
+    return qs, squares, anti, theta_rank(ext)
 
 
 def leibniz_check(op, pairs=None) -> bool:
     """Signed Leibniz identity on sample pairs (exhaustive basis default)."""
     algebra = op.owner
-    coeff = algebra.coeff
     if pairs is None:
-        words = algebra.basis_words()
-        pairs = [
-            (algebra.element({u: coeff.one()}), algebra.element({v: coeff.one()}))
-            for u in words
-            for v in words
-        ]
+        one = algebra.coeff.one()
+        basis = [algebra.element({w: one}) for w in algebra.basis_words()]
+        pairs = ((u, v) for u in basis for v in basis)
     for u, v in pairs:
         pu = u.word_length_parity()
         if pu is None:
@@ -324,7 +312,7 @@ def cohomology_presentation(spec: QuotientRingSpec) -> AlgebraPresentation:
     """Exterior presentation on the generator derivations, verified.
 
     Squares, anticommutators and the rank of the formal-word map are
-    checked as matrix identities before the presentation is emitted.
+    checked by ``generator_checks`` before the presentation is emitted.
     """
     if not spec.is_regular:
         raise NotRegular(
@@ -333,14 +321,12 @@ def cohomology_presentation(spec: QuotientRingSpec) -> AlgebraPresentation:
         )
     module = conormal_module(spec)
     ext = CliffordAlgebra(module, zero_form(module))
-    qs = [bockstein(ext, i) for i in range(ext.n)]
-    for i in range(ext.n):
-        if not compose([qs[i], qs[i]]).is_zero():
-            raise SemanticError("generator derivation does not square to zero")
-        for j in range(i + 1, ext.n):
-            if compose([qs[i], qs[j]]) != compose([qs[j], qs[i]]).negated():
-                raise SemanticError("generator derivations do not anticommute")
-    if theta_rank(ext) != 2 ** ext.n:
+    _, squares, anti, rank = generator_checks(ext)
+    if not squares:
+        raise SemanticError("generator derivation does not square to zero")
+    if not anti:
+        raise SemanticError("generator derivations do not anticommute")
+    if rank != 2 ** ext.n:
         raise SemanticError("formal word map is not injective")
     names = tuple("Q%d" % i for i in range(ext.n))
     gens = tuple((names[i], -module.degrees[i]) for i in range(ext.n))
@@ -500,10 +486,6 @@ def Delta(algebra: CliffordAlgebra, indices) -> DualFunctional:
 def duality_square_commutes(algebra: CliffordAlgebra) -> bool:
     """Compare the operator route with the dual-word route on all words."""
     _require_exterior(algebra)
-    subsets = [()]
-    for i in range(algebra.n):
-        subsets = subsets + [s + (i,) for s in subsets]
-    for s in subsets:
-        if Psi(theta(algebra, s)) != Delta(algebra, s):
-            return False
-    return True
+    return all(
+        Psi(theta(algebra, s)) == Delta(algebra, s) for s in algebra.basis_words()
+    )

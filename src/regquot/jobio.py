@@ -112,8 +112,9 @@ def parse_job(text: str) -> JobDescription:
 
     Besides the blocks, the fields that commands read are type checked
     here: expression lists must hold strings (``sequence`` also entry
-    objects), ``ideals`` must be a list of such lists, and integers must be
-    JSON integers, not booleans.
+    objects), ``ideals`` must be a list of such lists, integers must be
+    JSON integers, not booleans, and the flags ``invertible`` and
+    ``multiplicative`` must be JSON booleans.
     """
     try:
         doc = json.loads(text)
@@ -152,6 +153,10 @@ def parse_job(text: str) -> JobDescription:
                     "generator %s has degree %r; degrees must be even and >= 0"
                     % (gen["name"], gen["degree"])
                 )
+            if not isinstance(gen.get("invertible", False), bool):
+                raise SemanticError(
+                    "generator %s: invertible must be true or false" % gen["name"]
+                )
     if command == "scenario" and "scenario" not in doc:
         raise SemanticError("the scenario command needs a scenario block")
     if "scenario" in doc:
@@ -179,6 +184,8 @@ def parse_job(text: str) -> JobDescription:
         if isinstance(pair, dict):
             _check_expressions(pair.get("sequence"), "sequence", entries=True)
             _check_expressions(pair.get("target"), "target")
+            if not isinstance(pair.get("multiplicative", False), bool):
+                raise SemanticError("%s: multiplicative must be true or false" % key)
     return JobDescription(command, doc)
 
 
@@ -188,7 +195,7 @@ def ring_from_job(doc: dict, window=None, laurent=None) -> GradedRing:
         raise SemanticError("this command needs a ring block")
     base = base_ring_from_name(block["base"])
     gens = [
-        Generator(g["name"], g["degree"], bool(g.get("invertible", False)))
+        Generator(g["name"], g["degree"], g.get("invertible", False))
         for g in block.get("generators", ())
     ]
     degree = window if window is not None else doc.get("window", {}).get("degree", 8)

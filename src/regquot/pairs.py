@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .clifford import (
+    AlgebraMap,
     CliffordAlgebra,
     homology_presentation,
     induced_algebra_map,
@@ -159,6 +160,7 @@ class PairMorphism:
 @dataclass(frozen=True)
 class NaturalityReport:
     checks: tuple  # (name, passed, detail)
+    amap: AlgebraMap | None = None  # the induced map, None when none exists
 
     @property
     def all_pass(self) -> bool:
@@ -178,11 +180,10 @@ def naturality_suite(m: PairMorphism) -> NaturalityReport:
     """Replay the pair-morphism squares and report each one."""
     F = m.source.source
     k = m.source.target
-    G = m.target.source
     l = m.target.target
     checks = []
     _, cl_f = homology_presentation(F, l)
-    _, cl_g = homology_presentation(G, l)
+    _, cl_g = m.target.homology_algebra()
     try:
         amap = induced_algebra_map(cl_f, cl_g)
     except NotCompatible as err:
@@ -227,7 +228,7 @@ def naturality_suite(m: PairMorphism) -> NaturalityReport:
             "fails on: " + "; ".join(bad_pairs) if bad_pairs else "",
         )
     )
-    return NaturalityReport(tuple(checks))
+    return NaturalityReport(tuple(checks), amap)
 
 
 def mixed_pair_presentation(spec: QuotientRingSpec):

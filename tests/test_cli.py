@@ -5,9 +5,9 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
-from regquot import cli
+from regquot import cli, pairs
 from regquot.cli import main, run_job
-from regquot.errors import ParseError, SemanticError
+from regquot.errors import NotCompatible, ParseError, SemanticError
 from regquot.jobio import canonical_json, parse_job
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,6 +49,28 @@ def test_naturality_job_exa(tmp_path):
         "induced-map-multiplicative",
     ]
     assert res["images"] == ["2*a0"]
+
+
+def test_naturality_refuted_without_induced_map(tmp_path, monkeypatch):
+    """When the suite finds no induced map, the report refutes with the
+    suite's own message; the handler does not compute the map again."""
+
+    def no_map(source, target):
+        raise NotCompatible("image of a0 violates its square relation")
+
+    monkeypatch.setattr(pairs, "induced_algebra_map", no_map)
+    code, report = run_file(JOBS / "exa.job", tmp_path)
+    assert code == 1
+    validate(report, SCHEMA)
+    assert report == {
+        "command": "naturality",
+        "status": 1,
+        "results": {
+            "refuted_by": "NotCompatible",
+            "message": "image of a0 violates its square relation",
+        },
+        "warnings": [],
+    }
 
 
 def test_json_is_canonical(tmp_path):
@@ -238,6 +260,19 @@ def test_timing_never_in_json(tmp_path):
     assert "elapsed" not in json.dumps(report)
 
 
+EXA = json.loads((JOBS / "exa.job").read_text())
+
+
+def ring_with_v(invertible):
+    return {
+        "base": "F2",
+        "generators": [
+            {"name": "x", "degree": 2},
+            {"name": "v", "degree": 2, "invertible": invertible},
+        ],
+    }
+
+
 XY_RING = {
     "base": "F2",
     "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 2}],
@@ -265,6 +300,9 @@ XY_RING = {
         {"command": "tor", "ring": {"base": "F2", "generators": None}},
         {"command": "tor", "ring": {"base": "F2", "generators": [{"name": False, "degree": 2}]}},
         {"command": "tor", "ring": {"base": "F2", "generators": [{"name": None, "degree": 2}]}},
+        {"command": "check-regular", "ring": ring_with_v("false"), "sequence": ["x"]},
+        {"command": "check-regular", "ring": ring_with_v(1), "sequence": ["x"]},
+        dict(EXA, source_pair=dict(EXA["source_pair"], multiplicative="yes")),
     ],
     ids=[
         "first-not-a-list",
@@ -280,6 +318,9 @@ XY_RING = {
         "generators-null",
         "generator-name-false",
         "generator-name-null",
+        "invertible-string",
+        "invertible-number",
+        "multiplicative-string",
     ],
 )
 def test_mistyped_job_fields_exit_2(tmp_path, capsys, doc):

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from regquot.clifford import CliffordAlgebra, homology_presentation
+from regquot.clifford import CliffordAlgebra, CliffordElement, homology_presentation
 from regquot.conormal import QuotientRingSpec, conormal_module, zero_form
 from regquot.derivations import (
     Delta,
@@ -251,3 +253,195 @@ def test_Psi_requires_exterior():
 
     with pytest.raises(NotExterior):
         Psi(FakeOp())
+
+
+# -- oracle: the dense operator tables of the earlier implementation ----
+#
+# ``RefCohomologyOperator`` and ``ref_operator_matrix`` keep the dense
+# 2^n x 2^n tables that the sparse ``CohomologyOperator`` replaced, and
+# ``ref_derivation_apply`` the earlier derivation action, so the oracle
+# shares no arithmetic with the code under test beyond the coefficients.
+
+
+def ref_derivation_apply(op, elem):
+    coeff = op.owner.coeff
+    out = {}
+    for w, c in elem.terms.items():
+        for t, i in enumerate(w):
+            ci = op.images[i]
+            if coeff.is_zero(ci):
+                continue
+            val = coeff.mul(c, ci)
+            if t % 2:
+                val = coeff.neg(val)
+            word = w[:t] + w[t + 1 :]
+            out[word] = coeff.add(out.get(word, coeff.zero()), val)
+    return CliffordElement(op.owner, out)
+
+
+def ref_operator_matrix(algebra, fn):
+    """Row-per-input matrix of a linear operator on the 2^n word basis."""
+    basis = algebra.basis_words()
+    index = {w: t for t, w in enumerate(basis)}
+    coeff = algebra.coeff
+    rows = []
+    for w in basis:
+        img = fn(algebra.element({w: coeff.one()}))
+        row = [coeff.zero()] * len(basis)
+        for u, c in img.terms.items():
+            row[index[u]] = c
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+class RefCohomologyOperator:
+    """Linear endo-operator stored as a dense matrix."""
+
+    def __init__(self, owner, matrix, parity):
+        self.owner = owner
+        self.matrix = tuple(tuple(row) for row in matrix)
+        self.parity = parity
+
+    def apply(self, elem):
+        coeff = self.owner.coeff
+        basis = self.owner.basis_words()
+        index = {w: t for t, w in enumerate(basis)}
+        out = {}
+        for w, c in elem.terms.items():
+            row = self.matrix[index[w]]
+            for t, entry in enumerate(row):
+                if coeff.is_zero(entry):
+                    continue
+                val = coeff.mul(c, entry)
+                if coeff.is_zero(val):
+                    continue
+                u = basis[t]
+                out[u] = coeff.add(out.get(u, coeff.zero()), val)
+        return CliffordElement(self.owner, out)
+
+    def is_zero(self):
+        coeff = self.owner.coeff
+        return all(coeff.is_zero(e) for row in self.matrix for e in row)
+
+    def negated(self):
+        coeff = self.owner.coeff
+        return RefCohomologyOperator(
+            self.owner,
+            [[coeff.neg(e) for e in row] for row in self.matrix],
+            self.parity,
+        )
+
+    def __eq__(self, other):
+        return self.owner == other.owner and self.matrix == other.matrix
+
+
+def ref_compose(ops, owner):
+    coeff = owner.coeff
+    if not ops:
+        size = 2**owner.n
+        rows = [
+            [coeff.one() if r == c else coeff.zero() for c in range(size)]
+            for r in range(size)
+        ]
+        return RefCohomologyOperator(owner, rows, 0)
+
+    def run(elem):
+        for op in reversed(ops):
+            elem = ref_derivation_apply(op, elem)
+        return elem
+
+    return RefCohomologyOperator(owner, ref_operator_matrix(owner, run), len(ops) % 2)
+
+
+def ref_theta_rank(algebra):
+    """Distinct unit-coefficient images of the top word under the tabulated
+    operator of every subset word."""
+    coeff = algebra.coeff
+    top = algebra.element({tuple(range(algebra.n)): coeff.one()})
+    subsets = [()]
+    for i in range(algebra.n):
+        subsets = subsets + [s + (i,) for s in subsets]
+    units = (coeff.one(), coeff.neg(coeff.one()))
+    seen = set()
+    for s in subsets:
+        ops = [bockstein(algebra, i) for i in s]
+        img = ref_compose(ops, algebra).apply(top)
+        if len(img.terms) == 1:
+            ((word, c),) = img.terms.items()
+            if c in units:
+                seen.add(word)
+    return len(seen)
+
+
+def _sparse(ref):
+    """The dense reference matrix as a dict of nonzero rows."""
+    coeff = ref.owner.coeff
+    basis = ref.owner.basis_words()
+    rows = {}
+    for w, row in zip(basis, ref.matrix):
+        terms = {u: c for u, c in zip(basis, row) if not coeff.is_zero(c)}
+        if terms:
+            rows[w] = terms
+    return rows
+
+
+ORACLE_BASES = {
+    "Z": BaseRing.integers(),
+    "F3": BaseRing.prime_field(3),
+    # a zero divisor: 2*2 = 0 kills products of nonzero entries
+    "Z/4": BaseRing.integers_mod(4),
+}
+
+
+@pytest.mark.parametrize("base_name", sorted(ORACLE_BASES))
+def test_sparse_operator_matches_dense_oracle(base_name):
+    """``compose`` on seeded random derivation sequences against the dense
+    tables: the matrix, ``apply`` on every basis word and on a random
+    element, ``is_zero``, ``negated`` and ``==``."""
+    base = ORACLE_BASES[base_name]
+    rng = random.Random("sparse-operator:%s" % base_name)
+    values = [0, 0, 1, -1, 2, -2, 3]
+    zeros = equal = 0
+    for n in range(1, 5):
+        ext = CliffordAlgebra.from_scalars(base, [0] * n)
+        basis = ext.basis_words()
+        cases = []
+        for _ in range(12):
+            length = rng.randrange(4)
+            pool = [
+                DerivationOperator(ext, [rng.choice(values) for _ in range(n)])
+                for _ in range(2)
+            ]
+            ops = [rng.choice(pool) for _ in range(length)]
+            cases.append((compose(ops, owner=ext), ref_compose(ops, ext)))
+            if length == 2:
+                # the swapped order: odd derivations anticommute
+                swapped = ops[::-1]
+                cases.append(
+                    (compose(swapped, owner=ext).negated(), ref_compose(swapped, ext).negated())
+                )
+        for op, ref in cases:
+            assert op.matrix == _sparse(ref)
+            assert op.is_zero() == ref.is_zero()
+            zeros += ref.is_zero()
+            assert op.parity == ref.parity
+            sample = ext.element({w: rng.choice(values) for w in basis})
+            for elem in [ext.element({w: 1}) for w in basis] + [sample]:
+                assert op.apply(elem) == ref.apply(elem)
+                assert op.negated().apply(elem) == ref.negated().apply(elem)
+            assert op.negated().matrix == _sparse(ref.negated())
+        for (a, ra), (b, rb) in zip(cases, cases[1:] + cases[:1]):
+            assert (a == b) == (ra == rb)
+            assert (a == a.negated()) == (ra == ra.negated())
+            equal += ra == rb
+    # the draws include zero composites and equal neighbours, so ``is_zero``
+    # and ``==`` are tested both ways
+    assert zeros and equal
+
+
+def test_theta_rank_matches_dense_oracle(k2_p3):
+    for n in range(6):
+        ext = CliffordAlgebra.from_scalars(BaseRing.integers(), [0] * n)
+        assert theta_rank(ext) == ref_theta_rank(ext) == 2**n
+    _, _, ext = k2_p3
+    assert theta_rank(ext) == ref_theta_rank(ext) == 4
