@@ -39,6 +39,8 @@ class ProductToken:
     def __init__(self, element, obstruction=None):
         if not isinstance(element, RingElement):
             raise SemanticError("token element must be a ring element")
+        if element.is_zero():
+            raise SemanticError("sequence entries must be nonzero")
         ring = element.ring
         if obstruction is not None and obstruction.is_zero():
             obstruction = None

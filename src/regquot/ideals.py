@@ -4,9 +4,10 @@ All computations are degreewise and windowed.  Graded pieces of quotient
 modules are presented as integer (or p-local) lattices: a slice is a span
 ``Z`` of coefficient rows together with a relation span ``B``, and homology
 or quotient invariants come from Smith normal form of ``B`` written in a
-basis of ``Z``.  Nothing here branches on the base ring:
-``linalg.lattice_for`` and ``linalg.module_invariants`` are the one place
-where it picks the integer or the p-local lattice.
+basis of ``Z``.  An ideal's span in one degree is the lazy lattice of its
+``ring.IdealContext``, never rebuilt here.  Nothing here branches on the
+base ring: ``linalg.lattice_for`` and ``linalg.module_invariants`` are the
+one place where it picks the integer or the p-local lattice.
 """
 from __future__ import annotations
 
@@ -130,15 +131,19 @@ def quotient_invariants(z_rows, b_rows, width, base) -> ModuleEntry:
     """Invariants of Z/B for lattices B <= Z inside a rank-``width`` slice."""
     if width == 0 or not z_rows:
         return ModuleEntry()
-    zbasis = lattice_for(base, z_rows, width).basis()
-    if not zbasis:
+    return _lattice_quotient(lattice_for(base, z_rows, width), b_rows, base)
+
+
+def _lattice_quotient(lat, b_rows, base) -> ModuleEntry:
+    """Invariants of L/B for the lattice ``lat`` = L and rows B inside it:
+    B written on ``lat.basis()``, then Smith form."""
+    if not lat.rank:
         return ModuleEntry()
-    solver = lattice_for(base, zbasis, width)
-    coords = [solver.solve(b) for b in b_rows]
+    coords = [lat.coordinates(b) for b in b_rows]
     if None in coords:
         raise SemanticError("relation span escapes the cycle span")
     rank, factors = module_invariants(base, coords)
-    return ModuleEntry(len(zbasis) - rank, factors)
+    return ModuleEntry(lat.rank - rank, factors)
 
 
 def _combine(base, coeffs, rows, width):
@@ -196,7 +201,6 @@ def _cycle_rows(map_rows, target_rel_rows, source_width, target_width):
 
 @lru_cache(maxsize=None)
 def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport:
-    base = ring.base
     for k, x in enumerate(elems, start=1):
         prev = elems[: k - 1]
         if x.is_zero():
@@ -205,28 +209,18 @@ def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport
         for d in ring.even_degrees(window - dx):
             src = ideal_context(ring, prev, d)
             tgt = ideal_context(ring, prev, d + dx)
-            tgt_index = {e: j for j, e in enumerate(tgt.exps)}
-            rows = []
-            used = []
-            for m in src.exps:
-                row = [base.zero()] * len(tgt.exps)
-                fits = True
-                for exps, c in x.terms.items():
-                    prod = tuple(a + b for a, b in zip(m, exps))
-                    if prod not in tgt_index:
-                        fits = False
-                        break
-                    row[tgt_index[prod]] = base.add(row[tgt_index[prod]], c)
-                if fits:
-                    rows.append(row)
-                    used.append(m)
-            if not rows:
+            # The leading ("gen", 0, m) rows of the principal slice are x * m
+            # for each monomial m of degree d whose product fits.
+            mult = ideal_context(ring, (x,), d + dx)
+            used = [m for kind, _, m in mult.tags if kind == "gen"]
+            if not used:
                 continue
-            kernel = _cycle_rows(rows, tgt.rows, len(used), len(tgt.exps))
+            kernel = _cycle_rows(mult.rows[: len(used)], tgt.rows, len(used), len(tgt.exps))
+            pos = {m: j for j, m in enumerate(src.exps)}
             for vec in kernel:
                 full = [0] * len(src.exps)
                 for val, m in zip(vec, used):
-                    full[src.exps.index(m)] = val
+                    full[pos[m]] = val
                 if not src.contains_vector(full):
                     return RegularityReport(
                         False,
@@ -338,11 +332,15 @@ class KoszulComplex:
                 continue
             d_i, t1 = self.differential_rows(i, q, tgt_basis=mid)
             d_im1, t2 = self.differential_rows(i - 1, q, src_basis=mid, tgt_basis=tgt)
-            rel = self.relation_rows(i - 2, q, slice_basis=tgt)
-            lat = lattice_for(base, rel, len(tgt))
+            lat = None  # the relation lattice, built for the first nonzero row
             for row in d_i:
                 comp = _combine(base, row, d_im1, len(tgt))
-                if any(comp) and not lat.contains(comp):
+                if not any(comp):
+                    continue
+                if lat is None:
+                    rel = self.relation_rows(i - 2, q, slice_basis=tgt)
+                    lat = lattice_for(base, rel, len(tgt))
+                if not lat.contains(comp):
                     if t1 or t2:
                         raise WindowOverflow(
                             "Koszul differentials truncated; enlarge the window"
@@ -400,10 +398,6 @@ def tor(ring: GradedRing, j_gens, k_gens, i: int, window: int | None = None):
     return report
 
 
-def _ideal_rows(ring, gens, q):
-    return ideal_context(ring, gens, q).rows
-
-
 def _product_gens(ring, a_gens, b_gens):
     out = []
     for g in a_gens:
@@ -424,11 +418,11 @@ def tor1_equals_intersection_over_product(
     t1 = tor(ring, jseq, kseq, 1, top)
     prod = _product_gens(ring, jseq, kseq)
     for q in ring.even_degrees(top):
-        rows_j = cleared_rows(_ideal_rows(ring, jseq, q))
-        rows_k = cleared_rows(_ideal_rows(ring, kseq, q))
+        rows_j = cleared_rows(ideal_context(ring, jseq, q).rows)
+        rows_k = cleared_rows(ideal_context(ring, kseq, q).rows)
         width = len(ring.degree_exps(q))
         inter = lattice_intersection_rows(rows_j, rows_k, width)
-        entry = quotient_invariants(inter, _ideal_rows(ring, prod, q), width, ring.base)
+        entry = quotient_invariants(inter, ideal_context(ring, prod, q).rows, width, ring.base)
         if entry != t1.entry(q):
             return False
     return True
@@ -446,7 +440,6 @@ def check_condition_ii(ring: GradedRing, ideals, window: int | None = None):
         if not fam:
             raise EmptySequence("ideals must have at least one generator")
     top = ring.degree_window if window is None else min(window, ring.degree_window)
-    base = ring.base
     results = []
     for k in range(2, len(fams) + 1):
         prev = sum(fams[: k - 1], ())
@@ -455,12 +448,12 @@ def check_condition_ii(ring: GradedRing, ideals, window: int | None = None):
         holds = True
         for q in ring.even_degrees(top):
             width = len(ring.degree_exps(q))
-            rows_p = cleared_rows(_ideal_rows(ring, prev, q))
-            rows_t = cleared_rows(_ideal_rows(ring, tail, q))
+            rows_p = cleared_rows(ideal_context(ring, prev, q).rows)
+            rows_t = cleared_rows(ideal_context(ring, tail, q).rows)
             inter = lattice_intersection_rows(rows_p, rows_t, width)
             if not inter:
                 continue
-            lat = lattice_for(base, _ideal_rows(ring, prod, q), width)
+            lat = ideal_context(ring, prod, q).lattice
             if not all(lat.contains(g) for g in inter):
                 holds = False
                 break
@@ -492,45 +485,15 @@ class ConormalDecomposition:
         }
 
 
-def _solve_all(lat, vectors, n=None):
-    """The first ``n`` coefficients (all when ``n`` is None) of each vector
-    solved in ``lat``, or None when some vector is not in ``lat``."""
-    sols = [lat.solve(v) for v in vectors]
-    return None if None in sols else [x[:n] for x in sols]
-
-
-def _split_maps(base, ctx_all, owner, a_basis, bases, solvers, width):
-    """``(fwd, bwd)`` between A = I in one degree and the summands, or None.
-
-    ``fwd[s][r]`` is the part of ``a_basis[r]`` on the generator rows of
-    ideal ``s`` in ``ctx_all``, in the coordinates of summand ``s``;
-    ``bwd[s][k]`` is ``bases[s][k]`` in the coordinates of ``a_basis``.
-    """
-    sols = _solve_all(ctx_all.lattice, a_basis)
-    if sols is None:
-        return None
-    row_owner = [owner[gi] if kind == "gen" else None for kind, gi, _ in ctx_all.tags]
-    fwd = []
-    for s, (basis, solver) in enumerate(zip(bases, solvers)):
-        parts = [
-            _combine(base, [c if o == s else 0 for c, o in zip(x, row_owner)], ctx_all.rows, width)
-            for x in sols
-        ]
-        fwd.append(_solve_all(solver, parts, len(basis)))
-    a_solver = lattice_for(base, a_basis, width)
-    bwd = [_solve_all(a_solver, basis) for basis in bases]
-    return None if None in fwd or None in bwd else (fwd, bwd)
-
-
 def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
     """Split I/I² into one summand per ideal, with verified inverse maps.
 
     In each degree the forward map splits every basis vector of I into the
     parts its single ideals generate, and the backward map writes every
-    summand basis vector in the basis of I.  A degree where either map
-    fails is left out.  A degree is verified when backward∘forward is the
-    identity modulo I² and forward∘backward the identity on each summand
-    modulo its relations.
+    summand basis vector in the basis of I; both are exact coordinates in
+    the slice lattices of the ideal contexts.  A degree is verified when
+    backward∘forward is the identity modulo I² and forward∘backward the
+    identity on each summand modulo its relations.
     """
     fams = [_gens(ring, i) for i in ideals]
     for fam in fams:
@@ -554,32 +517,36 @@ def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
         if width == 0:
             continue
         ctx_all = ideal_context(ring, allgens, q)
-        a_basis = lattice_for(base, ctx_all.rows, width).basis()
-        if not a_basis:
+        lat = ctx_all.lattice
+        if not lat.rank:
             continue
-        rel_all = _ideal_rows(ring, prod_all, q)
-        a_entry = quotient_invariants(a_basis, rel_all, width, base)
-        entries, bases, solvers, rel_lats = [], [], [], []
-        for fam in fams:
-            basis = lattice_for(base, _ideal_rows(ring, fam, q), width).basis()
-            rel = _ideal_rows(ring, _product_gens(ring, allgens, fam), q)
-            entries.append(quotient_invariants(basis, rel, width, base))
-            bases.append(basis)
-            solvers.append(lattice_for(base, basis + rel, width))
-            rel_lats.append(lattice_for(base, rel, width))
-        maps = _split_maps(base, ctx_all, owner, a_basis, bases, solvers, width)
-        if maps is None:
-            all_ok = False
-            continue
-        fwd, bwd = maps
+        row_owner = [owner[gi] if kind == "gen" else None for kind, gi, _ in ctx_all.tags]
+        rel_all = ideal_context(ring, prod_all, q)
+        a_entry = _lattice_quotient(lat, rel_all.rows, base)
+        ctxs = [ideal_context(ring, fam, q) for fam in fams]
+        rels = [ideal_context(ring, _product_gens(ring, allgens, fam), q) for fam in fams]
+        entries = [_lattice_quotient(c.lattice, r.rows, base) for c, r in zip(ctxs, rels)]
+        a_basis = lat.basis()
+        bases = [c.lattice.basis() for c in ctxs]
+        # fwd[s][r]: the part of a_basis[r] on the generator rows of ideal s,
+        # a combination of rows of ctxs[s], on that lattice's basis.  sols[r]
+        # is transform row r, since a_basis[r] has coordinates e_r.
+        sols = [lat.solve(v) for v in a_basis]
+        fwd = [
+            [c.lattice.coordinates(_combine(
+                base, [x if o == s else 0 for x, o in zip(sol, row_owner)], ctx_all.rows, width
+            )) for sol in sols]
+            for s, c in enumerate(ctxs)
+        ]
+        # bwd[s][k]: basis vector k of summand s on a_basis
+        bwd = [[lat.coordinates(b) for b in basis] for basis in bases]
         back_rows = [row for rows in bwd for row in rows]
-        rel_lat_all = lattice_for(base, rel_all, width)
         ok = all(
             # backward ∘ forward = identity on A modulo I² relations
             _is_unit_row(
                 base,
                 _combine(base, [c for f in fwd for c in f[r]], back_rows, len(a_basis)),
-                r, a_basis, rel_lat_all, width,
+                r, a_basis, rel_all.lattice, width,
             )
             for r in range(len(a_basis))
         ) and all(
@@ -587,7 +554,7 @@ def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
             _is_unit_row(
                 base,
                 _combine(base, brow, fwd[s], len(bases[s])),
-                r if s == idx else None, bases[s], rel_lats[s], width,
+                r if s == idx else None, bases[s], rels[s].lattice, width,
             )
             for idx, rows in enumerate(bwd)
             for r, brow in enumerate(rows)

@@ -6,11 +6,14 @@ row Hermite normal form with non-negative entries above each pivot; over
 Z_(p) rows are echelonized with p-power pivots (valuation pivoting), which
 is the denominator-cleared normal form for a discrete valuation ring.
 
-Hermite forms follow Cohen, GTM 138, section 2.4.  ``IntLattice`` computes
-the Hermite form alone and builds the unimodular transform only when
-``solve`` first needs it.  ``snf_invariants`` first eliminates unit pivots
-on sparse rows, each of which splits off an invariant factor 1, and runs
-the general Smith elimination only on the rows that are left.
+Hermite forms follow Cohen, GTM 138, section 2.4.  Both lattices answer
+``reduce``, ``contains`` and ``coordinates`` (the coefficients of a vector
+on the echelon ``basis()``) from the echelon form alone; only ``solve``,
+which writes a vector on the original rows, needs the transform, and
+``IntLattice`` builds it only when ``solve`` first needs it.
+``snf_invariants`` first eliminates unit pivots on sparse rows, each of
+which splits off an invariant factor 1, and runs the general Smith
+elimination only on the rows that are left.
 
 The p-local routines take ``int`` and ``Fraction`` entries with p-unit
 denominators, but they compute fraction-free: each row is an integer
@@ -37,6 +40,14 @@ from .scalars import INTEGERS_LOCALIZED
 
 def _sub_row(rows, i, j, q):
     rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
+
+
+def _row_combination(coef, rows, out):
+    """``out`` plus the sum of ``coef[k] * rows[k]``, skipping zeros."""
+    for c, row in zip(coef, rows):
+        if c:
+            out = [a + c * b for a, b in zip(out, row)]
+    return out
 
 
 def _hermite(A, width):
@@ -105,11 +116,12 @@ def hnf_transform(rows, width):
 class IntLattice:
     """Row span of integer vectors with canonical coset representatives.
 
-    Construction computes the Hermite form ``H`` and its pivots only.  The
-    transform ``T`` with ``T * rows == H`` is needed by ``solve`` alone: it
-    is a cached property that reruns the same elimination with the
-    transform on first use, so it equals the ``T`` of
-    ``hnf_transform(rows, width)``.
+    Construction computes the Hermite form ``H`` and its pivots only, which
+    is all that ``reduce``, ``contains`` and ``coordinates`` read.  The
+    transform ``T`` with ``T * rows == H`` is needed by ``solve`` alone,
+    to carry coordinates on ``basis()`` back to the original rows: it is a
+    cached property that reruns the same elimination with the transform on
+    first use, so it equals the ``T`` of ``hnf_transform(rows, width)``.
     """
 
     def __init__(self, rows, width):
@@ -127,35 +139,35 @@ class IntLattice:
     def basis(self):
         return [self.H[r] for r, _ in self.pivots]
 
-    def reduce(self, vec):
-        """Canonical representative of ``vec`` modulo the lattice."""
+    def _reduce(self, vec, coef=None):
+        """``vec`` reduced modulo the lattice; ``coef[r]`` records the
+        multiple of ``basis()[r]`` removed.  ``reduce`` passes no ``coef``."""
         res = [int(x) for x in vec]
         for r, c in self.pivots:
             q = res[c] // self.H[r][c]
             if q:
                 res = [a - q * b for a, b in zip(res, self.H[r])]
+                if coef is not None:
+                    coef[r] = q
         return res
+
+    def reduce(self, vec):
+        """Canonical representative of ``vec`` modulo the lattice."""
+        return self._reduce(vec)
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
 
+    def coordinates(self, vec):
+        """Integer coefficients on ``basis()`` giving ``vec``, or None."""
+        coef = [0] * self.rank
+        res = self._reduce(vec, coef)
+        return None if any(res) else coef
+
     def solve(self, vec):
         """Integer coefficients on the original rows giving ``vec``, or None."""
-        res = [int(x) for x in vec]
-        hcoef = [0] * len(self.H)
-        for r, c in self.pivots:
-            q = res[c] // self.H[r][c]
-            if q:
-                res = [a - q * b for a, b in zip(res, self.H[r])]
-                hcoef[r] = q
-        if any(res):
-            return None
-        out = [0] * self.nrows
-        for r, q in enumerate(hcoef):
-            if q:
-                for j in range(self.nrows):
-                    out[j] += q * self.T[r][j]
-        return out
+        coef = self.coordinates(vec)
+        return None if coef is None else _row_combination(coef, self.T, [0] * self.nrows)
 
 
 def kernel_basis(rows, width):
@@ -451,12 +463,12 @@ class LocalLattice:
     def basis(self):
         return [self.E[r] for r, _, _ in self.pivots]
 
-    def _reduce_numerators(self, vec, with_coeffs):
-        """``(N, D, W)``: ``vec`` reduced to ``N / D``, and when ``with_coeffs``
-        the coefficients ``W / D`` on the original rows of what was removed."""
+    def _reduce_numerators(self, vec, coef=None):
+        """``(N, D)``: ``vec`` reduced to ``N / D``; ``coef[r]`` records what
+        ``basis()[r]`` removed: ``(dr*N - q*A[r]) / (D*dr) == N/D - (q/D) * E[r]``.
+        The normal-form path ``reduce`` passes no ``coef``."""
         p = self.p
         N, D = _local_numerators(vec, p)
-        W = [0] * self.nrows if with_coeffs else None
         for r, c, v in self.pivots:
             x = N[c]
             if not x:
@@ -466,25 +478,28 @@ class LocalLattice:
             if q:
                 dr = self._d[r]
                 N = [dr * a - q * b for a, b in zip(N, self._A[r])]
-                if with_coeffs:
-                    W = [dr * a + q * b for a, b in zip(W, self._B[r])]
+                if coef is not None:
+                    coef[r] = Fraction(q, D)
                 D *= dr
-        return N, D, W
+        return N, D
 
     def reduce(self, vec):
         """Canonical representative of ``vec`` modulo the lattice."""
-        N, D, _ = self._reduce_numerators(vec, False)
-        return _fractions(N, D)
+        return _fractions(*self._reduce_numerators(vec))
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
 
+    def coordinates(self, vec):
+        """Z_(p) coefficients on ``basis()`` giving ``vec``, or None."""
+        coef = [_ZERO] * self.rank
+        N, _ = self._reduce_numerators(vec, coef)
+        return None if any(N) else coef
+
     def solve(self, vec):
         """Z_(p) coefficients on the original rows giving ``vec``, or None."""
-        N, D, W = self._reduce_numerators(vec, True)
-        if any(N):
-            return None
-        return _fractions(W, D)
+        coef = self.coordinates(vec)
+        return None if coef is None else _row_combination(coef, self.U, [_ZERO] * self.nrows)
 
 
 # -- denominator clearing ---------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import MixedRings, NonHomogeneous, SemanticError, WindowOverflow
 from .linalg import lattice_for, module_invariants
@@ -191,13 +191,6 @@ class GradedRing:
             raise WindowOverflow(
                 "monomial degree %d exceeds window %d" % (d, self.degree_window)
             )
-
-    def exps_fit(self, exps) -> bool:
-        try:
-            self.check_exps(exps)
-        except WindowOverflow:
-            return False
-        return True
 
     # -- degreewise bases ---------------------------------------------
 
@@ -451,7 +444,13 @@ class RingElement:
 
 
 class IdealContext:
-    """Canonical reduction data for one ideal in one degree."""
+    """Canonical reduction data for one ideal in one degree.
+
+    ``rows`` are tagged ``("gen", i, m)`` (generator ``i`` times monomial
+    ``m``, in monomial order), ``("relation", i, m)`` or ``("modulus", j,
+    None)``, in that order: all ``gen`` rows come first.  The context is the one owner of its slice's ``lattice``, built
+    on first read: a caller that needs only the rows builds none.
+    """
 
     def __init__(self, ring: GradedRing, gens, d: int):
         self.ring = ring
@@ -493,7 +492,10 @@ class IdealContext:
         self.rows = rows
         self.tags = tags
         self.width = width
-        self.lattice = lattice_for(base, rows, width)
+
+    @cached_property
+    def lattice(self):
+        return lattice_for(self.ring.base, self.rows, self.width)
 
     def reduce_vector(self, vec):
         base = self.ring.base

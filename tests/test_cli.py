@@ -303,6 +303,12 @@ XY_RING = {
         {"command": "check-regular", "ring": ring_with_v("false"), "sequence": ["x"]},
         {"command": "check-regular", "ring": ring_with_v(1), "sequence": ["x"]},
         dict(EXA, source_pair=dict(EXA["source_pair"], multiplicative="yes")),
+        {
+            "command": "multiply",
+            "ring": XY_RING,
+            "sequence": [{"element": "0*x", "obstruction": "x^3"}],
+            "factors": ["a0"],
+        },
     ],
     ids=[
         "first-not-a-list",
@@ -321,6 +327,7 @@ XY_RING = {
         "invertible-string",
         "invertible-number",
         "multiplicative-string",
+        "zero-element-with-obstruction",
     ],
 )
 def test_mistyped_job_fields_exit_2(tmp_path, capsys, doc):

@@ -14,8 +14,11 @@ from regquot.ideals import (
     HomogeneousIdeal,
     KoszulComplex,
     ModuleEntry,
+    RegularityReport,
     _combine,
+    _cycle_rows,
     _is_unit_row,
+    _regularity,
     check_condition_ii,
     check_regular_sequence,
     decompose_conormal,
@@ -23,8 +26,8 @@ from regquot.ideals import (
     tor,
     tor1_equals_intersection_over_product,
 )
-from regquot.linalg import lattice_for
-from regquot.ring import GradedRing, Generator
+from regquot.linalg import IntLattice, LocalLattice, lattice_for
+from regquot.ring import GradedRing, Generator, QuotientRing, _cached_context, ideal_context
 from regquot.scalars import BaseRing
 
 
@@ -342,3 +345,143 @@ def test_unit_row_check(base):
     assert not _is_unit_row(base, [1, 1], 0, rows, lat, 2)
     assert _is_unit_row(base, [0, 0], None, rows, lat, 2)
     assert not _is_unit_row(base, [0, 1], None, rows, lat, 2)
+
+
+# -- oracle for the regularity check ----------------------------------
+
+
+def ref_regularity(ring, elems, window):
+    """``_regularity`` with its own multiplication-row loop and monomial
+    scan, as it ran before it read the rows from the principal ideal
+    context of each entry."""
+    base = ring.base
+    for k, x in enumerate(elems, start=1):
+        prev = elems[: k - 1]
+        if x.is_zero():
+            return RegularityReport(False, k, None, window, "zero entry")
+        dx = x.degree()
+        for d in ring.even_degrees(window - dx):
+            src = ideal_context(ring, prev, d)
+            tgt = ideal_context(ring, prev, d + dx)
+            tgt_index = {e: j for j, e in enumerate(tgt.exps)}
+            rows = []
+            used = []
+            for m in src.exps:
+                row = [base.zero()] * len(tgt.exps)
+                fits = True
+                for exps, c in x.terms.items():
+                    prod = tuple(a + b for a, b in zip(m, exps))
+                    if prod not in tgt_index:
+                        fits = False
+                        break
+                    row[tgt_index[prod]] = base.add(row[tgt_index[prod]], c)
+                if fits:
+                    rows.append(row)
+                    used.append(m)
+            if not rows:
+                continue
+            for vec in _cycle_rows(rows, tgt.rows, len(used), len(tgt.exps)):
+                full = [0] * len(src.exps)
+                for val, m in zip(vec, used):
+                    full[src.exps.index(m)] = val
+                if not src.contains_vector(full):
+                    return RegularityReport(
+                        False,
+                        k,
+                        d,
+                        window,
+                        "multiplication by entry %d has kernel in degree %d" % (k, d),
+                    )
+        if QuotientRing(ring, elems[:k]).is_trivial():
+            return RegularityReport(
+                False, k, None, window, "quotient vanishes after entry %d" % k
+            )
+    return RegularityReport(True, None, None, window, "")
+
+
+def _random_homogeneous(rng, ring, coeffs):
+    exps = ring.degree_exps(rng.choice([0, 2, 2, 4]))
+    picked = rng.sample(exps, min(len(exps), rng.randint(1, 3)))
+    return ring.element({e: rng.choice(coeffs) for e in picked})
+
+
+def _clear_ring_caches():
+    _regularity.cache_clear()
+    _cached_context.cache_clear()
+
+
+def test_regularity_matches_row_loop_oracle():
+    xy = [Generator("x", 2), Generator("y", 2)]
+    z, f2, f3 = BaseRing.integers(), BaseRing.prime_field(2), BaseRing.prime_field(3)
+    z4, z2 = BaseRing.integers_mod(4), BaseRing.integers_localized(2)
+    rings = [
+        (GradedRing(z, xy, degree_window=8), [1, -1, 2, 3, -6]),
+        (GradedRing(f2, xy + [Generator("w", 4)], degree_window=8), [1]),
+        (GradedRing(f3, xy, degree_window=8), [1, 2]),
+        (GradedRing(z4, xy, degree_window=8), [1, 2, 3]),
+        (GradedRing(z2, xy, degree_window=6), [1, 2, Fraction(1, 3), Fraction(-4, 5)]),
+    ]
+    with_relation = GradedRing(f3, xy, degree_window=8)
+    x, y = with_relation.var("x"), with_relation.var("y")
+    rings.append(
+        (GradedRing(f3, xy, degree_window=8, relations=[x * x * y - y * y * y]), [1, 2])
+    )
+    rings.append(
+        (GradedRing(z2, [Generator("x", 2), Generator("v", 2, invertible=True)],
+                    degree_window=6, laurent_window=2), [1, 2, -3, Fraction(2, 3)])
+    )
+    rng = random.Random(211)
+    cases = []
+    for ring, coeffs in rings:
+        for _ in range(8):
+            length = rng.randint(1, 3)
+            cases.append((ring, tuple(_random_homogeneous(rng, ring, coeffs) for _ in range(length))))
+        x, y = ring.var("x"), ring.var(ring.generators[1].name)
+        cases.append((ring, (x, x)))  # a repeated entry
+        cases.append((ring, (x, y)))
+    z_ring, z4_ring = rings[0][0], rings[3][0]
+    zx, zy = z_ring.var("x"), z_ring.var("y")
+    cases.append((z_ring, (2 * zx, zy, 3 * zx)))  # a multiple of an earlier entry
+    cases.append((z_ring, (z_ring.constant(4), z_ring.constant(6))))
+    cases.append((z4_ring, (2 * z4_ring.var("x"),)))  # 2x kills 2 over Z/4
+    outcomes = set()
+    for ring, seq in cases:
+        window = ring.degree_window
+        _clear_ring_caches()
+        want = ref_regularity(ring, seq, window)
+        _clear_ring_caches()
+        assert _regularity(ring, seq, window) == want, (ring, seq)
+        outcomes.add((want.regular, want.failure_degree is not None))
+    _clear_ring_caches()
+    # regular, non-regular with a kernel degree, and non-regular without one
+    assert outcomes == {(True, False), (False, True), (False, False)}
+
+
+# -- one lattice per ideal slice --------------------------------------
+
+
+@pytest.mark.parametrize(
+    "base",
+    [BaseRing.integers(), BaseRing.prime_field(3), BaseRing.integers_localized(2)],
+    ids=["Z", "F3", "Z(2)"],
+)
+def test_slice_lattice_is_built_once_on_first_read(monkeypatch, base):
+    built = []
+    for cls in (IntLattice, LocalLattice):
+        def counting(self, *args, _init=cls.__init__):
+            built.append(args)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    _cached_context.cache_clear()
+    ring = GradedRing(base, [Generator("x", 2), Generator("y", 2)], degree_window=8)
+    x, y = ring.var("x"), ring.var("y")
+    ctx = ideal_context(ring, (x, y * y), 6)
+    assert ctx.rows and not built
+    lat = ctx.lattice
+    assert ctx.lattice is lat and len(built) == 1
+    assert built[0][:2] == (ctx.rows, ctx.width)
+    cx = KoszulComplex(ring, [x, y], [x * y])
+    assert any(cx.relation_rows(i, q) for i in range(3) for q in (4, 6, 8))
+    assert len(built) == 1
+    _cached_context.cache_clear()

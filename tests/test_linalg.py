@@ -672,3 +672,58 @@ def test_hermite_reduce_is_canonical_under_unimodular_row_operations():
         for _ in range(3):
             vec = [rng.randint(-12, 12) for _ in range(w)]
             assert other.reduce(vec) == lat.reduce(vec)
+
+
+def test_coordinates_match_second_lattice_route():
+    """``coordinates`` against the route it replaces: a second lattice over
+    ``basis()``, then ``solve`` on that lattice's rows.  The second lattice
+    is the test-local eager Hermite form over Z and the fraction oracle
+    over Z_(p), so neither side shares elimination code with the other."""
+    rng = Random(149)
+    inside = outside = 0
+    for k in range(2000):
+        if k % 4 == 0:
+            rows, w = int_matrix(rng, 6, 6, list(range(-5, 6)) + [0] * 4)
+            lat = IntLattice(rows, w)
+            if lat.rank:
+                H, T, pivots = ref_hnf_transform(lat.basis(), w)
+                ref = lambda vec: ref_solve(H, T, pivots, vec)
+            else:
+                ref = lambda vec: None if any(vec) else []
+
+            def member():
+                return combo(rows, [rng.randint(-3, 3) for _ in rows])
+
+            def stranger():
+                return [rng.randint(-9, 9) for _ in range(w)]
+        else:
+            p = rng.choice([2, 3, 5])
+            rows, w = local_matrix(rng, p)
+            lat = LocalLattice(rows, w, p)
+            ref = RefLocalLattice(lat.basis(), w, p).solve
+
+            def member():
+                coeffs = [local_entry(rng, p) for _ in rows]
+                return [
+                    sum((Fraction(q) * row[j] for q, row in zip(coeffs, rows)), Fraction(0))
+                    for j in range(w)
+                ]
+
+            def stranger():
+                return [local_entry(rng, p) for _ in range(w)]
+        for _ in range(4):
+            vec = member() if rng.random() < 0.5 else stranger()
+            want = ref(vec)
+            got = lat.coordinates(vec)
+            assert (got is None) == (want is None)
+            if got is None:
+                outside += 1
+                continue
+            inside += 1
+            assert got == want
+            assert len(got) == lat.rank
+            total = [Fraction(0)] * w
+            for c, row in zip(got, lat.basis()):
+                total = [t + c * x for t, x in zip(total, row)]
+            assert total == [Fraction(x) for x in vec]
+    assert inside > 2500 and outside > 1500
