@@ -200,7 +200,9 @@ class CliffordAlgebra:
         )
 
     def __eq__(self, other):
-        return isinstance(other, CliffordAlgebra) and self._key() == other._key()
+        return self is other or (
+            isinstance(other, CliffordAlgebra) and self._key() == other._key()
+        )
 
     def __hash__(self):
         return hash(("clifford", self.names, self.degrees))

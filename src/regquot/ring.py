@@ -93,7 +93,9 @@ class GradedRing:
         )
 
     def __eq__(self, other):
-        return isinstance(other, GradedRing) and self._key() == other._key()
+        return self is other or (
+            isinstance(other, GradedRing) and self._key() == other._key()
+        )
 
     def __hash__(self):
         return hash(self._key())
@@ -579,6 +581,8 @@ class QuotientRing:
             if not g.is_homogeneous():
                 raise NonHomogeneous("ideal generators must be homogeneous")
         self.ideal = tuple(g for g in ideal if not g.is_zero())
+        # element -> residue; each residue is also its own key (nf is idempotent)
+        self._nf: dict = {}
 
     def _key(self):
         return (self.ring, self.ideal)
@@ -595,9 +599,14 @@ class QuotientRing:
         return "%r/(%s)" % (self.ring, ", ".join(repr(g) for g in self.ideal))
 
     def nf(self, element: RingElement) -> RingElement:
+        red = self._nf.get(element)
+        if red is not None:
+            return red
         if element.ring != self.ring:
             raise MixedRings("element of %r reduced in %r" % (element.ring, self.ring))
-        return normal_form_any(element, self.ideal)
+        red = normal_form_any(element, self.ideal)
+        self._nf[element] = self._nf[red] = red
+        return red
 
     def is_zero(self, element: RingElement) -> bool:
         return self.nf(element).is_zero()

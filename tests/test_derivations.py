@@ -5,6 +5,7 @@ import pytest
 from regquot.clifford import CliffordAlgebra, CliffordElement, homology_presentation
 from regquot.conormal import QuotientRingSpec, conormal_module, zero_form
 from regquot.derivations import (
+    CohomologyOperator,
     Delta,
     DerivationOperator,
     Psi,
@@ -26,6 +27,7 @@ from regquot.errors import (
     MixedOwners,
     NotExterior,
     NotRegular,
+    SemanticError,
 )
 from regquot.ring import GradedRing, Generator
 from regquot.scalars import BaseRing
@@ -445,3 +447,91 @@ def test_theta_rank_matches_dense_oracle(k2_p3):
         assert theta_rank(ext) == ref_theta_rank(ext) == 2**n
     _, _, ext = k2_p3
     assert theta_rank(ext) == ref_theta_rank(ext) == 4
+
+
+# -- oracle: Leibniz on every pair of basis words -----------------------
+
+
+def ref_leibniz_check(op):
+    """The exhaustive 4^n loop that ``leibniz_check`` ran before it
+    checked only the pairs (1 or a generator, basis word)."""
+    algebra = op.owner
+    one = algebra.coeff.one()
+    basis = [algebra.element({w: one}) for w in algebra.basis_words()]
+    for u in basis:
+        for v in basis:
+            pu = u.word_length_parity()
+            if pu is None:
+                raise SemanticError("samples must have pure word-length parity")
+            lhs = op.apply(u * v)
+            second = u * op.apply(v)
+            if op.parity % 2 and pu % 2:
+                second = -second
+            if lhs != op.apply(u) * v + second:
+                return False
+    return True
+
+
+def _random_sparse_operator(ext, rng, values):
+    """A seeded sparse operator of random parity on a few basis words."""
+    basis = ext.basis_words()
+    coeff = ext.coeff
+    matrix = {}
+    for w in rng.sample(basis, rng.randrange(min(3, len(basis)) + 1)):
+        row = {}
+        for u in rng.sample(basis, rng.randrange(1, min(2, len(basis)) + 1)):
+            c = coeff.coerce(rng.choice(values))
+            if not coeff.is_zero(c):
+                row[u] = c
+        if row:
+            matrix[w] = row
+    return CohomologyOperator(ext, matrix, parity=rng.randrange(2))
+
+
+@pytest.mark.parametrize("base_name", sorted(ORACLE_BASES))
+def test_leibniz_generator_pairs_match_exhaustive_oracle(base_name):
+    """The (n+1)*2^n generator pairs decide Leibniz exactly as all 4^n
+    basis pairs do: on the Q_i, the zero derivation, composites of 1-3 Q_i
+    (odd and even), seeded random derivations and seeded random sparse
+    operators of either parity, at ranks 0-4."""
+    base = ORACLE_BASES[base_name]
+    rng = random.Random("leibniz-oracle:%s" % base_name)
+    values = [0, 0, 1, -1, 2, -2, 3]
+    holds = breaks = 0
+    for n in range(5):
+        ext = CliffordAlgebra.from_scalars(base, [0] * n)
+        qs = [bockstein(ext, i) for i in range(n)]
+        ops = qs + [DerivationOperator(ext, [0] * n)]
+        if n:
+            for length in (1, 2, 3):
+                for _ in range(4):
+                    ops.append(compose([rng.choice(qs) for _ in range(length)]))
+        for _ in range(6):
+            ops.append(DerivationOperator(ext, [rng.choice(values) for _ in range(n)]))
+            ops.append(_random_sparse_operator(ext, rng, values))
+        for op in ops:
+            expected = ref_leibniz_check(op)
+            assert leibniz_check(op) == expected, (n, op)
+            holds += expected
+            breaks += not expected
+    # both outcomes occur, so neither a constant True nor a constant False
+    # answer passes
+    assert holds and breaks
+
+
+def test_leibniz_default_multiplies_generator_pairs_only(monkeypatch):
+    """At rank 5 the default check makes three products for each of the
+    (n+1)*2^n pairs (u*v, u*D(v) and D(u)*v), not 3*4^n."""
+    n = 5
+    ext = CliffordAlgebra.from_scalars(BaseRing.integers(), [0] * n)
+    op = bockstein(ext, 2)
+    calls = []
+    mul = CliffordElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(CliffordElement, "__mul__", counted)
+    assert leibniz_check(op)
+    assert len(calls) == 3 * (n + 1) * 2**n

@@ -230,3 +230,77 @@ def test_generator_validation():
             [Generator("x", 2), Generator("x", 4)],
             degree_window=4,
         )
+
+
+def test_quotient_nf_memo_matches_uncached_normal_form():
+    """``QuotientRing.nf`` answers from a per-ring memo.  On seeded
+    homogeneous and inhomogeneous elements over Z, F_3, Z/4 and Z_(2), and
+    over a ring with a relation, every answer equals an uncached
+    ``normal_form_any``, is its own normal form, and comes back equal when
+    asked again after other reductions."""
+    gens = [Generator("x", 2), Generator("y", 4)]
+    ints = [0, 1, -1, 2, 3, 6]
+    rings = [
+        (GradedRing(base, gens, degree_window=8), ints)
+        for base in (
+            BaseRing.integers(),
+            BaseRing.prime_field(3),
+            BaseRing.integers_mod(4),
+        )
+    ]
+    local = GradedRing(BaseRing.integers_localized(2), gens, degree_window=8)
+    rings.append((local, ints + [Fraction(1, 3), Fraction(2, 3)]))
+    # x*y = 2*x^3 in degree 6
+    rings.append(
+        (
+            GradedRing(
+                BaseRing.integers(),
+                gens,
+                degree_window=8,
+                relations=[{(1, 1): 1, (3, 0): -2}],
+            ),
+            ints,
+        )
+    )
+    nonzero = inhomogeneous = 0
+    for R, values in rings:
+        rng = Random("nf-memo:%r:%d" % (R, len(R.relations)))
+        x, y = R.var("x"), R.var("y")
+        q = QuotientRing(R, [x * x + y * 3, x * 2])
+        elems = []
+        for _ in range(30):
+            terms = {}
+            for d in rng.sample([0, 2, 4, 6, 8], rng.randint(1, 2)):
+                for m in R.degree_exps(d):
+                    terms[m] = rng.choice(values)
+            elems.append(R.element(terms))
+        expected = [normal_form_any(e, q.ideal) for e in elems]
+        for e, want in zip(elems, expected):
+            got = q.nf(e)
+            assert got == want and got.ring is R
+            assert q.nf(got) == got
+            inhomogeneous += not e.is_homogeneous()
+            nonzero += not got.is_zero()
+        order = list(range(len(elems)))
+        rng.shuffle(order)
+        for i in order:
+            assert q.nf(elems[i]) == expected[i]
+    assert nonzero and inhomogeneous
+
+
+def test_quotient_nf_memo_is_per_ring():
+    """Two rings that differ only in the degree window share no memo
+    entries: an element of one is still refused by the quotient of the
+    other after both have reduced the element with the same terms."""
+    rings = [
+        GradedRing(BaseRing.integers(), [Generator("x", 2)], degree_window=w)
+        for w in (4, 6)
+    ]
+    quotients = [QuotientRing(R, [R.constant(3)]) for R in rings]
+    elems = [R.var("x") * 5 for R in rings]
+    for q, e, R in zip(quotients, elems, rings):
+        got = q.nf(e)
+        assert got.ring is R and got == R.var("x") * 2
+    for q, e in ((quotients[0], elems[1]), (quotients[1], elems[0])):
+        with pytest.raises(MixedRings):
+            q.nf(e)
