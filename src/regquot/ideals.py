@@ -26,7 +26,6 @@ from .errors import (
 )
 from .linalg import (
     cleared_matrix,
-    cleared_rows,
     kernel_basis,
     lattice_for,
     lattice_intersection_rows,
@@ -185,18 +184,12 @@ class RegularityReport:
 def _cycle_rows(map_rows, target_rel_rows, source_width, target_width):
     """Generators of {x : x * M in span(target relations)}."""
     if target_width == 0 or not map_rows:
-        rows = [[1 if i == j else 0 for j in range(source_width)] for i in range(source_width)]
-        return rows
-    # One common multiple keeps the kernel of M; per-row scaling keeps a span.
+        return [[1 if i == j else 0 for j in range(source_width)] for i in range(source_width)]
+    # One common multiple keeps the kernel of M, whose rows may hold base
+    # values; the target relations are ideal-slice rows, already ``int``.
     mat, _ = cleared_matrix(map_rows)
-    rel = cleared_rows(target_rel_rows)
-    stacked = mat + rel
-    out = []
-    for k in kernel_basis(stacked, target_width):
-        x = k[: len(map_rows)]
-        if any(x):
-            out.append(list(x))
-    return out
+    kernel = kernel_basis(mat + target_rel_rows, target_width)
+    return [x for x in (k[: len(map_rows)] for k in kernel) if any(x)]
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +284,7 @@ class KoszulComplex:
             d = q - self.shift(S)
             ctx = ideal_context(self.ring, self.k_gens, d)
             for row in ctx.rows:
-                out = [self.ring.base.zero()] * len(basis)
+                out = [0] * len(basis)
                 for val, m in zip(row, ctx.exps):
                     if val:
                         out[index[(S, m)]] = val
@@ -418,8 +411,8 @@ def tor1_equals_intersection_over_product(
     t1 = tor(ring, jseq, kseq, 1, top)
     prod = _product_gens(ring, jseq, kseq)
     for q in ring.even_degrees(top):
-        rows_j = cleared_rows(ideal_context(ring, jseq, q).rows)
-        rows_k = cleared_rows(ideal_context(ring, kseq, q).rows)
+        rows_j = ideal_context(ring, jseq, q).rows
+        rows_k = ideal_context(ring, kseq, q).rows
         width = len(ring.degree_exps(q))
         inter = lattice_intersection_rows(rows_j, rows_k, width)
         entry = quotient_invariants(inter, ideal_context(ring, prod, q).rows, width, ring.base)
@@ -448,8 +441,8 @@ def check_condition_ii(ring: GradedRing, ideals, window: int | None = None):
         holds = True
         for q in ring.even_degrees(top):
             width = len(ring.degree_exps(q))
-            rows_p = cleared_rows(ideal_context(ring, prev, q).rows)
-            rows_t = cleared_rows(ideal_context(ring, tail, q).rows)
+            rows_p = ideal_context(ring, prev, q).rows
+            rows_t = ideal_context(ring, tail, q).rows
             inter = lattice_intersection_rows(rows_p, rows_t, width)
             if not inter:
                 continue

@@ -15,12 +15,16 @@ which writes a vector on the original rows, needs the transform, and
 which splits off an invariant factor 1, and runs the general Smith
 elimination only on the rows that are left.
 
-The p-local routines take ``int`` and ``Fraction`` entries with p-unit
-denominators, but they compute fraction-free: each row is an integer
-vector over one p-unit denominator, and elimination multiplies rows by
-p-units (Bareiss-style integer-preserving elimination), which are
-invertible over Z_(p).  ``Fraction`` s are built only for returned values,
-which are exactly the rationals that elimination over Q would give.
+Rows are ``int``: the ring layer clears each ideal slice once, over one
+p-unit multiple, and hands every lattice integer rows, which nothing here
+converts again.  ``Fraction`` s with p-unit denominators arrive only as
+vectors, as ``LocalLattice`` coordinates and as Koszul map rows, which
+``cleared_matrix`` clears.  The p-local routines accept them and compute
+fraction-free: each row is an integer vector over one p-unit denominator,
+and elimination multiplies rows by p-units (Bareiss-style
+integer-preserving elimination), which are invertible over Z_(p).
+``Fraction`` s are built only for returned values, which are exactly the
+rationals that elimination over Q would give.
 
 ``lattice_for`` and ``module_invariants`` are the one place where the base
 ring picks the lattice: Z_(p) gets the p-local lattice and p-parts of the
@@ -106,7 +110,7 @@ def hnf_transform(rows, width):
     m = len(rows)
     A = []
     for i, row in enumerate(rows):
-        aug = [int(x) for x in row] + [0] * m
+        aug = list(row) + [0] * m
         aug[len(row) + i] = 1
         A.append(aug)
     pivots = _hermite(A, width)
@@ -127,8 +131,8 @@ class IntLattice:
     def __init__(self, rows, width):
         self.width = width
         self.nrows = len(rows)
-        self._rows = [[int(x) for x in row] for row in rows]
-        self.H = [list(row) for row in self._rows]
+        self._rows = rows
+        self.H = [list(row) for row in rows]
         self.pivots = _hermite(self.H, width)
         self.rank = len(self.pivots)
 
@@ -142,7 +146,7 @@ class IntLattice:
     def _reduce(self, vec, coef=None):
         """``vec`` reduced modulo the lattice; ``coef[r]`` records the
         multiple of ``basis()[r]`` removed.  ``reduce`` passes no ``coef``."""
-        res = [int(x) for x in vec]
+        res = vec
         for r, c in self.pivots:
             q = res[c] // self.H[r][c]
             if q:
@@ -188,7 +192,7 @@ def snf_invariants(rows):
     one invariant factor 1.  The leftover rows, usually none, go to the
     general smallest-entry elimination.
     """
-    A = [{j: int(x) for j, x in enumerate(row) if x} for row in rows]
+    A = [{j: x for j, x in enumerate(row) if x} for row in rows]
     A = [row for row in A if row]
     units = 0
     while A:
@@ -289,18 +293,9 @@ def lattice_intersection_rows(rows_a, rows_b, width):
     """Generating rows for the intersection of two integer row spans."""
     if not rows_a or not rows_b:
         return []
-    stacked = [list(map(int, r)) for r in rows_a] + [list(map(int, r)) for r in rows_b]
-    na = len(rows_a)
-    gens = []
-    for k in kernel_basis(stacked, width):
-        vec = [0] * width
-        for i in range(na):
-            if k[i]:
-                for j in range(width):
-                    vec[j] += k[i] * rows_a[i][j]
-        if any(vec):
-            gens.append(vec)
-    return gens
+    kernel = kernel_basis(rows_a + rows_b, width)
+    gens = (_row_combination(k, rows_a, [0] * width) for k in kernel)
+    return [vec for vec in gens if any(vec)]
 
 
 # -- p-local (discrete valuation ring) routines -----------------------
@@ -530,11 +525,13 @@ def lattice_for(base, rows, width):
 def module_invariants(base, rows):
     """``(rank, factors)`` of the span of ``rows`` over ``base``.
 
-    ``factors`` are the sorted invariant factors above 1 of the
-    denominator-cleared rows, as p-parts over Z_(p).  Clearing scales each
-    row by a unit of Z_(p), which keeps the span there.
+    ``factors`` are the sorted invariant factors above 1 of the rows, as
+    p-parts over Z_(p).  There the rows, such as ``LocalLattice``
+    coordinates, may hold ``Fraction`` s: clearing scales each row by a
+    unit of Z_(p), which keeps the span.
     """
-    invs = snf_invariants(cleared_rows(rows))
     if base.kind == INTEGERS_LOCALIZED:
-        invs = [p_part(v, base.p) for v in invs]
+        invs = [p_part(v, base.p) for v in snf_invariants(cleared_rows(rows))]
+    else:
+        invs = snf_invariants(rows)
     return len(invs), tuple(sorted(v for v in invs if v > 1))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import MixedRings, NonHomogeneous, SemanticError, WindowOverflow
-from .linalg import lattice_for, module_invariants
+from .linalg import cleared_matrix, lattice_for, module_invariants
 from .scalars import BaseRing
 
 
@@ -80,6 +80,8 @@ class GradedRing:
         for r in self.relations:
             if not r.is_homogeneous():
                 raise NonHomogeneous("ring relations must be homogeneous")
+        # the key never changes after construction
+        self._hash = hash(self._key())
 
     # -- identity -----------------------------------------------------
 
@@ -98,7 +100,7 @@ class GradedRing:
         )
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         names = ", ".join(
@@ -450,8 +452,12 @@ class IdealContext:
 
     ``rows`` are tagged ``("gen", i, m)`` (generator ``i`` times monomial
     ``m``, in monomial order), ``("relation", i, m)`` or ``("modulus", j,
-    None)``, in that order: all ``gen`` rows come first.  The context is the one owner of its slice's ``lattice``, built
-    on first read: a caller that needs only the rows builds none.
+    None)``, in that order: all ``gen`` rows come first.  Every row holds
+    ``int`` entries: the coefficients of the generators and relations times
+    one common multiple ``scale`` of their denominators, a p-unit that is 1
+    over Z, F_p and Z/m, so the rows span the ideal's slice.  The context
+    is the one owner of its slice's ``lattice``, built on first read: a
+    caller that needs only the rows builds none.
     """
 
     def __init__(self, ring: GradedRing, gens, d: int):
@@ -462,29 +468,28 @@ class IdealContext:
         width = len(self.exps)
         rows = []
         tags = []
-        base = ring.base
-        for gi, g in enumerate(tuple(gens) + ring.relations):
+        gens = tuple(gens)
+        polys = gens + ring.relations
+        for g in polys:
             if g.ring != ring:
                 raise MixedRings("ideal generator from a different ring")
-            if g.is_zero():
+        nums, self.scale = cleared_matrix([list(g.terms.values()) for g in polys])
+        for gi, (g, coeffs) in enumerate(zip(polys, nums)):
+            if not coeffs:
                 continue
             gd = g.degree()
             if d - gd > ring.degree_window:
                 continue
             for m in ring.degree_exps(d - gd):
-                row = [base.zero()] * width
-                ok = True
-                for exps, c in g.terms.items():
-                    prod = tuple(a + b for a, b in zip(m, exps))
-                    if prod not in index:
-                        ok = False
-                        break
-                    row[index[prod]] = base.add(row[index[prod]], c)
-                if ok and any(x != 0 for x in row):
-                    tag = ("gen", gi, m) if gi < len(tuple(gens)) else ("relation", gi, m)
-                    rows.append(row)
-                    tags.append(tag)
-        modulus = base.characteristic
+                cols = [index.get(tuple(a + b for a, b in zip(m, exps))) for exps in g.terms]
+                if None in cols:
+                    continue
+                row = [0] * width
+                for j, c in zip(cols, coeffs):
+                    row[j] = c
+                rows.append(row)
+                tags.append(("gen" if gi < len(gens) else "relation", gi, m))
+        modulus = ring.base.characteristic
         if modulus:
             for j in range(width):
                 row = [0] * width
@@ -508,13 +513,12 @@ class IdealContext:
         return not any(x != 0 for x in self.lattice.reduce(vec))
 
     def solve_vector(self, vec):
-        """Coefficients on the tagged rows giving ``vec``, or None."""
+        """Pairs ``(tag, c)`` writing ``vec`` as the sum of ``c`` times the
+        multiple each tag names, before ``scale``; or None."""
         sol = self.lattice.solve(vec)
         if sol is None:
             return None
-        return [
-            (tag, c) for tag, c in zip(self.tags, sol) if c
-        ]
+        return [(tag, c * self.scale) for tag, c in zip(self.tags, sol) if c]
 
     def quotient_entry(self):
         """(free rank, nontrivial invariant factors) of this graded piece."""

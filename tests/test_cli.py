@@ -244,6 +244,35 @@ def test_exterior_reports_match_pinned_digests(command, rank):
     assert hashlib.sha256(text.encode()).hexdigest() == EXTERIOR_DIGESTS[command, rank]
 
 
+# sha256 of the canonical reports of the ladder's tor (window 12) and
+# decompose (window 10) shapes over Z/m, which no benchmark workload runs.
+MODULAR_DIGESTS = {
+    ("tor", "Z/4"): "2998bc8b86d5a846f00a52f84c88266dfba8af993a92678e531358b5eb11f9d3",
+    ("tor", "Z/6"): "5b37073fb7d95f231ce1662e9367f5d2032160618e7d356d0180d16dc770db6f",
+    ("decompose", "Z/4"): "89704febf0cc3d4a5825e3e3b9bf87eeefde7561ef3c5e8f3f8886109e076edb",
+    ("decompose", "Z/6"): "a2e5508b5ff516549c590c169ae2c34171dfdb0986ee293406349e93051bb425",
+}
+
+
+@pytest.mark.parametrize("command, base", sorted(MODULAR_DIGESTS))
+def test_modular_reports_match_pinned_digests(command, base):
+    doc = {
+        "command": command,
+        "ring": {
+            "base": base,
+            "generators": [{"name": n, "degree": 2} for n in ("x", "y", "z")],
+        },
+    }
+    if command == "tor":
+        doc.update(window={"degree": 12}, first=["x", "y", "z"], second=["x"], index=1)
+    else:
+        doc.update(window={"degree": 10}, ideals=[["x"], ["y"], ["z"]])
+    report = run_job(parse_job(json.dumps(doc)))
+    assert report.status == 0
+    text = canonical_json(report.payload())
+    assert hashlib.sha256(text.encode()).hexdigest() == MODULAR_DIGESTS[command, base]
+
+
 def test_window_override(tmp_path):
     code, report = run_file(JOBS / "k1_p2.job", tmp_path, ["--window", "8"])
     assert code == 0

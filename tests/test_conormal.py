@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from regquot.conormal import (
     BilinearFormData,
+    ConormalModule,
     ProductToken,
     QuotientRingSpec,
     base_change_form,
@@ -92,6 +95,19 @@ def test_residue_coordinates_unit_multiple(k1_ring):
     mod = conormal_module(spec)
     coords = mod.residue_coordinates(two + two * v1)
     assert coords == (k1_ring.one() + v1,)
+
+
+def test_residue_coordinates_with_unit_denominators():
+    # The slice rows of (x/3, 5y/7) are stored over the common multiple 21;
+    # the coordinates must come back on the entries themselves.
+    ring = GradedRing(
+        BaseRing.integers_localized(2), [Generator("x", 2), Generator("y", 2)], degree_window=8
+    )
+    x, y = ring.var("x"), ring.var("y")
+    spec = QuotientRingSpec(ring, [x * Fraction(1, 3), y * Fraction(5, 7)])
+    mod = ConormalModule(spec)
+    assert mod.residue_coordinates(x) == (ring.constant(3), ring.zero())
+    assert mod.residue_coordinates(x + 5 * y) == (ring.constant(3), ring.constant(7))
 
 
 def test_token_flags_and_degrees(k1_ring):

@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from regquot import linalg
+from regquot.cli import run_job
 from regquot.errors import (
     ConditionIIFails,
     EmptySequence,
@@ -26,6 +29,7 @@ from regquot.ideals import (
     tor,
     tor1_equals_intersection_over_product,
 )
+from regquot.jobio import parse_job
 from regquot.linalg import IntLattice, LocalLattice, lattice_for
 from regquot.ring import GradedRing, Generator, QuotientRing, _cached_context, ideal_context
 from regquot.scalars import BaseRing
@@ -485,3 +489,49 @@ def test_slice_lattice_is_built_once_on_first_read(monkeypatch, base):
     assert any(cx.relation_rows(i, q) for i in range(3) for q in (4, 6, 8))
     assert len(built) == 1
     _cached_context.cache_clear()
+
+
+# -- int rows at the ring-lattice seam --------------------------------
+
+
+def _xyz_ring(base):
+    return {"base": base, "generators": [{"name": n, "degree": 2} for n in ("x", "y", "z")]}
+
+
+SEAM_JOBS = [
+    doc
+    for base in ("Z", "F3", "Z/4", "Z_(2)")
+    for doc in (
+        {"command": "tor", "ring": _xyz_ring(base), "window": {"degree": 8},
+         "first": ["x", "y", "z"], "second": ["x"], "index": 1},
+        {"command": "decompose", "ring": _xyz_ring(base), "window": {"degree": 6},
+         "ideals": [["x"], ["y"], ["z"]]},
+    )
+] + [{"command": "scenario", "scenario": {"p": p, "n": 2}} for p in (2, 3)]
+
+
+def test_every_lattice_receives_int_rows(monkeypatch):
+    # The ring layer hands each lattice, Hermite and Smith routine rows of
+    # plain ints; Fractions reach the lattices only as vectors.
+    seen = {}
+
+    def recording(name, f):
+        def wrapped(*args):
+            rows = args[1] if name.endswith("Lattice") else args[0]
+            seen.setdefault(name, set()).update(type(x) for row in rows for x in row)
+            return f(*args)
+        return wrapped
+
+    for cls in (IntLattice, LocalLattice):
+        monkeypatch.setattr(cls, "__init__", recording(cls.__name__, cls.__init__))
+    for name in ("hnf_transform", "snf_invariants"):
+        monkeypatch.setattr(linalg, name, recording(name, getattr(linalg, name)))
+    _clear_ring_caches()
+    try:
+        for doc in SEAM_JOBS:
+            assert run_job(parse_job(json.dumps(doc))).status == 0, doc
+    finally:
+        _clear_ring_caches()
+    assert seen == {
+        name: {int} for name in ("IntLattice", "LocalLattice", "hnf_transform", "snf_invariants")
+    }

@@ -10,9 +10,11 @@ from regquot.errors import (
     SemanticError,
     WindowOverflow,
 )
+from regquot.linalg import lattice_for, module_invariants
 from regquot.ring import (
     GradedRing,
     Generator,
+    IdealContext,
     QuotientRing,
     domain_report,
     normal_form,
@@ -304,3 +306,97 @@ def test_quotient_nf_memo_is_per_ring():
     for q, e in ((quotients[0], elems[1]), (quotients[1], elems[0])):
         with pytest.raises(MixedRings):
             q.nf(e)
+
+
+# -- int slice rows against the base-valued row loop -------------------
+
+
+def ref_slice_rows(ring, gens, d):
+    """The tagged ``(tag, row)`` pairs of one ideal slice, each row built
+    entry by entry with the base ring's own arithmetic."""
+    base = ring.base
+    exps = list(ring.degree_exps(d))
+    index = {e: j for j, e in enumerate(exps)}
+    out = []
+    for gi, g in enumerate(tuple(gens) + ring.relations):
+        if g.is_zero():
+            continue
+        gd = g.degree()
+        if d - gd > ring.degree_window:
+            continue
+        for m in ring.degree_exps(d - gd):
+            row = [base.zero()] * len(exps)
+            ok = True
+            for e, c in g.terms.items():
+                prod = tuple(a + b for a, b in zip(m, e))
+                if prod not in index:
+                    ok = False
+                    break
+                row[index[prod]] = base.add(row[index[prod]], c)
+            if ok and any(x != 0 for x in row):
+                out.append((("gen" if gi < len(gens) else "relation", gi, m), row))
+    for j in range(len(exps) if base.characteristic else 0):
+        row = [0] * len(exps)
+        row[j] = base.characteristic
+        out.append((("modulus", j, None), row))
+    return out
+
+
+def test_int_slice_rows_match_base_valued_rows():
+    xy = [Generator("x", 2), Generator("y", 2)]
+    z2, z3 = BaseRing.integers_localized(2), BaseRing.integers_localized(3)
+    plain = GradedRing(z3, xy, degree_window=8)
+    x, y = plain.var("x"), plain.var("y")
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    rings = [
+        (GradedRing(BaseRing.integers(), xy, degree_window=8), [1, -1, 2, 3, -6]),
+        (GradedRing(BaseRing.prime_field(3), xy, degree_window=8), [1, 2]),
+        (GradedRing(BaseRing.integers_mod(4), xy, degree_window=8), [1, 2, 3]),
+        (GradedRing(BaseRing.integers_mod(6), xy, degree_window=8), [1, 2, 3, 5]),
+        (GradedRing(z2, xy, degree_window=8), [1, 2, third, Fraction(-4, 5), Fraction(6, 7)]),
+        (
+            GradedRing(z3, xy, degree_window=8, relations=[x * y * half - 5 * y * y]),
+            [1, 3, half, Fraction(-3, 4), Fraction(9, 5)],
+        ),
+    ]
+    rng = Random(8)
+    solved = 0
+    for ring, coeffs in rings:
+        base = ring.base
+        for _ in range(5):
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                exps = ring.degree_exps(rng.choice([0, 2, 2, 4]))
+                picked = rng.sample(exps, min(len(exps), rng.randint(1, 3)))
+                gens.append(ring.element({e: rng.choice(coeffs) for e in picked}))
+            if rng.random() < 0.3:
+                gens.insert(rng.randint(0, len(gens)), ring.zero())
+            for d in ring.even_degrees():
+                ctx = IdealContext(ring, gens, d)
+                ref = ref_slice_rows(ring, gens, d)
+                assert ctx.tags == [tag for tag, _ in ref]
+                ref_rows = [row for _, row in ref]
+                ref_lat = lattice_for(base, ref_rows, ctx.width)
+                rank, factors = module_invariants(base, ref_rows)
+                assert ctx.quotient_entry() == (ctx.width - rank, factors)
+                rows_of = dict(ref)
+                for k in range(6):
+                    if k % 2 and ref_rows:
+                        # a vector of the span, so solve_vector must answer
+                        vec = [base.zero()] * ctx.width
+                        for row in rng.sample(ref_rows, min(len(ref_rows), 3)):
+                            c = base.normalize(rng.choice(coeffs))
+                            vec = [base.add(a, base.mul(c, b)) for a, b in zip(vec, row)]
+                    else:
+                        vec = [base.normalize(rng.choice(coeffs + [0, 0])) for _ in range(ctx.width)]
+                    assert ctx.lattice.reduce(vec) == ref_lat.reduce(vec)
+                    pairs = ctx.solve_vector(vec)
+                    if not ref_lat.contains(vec):
+                        assert pairs is None
+                        continue
+                    out = [base.zero()] * ctx.width
+                    for tag, c in pairs:
+                        out = [base.add(a, base.mul(c, b)) for a, b in zip(out, rows_of[tag])]
+                    assert out == vec
+                    solved += any(vec)
+    assert solved >= 100, solved
