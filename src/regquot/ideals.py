@@ -1,13 +1,14 @@
 """Regular sequences, Koszul complexes and ideal decompositions.
 
 All computations are degreewise and windowed.  Graded pieces of quotient
-modules are presented as integer (or p-local) lattices: a slice is a span
+modules are presented as integer, p-local or F_p lattices: a slice is a span
 ``Z`` of coefficient rows together with a relation span ``B``, and homology
 or quotient invariants come from Smith normal form of ``B`` written in a
 basis of ``Z``.  An ideal's span in one degree is the lazy lattice of its
 ``ring.IdealContext``, never rebuilt here.  Nothing here branches on the
-base ring: ``linalg.lattice_for`` and ``linalg.module_invariants`` are the
-one place where it picks the integer or the p-local lattice.
+base ring: ``linalg.lattice_for``, ``linalg.module_invariants`` and
+``linalg.kernel_basis`` are the one place where it picks the integer, the
+p-local or the prime-field algebra.
 """
 from __future__ import annotations
 
@@ -29,7 +30,9 @@ from .linalg import (
     kernel_basis,
     lattice_for,
     lattice_intersection_rows,
+    lift_rank,
     module_invariants,
+    modulus_rows,
 )
 from .ring import GradedRing, QuotientRing, RingElement, ideal_context
 
@@ -135,14 +138,19 @@ def quotient_invariants(z_rows, b_rows, width, base) -> ModuleEntry:
 
 def _lattice_quotient(lat, b_rows, base) -> ModuleEntry:
     """Invariants of L/B for the lattice ``lat`` = L and rows B inside it:
-    B written on ``lat.basis()``, then Smith form."""
+    B written on ``lat.basis()``, then Smith form.
+
+    Over Z/m ``lat`` is the integer lift L + m * Z^w, so B is lifted too, by
+    ``modulus_rows`` in ambient coordinates: m * e_j on the basis of L is
+    not m * e_j.  (The m * e_j that ``module_invariants`` adds on the
+    coordinates lie in m * L, which those rows already span.)  Over the
+    other bases ``modulus_rows`` is empty."""
     if not lat.rank:
         return ModuleEntry()
-    coords = [lat.coordinates(b) for b in b_rows]
+    coords = [lat.coordinates(b) for b in b_rows + modulus_rows(base, lat.width)]
     if None in coords:
         raise SemanticError("relation span escapes the cycle span")
-    rank, factors = module_invariants(base, coords)
-    return ModuleEntry(lat.rank - rank, factors)
+    return ModuleEntry(*module_invariants(base, coords, lat.rank))
 
 
 def _combine(base, coeffs, rows, width):
@@ -181,14 +189,14 @@ class RegularityReport:
     reason: str = ""
 
 
-def _cycle_rows(map_rows, target_rel_rows, source_width, target_width):
-    """Generators of {x : x * M in span(target relations)}."""
+def _cycle_rows(base, map_rows, target_rel_rows, source_width, target_width):
+    """Generators of {x : x * M in span(target relations)} over ``base``."""
     if target_width == 0 or not map_rows:
         return [[1 if i == j else 0 for j in range(source_width)] for i in range(source_width)]
     # One common multiple keeps the kernel of M, whose rows may hold base
     # values; the target relations are ideal-slice rows, already ``int``.
     mat, _ = cleared_matrix(map_rows)
-    kernel = kernel_basis(mat + target_rel_rows, target_width)
+    kernel = kernel_basis(base, mat + target_rel_rows, target_width)
     return [x for x in (k[: len(map_rows)] for k in kernel) if any(x)]
 
 
@@ -208,7 +216,9 @@ def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport
             used = [m for kind, _, m in mult.tags if kind == "gen"]
             if not used:
                 continue
-            kernel = _cycle_rows(mult.rows[: len(used)], tgt.rows, len(used), len(tgt.exps))
+            kernel = _cycle_rows(
+                ring.base, mult.rows[: len(used)], tgt.rows, len(used), len(tgt.exps)
+            )
             pos = {m: j for j, m in enumerate(src.exps)}
             for vec in kernel:
                 full = [0] * len(src.exps)
@@ -252,6 +262,7 @@ class KoszulComplex:
         self.window = ring.degree_window if window is None else min(window, ring.degree_window)
         self.length = len(self.j_gens)
         self._degs = [g.degree() for g in self.j_gens]
+        self._differentials: dict = {}  # (i, q) -> differential_rows(i, q)
 
     def subsets(self, i: int):
         return list(combinations(range(self.length), i))
@@ -272,9 +283,9 @@ class KoszulComplex:
                 out.append((S, m))
         return out
 
-    def relation_rows(self, i: int, q: int, slice_basis=None):
+    def relation_rows(self, i: int, q: int):
         """Coefficient-quotient relation rows for the (i, q) slice."""
-        basis = self.chain_slice(i, q) if slice_basis is None else slice_basis
+        basis = self.chain_slice(i, q)
         index = {sm: j for j, sm in enumerate(basis)}
         rows = []
         by_subset: dict = {}
@@ -291,10 +302,20 @@ class KoszulComplex:
                 rows.append(out)
         return rows
 
-    def differential_rows(self, i: int, q: int, src_basis=None, tgt_basis=None):
-        """Matrix rows of d_i on the degree-q slice, with truncation flag."""
-        src = self.chain_slice(i, q) if src_basis is None else src_basis
-        tgt = self.chain_slice(i - 1, q) if tgt_basis is None else tgt_basis
+    def differential_rows(self, i: int, q: int):
+        """Matrix rows of d_i on the degree-q slice, with truncation flag.
+
+        Each slice is built once per complex, and every caller reads that
+        one copy, so no caller may change it.
+        """
+        key = (i, q)
+        if key not in self._differentials:
+            self._differentials[key] = self._differential(i, q)
+        return self._differentials[key]
+
+    def _differential(self, i: int, q: int):
+        src = self.chain_slice(i, q)
+        tgt = self.chain_slice(i - 1, q)
         index = {sm: j for j, sm in enumerate(tgt)}
         base = self.ring.base
         rows = []
@@ -319,20 +340,18 @@ class KoszulComplex:
         """d∘d lands in the relation span of the target slice."""
         base = self.ring.base
         for i in range(2, self.length + 1):
-            mid = self.chain_slice(i - 1, q)
-            tgt = self.chain_slice(i - 2, q)
-            if not mid or not tgt:
+            width = len(self.chain_slice(i - 2, q))
+            if not width or not self.chain_slice(i - 1, q):
                 continue
-            d_i, t1 = self.differential_rows(i, q, tgt_basis=mid)
-            d_im1, t2 = self.differential_rows(i - 1, q, src_basis=mid, tgt_basis=tgt)
+            d_i, t1 = self.differential_rows(i, q)
+            d_im1, t2 = self.differential_rows(i - 1, q)
             lat = None  # the relation lattice, built for the first nonzero row
             for row in d_i:
-                comp = _combine(base, row, d_im1, len(tgt))
+                comp = _combine(base, row, d_im1, width)
                 if not any(comp):
                     continue
                 if lat is None:
-                    rel = self.relation_rows(i - 2, q, slice_basis=tgt)
-                    lat = lattice_for(base, rel, len(tgt))
+                    lat = lattice_for(base, self.relation_rows(i - 2, q), width)
                 if not lat.contains(comp):
                     if t1 or t2:
                         raise WindowOverflow(
@@ -341,30 +360,21 @@ class KoszulComplex:
                     raise SemanticError("Koszul differential does not square to zero")
 
     def homology_entry(self, i: int, q: int) -> ModuleEntry:
-        basis_i = self.chain_slice(i, q)
-        if not basis_i:
+        width = len(self.chain_slice(i, q))
+        if not width:
             return ModuleEntry()
-        basis_down = self.chain_slice(i - 1, q)
-        basis_up = self.chain_slice(i + 1, q)
         base = self.ring.base
-        d_i, truncated = self.differential_rows(
-            i, q, src_basis=basis_i, tgt_basis=basis_down
-        )
-        rel_down = self.relation_rows(i - 1, q, slice_basis=basis_down)
-        z_rows = _cycle_rows(d_i, rel_down, len(basis_i), len(basis_down))
-        b_rows = []
-        if basis_up:
-            d_up, trunc_up = self.differential_rows(
-                i + 1, q, src_basis=basis_up, tgt_basis=basis_i
-            )
-            truncated = truncated or trunc_up
-            b_rows.extend(d_up)
-        if truncated:
+        d_i, truncated = self.differential_rows(i, q)
+        d_up, trunc_up = self.differential_rows(i + 1, q)
+        if truncated or trunc_up:
             raise WindowOverflow(
                 "Koszul differential truncated at the window boundary"
             )
-        b_rows.extend(self.relation_rows(i, q, slice_basis=basis_i))
-        return quotient_invariants(z_rows, b_rows, len(basis_i), base)
+        z_rows = _cycle_rows(
+            base, d_i, self.relation_rows(i - 1, q), width, len(self.chain_slice(i - 1, q))
+        )
+        b_rows = d_up + self.relation_rows(i, q)
+        return quotient_invariants(z_rows, b_rows, width, base)
 
 
 def tor(ring: GradedRing, j_gens, k_gens, i: int, window: int | None = None):
@@ -414,7 +424,7 @@ def tor1_equals_intersection_over_product(
         rows_j = ideal_context(ring, jseq, q).rows
         rows_k = ideal_context(ring, kseq, q).rows
         width = len(ring.degree_exps(q))
-        inter = lattice_intersection_rows(rows_j, rows_k, width)
+        inter = lattice_intersection_rows(ring.base, rows_j, rows_k, width)
         entry = quotient_invariants(inter, ideal_context(ring, prod, q).rows, width, ring.base)
         if entry != t1.entry(q):
             return False
@@ -443,7 +453,7 @@ def check_condition_ii(ring: GradedRing, ideals, window: int | None = None):
             width = len(ring.degree_exps(q))
             rows_p = ideal_context(ring, prev, q).rows
             rows_t = ideal_context(ring, tail, q).rows
-            inter = lattice_intersection_rows(rows_p, rows_t, width)
+            inter = lattice_intersection_rows(ring.base, rows_p, rows_t, width)
             if not inter:
                 continue
             lat = ideal_context(ring, prod, q).lattice
@@ -511,7 +521,9 @@ def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
             continue
         ctx_all = ideal_context(ring, allgens, q)
         lat = ctx_all.lattice
-        if not lat.rank:
+        # A degree is listed when the integer lift of I's slice is nonzero,
+        # which over F_p and Z/m is every degree of positive width.
+        if not lift_rank(lat):
             continue
         row_owner = [owner[gi] if kind == "gen" else None for kind, gi, _ in ctx_all.tags]
         rel_all = ideal_context(ring, prod_all, q)
@@ -522,9 +534,11 @@ def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
         a_basis = lat.basis()
         bases = [c.lattice.basis() for c in ctxs]
         # fwd[s][r]: the part of a_basis[r] on the generator rows of ideal s,
-        # a combination of rows of ctxs[s], on that lattice's basis.  sols[r]
-        # is transform row r, since a_basis[r] has coordinates e_r.
-        sols = [lat.solve(v) for v in a_basis]
+        # a combination of rows of ctxs[s], on that lattice's basis.  Row r
+        # of the transform writes a_basis[r] on the rows of ctx_all; over Z/m
+        # its entries on the lattice's own multiples of m, which vanish over
+        # Z/m, come last and the zip with row_owner drops them.
+        sols = lat.T[: lat.rank]
         fwd = [
             [c.lattice.coordinates(_combine(
                 base, [x if o == s else 0 for x, o in zip(sol, row_owner)], ctx_all.rows, width

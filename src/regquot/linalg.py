@@ -1,19 +1,21 @@
-"""Exact row-style linear algebra over the integers and the p-local integers.
+"""Exact row-style linear algebra over the integers, the p-local integers
+and the prime fields.
 
 Everything here works on plain lists.  Vectors are rows; a lattice is the
 row span of a list of vectors.  Over the integers the canonical form is the
 row Hermite normal form with non-negative entries above each pivot; over
 Z_(p) rows are echelonized with p-power pivots (valuation pivoting), which
-is the denominator-cleared normal form for a discrete valuation ring.
+is the denominator-cleared normal form for a discrete valuation ring; over
+F_p it is the reduced row echelon form mod p, kept on sparse rows.
 
-Hermite forms follow Cohen, GTM 138, section 2.4.  Both lattices answer
-``reduce``, ``contains`` and ``coordinates`` (the coefficients of a vector
-on the echelon ``basis()``) from the echelon form alone; only ``solve``,
-which writes a vector on the original rows, needs the transform, and
-``IntLattice`` builds it only when ``solve`` first needs it.
-``snf_invariants`` first eliminates unit pivots on sparse rows, each of
-which splits off an invariant factor 1, and runs the general Smith
-elimination only on the rows that are left.
+Hermite forms follow Cohen, GTM 138, section 2.4.  All three lattices
+answer ``reduce``, ``contains`` and ``coordinates`` (the coefficients of a
+vector on the echelon ``basis()``) from the echelon form alone; only
+``solve``, which writes a vector on the original rows, needs the transform
+``T``, and ``IntLattice`` and ``FieldLattice`` build it only when it is
+first read.  ``snf_invariants`` first eliminates unit pivots on sparse
+rows, each of which splits off an invariant factor 1, and runs the general
+Smith elimination only on the rows that are left.
 
 Rows are ``int``: the ring layer clears each ideal slice once, over one
 p-unit multiple, and hands every lattice integer rows, which nothing here
@@ -26,20 +28,22 @@ integer-preserving elimination), which are invertible over Z_(p).
 ``Fraction`` s are built only for returned values, which are exactly the
 rationals that elimination over Q would give.
 
-``lattice_for`` and ``module_invariants`` are the one place where the base
-ring picks the lattice: Z_(p) gets the p-local lattice and p-parts of the
-invariant factors, and Z, F_p and Z/m get the integer lattice (F_p and Z/m
-through their ``modulus * I`` rows).  Localizing at p is exact, so the two
-need different pivots but nothing else.
+``lattice_for``, ``module_invariants`` and ``kernel_basis`` are the one
+place where the base ring picks the algebra: Z_(p) gets the p-local
+lattice and p-parts of the invariant factors, F_p the field lattice, and Z
+and Z/m the integer lattice.  A span over Z/m is lifted to Z here, by the
+``modulus_rows`` m * e_j, so no caller carries them.  Localizing at p is
+exact, so Z and Z_(p) need different pivots but nothing else.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
 
 from .errors import SemanticError
-from .scalars import INTEGERS_LOCALIZED
+from .scalars import INTEGERS_LOCALIZED, INTEGERS_MOD, PRIME_FIELD
 
 
 def _sub_row(rows, i, j, q):
@@ -174,12 +178,6 @@ class IntLattice:
         return None if coef is None else _row_combination(coef, self.T, [0] * self.nrows)
 
 
-def kernel_basis(rows, width):
-    """Basis of the left kernel lattice ``{x : x * rows == 0}``."""
-    H, T, pivots = hnf_transform(rows, width)
-    return [T[r] for r in range(len(pivots), len(rows))]
-
-
 def snf_invariants(rows):
     """Invariant factors (positive, each dividing the next) of the row span.
 
@@ -289,15 +287,6 @@ def _snf_general(A):
     return invs
 
 
-def lattice_intersection_rows(rows_a, rows_b, width):
-    """Generating rows for the intersection of two integer row spans."""
-    if not rows_a or not rows_b:
-        return []
-    kernel = kernel_basis(rows_a + rows_b, width)
-    gens = (_row_combination(k, rows_a, [0] * width) for k in kernel)
-    return [vec for vec in gens if any(vec)]
-
-
 # -- p-local (discrete valuation ring) routines -----------------------
 
 
@@ -377,7 +366,7 @@ class LocalLattice:
 
     Row ``i`` of the echelon form is kept fraction-free as integer vectors
     ``A[i]`` and ``B[i]`` over one positive p-unit denominator ``d[i]``:
-    ``E[i] = A[i] / d[i]`` and ``U[i] = B[i] / d[i]``, with ``E == U * rows``.
+    ``E[i] = A[i] / d[i]`` and ``T[i] = B[i] / d[i]``, with ``E == T * rows``.
     Elimination is Bareiss-style and integer-preserving: the update
     ``A[i] <- d[r]*A[i] - q*A[r]`` scales row ``i`` by the p-unit ``d[r]``,
     and ``d[i] <- d[i]*d[r]`` divides that unit out again, so ``A[i] / d[i]``
@@ -388,7 +377,7 @@ class LocalLattice:
     ``[0, p^v)``.  Each updated row is divided by its common factor with its
     denominator, which keeps the integers small.
 
-    ``E``, ``U`` and ``basis()`` give the echelon rows as ``Fraction`` s,
+    ``E``, ``T`` and ``basis()`` give the echelon rows as ``Fraction`` s,
     built once on first use.  Rows whose denominator is divisible by ``p``
     are not p-local and raise ``SemanticError``.
     """
@@ -452,7 +441,7 @@ class LocalLattice:
         return [_fractions(row, den) for row, den in zip(self._A, self._d)]
 
     @cached_property
-    def U(self):
+    def T(self):
         return [_fractions(row, den) for row, den in zip(self._B, self._d)]
 
     def basis(self):
@@ -494,7 +483,144 @@ class LocalLattice:
     def solve(self, vec):
         """Z_(p) coefficients on the original rows giving ``vec``, or None."""
         coef = self.coordinates(vec)
-        return None if coef is None else _row_combination(coef, self.U, [_ZERO] * self.nrows)
+        return None if coef is None else _row_combination(coef, self.T, [_ZERO] * self.nrows)
+
+
+# -- prime fields ------------------------------------------------------
+
+
+def _add_multiple(dst, a, src, p):
+    """``dst += a * src`` mod ``p`` on sparse ``{col: value}`` rows, in place."""
+    for j, x in src.items():
+        y = (dst.get(j, 0) + a * x) % p
+        if y:
+            dst[j] = y
+        else:
+            del dst[j]
+
+
+def _echelon_mod_p(rows, width, p, track):
+    """Sparse reduced row echelon form mod ``p`` of the integer ``rows``.
+
+    Gauss-Jordan on ``{col: value}`` rows, one input row at a time: the row
+    is reduced by the echelon rows at its pivot columns; if anything is
+    left, its leading entry is scaled to 1 and cleared from every echelon
+    row, so each pivot column stays zero outside its own row (Dumas,
+    Saunders & Villard, J. Symbolic Comput. 2001, for sparse elimination).
+
+    Returns ``(echelon, kernel)``: ``echelon`` maps each pivot column to
+    ``(row, transform)``.  With ``track`` the transform ``{i: coef}`` writes
+    the row on the input rows, and ``kernel`` holds the transforms of the
+    input rows that reduce to zero: a basis of the left kernel mod ``p``,
+    since row ``i`` enters its own transform with coefficient 1 and
+    otherwise only earlier rows do.  Without ``track`` the transforms are
+    None and ``kernel`` stays empty.
+    """
+    echelon = {}
+    kernel = []
+    cols = range(width)
+    for i, row in enumerate(rows):
+        v = {j: y for j in compress(cols, row) if (y := row[j] % p)}
+        t = {i: 1} if track else None
+        for c in [c for c in v if c in echelon]:
+            f = p - v[c]
+            e, te = echelon[c]
+            _add_multiple(v, f, e, p)
+            if track:
+                _add_multiple(t, f, te, p)
+        if not v:
+            if track:
+                kernel.append(t)
+            continue
+        c0 = min(v)
+        inv = pow(v[c0], -1, p)
+        if inv != 1:
+            v = {j: x * inv % p for j, x in v.items()}
+            if track:
+                t = {j: x * inv % p for j, x in t.items()}
+        for e, te in echelon.values():
+            f = e.get(c0)
+            if f:
+                _add_multiple(e, p - f, v, p)
+                if track:
+                    _add_multiple(te, p - f, t, p)
+        echelon[c0] = (v, t)
+    return echelon, kernel
+
+
+def _dense(row, width):
+    out = [0] * width
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+class FieldLattice:
+    """Span over F_p of integer rows, in sparse reduced row echelon form mod p.
+
+    ``pivots`` are the pivot columns in increasing order, and ``basis()[k]``
+    is the echelon row with entry 1 at ``pivots[k]`` and 0 at every other
+    pivot, with entries in ``[0, p)``.  So the coordinate of a vector of the
+    span on ``basis()[k]`` is its entry at ``pivots[k]``, and ``reduce``
+    clears the pivot entries and reduces the rest into ``[0, p)``: the same
+    canonical representative that the Hermite form of ``rows + p * I``
+    gives over Z, whose pivot-1 rows are exactly these rows and whose other
+    rows are ``p * e_c``.  The transform ``T`` (row ``k`` writes
+    ``basis()[k]`` on the original rows, mod p) is needed by ``solve``
+    alone, and is built by a second, tracked elimination on first read.
+    """
+
+    def __init__(self, rows, width, p):
+        self.p = p
+        self.width = width
+        self.nrows = len(rows)
+        self._rows = rows
+        echelon, _ = _echelon_mod_p(rows, width, p, False)
+        self.pivots = sorted(echelon)
+        self._row_at = {c: echelon[c][0] for c in self.pivots}
+        self.rank = len(self.pivots)
+
+    @cached_property
+    def T(self):
+        echelon, _ = _echelon_mod_p(self._rows, self.width, self.p, True)
+        return [_dense(echelon[c][1], self.nrows) for c in self.pivots]
+
+    @cached_property
+    def _basis(self):
+        return [_dense(row, self.width) for row in self._row_at.values()]
+
+    def basis(self):
+        return self._basis
+
+    def reduce(self, vec):
+        """Canonical representative of ``vec`` modulo the span and ``p``."""
+        p = self.p
+        res = list(vec)
+        # Each echelon row is 0 at the other pivots, so the multiple of the
+        # row at pivot c to take off is the entry of ``vec`` itself there.
+        for c in compress(range(self.width), vec):
+            row = self._row_at.get(c)
+            if row is not None:
+                f = vec[c] % p
+                for j, x in row.items():
+                    res[j] -= f * x
+        return [x % p for x in res]
+
+    def contains(self, vec) -> bool:
+        return not any(self.reduce(vec))
+
+    def coordinates(self, vec):
+        """Coefficients mod p on ``basis()`` giving ``vec``, or None."""
+        if not self.contains(vec):
+            return None
+        return [vec[c] % self.p for c in self.pivots]
+
+    def solve(self, vec):
+        """Coefficients mod p on the original rows giving ``vec``, or None."""
+        coef = self.coordinates(vec)
+        if coef is None:
+            return None
+        return [x % self.p for x in _row_combination(coef, self.T, [0] * self.nrows)]
 
 
 # -- denominator clearing ---------------------------------------------
@@ -514,24 +640,76 @@ def cleared_matrix(rows):
 # -- one lattice per base ring ----------------------------------------
 
 
+def modulus_rows(base, width):
+    """The rows ``m * e_j`` that lift a span over Z/m to Z; none over other bases."""
+    if base.kind != INTEGERS_MOD:
+        return []
+    return [[base.modulus if j == k else 0 for k in range(width)] for j in range(width)]
+
+
 def lattice_for(base, rows, width):
-    """The span of ``rows`` over ``base``: a ``LocalLattice`` over Z_(p),
-    an ``IntLattice`` otherwise."""
+    """The span of ``rows`` over ``base``: a ``LocalLattice`` over Z_(p), a
+    ``FieldLattice`` over F_p, and an ``IntLattice`` over Z and, on the rows
+    lifted by ``modulus_rows``, over Z/m."""
     if base.kind == INTEGERS_LOCALIZED:
         return LocalLattice(rows, width, base.p)
-    return IntLattice(rows, width)
+    if base.kind == PRIME_FIELD:
+        return FieldLattice(rows, width, base.p)
+    return IntLattice(rows + modulus_rows(base, width), width)
 
 
-def module_invariants(base, rows):
-    """``(rank, factors)`` of the span of ``rows`` over ``base``.
+def lift_rank(lat) -> int:
+    """Rank of the integer lattice that ``lat`` stands for.
 
-    ``factors`` are the sorted invariant factors above 1 of the rows, as
-    p-parts over Z_(p).  There the rows, such as ``LocalLattice``
-    coordinates, may hold ``Fraction`` s: clearing scales each row by a
-    unit of Z_(p), which keeps the span.
+    A span over F_p stands for its preimage in Z^width, which contains
+    ``p * Z^width`` and so has full rank; the other lattices are their own
+    lift (over Z/m it already holds ``modulus_rows``).
     """
+    return lat.width if isinstance(lat, FieldLattice) else lat.rank
+
+
+def module_invariants(base, rows, width):
+    """``(free rank, factors)`` of ``base^width`` modulo the span of ``rows``.
+
+    ``factors`` are the sorted invariant factors above 1 of the quotient, as
+    p-parts over Z_(p); there the rows, such as ``LocalLattice``
+    coordinates, may hold ``Fraction`` s: clearing scales each row by a
+    unit of Z_(p), which keeps the span.  Over F_p a quotient of dimension
+    k has free rank 0 and k factors p, as over its integer lift; over Z/m
+    the rows are lifted by ``modulus_rows``.
+    """
+    if base.kind == PRIME_FIELD:
+        return 0, (base.p,) * (width - FieldLattice(rows, width, base.p).rank)
     if base.kind == INTEGERS_LOCALIZED:
         invs = [p_part(v, base.p) for v in snf_invariants(cleared_rows(rows))]
     else:
-        invs = snf_invariants(rows)
-    return len(invs), tuple(sorted(v for v in invs if v > 1))
+        invs = snf_invariants(rows + modulus_rows(base, width))
+    return width - len(invs), tuple(sorted(v for v in invs if v > 1))
+
+
+def kernel_basis(base, rows, width):
+    """Rows spanning the left kernel ``{x : x * rows == 0}`` over ``base``.
+
+    Over Z and Z_(p) (whose rows are integers) it is a basis of the integer
+    kernel, read from the Hermite transform; over F_p a basis of the kernel
+    mod p.  Over Z/m the kernel of the lift by ``modulus_rows``, cut back to
+    the coordinates of ``rows``, generates ``{x : x * rows in m * Z^width}``.
+    """
+    if base.kind == PRIME_FIELD:
+        _, kernel = _echelon_mod_p(rows, width, base.p, True)
+        return [_dense(t, len(rows)) for t in kernel]
+    lift = rows + modulus_rows(base, width)
+    H, T, pivots = hnf_transform(lift, width)
+    return [T[r][: len(rows)] for r in range(len(pivots), len(lift))]
+
+
+def lattice_intersection_rows(base, rows_a, rows_b, width):
+    """Generating rows for the intersection of two row spans over ``base``.
+
+    Over Z/m they generate it together with ``modulus_rows``, which every
+    lattice over Z/m adds."""
+    if not rows_a or not rows_b:
+        return []
+    kernel = kernel_basis(base, rows_a + rows_b, width)
+    gens = (_row_combination(k, rows_a, [0] * width) for k in kernel)
+    return [vec for vec in gens if any(vec)]

@@ -451,13 +451,15 @@ class IdealContext:
     """Canonical reduction data for one ideal in one degree.
 
     ``rows`` are tagged ``("gen", i, m)`` (generator ``i`` times monomial
-    ``m``, in monomial order), ``("relation", i, m)`` or ``("modulus", j,
-    None)``, in that order: all ``gen`` rows come first.  Every row holds
-    ``int`` entries: the coefficients of the generators and relations times
-    one common multiple ``scale`` of their denominators, a p-unit that is 1
-    over Z, F_p and Z/m, so the rows span the ideal's slice.  The context
-    is the one owner of its slice's ``lattice``, built on first read: a
-    caller that needs only the rows builds none.
+    ``m``, in monomial order) or ``("relation", i, m)``, in that order: all
+    ``gen`` rows come first.  Every row holds ``int`` entries: the
+    coefficients of the generators and relations times one common multiple
+    ``scale`` of their denominators, a p-unit that is 1 over Z, F_p and
+    Z/m, so the rows span the ideal's slice over the base.  The rows carry
+    nothing for the base itself: ``linalg`` works mod p over F_p and adds
+    the multiples of m over Z/m.  The context is the one owner of its
+    slice's ``lattice``, built on first read: a caller that needs only the
+    rows builds none.
     """
 
     def __init__(self, ring: GradedRing, gens, d: int):
@@ -489,13 +491,6 @@ class IdealContext:
                     row[j] = c
                 rows.append(row)
                 tags.append(("gen" if gi < len(gens) else "relation", gi, m))
-        modulus = ring.base.characteristic
-        if modulus:
-            for j in range(width):
-                row = [0] * width
-                row[j] = modulus
-                rows.append(row)
-                tags.append(("modulus", j, None))
         self.rows = rows
         self.tags = tags
         self.width = width
@@ -514,7 +509,10 @@ class IdealContext:
 
     def solve_vector(self, vec):
         """Pairs ``(tag, c)`` writing ``vec`` as the sum of ``c`` times the
-        multiple each tag names, before ``scale``; or None."""
+        multiple each tag names, before ``scale``, over the base; or None.
+
+        Over Z/m the lattice's own multiples of m come after the tagged rows
+        and drop out of the pairs, being zero over Z/m."""
         sol = self.lattice.solve(vec)
         if sol is None:
             return None
@@ -522,8 +520,7 @@ class IdealContext:
 
     def quotient_entry(self):
         """(free rank, nontrivial invariant factors) of this graded piece."""
-        rank, factors = module_invariants(self.ring.base, self.rows)
-        return (self.width - rank, factors)
+        return module_invariants(self.ring.base, self.rows, self.width)
 
 
 @lru_cache(maxsize=None)

@@ -30,7 +30,7 @@ from regquot.ideals import (
     tor1_equals_intersection_over_product,
 )
 from regquot.jobio import parse_job
-from regquot.linalg import IntLattice, LocalLattice, lattice_for
+from regquot.linalg import FieldLattice, IntLattice, LocalLattice, lattice_for
 from regquot.ring import GradedRing, Generator, QuotientRing, _cached_context, ideal_context
 from regquot.scalars import BaseRing
 
@@ -384,7 +384,7 @@ def ref_regularity(ring, elems, window):
                     used.append(m)
             if not rows:
                 continue
-            for vec in _cycle_rows(rows, tgt.rows, len(used), len(tgt.exps)):
+            for vec in _cycle_rows(base, rows, tgt.rows, len(used), len(tgt.exps)):
                 full = [0] * len(src.exps)
                 for val, m in zip(vec, used):
                     full[src.exps.index(m)] = val
@@ -471,7 +471,7 @@ def test_regularity_matches_row_loop_oracle():
 )
 def test_slice_lattice_is_built_once_on_first_read(monkeypatch, base):
     built = []
-    for cls in (IntLattice, LocalLattice):
+    for cls in (IntLattice, LocalLattice, FieldLattice):
         def counting(self, *args, _init=cls.__init__):
             built.append(args)
             _init(self, *args)
@@ -522,7 +522,7 @@ def test_every_lattice_receives_int_rows(monkeypatch):
             return f(*args)
         return wrapped
 
-    for cls in (IntLattice, LocalLattice):
+    for cls in (IntLattice, LocalLattice, FieldLattice):
         monkeypatch.setattr(cls, "__init__", recording(cls.__name__, cls.__init__))
     for name in ("hnf_transform", "snf_invariants"):
         monkeypatch.setattr(linalg, name, recording(name, getattr(linalg, name)))
@@ -533,5 +533,43 @@ def test_every_lattice_receives_int_rows(monkeypatch):
     finally:
         _clear_ring_caches()
     assert seen == {
-        name: {int} for name in ("IntLattice", "LocalLattice", "hnf_transform", "snf_invariants")
+        name: {int}
+        for name in (
+            "IntLattice", "LocalLattice", "FieldLattice", "hnf_transform", "snf_invariants"
+        )
     }
+
+
+# -- one build per Koszul differential slice ---------------------------
+
+
+def test_koszul_differential_slices_are_built_once(monkeypatch):
+    # validate_squares(q) reads d_i and d_{i-1}, and homology_entry(i, q)
+    # reads d_i and d_{i+1}: each slice is built on its first read only.
+    built, read = [], []
+    build, get = KoszulComplex._differential, KoszulComplex.differential_rows
+
+    def counting_build(self, i, q):
+        built.append((i, q))
+        return build(self, i, q)
+
+    def counting_read(self, i, q):
+        read.append((i, q))
+        return get(self, i, q)
+
+    monkeypatch.setattr(KoszulComplex, "_differential", counting_build)
+    monkeypatch.setattr(KoszulComplex, "differential_rows", counting_read)
+    gens = [Generator(n, 2) for n in ("x", "y", "z")]
+    for base in (BaseRing.integers(), BaseRing.prime_field(3)):
+        built.clear()
+        read.clear()
+        ring = GradedRing(base, gens, degree_window=12)
+        x, y, z = (ring.var(n) for n in ("x", "y", "z"))
+        report = tor(ring, [x, y, z], [x], 1)
+        assert report.nonzero_degrees() == [2]
+        assert len(built) == len(set(built)) == len(set(read))
+        assert len(read) > 1.5 * len(built)
+        built.clear()
+        cx = KoszulComplex(ring, [x, y], [x * y])
+        rows = cx.differential_rows(2, 8)
+        assert cx.differential_rows(2, 8) is rows and built == [(2, 8)]

@@ -14,6 +14,7 @@ import pytest
 
 from regquot.errors import SemanticError
 from regquot.linalg import (
+    FieldLattice,
     IntLattice,
     LocalLattice,
     canonical_residue,
@@ -21,12 +22,17 @@ from regquot.linalg import (
     cleared_rows,
     hnf_transform,
     kernel_basis,
+    lattice_for,
     lattice_intersection_rows,
+    lift_rank,
+    module_invariants,
     p_part,
     pval,
     snf_invariants,
 )
 from regquot.scalars import BaseRing
+
+ZZ = BaseRing.integers()
 
 
 def frac_rank(rows, width):
@@ -131,7 +137,7 @@ def test_kernel_rows_annihilate_and_count_matches_rank():
         m = rng.randint(1, 5)
         w = rng.randint(1, 4)
         rows = [[rng.randint(-4, 4) for _ in range(w)] for _ in range(m)]
-        ker = kernel_basis(rows, w)
+        ker = kernel_basis(ZZ, rows, w)
         for x in ker:
             assert combo(rows, x) == [0] * w
         assert len(ker) == m - frac_rank(rows, w)
@@ -173,7 +179,7 @@ def test_intersection_contains_common_vectors():
         w = rng.randint(1, 4)
         rows_a = [[rng.randint(-4, 4) for _ in range(w)] for _ in range(rng.randint(1, 3))]
         rows_b = [[rng.randint(-4, 4) for _ in range(w)] for _ in range(rng.randint(1, 3))]
-        inter = lattice_intersection_rows(rows_a, rows_b, w)
+        inter = lattice_intersection_rows(ZZ, rows_a, rows_b, w)
         lat_a = IntLattice(rows_a, w)
         lat_b = IntLattice(rows_b, w)
         lat_i = IntLattice(inter, w)
@@ -396,7 +402,7 @@ def test_local_lattice_matches_fraction_oracle():
         ref = RefLocalLattice(rows, w, p)
         assert lat.pivots == ref.pivots
         assert lat.E == ref.E
-        assert lat.U == ref.U
+        assert lat.T == ref.U
         assert lat.basis() == [ref.E[r] for r, _, _ in ref.pivots]
         for _ in range(3):
             if rng.random() < 0.5:
@@ -638,7 +644,7 @@ def test_lazy_transform_matches_eager_hermite_form():
         rows, w = int_matrix(rng, 6, 6, list(range(-5, 6)) + [0] * 4)
         H, T, pivots = ref_hnf_transform(rows, w)
         assert hnf_transform(rows, w) == (H, T, pivots)
-        assert kernel_basis(rows, w) == T[len(pivots) :]
+        assert kernel_basis(ZZ, rows, w) == T[len(pivots) :]
         lat = IntLattice(rows, w)
         assert (lat.H, lat.pivots, lat.rank) == (H, pivots, len(pivots))
         assert "T" not in vars(lat)
@@ -727,3 +733,113 @@ def test_coordinates_match_second_lattice_route():
                 total = [t + c * x for t, x in zip(total, row)]
             assert total == [Fraction(x) for x in vec]
     assert inside > 2500 and outside > 1500
+
+
+# -- the field lattice against the padded integer lattice ------------------
+
+
+def padded_ref(rows, w, p):
+    """The integer route that F_p slices took before the field lattice:
+    the rows plus ``p * e_j`` for every column, as one ``IntLattice``."""
+    return IntLattice(rows + [[p if j == k else 0 for k in range(w)] for j in range(w)], w)
+
+
+def field_matrix(rng, p):
+    """Seeded integer rows with zero rows, repeated rows and entries outside
+    ``[0, p)``; sometimes no rows, width 0 or a full-rank block."""
+    w = rng.choice([0, 1, 2, 3, 4, 5, 6])
+    m = rng.choice([0, 1, 2, 3, 4, 5, 6, 7])
+    entries = list(range(-2 * p, 2 * p + 1)) + [0] * (2 * p)
+    rows = [[rng.choice(entries) for _ in range(w)] for _ in range(m)]
+    roll = rng.random()
+    if roll < 0.15 and rows:
+        rows[rng.randrange(m)] = [0] * w
+    elif roll < 0.3 and len(rows) > 1:
+        rows[rng.randrange(m)] = [x + p * rng.randint(-2, 2) for x in rows[0]]
+    elif roll < 0.45:
+        rows += [[int(i == j) + p * rng.randint(-1, 1) for j in range(w)] for i in range(w)]
+        rng.shuffle(rows)
+    return rows, w
+
+
+def combo_mod(rows, coeffs, w, p):
+    """``sum coeffs[i] * rows[i]`` mod ``p``, also for no rows."""
+    out = [0] * w
+    for q, row in zip(coeffs, rows):
+        out = [(a + q * b) % p for a, b in zip(out, row)]
+    return out
+
+
+def test_field_lattice_matches_padded_integer_lattice():
+    rng = Random(151)
+    cases = set()
+    for _ in range(1500):
+        p = rng.choice([2, 3, 5])
+        base = BaseRing.prime_field(p)
+        rows, w = field_matrix(rng, p)
+        m = len(rows)
+        lat, ref = FieldLattice(rows, w, p), padded_ref(rows, w, p)
+        assert type(lattice_for(base, rows, w)) is FieldLattice
+        assert lift_rank(lat) == ref.rank == w
+        # the Hermite rows with pivot 1 are the echelon rows, the rest p * e_c
+        assert lat.basis() == [ref.H[r] for r, c in ref.pivots if ref.H[r][c] == 1]
+        assert [c for r, c in ref.pivots if ref.H[r][c] == p] == [
+            c for c in range(w) if c not in lat.pivots
+        ]
+        factors = tuple(sorted(v for v in snf_invariants(ref.H) if v > 1))
+        assert module_invariants(base, rows, w) == (0, factors) == (0, (p,) * (w - lat.rank))
+        assert len(lat.T) == lat.rank
+        for t, row in zip(lat.T, lat.basis()):
+            assert combo_mod(rows, t, w, p) == row
+        for _ in range(4):
+            if rng.random() < 0.5:
+                vec = combo(rows, [rng.randint(-p, p) for _ in rows]) if rows else [0] * w
+            else:
+                vec = [rng.randint(-2 * p, 2 * p) for _ in range(w)]
+            red = lat.reduce(vec)
+            assert red == ref.reduce(vec)
+            assert all(0 <= x < p for x in red)
+            inside = lat.contains(vec)
+            assert inside == ref.contains(vec)
+            coef, sol = lat.coordinates(vec), lat.solve(vec)
+            if not inside:
+                assert coef is None and sol is None
+                continue
+            assert combo_mod(lat.basis(), coef, w, p) == [x % p for x in vec]
+            assert len(sol) == m
+            assert combo_mod(rows, sol, w, p) == [x % p for x in vec]
+        ker = kernel_basis(base, rows, w)
+        assert len(ker) == m - lat.rank
+        for x in ker:
+            assert len(x) == m and all(0 <= c < p for c in x)
+            assert combo_mod(rows, x, w, p) == [0] * w
+        # the padded kernel, cut back to the rows, spans the same space mod p
+        span = FieldLattice(ker, m, p)
+        assert span.rank == len(ker)
+        for x in kernel_basis(ZZ, ref._rows, w):
+            assert span.contains(x[:m])
+        cases.add(p)
+        cases.add("width 0" if w == 0 else "no rows" if m == 0 else "rows")
+        if w and lat.rank == w:
+            cases.add("full rank")
+        if [0] * w in rows and w:
+            cases.add("zero row")
+        if lat.rank < m:
+            cases.add("dependent")
+    assert cases == {2, 3, 5, "width 0", "no rows", "rows", "full rank", "zero row", "dependent"}
+
+
+def test_field_intersection_spans_the_common_subspace():
+    rng = Random(157)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        base = BaseRing.prime_field(p)
+        rows_a, w = field_matrix(rng, p)
+        rows_b = [[rng.randint(0, p - 1) for _ in range(w)] for _ in range(rng.randint(0, 5))]
+        inter = lattice_intersection_rows(base, rows_a, rows_b, w)
+        lat_a, lat_b = FieldLattice(rows_a, w, p), FieldLattice(rows_b, w, p)
+        for g in inter:
+            assert lat_a.contains(g) and lat_b.contains(g)
+        # dim(A ∩ B) = dim A + dim B - dim(A + B)
+        total = FieldLattice(rows_a + rows_b, w, p).rank
+        assert FieldLattice(inter, w, p).rank == lat_a.rank + lat_b.rank - total

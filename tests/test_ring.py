@@ -10,7 +10,7 @@ from regquot.errors import (
     SemanticError,
     WindowOverflow,
 )
-from regquot.linalg import lattice_for, module_invariants
+from regquot.linalg import IntLattice, LocalLattice, cleared_rows, p_part, snf_invariants
 from regquot.ring import (
     GradedRing,
     Generator,
@@ -20,7 +20,7 @@ from regquot.ring import (
     normal_form,
     normal_form_any,
 )
-from regquot.scalars import BaseRing
+from regquot.scalars import INTEGERS_LOCALIZED, BaseRing
 
 
 def poly_f2_xy(window=12):
@@ -313,7 +313,8 @@ def test_quotient_nf_memo_is_per_ring():
 
 def ref_slice_rows(ring, gens, d):
     """The tagged ``(tag, row)`` pairs of one ideal slice, each row built
-    entry by entry with the base ring's own arithmetic."""
+    entry by entry with the base ring's own arithmetic, and over F_p and
+    Z/m the ``("modulus", j, None)`` rows that lift the slice to Z."""
     base = ring.base
     exps = list(ring.degree_exps(d))
     index = {e: j for j, e in enumerate(exps)}
@@ -374,11 +375,18 @@ def test_int_slice_rows_match_base_valued_rows():
             for d in ring.even_degrees():
                 ctx = IdealContext(ring, gens, d)
                 ref = ref_slice_rows(ring, gens, d)
-                assert ctx.tags == [tag for tag, _ in ref]
+                assert ctx.tags == [tag for tag, _ in ref if tag[0] != "modulus"]
                 ref_rows = [row for _, row in ref]
-                ref_lat = lattice_for(base, ref_rows, ctx.width)
-                rank, factors = module_invariants(base, ref_rows)
-                assert ctx.quotient_entry() == (ctx.width - rank, factors)
+                # the padded integer route: one integer (or p-local) lattice
+                # and Smith form over the rows and the modulus rows
+                if base.kind == INTEGERS_LOCALIZED:
+                    ref_lat = LocalLattice(ref_rows, ctx.width, base.p)
+                    invs = [p_part(v, base.p) for v in snf_invariants(cleared_rows(ref_rows))]
+                else:
+                    ref_lat = IntLattice(ref_rows, ctx.width)
+                    invs = snf_invariants(ref_rows)
+                factors = tuple(sorted(v for v in invs if v > 1))
+                assert ctx.quotient_entry() == (ctx.width - len(invs), factors)
                 rows_of = dict(ref)
                 for k in range(6):
                     if k % 2 and ref_rows:
