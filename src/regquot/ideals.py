@@ -26,15 +26,15 @@ from .errors import (
     WindowOverflow,
 )
 from .linalg import (
-    cleared_matrix,
     kernel_basis,
     lattice_for,
     lattice_intersection_rows,
     lift_rank,
     module_invariants,
     modulus_rows,
+    sparse_row,
 )
-from .ring import GradedRing, QuotientRing, RingElement, ideal_context
+from .ring import GradedRing, QuotientRing, RingElement, cleared_coefficients, ideal_context
 
 
 # -- sequence and ideal validation ------------------------------------
@@ -190,13 +190,11 @@ class RegularityReport:
 
 
 def _cycle_rows(base, map_rows, target_rel_rows, source_width, target_width):
-    """Generators of {x : x * M in span(target relations)} over ``base``."""
+    """Generators of {x : x * M in span(target relations)} over ``base``,
+    for ``int`` rows of M and of the relations."""
     if target_width == 0 or not map_rows:
         return [[1 if i == j else 0 for j in range(source_width)] for i in range(source_width)]
-    # One common multiple keeps the kernel of M, whose rows may hold base
-    # values; the target relations are ideal-slice rows, already ``int``.
-    mat, _ = cleared_matrix(map_rows)
-    kernel = kernel_basis(base, mat + target_rel_rows, target_width)
+    kernel = kernel_basis(base, map_rows + target_rel_rows, target_width)
     return [x for x in (k[: len(map_rows)] for k in kernel) if any(x)]
 
 
@@ -250,7 +248,16 @@ def check_regular_sequence(ring: GradedRing, elements, window: int | None = None
 
 
 class KoszulComplex:
-    """Exterior-basis Koszul complex of a sequence, tensored with R/K."""
+    """Exterior-basis Koszul complex of a sequence, tensored with R/K.
+
+    The differentials hold ``int`` entries: the sequence's coefficients
+    times one common multiple ``scale`` of their denominators, from the
+    ``ring.cleared_coefficients`` that ideal slices use too.  ``scale`` is
+    a p-unit over Z_(p) and 1 over the other bases, and over F_p and Z/m
+    an entry is any integer of its residue class, so the rows are ``scale``
+    times the differential over the base.  Scaling by a unit keeps the
+    kernels, the spans and the check that d∘d lies in the relations.
+    """
 
     def __init__(self, ring: GradedRing, j_gens, k_gens=(), window: int | None = None):
         self.ring = ring
@@ -262,6 +269,7 @@ class KoszulComplex:
         self.window = ring.degree_window if window is None else min(window, ring.degree_window)
         self.length = len(self.j_gens)
         self._degs = [g.degree() for g in self.j_gens]
+        self._coeffs, self.scale = cleared_coefficients(self.j_gens)
         self._differentials: dict = {}  # (i, q) -> differential_rows(i, q)
 
     def subsets(self, i: int):
@@ -317,27 +325,31 @@ class KoszulComplex:
         src = self.chain_slice(i, q)
         tgt = self.chain_slice(i - 1, q)
         index = {sm: j for j, sm in enumerate(tgt)}
-        base = self.ring.base
         rows = []
         truncated = False
         for S, m in src:
-            row = [base.zero()] * len(tgt)
+            row = [0] * len(tgt)
             for t, j in enumerate(S):
                 rest = tuple(x for x in S if x != j)
                 sign = -1 if t % 2 else 1
-                for exps, c in self.j_gens[j].terms.items():
+                for exps, c in zip(self.j_gens[j].terms, self._coeffs[j]):
                     prod = tuple(a + b for a, b in zip(m, exps))
                     key = (rest, prod)
                     if key not in index:
                         truncated = True
                         continue
-                    val = base.mul(c, sign)
-                    row[index[key]] = base.add(row[index[key]], val)
+                    row[index[key]] += sign * c
             rows.append(row)
         return rows, truncated
 
     def validate_squares(self, q: int) -> None:
-        """d∘d lands in the relation span of the target slice."""
+        """d∘d lands in the relation span of the target slice.
+
+        Each row of d_i is combined in integers with the sparse rows of
+        d_{i-1}.  Over F_p and Z/m a product that vanishes only mod p or m
+        still passes, since the relation lattice works mod p or holds the
+        multiples of m.
+        """
         base = self.ring.base
         for i in range(2, self.length + 1):
             width = len(self.chain_slice(i - 2, q))
@@ -345,9 +357,14 @@ class KoszulComplex:
                 continue
             d_i, t1 = self.differential_rows(i, q)
             d_im1, t2 = self.differential_rows(i - 1, q)
+            sparse = [sparse_row(row) for row in d_im1]
             lat = None  # the relation lattice, built for the first nonzero row
             for row in d_i:
-                comp = _combine(base, row, d_im1, width)
+                comp = [0] * width
+                for a, mid in zip(row, sparse):
+                    if a:
+                        for j, x in mid.items():
+                            comp[j] += a * x
                 if not any(comp):
                     continue
                 if lat is None:

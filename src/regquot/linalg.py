@@ -17,11 +17,18 @@ first read.  ``snf_invariants`` first eliminates unit pivots on sparse
 rows, each of which splits off an invariant factor 1, and runs the general
 Smith elimination only on the rows that are left.
 
-Rows are ``int``: the ring layer clears each ideal slice once, over one
-p-unit multiple, and hands every lattice integer rows, which nothing here
-converts again.  ``Fraction`` s with p-unit denominators arrive only as
-vectors, as ``LocalLattice`` coordinates and as Koszul map rows, which
-``cleared_matrix`` clears.  The p-local routines accept them and compute
+The integer and prime-field lattices keep their rows sparse inside, as
+``{col: value}`` dicts, and dense at the API: they take dense rows and
+vectors, and return dense ``H``, ``basis()``, ``T`` and results.  The
+ideal-slice and Koszul rows they see are nearly empty, so each elimination
+step touches only the nonzero entries (Dumas, Saunders & Villard,
+J. Symbolic Comput. 2001, for sparse elimination).
+
+Rows are ``int``: the ring layer clears the coefficients of each ideal
+slice and each Koszul differential once, over one p-unit multiple, and
+hands every lattice integer rows, which nothing here converts again.
+``Fraction`` s with p-unit denominators arrive only as vectors and as
+``LocalLattice`` coordinates.  The p-local routines accept them and compute
 fraction-free: each row is an integer vector over one p-unit denominator,
 and elimination multiplies rows by p-units (Bareiss-style
 integer-preserving elimination), which are invertible over Z_(p).
@@ -39,6 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, lcm
 
@@ -58,12 +66,46 @@ def _row_combination(coef, rows, out):
     return out
 
 
+def sparse_row(row):
+    """The nonzero entries of a dense row, as ``{col: value}``."""
+    return {j: row[j] for j in compress(range(len(row)), row)}
+
+
+def _dense(row, width):
+    out = [0] * width
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _sub_multiple(dst, q, src):
+    """``dst -= q * src`` on sparse ``{col: value}`` rows, in place."""
+    for j, x in src.items():
+        y = dst.get(j, 0) - q * x
+        if y:
+            dst[j] = y
+        else:
+            del dst[j]
+
+
 def _hermite(A, width):
-    """Reduce the integer rows ``A`` in place to row Hermite form.
+    """Reduce the sparse integer rows ``A`` in place to row Hermite form.
 
     Pivots are sought in the first ``width`` columns only, so columns past
     ``width`` ride along with every row operation.  Returns the pivots as
     ``(row, col)`` pairs.
+
+    It matches the dense elimination of Cohen, GTM 138, section 2.4 (kept
+    as ``ref_hermite`` in the tests) step for step, on ``{col: value}``
+    rows: in each column the pivot is a smallest nonzero entry at or below
+    row ``r``, the lowest row index on ties, swapped to row ``r``; every
+    row below gets the floor-quotient multiple of it subtracted, until no
+    entry below the pivot is left; then the pivot is made positive and the
+    rows above are reduced into ``[0, pivot)``.  Only the row operations
+    touch fewer cells.  The steps must stay the same because the transform
+    is not unique: kernel rows and ``decompose_conormal``'s maps read it,
+    and the reports built from them are pinned byte for byte in
+    ``bench/golden.json``.
     """
     m = len(A)
     pivots = []
@@ -71,33 +113,34 @@ def _hermite(A, width):
     for c in range(width):
         if r == m:
             break
-        found = False
+        nz = [i for i in range(r, m) if c in A[i]]
+        if not nz:
+            continue
         while True:
-            nz = [i for i in range(r, m) if A[i][c] != 0]
-            if not nz:
-                break
             i0 = min(nz, key=lambda i: abs(A[i][c]))
             if i0 != r:
                 A[r], A[i0] = A[i0], A[r]
-            clean = True
-            for i in range(r + 1, m):
-                if A[i][c] != 0:
-                    q = A[i][c] // A[r][c]
-                    if q:
-                        _sub_row(A, i, r, q)
-                    if A[i][c] != 0:
-                        clean = False
-            if clean:
-                found = True
+            piv = A[r]
+            a = piv[c]
+            # The rows below r that are nonzero in column c, in row order;
+            # a swap moved the old row r to i0.
+            below = sorted(i0 if i == r else i for i in nz if i != i0)
+            for i in below:
+                q = A[i][c] // a
+                if q:
+                    _sub_multiple(A[i], q, piv)
+            nz = [i for i in below if c in A[i]]
+            if not nz:
                 break
-        if not found:
-            continue
-        if A[r][c] < 0:
-            A[r] = [-x for x in A[r]]
+            nz.insert(0, r)
+        if piv[c] < 0:
+            for j in piv:
+                piv[j] = -piv[j]
+        a = piv[c]
         for i in range(r):
-            q = A[i][c] // A[r][c]
+            q = A[i].get(c, 0) // a
             if q:
-                _sub_row(A, i, r, q)
+                _sub_multiple(A[i], q, piv)
         pivots.append((r, c))
         r += 1
     return pivots
@@ -109,36 +152,52 @@ def hnf_transform(rows, width):
     Returns ``(H, T, pivots)`` with ``T`` unimodular, ``T * rows == H``,
     zero rows of ``H`` last, and ``pivots`` a list of ``(row, col)`` pairs.
     Entries above each pivot are reduced into ``[0, pivot)``.  ``T`` is
-    carried as ``m`` extra columns of each row, starting from the identity.
+    carried as ``m`` extra sparse columns of each row, starting from the
+    identity.
     """
     m = len(rows)
-    A = []
-    for i, row in enumerate(rows):
-        aug = list(row) + [0] * m
-        aug[len(row) + i] = 1
-        A.append(aug)
+    n = len(rows[0]) if rows else width
+    A = [sparse_row(row) for row in rows]
+    for i, row in enumerate(A):
+        row[n + i] = 1
     pivots = _hermite(A, width)
-    return [row[:-m] for row in A], [row[-m:] for row in A], pivots
+    H = [[0] * n for _ in A]
+    T = [[0] * m for _ in A]
+    for h, t, row in zip(H, T, A):
+        for j, x in row.items():
+            if j < n:
+                h[j] = x
+            else:
+                t[j - n] = x
+    return H, T, pivots
 
 
 class IntLattice:
     """Row span of integer vectors with canonical coset representatives.
 
-    Construction computes the Hermite form ``H`` and its pivots only, which
-    is all that ``reduce``, ``contains`` and ``coordinates`` read.  The
-    transform ``T`` with ``T * rows == H`` is needed by ``solve`` alone,
-    to carry coordinates on ``basis()`` back to the original rows: it is a
-    cached property that reruns the same elimination with the transform on
-    first use, so it equals the ``T`` of ``hnf_transform(rows, width)``.
+    The rows come in and go out dense, but the lattice keeps them sparse
+    inside: construction runs ``_hermite`` on ``{col: value}`` rows and
+    keeps that echelon form and its pivots, which is all that ``reduce``,
+    ``contains`` and ``coordinates`` read, touching only the nonzero
+    entries of each pivot row.  The dense Hermite form ``H`` is built on
+    first read.  The transform ``T`` with ``T * rows == H`` is needed by
+    ``solve`` alone, to carry coordinates on ``basis()`` back to the
+    original rows: it is a cached property that reruns the same
+    elimination with the transform on first use, so it equals the ``T`` of
+    ``hnf_transform(rows, width)``.
     """
 
     def __init__(self, rows, width):
         self.width = width
         self.nrows = len(rows)
         self._rows = rows
-        self.H = [list(row) for row in rows]
-        self.pivots = _hermite(self.H, width)
+        self._echelon = [sparse_row(row) for row in rows]
+        self.pivots = _hermite(self._echelon, width)
         self.rank = len(self.pivots)
+
+    @cached_property
+    def H(self):
+        return [_dense(row, self.width) for row in self._echelon]
 
     @cached_property
     def T(self):
@@ -150,11 +209,15 @@ class IntLattice:
     def _reduce(self, vec, coef=None):
         """``vec`` reduced modulo the lattice; ``coef[r]`` records the
         multiple of ``basis()[r]`` removed.  ``reduce`` passes no ``coef``."""
-        res = vec
+        res = list(vec)
         for r, c in self.pivots:
-            q = res[c] // self.H[r][c]
+            if not res[c]:
+                continue
+            row = self._echelon[r]
+            q = res[c] // row[c]
             if q:
-                res = [a - q * b for a, b in zip(res, self.H[r])]
+                for j, x in row.items():
+                    res[j] -= q * x
                 if coef is not None:
                     coef[r] = q
         return res
@@ -178,42 +241,56 @@ class IntLattice:
         return None if coef is None else _row_combination(coef, self.T, [0] * self.nrows)
 
 
+def _has_unit(row) -> bool:
+    return 1 in map(abs, row.values())
+
+
 def snf_invariants(rows):
     """Invariant factors (positive, each dividing the next) of the row span.
 
     A unit-pivot phase runs first, on sparse ``{col: value}`` rows (Dumas,
     Saunders & Villard, J. Symbolic Comput. 2001): while some row has an
-    entry +-1, take the shortest such row, subtract multiples of it from
-    every other row that is nonzero in the pivot column, and drop it.  Once
+    entry +-1, take the shortest such row (the first on ties, kept in a heap
+    keyed by length and position), subtract multiples of it from every
+    other row that is nonzero in the pivot column (kept in a column index),
+    and drop it.  Once
     the pivot column is clear, column operations clear the rest of the
     pivot row without touching any other row, so each such step splits off
     one invariant factor 1.  The leftover rows, usually none, go to the
     general smallest-entry elimination.
     """
-    A = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    A = [row for row in A if row]
+    A = [row for row in map(sparse_row, rows) if row]
+    # (length, index) of each row that holds a unit, smallest first.  An
+    # entry is stale once its row is gone, has changed length or has lost
+    # its unit; a row is pushed again whenever an elimination changes it.
+    queue = [(len(row), i) for i, row in enumerate(A) if _has_unit(row)]
+    heapify(queue)
+    holders = {}  # column -> indices of the live rows nonzero there
+    for i, row in enumerate(A):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
     units = 0
-    while A:
-        best = None
-        for i, row in enumerate(A):
-            if (best is None or len(row) < len(A[best])) and 1 in map(abs, row.values()):
-                best = i
-        if best is None:
-            break
-        pivot = A.pop(best)
+    while queue:
+        n, i = heappop(queue)
+        pivot = A[i]
+        if not pivot or len(pivot) != n or not _has_unit(pivot):
+            continue
+        A[i] = None
+        for j in pivot:
+            holders[j].discard(i)
         c, u = next((j, x) for j, x in pivot.items() if x in (1, -1))
-        for row in A:
-            a = row.get(c)
-            if a:
-                q = a * u
-                for j, x in pivot.items():
-                    v = row.get(j, 0) - q * x
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
-        A = [row for row in A if row]
+        for k in list(holders[c]):
+            row = A[k]
+            _sub_multiple(row, row[c] * u, pivot)
+            for j in pivot:
+                if j in row:
+                    holders[j].add(k)
+                else:
+                    holders[j].discard(k)
+            if _has_unit(row):
+                heappush(queue, (len(row), k))
         units += 1
+    A = [row for row in A if row]
     cols = sorted({j for row in A for j in row})
     return [1] * units + _snf_general([[row.get(j, 0) for j in cols] for row in A])
 
@@ -546,13 +623,6 @@ def _echelon_mod_p(rows, width, p, track):
                     _add_multiple(te, p - f, t, p)
         echelon[c0] = (v, t)
     return echelon, kernel
-
-
-def _dense(row, width):
-    out = [0] * width
-    for j, x in row.items():
-        out[j] = x
-    return out
 
 
 class FieldLattice:

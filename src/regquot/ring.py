@@ -447,6 +447,16 @@ class RingElement:
 # -- degreewise ideal contexts ----------------------------------------
 
 
+def cleared_coefficients(polys):
+    """``(rows, scale)``: the coefficients of each polynomial, in the order
+    of its ``terms``, as ``int`` s times one common multiple ``scale`` of
+    their denominators.  Over Z_(p) the denominators are p-units, so
+    ``scale`` is a p-unit; over Z, F_p and Z/m it is 1.  Scaling by a unit
+    keeps every span and kernel over the base, so the ideal slices and the
+    Koszul differentials both take their ``int`` entries from here."""
+    return cleared_matrix([list(g.terms.values()) for g in polys])
+
+
 class IdealContext:
     """Canonical reduction data for one ideal in one degree.
 
@@ -475,7 +485,7 @@ class IdealContext:
         for g in polys:
             if g.ring != ring:
                 raise MixedRings("ideal generator from a different ring")
-        nums, self.scale = cleared_matrix([list(g.terms.values()) for g in polys])
+        nums, self.scale = cleared_coefficients(polys)
         for gi, (g, coeffs) in enumerate(zip(polys, nums)):
             if not coeffs:
                 continue

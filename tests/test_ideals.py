@@ -11,6 +11,7 @@ from regquot.errors import (
     EmptySequence,
     NonHomogeneous,
     NotVerifiedRegular,
+    SemanticError,
     WindowOverflow,
 )
 from regquot.ideals import (
@@ -30,7 +31,14 @@ from regquot.ideals import (
     tor1_equals_intersection_over_product,
 )
 from regquot.jobio import parse_job
-from regquot.linalg import FieldLattice, IntLattice, LocalLattice, lattice_for
+from regquot.linalg import (
+    FieldLattice,
+    IntLattice,
+    LocalLattice,
+    cleared_matrix,
+    kernel_basis,
+    lattice_for,
+)
 from regquot.ring import GradedRing, Generator, QuotientRing, _cached_context, ideal_context
 from regquot.scalars import BaseRing
 
@@ -384,7 +392,9 @@ def ref_regularity(ring, elems, window):
                     used.append(m)
             if not rows:
                 continue
-            for vec in _cycle_rows(base, rows, tgt.rows, len(used), len(tgt.exps)):
+            # the rows hold base values, and _cycle_rows takes int rows
+            ints, _ = cleared_matrix(rows)
+            for vec in _cycle_rows(base, ints, tgt.rows, len(used), len(tgt.exps)):
                 full = [0] * len(src.exps)
                 for val, m in zip(vec, used):
                     full[src.exps.index(m)] = val
@@ -573,3 +583,114 @@ def test_koszul_differential_slices_are_built_once(monkeypatch):
         cx = KoszulComplex(ring, [x, y], [x * y])
         rows = cx.differential_rows(2, 8)
         assert cx.differential_rows(2, 8) is rows and built == [(2, 8)]
+
+
+# -- integer Koszul rows against the base-valued rows ------------------
+
+
+def ref_differential_rows(cx, i, q):
+    """The matrix of d_i on the degree-q slice with entries in the base,
+    each built with base arithmetic; the reference for the ``int`` rows."""
+    src = cx.chain_slice(i, q)
+    tgt = cx.chain_slice(i - 1, q)
+    index = {sm: j for j, sm in enumerate(tgt)}
+    base = cx.ring.base
+    rows = []
+    for S, m in src:
+        row = [base.zero()] * len(tgt)
+        for t, j in enumerate(S):
+            rest = tuple(x for x in S if x != j)
+            sign = -1 if t % 2 else 1
+            for exps, c in cx.j_gens[j].terms.items():
+                key = (rest, tuple(a + b for a, b in zip(m, exps)))
+                if key in index:
+                    row[index[key]] = base.add(row[index[key]], base.mul(c, sign))
+        rows.append(row)
+    return rows
+
+
+def ref_validate_squares(cx, q, rows_of):
+    """d∘d in the relation span, with d∘d combined over the base."""
+    base = cx.ring.base
+    for i in range(2, cx.length + 1):
+        width = len(cx.chain_slice(i - 2, q))
+        if not width or not cx.chain_slice(i - 1, q):
+            continue
+        lat = lattice_for(base, cx.relation_rows(i - 2, q), width)
+        for row in rows_of(i):
+            comp = _combine(base, row, rows_of(i - 1), width)
+            if any(comp) and not lat.contains(comp):
+                raise SemanticError("Koszul differential does not square to zero")
+
+
+def ref_homology_entry(cx, i, q):
+    """H_i in degree q from the base-valued rows, cleared by their own
+    common denominator before the kernel is taken."""
+    width = len(cx.chain_slice(i, q))
+    if not width:
+        return ModuleEntry()
+    base = cx.ring.base
+    d_i = ref_differential_rows(cx, i, q)
+    target = len(cx.chain_slice(i - 1, q))
+    if not target or not d_i:
+        z_rows = [[int(a == b) for b in range(width)] for a in range(width)]
+    else:
+        mat, _ = cleared_matrix(d_i)
+        kernel = kernel_basis(base, mat + cx.relation_rows(i - 1, q), target)
+        z_rows = [x for x in (k[: len(d_i)] for k in kernel) if any(x)]
+    b_rows = ref_differential_rows(cx, i + 1, q) + cx.relation_rows(i, q)
+    return quotient_invariants(z_rows, b_rows, width, base)
+
+
+KOSZUL_BASES = [
+    # (base, a, b): the sequence is (a x, y + b x, z), with a a unit of the
+    # base other than 1 and, over Z_(2), b a p-unit fraction, so scale is 3
+    (BaseRing.integers(), 3, -1),
+    (BaseRing.prime_field(3), 2, 1),
+    (BaseRing.integers_mod(4), 3, 2),
+    (BaseRing.integers_mod(6), 5, 3),
+    (BaseRing.integers_localized(2), 3, Fraction(5, 3)),
+]
+
+
+@pytest.mark.parametrize("base, a, b", KOSZUL_BASES, ids=["Z", "F3", "Z/4", "Z/6", "Z_(2)"])
+def test_int_koszul_rows_match_base_valued_rows(base, a, b):
+    ring = GradedRing(base, [Generator(n, 2) for n in ("x", "y", "z")], degree_window=10)
+    x, y, z = (ring.var(n) for n in ("x", "y", "z"))
+    j_gens, k_gens = [x * a, y + x * b, z], [z, y * y]
+    cx = KoszulComplex(ring, j_gens, k_gens)
+    n = base.characteristic
+    assert cx.scale == (3 if b == Fraction(5, 3) else 1)
+    for q in ring.even_degrees(10):
+        for i in range(cx.length + 2):
+            rows, truncated = cx.differential_rows(i, q)
+            ref = ref_differential_rows(cx, i, q)
+            assert not truncated and len(rows) == len(ref)
+            for row, want in zip(rows, ref):
+                assert all(type(v) is int for v in row)
+                if n:
+                    assert all((v - w) % n == 0 for v, w in zip(row, want))
+                else:
+                    assert row == [cx.scale * w for w in want]
+        cx.validate_squares(q)
+        ref_validate_squares(cx, q, lambda i: ref_differential_rows(cx, i, q))
+    for i in range(3):
+        want = {}
+        for q in ring.even_degrees(10):
+            entry = ref_homology_entry(cx, i, q)
+            if not entry.is_zero():
+                want[q] = entry
+        assert want and tor(ring, j_gens, k_gens, i).entries == want
+    assert tor1_equals_intersection_over_product(ring, j_gens, k_gens)
+    # one flipped sign in d_2 breaks d∘d = 0, on both routes
+    rows, truncated = cx.differential_rows(2, 4)
+    flipped = [list(row) for row in rows]
+    j = next(j for j, v in enumerate(flipped[0]) if v)
+    flipped[0][j] = -flipped[0][j]
+    ref = ref_differential_rows(cx, 2, 4)
+    ref[0][j] = base.neg(ref[0][j])
+    cx._differentials[(2, 4)] = (flipped, truncated)
+    with pytest.raises(SemanticError):
+        cx.validate_squares(4)
+    with pytest.raises(SemanticError):
+        ref_validate_squares(cx, 4, lambda i: ref if i == 2 else ref_differential_rows(cx, i, 4))

@@ -26,6 +26,7 @@ from regquot.linalg import (
     lattice_intersection_rows,
     lift_rank,
     module_invariants,
+    modulus_rows,
     p_part,
     pval,
     snf_invariants,
@@ -735,13 +736,187 @@ def test_coordinates_match_second_lattice_route():
     assert inside > 2500 and outside > 1500
 
 
+# -- the sparse integer lattice against the dense elimination --------------
+
+
+def ref_hermite(A, width):
+    """The dense Hermite elimination that ``_hermite`` must repeat step for
+    step on sparse rows: reduces the dense integer rows ``A`` in place and
+    returns the ``(row, col)`` pivots."""
+    m = len(A)
+    pivots = []
+    r = 0
+    for c in range(width):
+        if r == m:
+            break
+        found = False
+        while True:
+            nz = [i for i in range(r, m) if A[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(A[i][c]))
+            if i0 != r:
+                A[r], A[i0] = A[i0], A[r]
+            clean = True
+            for i in range(r + 1, m):
+                if A[i][c] != 0:
+                    q = A[i][c] // A[r][c]
+                    if q:
+                        A[i] = [a - q * b for a, b in zip(A[i], A[r])]
+                    if A[i][c] != 0:
+                        clean = False
+            if clean:
+                found = True
+                break
+        if not found:
+            continue
+        if A[r][c] < 0:
+            A[r] = [-x for x in A[r]]
+        for i in range(r):
+            q = A[i][c] // A[r][c]
+            if q:
+                A[i] = [a - q * b for a, b in zip(A[i], A[r])]
+        pivots.append((r, c))
+        r += 1
+    return pivots
+
+
+def ref_hnf_augmented(rows, width):
+    """``hnf_transform`` on dense rows, carrying ``T`` as ``m`` extra dense
+    columns that start from the identity."""
+    m = len(rows)
+    A = []
+    for i, row in enumerate(rows):
+        aug = list(row) + [0] * m
+        aug[len(row) + i] = 1
+        A.append(aug)
+    pivots = ref_hermite(A, width)
+    return [row[:-m] for row in A], [row[-m:] for row in A], pivots
+
+
+class ref_IntLattice:
+    """The dense ``IntLattice``: Hermite rows as full-width lists, each
+    reduction step a full-width subtraction, and the transform ``T`` from
+    the augmented dense elimination."""
+
+    def __init__(self, rows, width):
+        self.width = width
+        self.nrows = len(rows)
+        self._rows = rows
+        self.H = [list(row) for row in rows]
+        self.pivots = ref_hermite(self.H, width)
+        self.rank = len(self.pivots)
+        self.T = ref_hnf_augmented(rows, width)[1]
+
+    def basis(self):
+        return [self.H[r] for r, _ in self.pivots]
+
+    def _reduce(self, vec, coef=None):
+        res = vec
+        for r, c in self.pivots:
+            q = res[c] // self.H[r][c]
+            if q:
+                res = [a - q * b for a, b in zip(res, self.H[r])]
+                if coef is not None:
+                    coef[r] = q
+        return res
+
+    def reduce(self, vec):
+        return self._reduce(vec)
+
+    def contains(self, vec):
+        return not any(self.reduce(vec))
+
+    def coordinates(self, vec):
+        coef = [0] * self.rank
+        res = self._reduce(vec, coef)
+        return None if any(res) else coef
+
+    def solve(self, vec):
+        coef = self.coordinates(vec)
+        if coef is None:
+            return None
+        out = [0] * self.nrows
+        for c, row in zip(coef, self.T):
+            out = [a + c * b for a, b in zip(out, row)]
+        return out
+
+
+def lattice_matrix(rng):
+    """Seeded integer rows of one of three kinds, with the kind's name:
+    sparse +-1 rows shaped like Koszul differentials (one to three entries a
+    row, also wider than the other kinds), dense rows with entries up to
+    +-30, and rows over Z/m that ``modulus_rows`` lifts to Z.  Rows are
+    sometimes zero or repeated, and there are sometimes no rows or no
+    columns."""
+    kind = rng.choice(["koszul", "koszul", "dense", "Z/m"])
+    if kind == "koszul":
+        m, w = rng.randint(0, 24), rng.randint(0, 18)
+        rows = [[0] * w for _ in range(m)]
+        for row in rows:
+            for j in rng.sample(range(w), min(w, rng.randint(1, 3))):
+                row[j] = rng.choice([1, -1])
+    else:
+        m, w = rng.randint(0, 7), rng.randint(0, 7)
+        top = 30 if kind == "dense" else 12
+        rows = [[rng.randint(-top, top) for _ in range(w)] for _ in range(m)]
+    roll = rng.random()
+    if roll < 0.2 and m:
+        rows[rng.randrange(m)] = [0] * w
+    elif roll < 0.4 and m > 1:
+        rows[rng.randrange(m)] = list(rows[rng.randrange(m)])
+    return rows, w, kind
+
+
+def test_int_lattice_matches_dense_reference():
+    rng = Random(163)
+    cases = set()
+    for _ in range(1500):
+        rows, w, kind = lattice_matrix(rng)
+        base = BaseRing.integers_mod(rng.choice([4, 6, 9])) if kind == "Z/m" else ZZ
+        lift = rows + modulus_rows(base, w)
+        H, T, pivots = ref_hnf_augmented(lift, w)
+        assert hnf_transform(lift, w) == (H, T, pivots)
+        assert kernel_basis(base, rows, w) == [t[: len(rows)] for t in T[len(pivots) :]]
+        lat, ref = IntLattice(lift, w), ref_IntLattice(lift, w)
+        assert type(lattice_for(base, rows, w)) is IntLattice
+        assert (lat.H, lat.pivots, lat.rank) == (ref.H, ref.pivots, ref.rank)
+        assert (lat.H, lat.pivots) == (H, pivots)
+        assert lat.basis() == ref.basis()
+        assert "T" not in vars(lat)
+        for _ in range(4):
+            if rng.random() < 0.5:
+                vec = combo(lift, [rng.randint(-3, 3) for _ in lift]) if lift else [0] * w
+            else:
+                vec = [rng.randint(-40, 40) for _ in range(w)]
+            assert lat.reduce(vec) == ref.reduce(vec)
+            assert lat.contains(vec) == ref.contains(vec)
+            assert lat.coordinates(vec) == ref.coordinates(vec)
+            assert lat.solve(vec) == ref.solve(vec)
+        assert lat.T == ref.T == T
+        assert snf_invariants(lift) == RefSnf(lift).invariants
+        cases.add(kind)
+        cases.add("width 0" if w == 0 else "no rows" if not lift else "rows")
+        if w and [0] * w in rows:
+            cases.add("zero row")
+        if len(rows) > len(set(map(tuple, rows))):
+            cases.add("repeated row")
+        if lat.rank < len(lift):
+            cases.add("dependent")
+    assert cases == {
+        "koszul", "dense", "Z/m", "width 0", "no rows", "rows", "zero row", "repeated row",
+        "dependent",
+    }
+
+
 # -- the field lattice against the padded integer lattice ------------------
 
 
 def padded_ref(rows, w, p):
     """The integer route that F_p slices took before the field lattice:
-    the rows plus ``p * e_j`` for every column, as one ``IntLattice``."""
-    return IntLattice(rows + [[p if j == k else 0 for k in range(w)] for j in range(w)], w)
+    the rows plus ``p * e_j`` for every column, as one dense
+    ``ref_IntLattice``, so that no integer lattice code is shared."""
+    return ref_IntLattice(rows + [[p if j == k else 0 for k in range(w)] for j in range(w)], w)
 
 
 def field_matrix(rng, p):
@@ -786,7 +961,7 @@ def test_field_lattice_matches_padded_integer_lattice():
         assert [c for r, c in ref.pivots if ref.H[r][c] == p] == [
             c for c in range(w) if c not in lat.pivots
         ]
-        factors = tuple(sorted(v for v in snf_invariants(ref.H) if v > 1))
+        factors = tuple(sorted(v for v in RefSnf(ref.H).invariants if v > 1))
         assert module_invariants(base, rows, w) == (0, factors) == (0, (p,) * (w - lat.rank))
         assert len(lat.T) == lat.rank
         for t, row in zip(lat.T, lat.basis()):
@@ -816,7 +991,8 @@ def test_field_lattice_matches_padded_integer_lattice():
         # the padded kernel, cut back to the rows, spans the same space mod p
         span = FieldLattice(ker, m, p)
         assert span.rank == len(ker)
-        for x in kernel_basis(ZZ, ref._rows, w):
+        _, T, pivots = ref_hnf_augmented(ref._rows, w)
+        for x in T[len(pivots) :]:
             assert span.contains(x[:m])
         cases.add(p)
         cases.add("width 0" if w == 0 else "no rows" if m == 0 else "rows")
