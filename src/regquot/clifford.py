@@ -512,9 +512,6 @@ class AlgebraPresentation:
     display: str
     warnings: tuple = ()
 
-    def generator_names(self):
-        return tuple(name for name, _ in self.generators)
-
 
 def _render_value(coeff, v) -> str:
     s = coeff.render(v)

@@ -68,9 +68,6 @@ class DerivationOperator:
         self.degree = degree
         self.label = label
 
-    def generator_images(self):
-        return self.images
-
     def apply(self, elem: CliffordElement) -> CliffordElement:
         if elem.owner != self.owner:
             raise MixedAlgebras("element of a different algebra")

@@ -26,6 +26,7 @@ from .errors import (
     WindowOverflow,
 )
 from .linalg import (
+    _row_combination,
     kernel_basis,
     lattice_for,
     lattice_intersection_rows,
@@ -100,13 +101,6 @@ class ModuleEntry:
             return None
         return len(self.factors)
 
-    def describe(self) -> str:
-        parts = []
-        if self.free_rank:
-            parts.append("free rank %d" % self.free_rank)
-        parts.extend("Z/%d" % f for f in self.factors)
-        return " + ".join(parts) if parts else "0"
-
 
 @dataclass
 class GradedModuleReport:
@@ -153,27 +147,18 @@ def _lattice_quotient(lat, b_rows, base) -> ModuleEntry:
     return ModuleEntry(*module_invariants(base, coords, lat.rank))
 
 
-def _combine(base, coeffs, rows, width):
-    """The combination sum of ``c_k * rows[k]`` over ``base``, skipping zeros."""
-    out = [base.zero()] * width
-    for c, row in zip(coeffs, rows):
-        if c:
-            for j, v in enumerate(row):
-                if v:
-                    out[j] = base.add(out[j], base.mul(c, v))
-    return out
-
-
-def _is_unit_row(base, coeffs, r, rows, lat, width) -> bool:
+def _is_unit_row(coeffs, r, rows, lat, width) -> bool:
     """Whether sum of ``(c_k - [k == r]) * rows[k]`` lies in ``lat``.
 
     That is, whether ``coeffs`` is row ``r`` of the identity modulo ``lat``;
-    with ``r`` None, whether it is the zero row.
+    with ``r`` None, whether it is the zero row.  The sum is taken on plain
+    ``int`` and ``Fraction`` values: every lattice accepts any integer
+    representative of a vector over F_p or Z/m.
     """
     if r is not None:
         coeffs = list(coeffs)
-        coeffs[r] = base.sub(coeffs[r], base.one())
-    diff = _combine(base, coeffs, rows, width)
+        coeffs[r] -= 1
+    diff = _row_combination(coeffs, rows, [0] * width)
     return not any(diff) or lat.contains(diff)
 
 
@@ -499,11 +484,6 @@ class ConormalDecomposition:
     degrees: dict
     verified: bool
 
-    def summand_entries(self, index: int):
-        return {
-            d: rec.summands[index] for d, rec in sorted(self.degrees.items())
-        }
-
 
 def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
     """Split I/I² into one summand per ideal, with verified inverse maps.
@@ -557,8 +537,8 @@ def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
         # Z/m, come last and the zip with row_owner drops them.
         sols = lat.T[: lat.rank]
         fwd = [
-            [c.lattice.coordinates(_combine(
-                base, [x if o == s else 0 for x, o in zip(sol, row_owner)], ctx_all.rows, width
+            [c.lattice.coordinates(_row_combination(
+                [x if o == s else 0 for x, o in zip(sol, row_owner)], ctx_all.rows, [0] * width
             )) for sol in sols]
             for s, c in enumerate(ctxs)
         ]
@@ -568,16 +548,14 @@ def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
         ok = all(
             # backward ∘ forward = identity on A modulo I² relations
             _is_unit_row(
-                base,
-                _combine(base, [c for f in fwd for c in f[r]], back_rows, len(a_basis)),
+                _row_combination([c for f in fwd for c in f[r]], back_rows, [0] * len(a_basis)),
                 r, a_basis, rel_all.lattice, width,
             )
             for r in range(len(a_basis))
         ) and all(
             # forward ∘ backward = identity on each summand modulo its relations
             _is_unit_row(
-                base,
-                _combine(base, brow, fwd[s], len(bases[s])),
+                _row_combination(brow, fwd[s], [0] * len(bases[s])),
                 r if s == idx else None, bases[s], rels[s].lattice, width,
             )
             for idx, rows in enumerate(bwd)

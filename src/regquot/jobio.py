@@ -61,12 +61,6 @@ class JobDescription:
     command: str
     data: dict
 
-    def window_degree(self):
-        return self.data.get("window", {}).get("degree")
-
-    def window_laurent(self):
-        return self.data.get("window", {}).get("laurent")
-
     def render(self) -> str:
         return canonical_json(self.data)
 

@@ -9,20 +9,23 @@ is the denominator-cleared normal form for a discrete valuation ring; over
 F_p it is the reduced row echelon form mod p, kept on sparse rows.
 
 Hermite forms follow Cohen, GTM 138, section 2.4.  All three lattices
-answer ``reduce``, ``contains`` and ``coordinates`` (the coefficients of a
-vector on the echelon ``basis()``) from the echelon form alone; only
-``solve``, which writes a vector on the original rows, needs the transform
-``T``, and ``IntLattice`` and ``FieldLattice`` build it only when it is
-first read.  ``snf_invariants`` first eliminates unit pivots on sparse
-rows, each of which splits off an invariant factor 1, and runs the general
-Smith elimination only on the rows that are left.
+keep their rows sparse inside, as ``{col: value}`` dicts, and dense at the
+API: they take dense rows and vectors, and return dense echelon rows,
+``basis()``, ``T`` and results.  The ideal-slice and Koszul rows they see
+are nearly empty, so each elimination step touches only the nonzero
+entries (Dumas, Saunders & Villard, J. Symbolic Comput. 2001, for sparse
+elimination).
 
-The integer and prime-field lattices keep their rows sparse inside, as
-``{col: value}`` dicts, and dense at the API: they take dense rows and
-vectors, and return dense ``H``, ``basis()``, ``T`` and results.  The
-ideal-slice and Koszul rows they see are nearly empty, so each elimination
-step touches only the nonzero entries (Dumas, Saunders & Villard,
-J. Symbolic Comput. 2001, for sparse elimination).
+Each lattice answers ``reduce``, ``contains`` and ``coordinates`` (the
+coefficients of a vector on the echelon ``basis()``) from the echelon form
+alone.  Only ``solve``, which writes a vector on the original rows, needs
+the transform ``T``, and every lattice builds it the same way, on first
+read: the elimination runs again on rows that carry the identity as extra
+columns past ``width`` (``_with_identity``), and ``_transform_rows`` reads
+them back.  ``kernel_basis`` reads the kernel from those columns too.
+``snf_invariants`` first eliminates unit pivots on sparse rows, each of
+which splits off an invariant factor 1, and runs the general Smith
+elimination only on the rows that are left.
 
 Rows are ``int``: the ring layer clears the coefficients of each ideal
 slice and each Koszul differential once, over one p-unit multiple, and
@@ -59,10 +62,12 @@ def _sub_row(rows, i, j, q):
 
 
 def _row_combination(coef, rows, out):
-    """``out`` plus the sum of ``coef[k] * rows[k]``, skipping zeros."""
+    """``out`` plus the sum of ``coef[k] * rows[k]``, added in place; zero
+    coefficients and zero entries cost no product."""
     for c, row in zip(coef, rows):
         if c:
-            out = [a + c * b for a, b in zip(out, row)]
+            for j in compress(range(len(row)), row):
+                out[j] += c * row[j]
     return out
 
 
@@ -71,11 +76,41 @@ def sparse_row(row):
     return {j: row[j] for j in compress(range(len(row)), row)}
 
 
-def _dense(row, width):
+def _dense(row, width, start=0):
+    """Columns ``start`` to ``start + width`` of a sparse row, as a dense list."""
     out = [0] * width
     for j, x in row.items():
-        out[j] = x
+        if 0 <= j - start < width:
+            out[j - start] = x
     return out
+
+
+def _with_identity(A, width, diag=None):
+    """The sparse rows ``A``, each given in place the transform entry 1, or
+    ``diag[i]``, at column ``width + i``; the p-local rows take their
+    denominators, so that each transform row shares its row's denominator.
+
+    Every elimination here seeks pivots in the first ``width`` columns only,
+    so these entries ride along with each row operation, and
+    ``_transform_rows`` reads them back.  A row left with entries past
+    ``width`` only is a kernel vector.
+
+    A run with these columns gives the same results as one without.  Over Z
+    and F_p the first ``width`` columns go through the very same steps.  The
+    p-local run may divide a row by a smaller common factor, since the extra
+    entries join the gcd; but its pivots and quotients depend only on the
+    rationals ``A[i] / d[i]`` and ``q / D``, which both runs compute
+    exactly, so ``E``, ``T``, ``reduce``, ``coordinates`` and ``solve`` are
+    identical as ``Fraction`` s.
+    """
+    for i, row in enumerate(A):
+        row[width + i] = 1 if diag is None else diag[i]
+    return A
+
+
+def _transform_rows(A, width, m):
+    """The first ``m`` transform columns of each row of ``A``, as dense rows."""
+    return [_dense(row, m, width) for row in A]
 
 
 def _sub_multiple(dst, q, src):
@@ -151,40 +186,22 @@ def hnf_transform(rows, width):
 
     Returns ``(H, T, pivots)`` with ``T`` unimodular, ``T * rows == H``,
     zero rows of ``H`` last, and ``pivots`` a list of ``(row, col)`` pairs.
-    Entries above each pivot are reduced into ``[0, pivot)``.  ``T`` is
-    carried as ``m`` extra sparse columns of each row, starting from the
-    identity.
+    Entries above each pivot are reduced into ``[0, pivot)``.  ``T`` rides
+    along as the identity columns of ``_with_identity``.
     """
-    m = len(rows)
-    n = len(rows[0]) if rows else width
-    A = [sparse_row(row) for row in rows]
-    for i, row in enumerate(A):
-        row[n + i] = 1
+    A = _with_identity([sparse_row(row) for row in rows], width)
     pivots = _hermite(A, width)
-    H = [[0] * n for _ in A]
-    T = [[0] * m for _ in A]
-    for h, t, row in zip(H, T, A):
-        for j, x in row.items():
-            if j < n:
-                h[j] = x
-            else:
-                t[j - n] = x
-    return H, T, pivots
+    return [_dense(row, width) for row in A], _transform_rows(A, width, len(rows)), pivots
 
 
 class IntLattice:
     """Row span of integer vectors with canonical coset representatives.
 
-    The rows come in and go out dense, but the lattice keeps them sparse
-    inside: construction runs ``_hermite`` on ``{col: value}`` rows and
-    keeps that echelon form and its pivots, which is all that ``reduce``,
-    ``contains`` and ``coordinates`` read, touching only the nonzero
-    entries of each pivot row.  The dense Hermite form ``H`` is built on
-    first read.  The transform ``T`` with ``T * rows == H`` is needed by
-    ``solve`` alone, to carry coordinates on ``basis()`` back to the
-    original rows: it is a cached property that reruns the same
-    elimination with the transform on first use, so it equals the ``T`` of
-    ``hnf_transform(rows, width)``.
+    Construction runs ``_hermite`` on sparse rows and keeps that echelon
+    form and its pivots, which is all that ``reduce``, ``contains`` and
+    ``coordinates`` read.  The dense Hermite form ``H``, and the transform
+    ``T`` that ``solve`` alone needs, equal to the ``T`` of
+    ``hnf_transform(rows, width)``, are built on first read.
     """
 
     def __init__(self, rows, width):
@@ -430,103 +447,117 @@ def _fractions(nums, den):
     return [Fraction(x, den) if x else _ZERO for x in nums]
 
 
-def _stripped(a, b, d):
-    """``a``, ``b`` and ``d`` divided by their common factor."""
-    g = gcd(d, *a, *b)
+def _stripped(row, d):
+    """The sparse ``row`` and ``d`` divided by their common factor."""
+    g = gcd(d, *row.values())
     if g == 1:
-        return a, b, d
-    return [x // g for x in a], [x // g for x in b], d // g
+        return row, d
+    return {j: x // g for j, x in row.items()}, d // g
+
+
+def _local_rows(rows, p):
+    """``(A, d)``: each p-local row as sparse integer numerators ``A[i]``
+    over a p-unit denominator ``d[i]``."""
+    pairs = [_local_numerators(row, p) for row in rows]
+    return [sparse_row(nums) for nums, _ in pairs], [den for _, den in pairs]
+
+
+def _bareiss_local(A, d, width, p):
+    """Echelonize the p-local rows ``A[i] / d[i]`` in place with p-power
+    pivots; returns the pivots as ``(row, col, valuation)``.
+
+    Pivots are sought in the first ``width`` columns only, the one with the
+    least valuation, the lowest row index on ties.  Elimination is
+    Bareiss-style and integer-preserving: the update
+    ``A[i] <- d[r]*A[i] - q*A[r]`` scales row ``i`` by the p-unit ``d[r]``,
+    and ``d[i] <- d[i]*d[r]`` divides that unit out again, so ``A[i] / d[i]``
+    is exactly the row that elimination over the rationals produces.  A
+    pivot row is normalized to the entry ``p^v`` by taking the unit part of
+    its pivot as its denominator, and entries above a pivot keep their
+    canonical residue in ``[0, p^v)``.  Each updated row is divided by its
+    common factor with its denominator, which keeps the integers small.
+    """
+    m = len(A)
+    pivots = []
+    r = 0
+    for c in range(width):
+        if r == m:
+            break
+        cand = [(pval(A[i][c], p), i) for i in range(r, m) if c in A[i]]
+        if not cand:
+            continue
+        v, i0 = min(cand)
+        if i0 != r:
+            A[r], A[i0] = A[i0], A[r]
+            d[r], d[i0] = d[i0], d[r]
+        pk = p**v
+        # E[r] / unit with unit = E[r][c] / p^v is A[r] over A[r][c] / p^v.
+        dr = A[r][c] // pk
+        if dr < 0:
+            A[r] = {j: -x for j, x in A[r].items()}
+            dr = -dr
+        A[r], d[r] = piv, dr = _stripped(A[r], dr)
+        for i in range(m):
+            a = A[i].get(c)
+            if i == r or not a:
+                continue
+            if i > r:
+                q = a // pk
+            else:
+                q = (a - _residue(a, d[i], pk) * d[i]) // pk
+            if q:
+                row = A[i] if dr == 1 else {j: dr * x for j, x in A[i].items()}
+                _sub_multiple(row, q, piv)
+                A[i], d[i] = _stripped(row, d[i] * dr)
+        pivots.append((r, c, v))
+        r += 1
+    return pivots
 
 
 class LocalLattice:
     """Span over Z_(p) of p-local rational rows, echelonized with p-power pivots.
 
-    Row ``i`` of the echelon form is kept fraction-free as integer vectors
-    ``A[i]`` and ``B[i]`` over one positive p-unit denominator ``d[i]``:
-    ``E[i] = A[i] / d[i]`` and ``T[i] = B[i] / d[i]``, with ``E == T * rows``.
-    Elimination is Bareiss-style and integer-preserving: the update
-    ``A[i] <- d[r]*A[i] - q*A[r]`` scales row ``i`` by the p-unit ``d[r]``,
-    and ``d[i] <- d[i]*d[r]`` divides that unit out again, so ``A[i] / d[i]``
-    is exactly the row that elimination over the rationals produces.
-    Pivots are chosen by (valuation, row index).  A pivot row is normalized
-    to the entry ``p^v`` by taking the unit part of its pivot as its
-    denominator, and entries above a pivot keep their canonical residue in
-    ``[0, p^v)``.  Each updated row is divided by its common factor with its
-    denominator, which keeps the integers small.
-
-    ``E``, ``T`` and ``basis()`` give the echelon rows as ``Fraction`` s,
-    built once on first use.  Rows whose denominator is divisible by ``p``
-    are not p-local and raise ``SemanticError``.
+    Row ``i`` of the echelon form is kept fraction-free, as a sparse integer
+    row over one positive p-unit denominator ``d[i]``, by
+    ``_bareiss_local``; ``reduce``, ``contains`` and ``coordinates`` read
+    only these rows.  ``E`` and ``basis()`` give them as ``Fraction`` s,
+    built once on first use.  The transform ``T`` with ``E == T * rows`` is
+    needed by ``solve`` alone: on first read the same elimination runs again
+    with the identity columns of ``_with_identity``.  Rows whose
+    denominator is divisible by ``p`` are not p-local and raise
+    ``SemanticError``.
     """
 
     def __init__(self, rows, width, p):
         self.p = p
         self.width = width
-        self.nrows = m = len(rows)
-        A, d = [], []
-        for row in rows:
-            nums, den = _local_numerators(row, p)
-            A.append(nums)
-            d.append(den)
-        B = [[0] * m for _ in range(m)]
-        for i in range(m):
-            B[i][i] = d[i]
-        pivots = []
-        r = 0
-        for c in range(width):
-            if r == m:
-                break
-            cand = [(pval(A[i][c], p), i) for i in range(r, m) if A[i][c]]
-            if not cand:
-                continue
-            v, i0 = min(cand)
-            if i0 != r:
-                A[r], A[i0] = A[i0], A[r]
-                B[r], B[i0] = B[i0], B[r]
-                d[r], d[i0] = d[i0], d[r]
-            pk = p**v
-            # E[r] / unit with unit = E[r][c] / p^v is A[r] over A[r][c] / p^v.
-            dr = A[r][c] // pk
-            if dr < 0:
-                A[r] = [-x for x in A[r]]
-                B[r] = [-x for x in B[r]]
-                dr = -dr
-            A[r], B[r], d[r] = _stripped(A[r], B[r], dr)
-            Ar, Br, dr = A[r], B[r], d[r]
-            for i in range(m):
-                a = A[i][c]
-                if i == r or not a:
-                    continue
-                if i > r:
-                    q = a // pk
-                else:
-                    q = (a - _residue(a, d[i], pk) * d[i]) // pk
-                if q:
-                    A[i], B[i], d[i] = _stripped(
-                        [dr * x - q * y for x, y in zip(A[i], Ar)],
-                        [dr * x - q * y for x, y in zip(B[i], Br)],
-                        d[i] * dr,
-                    )
-            pivots.append((r, c, v))
-            r += 1
-        self._A, self._B, self._d = A, B, d
-        self.pivots = pivots
-        self.rank = len(pivots)
+        self.nrows = len(rows)
+        self._rows = rows
+        self._echelon, self._d = _local_rows(rows, p)
+        self.pivots = _bareiss_local(self._echelon, self._d, width, p)
+        self.rank = len(self.pivots)
 
     @cached_property
     def E(self):
-        return [_fractions(row, den) for row, den in zip(self._A, self._d)]
+        return [
+            _fractions(_dense(row, self.width), den) for row, den in zip(self._echelon, self._d)
+        ]
 
     @cached_property
     def T(self):
-        return [_fractions(row, den) for row, den in zip(self._B, self._d)]
+        A, d = _local_rows(self._rows, self.p)
+        _bareiss_local(_with_identity(A, self.width, d), d, self.width, self.p)
+        return [
+            _fractions(t, den) for t, den in zip(_transform_rows(A, self.width, self.nrows), d)
+        ]
 
     def basis(self):
         return [self.E[r] for r, _, _ in self.pivots]
 
     def _reduce_numerators(self, vec, coef=None):
         """``(N, D)``: ``vec`` reduced to ``N / D``; ``coef[r]`` records what
-        ``basis()[r]`` removed: ``(dr*N - q*A[r]) / (D*dr) == N/D - (q/D) * E[r]``.
+        ``basis()[r]`` removed: ``(dr*N - q*A[r]) / (D*dr) == N/D - (q/D) * E[r]``
+        for the echelon row ``A[r]`` over ``dr``.
         The normal-form path ``reduce`` passes no ``coef``."""
         p = self.p
         N, D = _local_numerators(vec, p)
@@ -538,7 +569,10 @@ class LocalLattice:
             q = (x - _residue(x, D, pk) * D) // pk
             if q:
                 dr = self._d[r]
-                N = [dr * a - q * b for a, b in zip(N, self._A[r])]
+                if dr != 1:
+                    N = [dr * a for a in N]
+                for j, y in self._echelon[r].items():
+                    N[j] -= q * y
                 if coef is not None:
                     coef[r] = Fraction(q, D)
                 D *= dr
@@ -576,52 +610,42 @@ def _add_multiple(dst, a, src, p):
             del dst[j]
 
 
-def _echelon_mod_p(rows, width, p, track):
-    """Sparse reduced row echelon form mod ``p`` of the integer ``rows``.
+def _echelon_mod_p(A, width, p):
+    """Sparse reduced row echelon form mod ``p`` of the sparse integer rows ``A``.
 
     Gauss-Jordan on ``{col: value}`` rows, one input row at a time: the row
-    is reduced by the echelon rows at its pivot columns; if anything is
-    left, its leading entry is scaled to 1 and cleared from every echelon
-    row, so each pivot column stays zero outside its own row (Dumas,
-    Saunders & Villard, J. Symbolic Comput. 2001, for sparse elimination).
+    is reduced mod ``p`` and by the echelon rows at its pivot columns; if
+    anything is left in the first ``width`` columns, its leading entry is
+    scaled to 1 and cleared from every echelon row, so each pivot column
+    stays zero outside its own row (Dumas, Saunders & Villard, J. Symbolic
+    Comput. 2001, for sparse elimination).
 
-    Returns ``(echelon, kernel)``: ``echelon`` maps each pivot column to
-    ``(row, transform)``.  With ``track`` the transform ``{i: coef}`` writes
-    the row on the input rows, and ``kernel`` holds the transforms of the
-    input rows that reduce to zero: a basis of the left kernel mod ``p``,
-    since row ``i`` enters its own transform with coefficient 1 and
-    otherwise only earlier rows do.  Without ``track`` the transforms are
-    None and ``kernel`` stays empty.
+    Returns ``(echelon, kernel)``: ``echelon`` maps each pivot column to its
+    row, and ``kernel`` holds the rows left with entries past ``width``
+    only.  On rows from ``_with_identity`` these are a basis of the left
+    kernel mod ``p``, since row ``i`` enters its own transform with
+    coefficient 1 and otherwise only earlier rows do.
     """
     echelon = {}
     kernel = []
-    cols = range(width)
-    for i, row in enumerate(rows):
-        v = {j: y for j in compress(cols, row) if (y := row[j] % p)}
-        t = {i: 1} if track else None
+    for row in A:
+        v = {j: y for j, x in row.items() if (y := x % p)}
         for c in [c for c in v if c in echelon]:
-            f = p - v[c]
-            e, te = echelon[c]
-            _add_multiple(v, f, e, p)
-            if track:
-                _add_multiple(t, f, te, p)
+            _add_multiple(v, p - v[c], echelon[c], p)
         if not v:
-            if track:
-                kernel.append(t)
             continue
         c0 = min(v)
+        if c0 >= width:
+            kernel.append(v)
+            continue
         inv = pow(v[c0], -1, p)
         if inv != 1:
             v = {j: x * inv % p for j, x in v.items()}
-            if track:
-                t = {j: x * inv % p for j, x in t.items()}
-        for e, te in echelon.values():
+        for e in echelon.values():
             f = e.get(c0)
             if f:
                 _add_multiple(e, p - f, v, p)
-                if track:
-                    _add_multiple(te, p - f, t, p)
-        echelon[c0] = (v, t)
+        echelon[c0] = v
     return echelon, kernel
 
 
@@ -637,7 +661,8 @@ class FieldLattice:
     gives over Z, whose pivot-1 rows are exactly these rows and whose other
     rows are ``p * e_c``.  The transform ``T`` (row ``k`` writes
     ``basis()[k]`` on the original rows, mod p) is needed by ``solve``
-    alone, and is built by a second, tracked elimination on first read.
+    alone, and is built on first read by a second elimination on the rows
+    with the identity columns of ``_with_identity``.
     """
 
     def __init__(self, rows, width, p):
@@ -645,15 +670,16 @@ class FieldLattice:
         self.width = width
         self.nrows = len(rows)
         self._rows = rows
-        echelon, _ = _echelon_mod_p(rows, width, p, False)
+        echelon, _ = _echelon_mod_p(map(sparse_row, rows), width, p)
         self.pivots = sorted(echelon)
-        self._row_at = {c: echelon[c][0] for c in self.pivots}
+        self._row_at = {c: echelon[c] for c in self.pivots}
         self.rank = len(self.pivots)
 
     @cached_property
     def T(self):
-        echelon, _ = _echelon_mod_p(self._rows, self.width, self.p, True)
-        return [_dense(echelon[c][1], self.nrows) for c in self.pivots]
+        A = _with_identity([sparse_row(row) for row in self._rows], self.width)
+        echelon, _ = _echelon_mod_p(A, self.width, self.p)
+        return _transform_rows([echelon[c] for c in self.pivots], self.width, self.nrows)
 
     @cached_property
     def _basis(self):
@@ -761,16 +787,17 @@ def kernel_basis(base, rows, width):
     """Rows spanning the left kernel ``{x : x * rows == 0}`` over ``base``.
 
     Over Z and Z_(p) (whose rows are integers) it is a basis of the integer
-    kernel, read from the Hermite transform; over F_p a basis of the kernel
-    mod p.  Over Z/m the kernel of the lift by ``modulus_rows``, cut back to
-    the coordinates of ``rows``, generates ``{x : x * rows in m * Z^width}``.
+    kernel, read from the transform columns of the Hermite rows past the
+    rank; over F_p a basis of the kernel mod p.  Over Z/m the kernel of the
+    lift by ``modulus_rows``, cut back to the coordinates of ``rows``,
+    generates ``{x : x * rows in m * Z^width}``.
     """
     if base.kind == PRIME_FIELD:
-        _, kernel = _echelon_mod_p(rows, width, base.p, True)
-        return [_dense(t, len(rows)) for t in kernel]
-    lift = rows + modulus_rows(base, width)
-    H, T, pivots = hnf_transform(lift, width)
-    return [T[r][: len(rows)] for r in range(len(pivots), len(lift))]
+        A = _with_identity([sparse_row(row) for row in rows], width)
+        return _transform_rows(_echelon_mod_p(A, width, base.p)[1], width, len(rows))
+    A = _with_identity([sparse_row(row) for row in rows + modulus_rows(base, width)], width)
+    rank = len(_hermite(A, width))
+    return _transform_rows(A[rank:], width, len(rows))
 
 
 def lattice_intersection_rows(base, rows_a, rows_b, width):

@@ -36,12 +36,6 @@ class MoravaScenario:
     def generator_degree(self, i: int) -> int:
         return 2 * (self.p**i - 1)
 
-    def top_variable(self):
-        return self.ring.var("v%d" % self.n)
-
-    def describe(self) -> str:
-        return "p=%d n=%d window=%d" % (self.p, self.n, self.window)
-
 
 def minimum_window(p: int, n: int) -> int:
     # must hold the top obstruction degree 2|v_{n-1}| + 2 = |v_n| plus

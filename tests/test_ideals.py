@@ -19,7 +19,6 @@ from regquot.ideals import (
     KoszulComplex,
     ModuleEntry,
     RegularityReport,
-    _combine,
     _cycle_rows,
     _is_unit_row,
     _regularity,
@@ -343,20 +342,45 @@ def test_zero_generator_adds_nothing_to_products(f2_xy):
     assert tor1_equals_intersection_over_product(f2_xy, [x], [y, zero])
 
 
-@pytest.mark.parametrize("base", [BaseRing.integers(), BaseRing.integers_localized(3)])
+def ref_combine(base, coeffs, rows, width):
+    """The combination sum of ``c_k * rows[k]`` in base arithmetic, skipping
+    zeros; the independent reference for the plain-integer combinations."""
+    out = [base.zero()] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, v in enumerate(row):
+                if v:
+                    out[j] = base.add(out[j], base.mul(c, v))
+    return out
+
+
+@pytest.mark.parametrize("base", [
+    BaseRing.integers(),
+    BaseRing.integers_localized(3),
+    BaseRing.prime_field(3),
+    BaseRing.integers_mod(4),
+])
 def test_unit_row_check(base):
     # The decomposition check: sum (c_k - [k == r]) rows[k] in the lattice.
     rows = [[1, 1], [0, 1]]
     lat = lattice_for(base, [[2, 2]], 2)
-    assert _combine(base, [3, -1], rows, 2) == [3, 2]
-    assert _is_unit_row(base, [1, 0], 0, rows, lat, 2)
-    assert _is_unit_row(base, [0, 1], 1, rows, lat, 2)
-    assert _is_unit_row(base, [3, 0], 0, rows, lat, 2)
-    # [1, 1] is half of [2, 2], and 2 is a unit of Z_(3) only
-    assert _is_unit_row(base, [2, 0], 0, rows, lat, 2) == (base.p == 3)
-    assert not _is_unit_row(base, [1, 1], 0, rows, lat, 2)
-    assert _is_unit_row(base, [0, 0], None, rows, lat, 2)
-    assert not _is_unit_row(base, [0, 1], None, rows, lat, 2)
+    assert ref_combine(base, [3, -1], rows, 2) == [base.normalize(x) for x in (3, 2)]
+    assert _is_unit_row([1, 0], 0, rows, lat, 2)
+    assert _is_unit_row([0, 1], 1, rows, lat, 2)
+    assert _is_unit_row([3, 0], 0, rows, lat, 2)
+    # [1, 1] is half of [2, 2], and 2 is a unit of Z_(3) and F_3 only
+    assert _is_unit_row([2, 0], 0, rows, lat, 2) == (base.p == 3)
+    assert not _is_unit_row([1, 1], 0, rows, lat, 2)
+    assert _is_unit_row([0, 0], None, rows, lat, 2)
+    assert not _is_unit_row([0, 1], None, rows, lat, 2)
+    mod = base.characteristic
+    if mod:
+        # raw integers that differ from the identity row, or from the zero
+        # row, only by multiples of p or m
+        assert _is_unit_row([1 + mod, -mod], 0, rows, lat, 2)
+        assert _is_unit_row([-mod, 1 + 2 * mod], 1, rows, lat, 2)
+        assert _is_unit_row([mod, mod], None, rows, lat, 2)
+        assert not _is_unit_row([1 + mod, 1], 0, rows, lat, 2)
 
 
 # -- oracle for the regularity check ----------------------------------
@@ -618,7 +642,7 @@ def ref_validate_squares(cx, q, rows_of):
             continue
         lat = lattice_for(base, cx.relation_rows(i - 2, q), width)
         for row in rows_of(i):
-            comp = _combine(base, row, rows_of(i - 1), width)
+            comp = ref_combine(base, row, rows_of(i - 1), width)
             if any(comp) and not lat.contains(comp):
                 raise SemanticError("Koszul differential does not square to zero")
 

@@ -403,8 +403,9 @@ def test_local_lattice_matches_fraction_oracle():
         ref = RefLocalLattice(rows, w, p)
         assert lat.pivots == ref.pivots
         assert lat.E == ref.E
-        assert lat.T == ref.U
         assert lat.basis() == [ref.E[r] for r, _, _ in ref.pivots]
+        assert "T" not in vars(lat)
+        assert lat.T == ref.U
         for _ in range(3):
             if rng.random() < 0.5:
                 coeffs = [local_entry(rng, p) for _ in rows]
@@ -945,6 +946,51 @@ def combo_mod(rows, coeffs, w, p):
     return out
 
 
+def ref_echelon_mod_p(rows, width, p):
+    """The reduced row echelon form mod ``p`` with the transform kept in a
+    separate ``{row: coef}`` dict per row, the form that ``FieldLattice.T``
+    and the F_p ``kernel_basis`` must reproduce.  Returns ``(echelon,
+    kernel)``: ``echelon`` maps each pivot column to ``(row, transform)``,
+    and ``kernel`` holds the transforms of the rows that reduce to zero."""
+
+    def add_multiple(dst, a, src):
+        for j, x in src.items():
+            y = (dst.get(j, 0) + a * x) % p
+            if y:
+                dst[j] = y
+            else:
+                del dst[j]
+
+    echelon = {}
+    kernel = []
+    for i, row in enumerate(rows):
+        v = {j: row[j] % p for j in range(width) if row[j] % p}
+        t = {i: 1}
+        for c in [c for c in v if c in echelon]:
+            f = p - v[c]
+            e, te = echelon[c]
+            add_multiple(v, f, e)
+            add_multiple(t, f, te)
+        if not v:
+            kernel.append(t)
+            continue
+        c0 = min(v)
+        inv = pow(v[c0], -1, p)
+        v = {j: x * inv % p for j, x in v.items()}
+        t = {j: x * inv % p for j, x in t.items()}
+        for e, te in echelon.values():
+            f = e.get(c0)
+            if f:
+                add_multiple(e, p - f, v)
+                add_multiple(te, p - f, t)
+        echelon[c0] = (v, t)
+    return echelon, kernel
+
+
+def dense_of(row, m):
+    return [row.get(j, 0) for j in range(m)]
+
+
 def test_field_lattice_matches_padded_integer_lattice():
     rng = Random(151)
     cases = set()
@@ -963,6 +1009,12 @@ def test_field_lattice_matches_padded_integer_lattice():
         ]
         factors = tuple(sorted(v for v in RefSnf(ref.H).invariants if v > 1))
         assert module_invariants(base, rows, w) == (0, factors) == (0, (p,) * (w - lat.rank))
+        echelon, kernel = ref_echelon_mod_p(rows, w, p)
+        assert lat.pivots == sorted(echelon)
+        assert lat.basis() == [dense_of(echelon[c][0], w) for c in lat.pivots]
+        assert "T" not in vars(lat)
+        assert lat.T == [dense_of(echelon[c][1], m) for c in lat.pivots]
+        assert kernel_basis(base, rows, w) == [dense_of(t, m) for t in kernel]
         assert len(lat.T) == lat.rank
         for t, row in zip(lat.T, lat.basis()):
             assert combo_mod(rows, t, w, p) == row
