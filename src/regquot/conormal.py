@@ -9,6 +9,7 @@ representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     NotWellDefined,
     SemanticError,
 )
-from .ideals import RegularityReport, check_regular_sequence, checked_sequence
+from .ideals import RegularityReport, _regularity, checked_sequence
 from .ring import GradedRing, QuotientRing, RingElement, ideal_context, normal_form
 
 
@@ -84,10 +85,6 @@ class QuotientRingSpec:
         self.ring = ring
         self.sequence = seq
         self.window = ring.degree_window if window is None else min(window, ring.degree_window)
-        if seq:
-            self.regularity = check_regular_sequence(ring, seq, self.window)
-        else:
-            self.regularity = RegularityReport(True, None, None, self.window)
         if products is None:
             products = [ProductToken(x) for x in seq]
         products = tuple(products)
@@ -100,6 +97,11 @@ class QuotientRingSpec:
                 raise SemanticError("token element does not match the sequence")
         self.products = products
         self.coefficients = QuotientRing(ring, seq)
+
+    @cached_property
+    def regularity(self) -> RegularityReport:
+        """The regularity report of the sequence, computed on first read."""
+        return _regularity(self.ring, self.sequence, self.window)
 
     @property
     def is_regular(self) -> bool:

@@ -6,9 +6,9 @@ modules are presented as integer, p-local or F_p lattices: a slice is a span
 or quotient invariants come from Smith normal form of ``B`` written in a
 basis of ``Z``.  An ideal's span in one degree is the lazy lattice of its
 ``ring.IdealContext``, never rebuilt here.  Nothing here branches on the
-base ring: ``linalg.lattice_for``, ``linalg.module_invariants`` and
-``linalg.kernel_basis`` are the one place where it picks the integer, the
-p-local or the prime-field algebra.
+base ring: ``linalg.lattice_for``, ``linalg.module_invariants``,
+``linalg.kernel_basis`` and ``linalg.residue_prime`` are the one place
+where it picks the integer, the p-local or the prime-field algebra.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from .errors import (
     WindowOverflow,
 )
 from .linalg import (
+    FieldLattice,
     _row_combination,
     kernel_basis,
     lattice_for,
@@ -33,6 +34,7 @@ from .linalg import (
     lift_rank,
     module_invariants,
     modulus_rows,
+    residue_prime,
     sparse_row,
 )
 from .ring import GradedRing, QuotientRing, RingElement, cleared_coefficients, ideal_context
@@ -183,42 +185,92 @@ def _cycle_rows(base, map_rows, target_rel_rows, source_width, target_width):
     return [x for x in (k[: len(map_rows)] for k in kernel) if any(x)]
 
 
+def _has_kernel(base, rows, used, src, tgt, p):
+    """Whether some y on the ``used`` monomials has ``y * rows`` in the
+    target slice ``tgt`` but ``y`` not in the source slice ``src``: by a
+    rank count mod ``p`` when ``p`` is given, else on a kernel basis."""
+    pos = {m: j for j, m in enumerate(src.exps)}
+    if p is None:
+        for vec in _cycle_rows(base, rows, tgt.rows, len(used), tgt.width):
+            full = [0] * src.width
+            for val, m in zip(vec, used):
+                full[pos[m]] = val
+            if not src.contains_vector(full):
+                return True
+        return False
+    joint = []
+    for row, m in zip(rows, used):
+        e = [0] * src.width
+        e[pos[m]] = 1
+        joint.append(tgt.residue_lattice.reduce(row) + src.residue_lattice.reduce(e))
+    pivots = FieldLattice(joint, tgt.width + src.width, p).pivots
+    return bool(pivots) and pivots[-1] >= tgt.width  # a pivot past tgt's block
+
+
 @lru_cache(maxsize=None)
 def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport:
+    """Entry by entry, whether multiplication by the entry x is injective
+    on R/I, I the ideal of the earlier entries, in each degree d of the
+    window, and whether R/I stays nonzero.
+
+    With M the rows x * m for the ``used`` monomials m of degree d (those
+    whose product fits) and L_s, L_t the slices of I in degrees d and
+    d + |x|, x passes in degree d when y * M in L_t implies y in L_s.  The
+    kernel path tests a kernel basis of y -> y * M mod L_t.  The field path
+    runs when ``linalg.residue_prime`` gives a prime p: over F_p, and over
+    Z_(p) after a constant entry c with v_p(c) = 1.  It builds no kernel:
+
+    * Lift.  The rows c * m put p * Z^w in L_s and L_t, so whether y * M
+      lies in L_t and y in L_s depends on y mod p only: a y over Z_(p)
+      reduces mod p, and a y mod p lifts to any integer vector.  So the
+      check holds over Z_(p) iff it holds over F_p.
+    * Rank.  Over F_p the check is ker phi <= ker pi, for phi(y) = y * M
+      mod L_t and pi(y) = y mod L_s, and as ker(phi, pi) = ker phi meet
+      ker pi, it holds iff rank(phi, pi) = rank phi.  Reduction modulo a
+      span is linear with that span as kernel, so the rows (x * m mod L_t,
+      e_m mod L_s) span the image of (phi, pi), and rank phi is the number
+      of their pivots in the first block: x passes iff none lies past it.
+      The rows are the ``used`` monomials, as for the kernel, so the count
+      is exact inside the window too.
+    * Not after p^2 * unit.  Then a slice need not hold p * Z^w, and a
+      vector mod p need not lift: in Z_(2)[x, v^{±1}] with |x| = 2, |v| = 4
+      and Laurent window 1, the degree-0 slice of (4, u), u = 1 + 2x^2/v,
+      holds 1 mod 2 but not 1, so a second entry u, which kills 1, would
+      pass mod 2.  Such entries, and Z and Z/m, keep the kernel path.
+
+    Both paths decide each degree alike, so the report, ``failure_degree``
+    included, does not depend on the path.
+    """
+    one = (0,) * len(ring.generators)
+    constants = []  # the coefficients of the constant entries so far
     for k, x in enumerate(elems, start=1):
         prev = elems[: k - 1]
         if x.is_zero():
             return RegularityReport(False, k, None, window, "zero entry")
+        p = residue_prime(ring.base, constants)
         dx = x.degree()
         for d in ring.even_degrees(window - dx):
-            src = ideal_context(ring, prev, d)
-            tgt = ideal_context(ring, prev, d + dx)
             # The leading ("gen", 0, m) rows of the principal slice are x * m
             # for each monomial m of degree d whose product fits.
             mult = ideal_context(ring, (x,), d + dx)
             used = [m for kind, _, m in mult.tags if kind == "gen"]
-            if not used:
-                continue
-            kernel = _cycle_rows(
-                ring.base, mult.rows[: len(used)], tgt.rows, len(used), len(tgt.exps)
-            )
-            pos = {m: j for j, m in enumerate(src.exps)}
-            for vec in kernel:
-                full = [0] * len(src.exps)
-                for val, m in zip(vec, used):
-                    full[pos[m]] = val
-                if not src.contains_vector(full):
-                    return RegularityReport(
-                        False,
-                        k,
-                        d,
-                        window,
-                        "multiplication by entry %d has kernel in degree %d" % (k, d),
-                    )
+            if used and _has_kernel(
+                ring.base, mult.rows[: len(used)], used,
+                ideal_context(ring, prev, d), ideal_context(ring, prev, d + dx), p,
+            ):
+                return RegularityReport(
+                    False,
+                    k,
+                    d,
+                    window,
+                    "multiplication by entry %d has kernel in degree %d" % (k, d),
+                )
         if QuotientRing(ring, elems[:k]).is_trivial():
             return RegularityReport(
                 False, k, None, window, "quotient vanishes after entry %d" % k
             )
+        if set(x.terms) == {one}:
+            constants.append(x.terms[one])
     return RegularityReport(True, None, None, window, "")
 
 

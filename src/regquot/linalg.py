@@ -38,10 +38,11 @@ integer-preserving elimination), which are invertible over Z_(p).
 ``Fraction`` s are built only for returned values, which are exactly the
 rationals that elimination over Q would give.
 
-``lattice_for``, ``module_invariants`` and ``kernel_basis`` are the one
-place where the base ring picks the algebra: Z_(p) gets the p-local
-lattice and p-parts of the invariant factors, F_p the field lattice, and Z
-and Z/m the integer lattice.  A span over Z/m is lifted to Z here, by the
+``lattice_for``, ``module_invariants``, ``kernel_basis`` and
+``residue_prime`` are the one place where the base ring picks the algebra:
+Z_(p) gets the p-local lattice and p-parts of the invariant factors, F_p
+the field lattice, and Z and Z/m the integer lattice; ``residue_prime``
+says when a span may be taken mod p.  A span over Z/m is lifted to Z here, by the
 ``modulus_rows`` m * e_j, so no caller carries them.  Localizing at p is
 exact, so Z and Z_(p) need different pivots but nothing else.
 """
@@ -420,7 +421,9 @@ def _residue(num, den, pk) -> int:
 
 def _cleared(vec):
     """``(N, D)`` with ``vec == N / D``: integer numerators over the lcm ``D``
-    of the denominators."""
+    of the denominators.  An all-``int`` ``vec`` is copied at once."""
+    if set(map(type, vec)) <= {int}:
+        return list(vec), 1
     dens = [x.denominator for x in vec]
     den = lcm(*dens)
     if den == 1:
@@ -752,6 +755,17 @@ def lattice_for(base, rows, width):
     if base.kind == PRIME_FIELD:
         return FieldLattice(rows, width, base.p)
     return IntLattice(rows + modulus_rows(base, width), width)
+
+
+def residue_prime(base, constants):
+    """p over F_p, and over Z_(p) when one of the ``constants`` c has
+    valuation 1, so that a span holding ``c * Z^width`` holds
+    ``p * Z^width`` and is the preimage of its span mod p; else None."""
+    if base.kind == PRIME_FIELD:
+        return base.p
+    if base.kind == INTEGERS_LOCALIZED and any(pval(c, base.p) == 1 for c in constants):
+        return base.p
+    return None
 
 
 def lift_rank(lat) -> int:

@@ -235,8 +235,15 @@ def _degree_exps(ring: GradedRing, d: int):
             maxrest[i] = maxrest[i + 1] + hi
     out = []
     acc = [0] * n
+    # a last generator of positive degree takes the one exponent that is left
+    last = n - 1 if n and gens[-1].degree > 0 else None
 
     def rec(i: int, remaining: int) -> None:
+        if i == last:
+            e, r = divmod(remaining, gens[i].degree)
+            if not r and (-lw <= e <= lw if gens[i].invertible else e >= 0):
+                out.append((*acc[:i], e))
+            return
         if i == n:
             if remaining == 0:
                 out.append(tuple(acc))
@@ -508,6 +515,15 @@ class IdealContext:
     @cached_property
     def lattice(self):
         return lattice_for(self.ring.base, self.rows, self.width)
+
+    @cached_property
+    def residue_lattice(self):
+        """The span of ``rows`` mod the prime p of F_p or Z_(p), built on
+        first read; over F_p it is ``lattice`` itself."""
+        field = BaseRing.prime_field(self.ring.base.p)
+        if field == self.ring.base:
+            return self.lattice
+        return lattice_for(field, self.rows, self.width)
 
     def reduce_vector(self, vec):
         base = self.ring.base

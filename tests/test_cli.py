@@ -273,6 +273,24 @@ def test_modular_reports_match_pinned_digests(command, base):
     assert hashlib.sha256(text.encode()).hexdigest() == MODULAR_DIGESTS[command, base]
 
 
+# sha256 of the canonical reports of K(n) scenario jobs that the benchmark
+# ladder does not run.  K(4) at p=3 takes about 2 s and is left out.
+SCENARIO_DIGESTS = {
+    (2, 4): "91a1e5e99ecd500fd58f9e0216ea9ad6de3187261b29337e0fb1c30bcadef0f2",
+    (5, 2): "55165dab9b380d809eddd518671513b037fc105dd227ffd412f4f57b5ff8521b",
+    (7, 2): "7622264b376686b1e6594aa46bffa9504a2bdaa997faf5272788f1081da2014b",
+    (5, 3): "b41340529f7203d687ec1630bc1982916655ffc52ef9b9296f7b4a0c2cd57aa2",
+}
+
+
+@pytest.mark.parametrize("p, n", sorted(SCENARIO_DIGESTS))
+def test_scenario_reports_match_pinned_digests(p, n):
+    report = run_job(parse_job(json.dumps({"command": "scenario", "scenario": {"p": p, "n": n}})))
+    assert report.status == 0
+    text = canonical_json(report.payload())
+    assert hashlib.sha256(text.encode()).hexdigest() == SCENARIO_DIGESTS[p, n]
+
+
 def test_window_override(tmp_path):
     code, report = run_file(JOBS / "k1_p2.job", tmp_path, ["--window", "8"])
     assert code == 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from regquot import ideals as ideals_module
 from regquot import linalg
 from regquot.cli import run_job
 from regquot.errors import (
@@ -38,6 +39,7 @@ from regquot.linalg import (
     kernel_basis,
     lattice_for,
 )
+from regquot.morava import build_scenario
 from regquot.ring import GradedRing, Generator, QuotientRing, _cached_context, ideal_context
 from regquot.scalars import BaseRing
 
@@ -493,6 +495,143 @@ def test_regularity_matches_row_loop_oracle():
     _clear_ring_caches()
     # regular, non-regular with a kernel degree, and non-regular without one
     assert outcomes == {(True, False), (False, True), (False, False)}
+
+
+def ref_regularity_kernel(ring, elems, window):
+    """``_regularity`` as it ran before its field path: every entry of every
+    base on a kernel basis, each kernel vector tested for membership."""
+    for k, x in enumerate(elems, start=1):
+        prev = elems[: k - 1]
+        if x.is_zero():
+            return RegularityReport(False, k, None, window, "zero entry")
+        dx = x.degree()
+        for d in ring.even_degrees(window - dx):
+            src = ideal_context(ring, prev, d)
+            tgt = ideal_context(ring, prev, d + dx)
+            mult = ideal_context(ring, (x,), d + dx)
+            used = [m for kind, _, m in mult.tags if kind == "gen"]
+            if not used:
+                continue
+            kernel = _cycle_rows(
+                ring.base, mult.rows[: len(used)], tgt.rows, len(used), len(tgt.exps)
+            )
+            pos = {m: j for j, m in enumerate(src.exps)}
+            for vec in kernel:
+                full = [0] * len(src.exps)
+                for val, m in zip(vec, used):
+                    full[pos[m]] = val
+                if not src.contains_vector(full):
+                    return RegularityReport(
+                        False,
+                        k,
+                        d,
+                        window,
+                        "multiplication by entry %d has kernel in degree %d" % (k, d),
+                    )
+        if QuotientRing(ring, elems[:k]).is_trivial():
+            return RegularityReport(
+                False, k, None, window, "quotient vanishes after entry %d" % k
+            )
+    return RegularityReport(True, None, None, window, "")
+
+
+def _field_path_cases():
+    """Seeded sequences whose entries, or whose entries after a constant of
+    valuation 1, take the field path, with the p^2 * unit and late-constant
+    neighbours that must not change their reports."""
+    xy = [Generator("x", 2), Generator("y", 2)]
+    laurent = [Generator("x", 2), Generator("v", 4, invertible=True)]
+    rng = random.Random(1201)
+    cases = []
+    for p in (2, 3, 5):
+        field = BaseRing.prime_field(p)
+        rings = [
+            GradedRing(field, xy + [Generator("w", 4)], degree_window=8),
+            GradedRing(field, laurent, degree_window=8, laurent_window=1),
+        ]
+        plain = GradedRing(field, xy, degree_window=8)
+        x, y = plain.var("x"), plain.var("y")
+        rings.append(GradedRing(field, xy, degree_window=8, relations=[x * x * y - y * y * y]))
+        for ring in rings:
+            coeffs = list(range(1, p))
+            for _ in range(6):
+                length = rng.randint(1, 3)
+                cases.append((ring, tuple(_random_homogeneous(rng, ring, coeffs) for _ in range(length))))
+            cases.append((ring, (ring.var("x"), ring.var("x"))))
+    for p in (2, 3):
+        local = BaseRing.integers_localized(p)
+        rings = [
+            GradedRing(local, xy, degree_window=6),
+            GradedRing(local, laurent, degree_window=6, laurent_window=1),
+        ]
+        x, y = rings[0].var("x"), rings[0].var("y")
+        rings.append(GradedRing(local, xy, degree_window=6, relations=[p * x * y - y * y]))
+        unit = Fraction(5, 7)
+        for ring in rings:
+            coeffs = [1, -1, p, p * p, unit]
+            for c in (p, -p, p * unit, p * p, p * p * unit):
+                for _ in range(3):
+                    tail = tuple(_random_homogeneous(rng, ring, coeffs) for _ in range(rng.randint(1, 2)))
+                    cases.append((ring, (ring.constant(c),) + tail))
+            x = ring.var("x")
+            cases.append((ring, (x, ring.constant(p), ring.var(ring.generators[1].name))))
+            cases.append((ring, (ring.constant(p), p * x)))  # kills the entry mod p
+            cases.append((ring, (ring.constant(p * p), p * x)))  # p * x kills p over Z/p^2
+            cases.append((ring, (ring.constant(p), x, x)))
+    # The degree-0 slice of (4, u) holds 1 mod 2 but not 1, so u, which
+    # kills 1 modulo (4, u), would pass on the field path after 4.
+    ring = GradedRing(BaseRing.integers_localized(2), laurent, degree_window=6, laurent_window=1)
+    u = ring.parse("1 + 2*x^2*v^-1")
+    cases.append((ring, (ring.constant(4), u, u)))
+    for p, n in ((2, 2), (3, 2), (2, 3)):
+        spec = build_scenario(p, n).spec
+        cases.append((spec.ring, spec.sequence))
+        cases.append((spec.ring, spec.sequence[1:] + spec.sequence[:1]))
+    return cases
+
+
+def test_field_path_matches_kernel_oracle():
+    outcomes = set()
+    for ring, seq in _field_path_cases():
+        for window in (ring.degree_window, ring.degree_window - 4):
+            _clear_ring_caches()
+            want = ref_regularity_kernel(ring, seq, window)
+            _clear_ring_caches()
+            assert _regularity(ring, seq, window) == want, (ring, seq, window)
+            outcomes.add((want.regular, want.failure_degree is not None))
+    _clear_ring_caches()
+    assert outcomes == {(True, False), (False, True), (False, False)}
+
+
+def test_field_path_calls_no_kernel_basis(monkeypatch):
+    calls = []
+    counted = lambda *args: calls.append(args) or kernel_basis(*args)  # noqa: E731
+    monkeypatch.setattr(ideals_module, "kernel_basis", counted)
+
+    def kernels(ring, *seq):
+        _clear_ring_caches()
+        calls.clear()
+        _regularity(ring, seq, ring.degree_window)
+        return len(calls)
+
+    xy = [Generator("x", 2), Generator("y", 2)]
+    for p in (2, 3):
+        field = GradedRing(BaseRing.prime_field(p), xy, degree_window=8)
+        x, y = field.var("x"), field.var("y")
+        assert kernels(field, x, y) == kernels(field, x + y, x) == 0
+        local = GradedRing(BaseRing.integers_localized(p), xy, degree_window=8)
+        x, y = local.var("x"), local.var("y")
+        # entry p itself runs on a kernel; nothing after it does
+        first = kernels(local, local.constant(p))
+        assert first > 0
+        assert kernels(local, local.constant(p), x, y) == first
+        assert kernels(local, local.constant(Fraction(p, 5)), x) == first
+        # after p^2 the entries keep the kernel path
+        square = local.constant(p * p)
+        assert kernels(local, square, x) > kernels(local, square)
+        spec = build_scenario(p, 3).spec
+        assert kernels(spec.ring, *spec.sequence) == kernels(spec.ring, spec.sequence[0])
+    _clear_ring_caches()
 
 
 # -- one lattice per ideal slice --------------------------------------

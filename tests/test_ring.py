@@ -1,5 +1,6 @@
 """Graded ring presentations, windowed bases and canonical normal forms."""
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -108,6 +109,48 @@ def test_degree_zero_generator_is_capped_by_window():
     assert len(R.degree_exps(0)) == 6
     with pytest.raises(WindowOverflow):
         R.monomial([6])
+
+
+def ref_degree_exps(ring, d):
+    """Every exponent tuple of degree ``d`` that the window allows, sorted,
+    found by a scan of the whole box of exponents."""
+    lw = ring.laurent_window
+    slack = d + lw * sum(g.degree for g in ring.generators if g.invertible)
+    ranges = []
+    for g in ring.generators:
+        if g.invertible:
+            ranges.append(range(-lw, lw + 1))
+        elif g.degree == 0:
+            ranges.append(range(ring.degree_window + 1))
+        else:
+            ranges.append(range(slack // g.degree + 1))
+    return tuple(sorted(e for e in product(*ranges) if ring.monomial_degree(e) == d))
+
+
+def test_degree_exps_match_brute_force():
+    rng = Random(1202)
+    # one generator: nothing before the last one bounds what it must solve for
+    rings = [
+        GradedRing(BaseRing.integers(), [Generator("g", deg, invertible=inv)], 8, lw)
+        for deg in (0, 2, 4) for inv in (False, True) for lw in (0, 1)
+    ]
+    for _ in range(40):
+        gens = [
+            Generator("g%d" % i, rng.choice([0, 2, 2, 4, 6]), invertible=rng.random() < 0.4)
+            for i in range(rng.randint(0, 3))
+        ]
+        rings.append(GradedRing(
+            BaseRing.integers(), gens,
+            degree_window=rng.randint(0, 8), laurent_window=rng.randint(0, 2),
+        ))
+    last = [g.generators[-1] for g in rings if g.generators]
+    # invertible, degree-0 and plain last generators all occur
+    assert {(g.invertible, g.degree > 0) for g in last} == {
+        (True, True), (True, False), (False, True), (False, False)
+    }
+    for ring in rings:
+        for d in range(ring.min_monomial_degree() - 8, ring.degree_window + 1):
+            assert ring.degree_exps(d) == ref_degree_exps(ring, d), (ring, d)
 
 
 def test_mixed_rings_error():
