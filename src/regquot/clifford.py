@@ -89,7 +89,7 @@ class QuotientCoefficients:
         return self.ring.zero()
 
     def one(self):
-        return self.ring.one()
+        return self.quotient.one()
 
     def coerce(self, v):
         if isinstance(v, (int, Fraction)):
@@ -256,8 +256,22 @@ class CliffordAlgebra:
 
     # -- element constructors -----------------------------------------
 
+    def checked_word(self, word) -> tuple:
+        """``word`` as a tuple, if it is strictly increasing and in range."""
+        word = tuple(word)
+        if any(not isinstance(i, int) or not 0 <= i < self.n for i in word):
+            raise BadIndex("word index out of range")
+        if list(word) != sorted(set(word)):
+            raise SemanticError("words must be strictly increasing")
+        return word
+
     def element(self, terms) -> "CliffordElement":
-        return CliffordElement(self, terms)
+        """The element with the ``{word: coefficient}`` terms given: the
+        entry point that checks each word and coerces each coefficient."""
+        coerce = self.coeff.coerce
+        return CliffordElement(
+            self, {self.checked_word(w): coerce(c) for w, c in dict(terms).items()}
+        )
 
     def zero(self) -> "CliffordElement":
         return CliffordElement(self, {})
@@ -278,11 +292,7 @@ class CliffordAlgebra:
         if self.module is None:
             raise SemanticError("algebra carries no conormal module")
         coords = self.module.residue_coordinates(x)
-        terms = {}
-        for i, c in enumerate(coords):
-            if not self.coeff.is_zero(c):
-                terms[(i,)] = c
-        return CliffordElement(self, terms)
+        return CliffordElement(self, {(i,): c for i, c in enumerate(coords)})
 
     # -- multiplication core ------------------------------------------
 
@@ -333,26 +343,19 @@ class CliffordAlgebra:
 
 
 class CliffordElement:
-    """Finite sum of coefficients times strictly increasing index words."""
+    """Finite sum of coefficients times strictly increasing index words.
+
+    ``terms`` maps words that ``owner.checked_word`` returns unchanged to
+    coefficients that ``owner.coeff.coerce`` returns unchanged, and only
+    its zero coefficients are dropped: outside input goes through
+    ``CliffordAlgebra.element``."""
 
     __slots__ = ("owner", "terms")
 
     def __init__(self, owner: CliffordAlgebra, terms):
-        coeff = owner.coeff
-        clean = {}
-        for word, c in dict(terms).items():
-            word = tuple(word)
-            if any(
-                not isinstance(i, int) or not 0 <= i < owner.n for i in word
-            ):
-                raise BadIndex("word index out of range")
-            if list(word) != sorted(set(word)):
-                raise SemanticError("words must be strictly increasing")
-            c = coeff.coerce(c)
-            if not coeff.is_zero(c):
-                clean[word] = c
+        is_zero = owner.coeff.is_zero
         self.owner = owner
-        self.terms = clean
+        self.terms = {w: c for w, c in terms.items() if not is_zero(c)}
 
     # -- helpers ------------------------------------------------------
 
@@ -617,6 +620,10 @@ class TensorAlgebra:
         )
 
     def element(self, terms) -> "TensorElement":
+        """``{(left word, right word): coefficient}`` terms, each checked
+        as ``CliffordAlgebra.element`` checks them."""
+        left, right, coerce = self.left.checked_word, self.right.checked_word, self.coeff.coerce
+        terms = {(left(u), right(v)): coerce(c) for (u, v), c in dict(terms).items()}
         return TensorElement(self, terms)
 
     def zero(self):
@@ -628,14 +635,11 @@ class TensorAlgebra:
     def pure(self, u: CliffordElement, v: CliffordElement) -> "TensorElement":
         if u.owner != self.left or v.owner != self.right:
             raise MixedAlgebras("tensor factors from the wrong algebras")
-        coeff = self.coeff
-        out = {}
-        for w1, c1 in u.terms.items():
-            for w2, c2 in v.terms.items():
-                val = coeff.mul(c1, c2)
-                if not coeff.is_zero(val):
-                    out[(w1, w2)] = val
-        return TensorElement(self, out)
+        mul = self.coeff.mul
+        return TensorElement(
+            self,
+            {(w1, w2): mul(c1, c2) for w1, c1 in u.terms.items() for w2, c2 in v.terms.items()},
+        )
 
     def basis_pairs(self):
         return [
@@ -649,13 +653,9 @@ class TensorElement:
     __slots__ = ("owner", "terms")
 
     def __init__(self, owner: TensorAlgebra, terms):
-        coeff = owner.coeff
-        clean = {}
-        for (w1, w2), c in dict(terms).items():
-            if not coeff.is_zero(c):
-                clean[(tuple(w1), tuple(w2))] = c
+        is_zero = owner.coeff.is_zero
         self.owner = owner
-        self.terms = clean
+        self.terms = {k: c for k, c in terms.items() if not is_zero(c)}
 
     def _same(self, other):
         if not isinstance(other, TensorElement) or self.owner != other.owner:
@@ -807,7 +807,7 @@ class AlgebraMap:
             raise MixedAlgebras("element of a different source algebra")
         out = self.target.zero()
         for w, c in elem.terms.items():
-            part = self.target.scalar(self.target.coeff.coerce(c))
+            part = self.target.scalar(c)
             for i in w:
                 part = part * self.images[i]
             out = out + part

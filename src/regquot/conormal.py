@@ -20,7 +20,7 @@ from .errors import (
     NotWellDefined,
     SemanticError,
 )
-from .ideals import RegularityReport, _regularity, checked_sequence
+from .ideals import ModuleEntry, RegularityReport, _regularity, checked_sequence
 from .ring import GradedRing, QuotientRing, RingElement, ideal_context, normal_form
 
 
@@ -311,14 +311,6 @@ def opposite_form(spec: QuotientRingSpec, opposite_obstructions):
     return ring_form, mixed
 
 
-def quotient_dimension_over(q: QuotientRing, d: int, p: int):
-    """F_p dimension of the degree-d slice of R/K, or None if not of that shape."""
-    free, factors = q.entry(d)
-    if free != 0 or any(f != p for f in factors):
-        return None
-    return len(factors)
-
-
 def exterior_rank_profile(module: ConormalModule, p: int, window: int | None = None):
     """Degreewise dimensions of the exterior algebra on the module basis.
 
@@ -331,13 +323,12 @@ def exterior_rank_profile(module: ConormalModule, p: int, window: int | None = N
     shifts = [sum(c) for k in range(len(degs) + 1) for c in combinations(degs, k)]
     profile: dict = {}
     for q in ring.even_degrees(top):
-        for shift in shifts:
-            total = q + shift
-            dim = quotient_dimension_over(module.coefficients, q, p)
-            if dim is None:
-                raise SemanticError(
-                    "coefficients are not an F_%d vector space in degree %d" % (p, q)
-                )
-            if dim:
-                profile[total] = profile.get(total, 0) + dim
+        dim = ModuleEntry(*module.coefficients.entry(q)).dimension_over(p)
+        if dim is None:
+            raise SemanticError(
+                "coefficients are not an F_%d vector space in degree %d" % (p, q)
+            )
+        if dim:
+            for shift in shifts:
+                profile[q + shift] = profile.get(q + shift, 0) + dim
     return profile

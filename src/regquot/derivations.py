@@ -145,7 +145,7 @@ def operator_matrix(algebra: CliffordAlgebra, fn):
     one = algebra.coeff.one()
     rows = {}
     for w in algebra.basis_words():
-        img = fn(algebra.element({w: one}))
+        img = fn(CliffordElement(algebra, {w: one}))
         if img.terms:
             rows[w] = img.terms
     return rows
@@ -258,7 +258,7 @@ def theta_rank(algebra: CliffordAlgebra) -> int:
     _require_exterior(algebra)
     coeff = algebra.coeff
     qs = [bockstein(algebra, i) for i in range(algebra.n)]
-    top = algebra.element({tuple(range(algebra.n)): coeff.one()})
+    top = CliffordElement(algebra, {tuple(range(algebra.n)): coeff.one()})
     units = (coeff.one(), coeff.neg(coeff.one()))
     seen = set()
     for s in algebra.basis_words():
@@ -305,7 +305,7 @@ def leibniz_check(op, pairs=None) -> bool:
     algebra = op.owner
     if pairs is None:
         one = algebra.coeff.one()
-        basis = [algebra.element({w: one}) for w in algebra.basis_words()]
+        basis = [CliffordElement(algebra, {w: one}) for w in algebra.basis_words()]
         pairs = ((u, v) for u in basis[: algebra.n + 1] for v in basis)
     for u, v in pairs:
         pu = u.word_length_parity()
@@ -460,7 +460,7 @@ def Psi(op) -> DualFunctional:
     coeff = algebra.coeff
     table = {}
     for w in algebra.basis_words():
-        img = op.apply(algebra.element({w: coeff.one()}))
+        img = op.apply(CliffordElement(algebra, {w: coeff.one()}))
         table[w] = img.terms.get((), coeff.zero())
     return DualFunctional(algebra, table)
 

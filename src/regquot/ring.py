@@ -65,18 +65,9 @@ class GradedRing:
         self.degree_window = degree_window
         self.laurent_window = laurent_window
         self._index = {g.name: i for i, g in enumerate(gens)}
-        rel_terms = []
-        for r in relations:
-            terms = r.terms if isinstance(r, RingElement) else dict(r)
-            canon = tuple(
-                sorted((tuple(e), base.normalize(c)) for e, c in terms.items() if c)
-            )
-            if canon:
-                rel_terms.append(canon)
-        self._relation_terms = tuple(sorted(rel_terms))
-        self.relations = tuple(
-            RingElement(self, dict(t)) for t in self._relation_terms
-        )
+        rels = (self.element(r.terms if isinstance(r, RingElement) else r) for r in relations)
+        self._relation_terms = tuple(sorted(tuple(sorted(r.terms.items())) for r in rels if r.terms))
+        self.relations = tuple(RingElement(self, dict(t)) for t in self._relation_terms)
         for r in self.relations:
             if not r.is_homogeneous():
                 raise NonHomogeneous("ring relations must be homogeneous")
@@ -114,19 +105,13 @@ class GradedRing:
         return RingElement(self, {})
 
     def one(self) -> "RingElement":
-        return self.constant(self.base.one())
+        return RingElement(self, {(0,) * len(self.generators): self.base.one()})
 
     def constant(self, c) -> "RingElement":
-        c = self.base.normalize(c)
-        if c == 0:
-            return self.zero()
-        return RingElement(self, {(0,) * len(self.generators): c})
+        return self.element({(0,) * len(self.generators): c})
 
     def monomial(self, exps, coeff=1) -> "RingElement":
-        c = self.base.normalize(coeff)
-        if c == 0:
-            return self.zero()
-        return RingElement(self, {tuple(exps): c})
+        return self.element({tuple(exps): coeff})
 
     def var(self, name: str) -> "RingElement":
         if name not in self._index:
@@ -136,7 +121,17 @@ class GradedRing:
         return self.monomial(exps)
 
     def element(self, terms) -> "RingElement":
-        return RingElement(self, dict(terms))
+        """The element with the ``{exponents: coefficient}`` terms given:
+        the entry point that normalizes each coefficient and checks each
+        monomial with a nonzero one against the window."""
+        clean = {}
+        for exps, c in dict(terms).items():
+            c = self.base.normalize(c)
+            if c:
+                exps = tuple(exps)
+                self.check_exps(exps)
+                clean[exps] = c
+        return RingElement(self, clean)
 
     def parse(self, text: str) -> "RingElement":
         from .exprs import evaluate
@@ -276,22 +271,19 @@ def _degree_exps(ring: GradedRing, d: int):
 
 
 class RingElement:
-    """Finite sum of monomial terms with base ring coefficients."""
+    """Finite sum of monomial terms with base ring coefficients.
+
+    ``terms`` maps exponent tuples that pass ``ring.check_exps`` to
+    coefficients that ``ring.base.normalize`` leaves unchanged; the
+    constructor drops the zero ones and trusts the rest.  Outside input
+    enters through ``GradedRing.element``, which checks both.
+    """
 
     __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: GradedRing, terms):
-        base = ring.base
-        clean = {}
-        for exps, coeff in terms.items():
-            c = base.normalize(coeff)
-            if c == 0:
-                continue
-            exps = tuple(exps)
-            ring.check_exps(exps)
-            clean[exps] = c
         self.ring = ring
-        self.terms = clean
+        self.terms = {exps: c for exps, c in terms.items() if c}
         self._hash = None
 
     # -- predicates ---------------------------------------------------
@@ -376,7 +368,11 @@ class RingElement:
                     terms[exps] = base.add(terms[exps], c)
                 else:
                     terms[exps] = c
-        return RingElement(self.ring, terms)
+        # a product is the one result that can leave the window
+        out = RingElement(self.ring, terms)
+        for exps in out.terms:
+            self.ring.check_exps(exps)
+        return out
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -525,13 +521,8 @@ class IdealContext:
             return self.lattice
         return lattice_for(field, self.rows, self.width)
 
-    def reduce_vector(self, vec):
-        base = self.ring.base
-        red = self.lattice.reduce(vec)
-        return [base.normalize(x) for x in red]
-
     def contains_vector(self, vec) -> bool:
-        return not any(x != 0 for x in self.lattice.reduce(vec))
+        return self.lattice.contains(vec)
 
     def solve_vector(self, vec):
         """Pairs ``(tag, c)`` writing ``vec`` as the sum of ``c`` times the
@@ -583,8 +574,10 @@ def normal_form(element: RingElement, gens, degree: int | None = None) -> RingEl
                 "bound %d exceeds degree window %d" % (degree, ring.degree_window)
             )
     ctx = ideal_context(ring, gens, d)
-    vec = element.vector(ctx.exps)
-    red = ctx.reduce_vector(vec)
+    # each lattice's reduce returns canonical coefficients: ints over Z,
+    # entries in [0, pivot), inside [0, m), over Z/m, residues mod p over
+    # F_p and reduced Fractions over Z_(p)
+    red = ctx.lattice.reduce(element.vector(ctx.exps))
     return RingElement(ring, dict(zip(ctx.exps, red)))
 
 

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -6,6 +8,7 @@ from regquot.clifford import (
     AlgebraMap,
     BruteForceModel,
     CliffordAlgebra,
+    QuotientCoefficients,
     ScalarCoefficients,
     TensorAlgebra,
     antipode,
@@ -19,12 +22,14 @@ from regquot.clifford import (
 )
 from regquot.conormal import ProductToken, QuotientRingSpec
 from regquot.errors import (
+    BadIndex,
     BoundTooSmall,
     MixedAlgebras,
     MixedCoefficients,
     NotCompatible,
     NotExterior,
     NotInIdeal,
+    SemanticError,
 )
 from regquot.ring import GradedRing, Generator, QuotientRing
 from regquot.scalars import BaseRing
@@ -300,6 +305,79 @@ def test_brute_force_matches_engine():
         for w1 in cl.basis_words():
             for w2 in cl.basis_words():
                 assert cl.word_product(w1, w2) == model.product(w1, w2)
+
+
+def test_element_products_match_brute_force():
+    """Products of seeded multi-term elements over Z, F_3, Z/4 and Z_(2),
+    with nonzero diagonal and cross forms, equal the brute-force model's
+    rewriting, and every element the arithmetic builds holds only nonzero
+    coefficients that ``coerce`` leaves unchanged."""
+    cases = [
+        (BaseRing.integers(), [1, -1, 2, 3]),
+        (BaseRing.prime_field(3), [1, 2, 4]),
+        (BaseRing.integers_mod(4), [1, 2, 3, 5]),
+        (BaseRing.integers_localized(2), [1, 2, Fraction(1, 3), Fraction(-2, 5)]),
+    ]
+    for base, values in cases:
+        rng = random.Random("element-products:%r" % (base,))
+        coeff = ScalarCoefficients(base)
+        for n in (2, 3):
+            matrix = [[rng.choice(values + [0]) for _ in range(n)] for _ in range(n)]
+            # a nonzero square and a nonzero cross term in every form
+            matrix[0][0], matrix[0][1], matrix[1][0] = 1, 1, 0
+            cross = {(i, j): matrix[i][j] + matrix[j][i] for i, j in combinations(range(n), 2)}
+            cl = CliffordAlgebra.from_scalars(base, [matrix[i][i] for i in range(n)], cross=cross)
+            model = BruteForceModel(coeff, matrix)
+            words = cl.basis_words()
+
+            def rand_elem():
+                picked = rng.sample(words, rng.randint(1, len(words)))
+                return cl.element({w: rng.choice(values) for w in picked})
+
+            def canonical(u):
+                for c in u.terms.values():
+                    assert not coeff.is_zero(c) and coeff.coerce(c) == c
+                    assert type(coeff.coerce(c)) is type(c)
+                return u
+
+            for _ in range(12):
+                u, v = rand_elem(), rand_elem()
+                want = {}
+                for w1, c1 in u.terms.items():
+                    for w2, c2 in v.terms.items():
+                        for w, c in model.product(w1, w2).items():
+                            val = coeff.mul(coeff.mul(c1, c2), c)
+                            want[w] = coeff.add(want.get(w, coeff.zero()), val)
+                assert canonical(u * v).terms == {w: c for w, c in want.items() if c != 0}
+                for built in (u, u + v, u - v, -u, u * 3, 2 * v, antipode(u)):
+                    canonical(built)
+
+
+def test_trivial_quotient_coefficients_have_zero_one():
+    """Over a quotient that holds 1, the stored unit is the reduced one, so
+    ``one`` and the generators are zero elements."""
+    R = GradedRing(BaseRing.integers(), [Generator("x", 2)], degree_window=4)
+    coeff = QuotientCoefficients(QuotientRing(R, [R.constant(1)]))
+    assert coeff.one().is_zero()
+    cl = CliffordAlgebra._raw(coeff, ("a0",), (1,), (coeff.zero(),), {})
+    assert cl.one().is_zero() and cl.generator(0).is_zero()
+
+
+def test_tensor_element_checks_words_and_coefficients():
+    """``TensorAlgebra.element`` checks each word as
+    ``CliffordAlgebra.element`` does and stores coerced coefficients."""
+    cl = CliffordAlgebra.from_scalars(BaseRing.prime_field(3), [1, 2])
+    t = TensorAlgebra(cl, cl)
+    with pytest.raises(BadIndex):
+        t.element({((0,), (5,)): 1})
+    with pytest.raises(SemanticError):
+        t.element({((1, 0), ()): 1})
+    with pytest.raises(SemanticError):
+        t.element({((0,), (1, 1)): 1})
+    u = t.element({((0, 1), (1,)): 7, ((), ()): 3})
+    assert u.terms == {((0, 1), (1,)): 1}
+    # (a0*a1)^2 = -q0*q1 = -2 and a1^2 = q1 = 2, so the square is -4 = 2
+    assert u * u == t.element({((), ()): 2})
 
 
 def test_brute_force_bound_too_small():

@@ -17,7 +17,9 @@ from regquot.ring import (
     Generator,
     IdealContext,
     QuotientRing,
+    RingElement,
     domain_report,
+    ideal_context,
     normal_form,
     normal_form_any,
 )
@@ -451,3 +453,107 @@ def test_int_slice_rows_match_base_valued_rows():
                     assert out == vec
                     solved += any(vec)
     assert solved >= 100, solved
+
+
+# -- trusted arithmetic against a validating constructor ---------------
+
+
+def ref_element(ring, terms):
+    """The element a constructor that trusts nothing builds from raw
+    ``terms``: each coefficient normalized, zero ones dropped and every
+    other monomial checked against the window."""
+    base = ring.base
+    clean = {}
+    for exps, c in terms.items():
+        c = base.normalize(c)
+        if c != 0:
+            ring.check_exps(tuple(exps))
+            clean[tuple(exps)] = c
+    return RingElement(ring, clean)
+
+
+def outcome(fn):
+    """``fn()``, or the class of the window error it raises."""
+    try:
+        return fn()
+    except WindowOverflow:
+        return WindowOverflow
+
+
+def test_trusted_arithmetic_matches_validating_constructor():
+    """Sums, differences, products and normal forms of seeded elements
+    over Z, F_3, Z/4 and Z_(2) equal what a validating constructor makes of
+    their raw terms, and hold only canonical nonzero coefficients.  The
+    ring has a degree-zero and an invertible generator in a small window,
+    so some products leave it and must raise ``WindowOverflow``."""
+    gens = [Generator("x", 2), Generator("t", 0), Generator("v", 2, invertible=True)]
+    third = Fraction(1, 3)
+    cases = [
+        (BaseRing.integers(), [1, -1, 2, 3, -6]),
+        (BaseRing.prime_field(3), [1, 2, 4, -5]),
+        (BaseRing.integers_mod(4), [1, 2, 3, 6, -1]),
+        (BaseRing.integers_localized(2), [1, 2, third, Fraction(-4, 5), Fraction(6, 7)]),
+    ]
+    overflows = reduced = 0
+    for base, coeffs in cases:
+        R = GradedRing(base, gens, degree_window=4, laurent_window=1)
+        rng = Random("trusted:%r" % (base,))
+
+        def rand_elem(d):
+            exps = R.degree_exps(d)
+            picked = rng.sample(exps, min(len(exps), rng.randint(1, 4)))
+            return R.element({e: rng.choice(coeffs) for e in picked})
+
+        def canonical(e):
+            assert all(c != 0 and base.normalize(c) == c for c in e.terms.values())
+            assert all(type(base.normalize(c)) is type(c) for c in e.terms.values())
+            return e
+
+        ideal = [rand_elem(2), rand_elem(0) * 2]
+        for _ in range(40):
+            a, b = rand_elem(rng.choice([-2, 0, 2])), rand_elem(rng.choice([0, 2, 4]))
+            keys = set(a.terms) | set(b.terms)
+            total = {e: a.coefficient(e) + b.coefficient(e) for e in keys}
+            diff = {e: a.coefficient(e) - b.coefficient(e) for e in keys}
+            raw = {}
+            for e1, c1 in a.terms.items():
+                for e2, c2 in b.terms.items():
+                    e = tuple(i + j for i, j in zip(e1, e2))
+                    raw[e] = raw.get(e, 0) + c1 * c2
+            assert canonical(a + b) == ref_element(R, total)
+            assert canonical(a - b) == ref_element(R, diff)
+            assert canonical(-a) == ref_element(R, {e: -c for e, c in a.terms.items()})
+            assert canonical(3 * a) == ref_element(R, {e: 3 * c for e, c in a.terms.items()})
+            got = outcome(lambda: a * b)
+            assert got == outcome(lambda: ref_element(R, raw))
+            if got is WindowOverflow:
+                overflows += 1
+                continue
+            canonical(got)
+            for comp in (a, b, got):
+                if comp.is_zero():
+                    continue
+                d = comp.degree()
+                ctx = ideal_context(R, ideal, d)
+                red = ctx.lattice.reduce(comp.vector(ctx.exps))
+                nf = canonical(normal_form(comp, ideal))
+                assert nf == ref_element(R, dict(zip(ctx.exps, red)))
+                reduced += nf != comp
+    assert overflows and reduced
+
+
+def test_element_rejects_outside_input():
+    """``GradedRing.element`` is where terms enter: it refuses monomials
+    outside the window and coefficients outside the base."""
+    gens = [Generator("x", 2), Generator("t", 0), Generator("v", 2, invertible=True)]
+    R = GradedRing(BaseRing.integers_localized(2), gens, degree_window=4, laurent_window=1)
+    for exps in [(3, 0, 0), (0, 5, 0), (0, 0, 2), (0, 0, -2)]:
+        with pytest.raises(WindowOverflow):
+            R.element({exps: 1})
+    with pytest.raises(SemanticError):
+        R.element({(-1, 0, 1): 1})
+    with pytest.raises(SemanticError):
+        R.element({(1, 0, 0): Fraction(1, 2)})
+    with pytest.raises(SemanticError):
+        R.monomial([0, 0, 1], Fraction(3, 4))
+    assert R.element({(1, 0, 0): Fraction(3, 1), (0, 0, 1): 0}).terms == {(1, 0, 0): 3}
