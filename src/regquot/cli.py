@@ -336,13 +336,16 @@ def _render_lines(value, indent=""):
         lines = []
         for key in value:
             sub = value[key]
-            if isinstance(sub, (dict, list)):
+            # an empty list or dict stays on its key's line, as [] or {}
+            if isinstance(sub, (dict, list)) and sub:
                 lines.append("%s%s:" % (indent, key))
                 lines.extend(_render_lines(sub, indent + "  "))
             else:
                 lines.append("%s%s: %s" % (indent, key, sub))
         return lines
     if isinstance(value, list):
+        if not value:
+            return ["%s[]" % indent]
         if all(not isinstance(v, (dict, list)) for v in value):
             return ["%s- %s" % (indent, ", ".join(str(v) for v in value))]
         lines = []

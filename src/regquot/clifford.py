@@ -4,7 +4,8 @@ Elements are kept in normal form on the basis of strictly increasing index
 words.  Multiplication inserts generators one at a time: a repeated index
 contracts to the quadratic value, and moving a generator past a larger one
 swaps with a sign and adds the polarized cross term.  Coefficients are
-treated as central.
+treated as central.  Quotient-coefficient sums, products and negatives
+are memoized per ``QuotientRing``, and basis-word products per algebra.
 """
 from __future__ import annotations
 
@@ -84,12 +85,9 @@ class QuotientCoefficients:
     def __init__(self, quotient: QuotientRing):
         self.quotient = quotient
         self.ring = quotient.ring
-
-    def zero(self):
-        return self.ring.zero()
-
-    def one(self):
-        return self.quotient.one()
+        # the quotient's own operations: one, add, mul and neg are memoized there
+        self.zero, self.one = quotient.zero, quotient.one
+        self.add, self.mul, self.neg = quotient.add, quotient.mul, quotient.neg
 
     def coerce(self, v):
         if isinstance(v, (int, Fraction)):
@@ -97,15 +95,6 @@ class QuotientCoefficients:
         if not isinstance(v, RingElement) or v.ring != self.ring:
             raise SemanticError("coefficient outside the quotient ring")
         return self.quotient.nf(v)
-
-    def add(self, a, b):
-        return self.quotient.nf(a + b)
-
-    def mul(self, a, b):
-        return self.quotient.nf(a * b)
-
-    def neg(self, a):
-        return self.quotient.nf(-a)
 
     def is_zero(self, a):
         return a.is_zero()
@@ -187,6 +176,7 @@ class CliffordAlgebra:
         self.form = form
         self.n = len(names)
         self._icache: dict = {}
+        self._wcache: dict = {}
 
     # -- identity -----------------------------------------------------
 
@@ -327,7 +317,12 @@ class CliffordAlgebra:
         return res
 
     def word_product(self, w1, w2):
-        """Product of two basis words as a word-to-coefficient mapping."""
+        """Product of two basis words as a word-to-coefficient mapping,
+        computed once per pair; callers only read it."""
+        key = (w1, w2)
+        hit = self._wcache.get(key)
+        if hit is not None:
+            return hit
         coeff = self.coeff
         terms = {w1: coeff.one()}
         for j in w2:
@@ -339,6 +334,7 @@ class CliffordAlgebra:
                         continue
                     nxt[u] = coeff.add(nxt.get(u, coeff.zero()), val)
             terms = {w: c for w, c in nxt.items() if not coeff.is_zero(c)}
+        self._wcache[key] = terms
         return terms
 
 

@@ -37,7 +37,8 @@ def _require_exterior(algebra) -> None:
 
 
 class DerivationOperator:
-    """Odd derivation sending each generator to a coefficient multiple of 1."""
+    """Odd derivation sending each generator to a coefficient multiple of 1;
+    ``support`` pairs each generator whose image is nonzero with it."""
 
     parity = 1
 
@@ -46,12 +47,11 @@ class DerivationOperator:
         images = tuple(owner.coeff.coerce(v) for v in images)
         if len(images) != owner.n:
             raise SemanticError("one image per generator required")
+        support = tuple((i, c) for i, c in enumerate(images) if not owner.coeff.is_zero(c))
         degree = None
         if owner.degrees is not None:
             degs = set()
-            for i, c in enumerate(images):
-                if owner.coeff.is_zero(c):
-                    continue
+            for i, c in support:
                 cd = owner.coeff.degree_of(c)
                 if cd is None:
                     raise NonHomogeneous("derivation images must be homogeneous")
@@ -65,6 +65,7 @@ class DerivationOperator:
                 degree = degs.pop()
         self.owner = owner
         self.images = images
+        self.support = support
         self.degree = degree
         self.label = label
 
@@ -74,10 +75,10 @@ class DerivationOperator:
         coeff = self.owner.coeff
         out: dict = {}
         for w, c in elem.terms.items():
-            for t, i in enumerate(w):
-                ci = self.images[i]
-                if coeff.is_zero(ci):
+            for i, ci in self.support:
+                if i not in w:
                     continue
+                t = w.index(i)
                 val = coeff.mul(c, ci)
                 if t % 2:
                     val = coeff.neg(val)
@@ -88,7 +89,7 @@ class DerivationOperator:
     __call__ = apply
 
     def is_zero(self) -> bool:
-        return all(self.owner.coeff.is_zero(c) for c in self.images)
+        return not self.support
 
     def __add__(self, other):
         if not isinstance(other, DerivationOperator) or other.owner != self.owner:
@@ -120,12 +121,7 @@ class DerivationOperator:
         )
 
     def __repr__(self):
-        coeff = self.owner.coeff
-        parts = [
-            "%s*Q%d" % (coeff.render(c), i)
-            for i, c in enumerate(self.images)
-            if not coeff.is_zero(c)
-        ]
+        parts = ["%s*Q%d" % (self.owner.coeff.render(c), i) for i, c in self.support]
         return " + ".join(parts) if parts else "0"
 
 
@@ -227,6 +223,8 @@ def compose(ops, owner: CliffordAlgebra | None = None) -> CohomologyOperator:
 
     def run(elem):
         for op in reversed(ops):
+            if not elem.terms:
+                break
             elem = op.apply(elem)
         return elem
 
@@ -407,19 +405,16 @@ def psi_inverse(f: GeneratorFunctional) -> DerivationOperator:
 
 
 class DualFunctional:
-    """Coefficient-valued functional tabulated on the 2^n word basis."""
+    """Coefficient-valued functional tabulated on the 2^n word basis.
+
+    ``table`` maps word tuples to coefficients that ``owner.coeff.coerce``
+    returns unchanged, and only its zero values are dropped: outside input
+    goes through ``kronecker_dual``."""
 
     def __init__(self, owner: CliffordAlgebra, table):
-        _require_exterior(owner)
-        coeff = owner.coeff
-        clean = {}
-        for w, c in dict(table).items():
-            w = tuple(w)
-            c = coeff.coerce(c)
-            if not coeff.is_zero(c):
-                clean[w] = c
+        is_zero = owner.coeff.is_zero
         self.owner = owner
-        self.table = clean
+        self.table = {w: c for w, c in table.items() if not is_zero(c)}
 
     def value(self, word):
         return self.table.get(tuple(word), self.owner.coeff.zero())
@@ -449,8 +444,11 @@ class DualFunctional:
 
 
 def kronecker_dual(algebra: CliffordAlgebra, mapping) -> DualFunctional:
-    """Tabulate a coefficient-valued map on the word basis."""
-    return DualFunctional(algebra, mapping)
+    """Tabulate a coefficient-valued map on the word basis: the entry point
+    that turns each word into a tuple and coerces each value."""
+    _require_exterior(algebra)
+    coerce = algebra.coeff.coerce
+    return DualFunctional(algebra, {tuple(w): coerce(c) for w, c in dict(mapping).items()})
 
 
 def Psi(op) -> DualFunctional:

@@ -603,6 +603,13 @@ class QuotientRing:
         self.ideal = tuple(g for g in ideal if not g.is_zero())
         # element -> residue; each residue is also its own key (nf is idempotent)
         self._nf: dict = {}
+        # operands -> residue of their sum, product or negative: a job sees
+        # few distinct residues, so each operation runs once per operands
+        self._add: dict = {}
+        self._mul: dict = {}
+        self._neg: dict = {}
+        self._zero = ring.zero()
+        self._one = None
 
     def _key(self):
         return (self.ring, self.ideal)
@@ -635,19 +642,35 @@ class QuotientRing:
         return self.nf(a - b).is_zero()
 
     def one(self) -> RingElement:
-        return self.nf(self.ring.one())
+        if self._one is None:
+            self._one = self.nf(self.ring.one())
+        return self._one
 
     def zero(self) -> RingElement:
-        return self.ring.zero()
+        return self._zero
+
+    # add, mul and neg store a result only once it is computed, so an
+    # operation that raises (a product leaving the window) raises each time
 
     def add(self, a, b):
-        return self.nf(a + b)
+        key = (a, b)
+        red = self._add.get(key)
+        if red is None:
+            red = self._add[key] = self.nf(a + b)
+        return red
 
     def mul(self, a, b):
-        return self.nf(a * b)
+        key = (a, b)
+        red = self._mul.get(key)
+        if red is None:
+            red = self._mul[key] = self.nf(a * b)
+        return red
 
     def neg(self, a):
-        return self.nf(-a)
+        red = self._neg.get(a)
+        if red is None:
+            red = self._neg[a] = self.nf(-a)
+        return red
 
     def entry(self, d: int):
         """(free rank, invariant factors) of the degree-d graded piece."""

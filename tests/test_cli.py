@@ -223,6 +223,8 @@ EXTERIOR_DIGESTS = {
     ("cohomology", 8): "873304d62396d48a667cdae416d9a9c832024ee790874d6b70906be5e8296d4d",
     ("derivations", 5): "5fa4e37bd7fae55c9910f055cfffc256422a8c4ee3d8ef22a78607f1ff0b35ab",
     ("derivations", 6): "2c439c95bc665de4decf2f9c2abb381d7cdf1c2badf37584c6368bd809fccef4",
+    ("derivations", 7): "8c533024b782136508bece28d0d2e9200b3fa049cec9b0b5a297f61142613a27",
+    ("cohomology", 10): "eeeb72e7a3a2c2dca6bf2837c23e0a00c559a5707fc28bffd73917a152055adc",
 }
 
 
@@ -353,6 +355,26 @@ XY_RING = {
     "base": "F2",
     "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 2}],
 }
+
+
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        (
+            {"command": "multiply", "ring": XY_RING, "sequence": ["x"], "factors": ["a0", "a0"]},
+            "  terms: []",
+        ),
+        ({"command": "derivations", "ring": XY_RING, "sequence": []}, "leibniz: []"),
+    ],
+    ids=["zero-product", "rank-0-derivations"],
+)
+def test_text_report_renders_empty_lists_on_their_key(doc, line, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert line in lines
+    assert not any(l.strip() == "-" for l in lines)
 
 
 @pytest.mark.parametrize(

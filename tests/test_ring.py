@@ -335,6 +335,59 @@ def test_quotient_nf_memo_matches_uncached_normal_form():
     assert nonzero and inhomogeneous
 
 
+def test_quotient_operation_tables_match_fresh_normal_forms():
+    """``QuotientRing.mul``, ``add`` and ``neg`` answer from per-ring
+    tables.  On seeded pairs of normal forms over the K(2) at p=2
+    coefficient quotient Z_(2)[v1, v2^{±1}]/(2, v1), an F_3 quotient and a
+    Z/4 quotient, each answer, asked twice and in both operand orders,
+    equals a fresh ``normal_form_any`` of the raw result; a product that
+    leaves the window raises ``WindowOverflow`` every time it is asked."""
+    k2 = GradedRing(
+        BaseRing.integers_localized(2),
+        [Generator("v1", 2), Generator("v2", 6, invertible=True)],
+        degree_window=8,
+    )
+    gens = [Generator("x", 2), Generator("y", 4)]
+    quotients = [QuotientRing(k2, [k2.constant(2), k2.var("v1")])]
+    for base in (BaseRing.prime_field(3), BaseRing.integers_mod(4)):
+        R = GradedRing(base, gens, degree_window=8)
+        x, y = R.var("x"), R.var("y")
+        quotients.append(QuotientRing(R, [x * x + y * 3, x * 2]))
+    values = [1, -1, 2, 3, Fraction(1, 3)]
+    overflows = nonzero = 0
+    for q in quotients:
+        R = q.ring
+        rng = Random("quotient-tables:%r" % (R,))
+        assert q.one() is q.one() and q.one() == normal_form_any(R.one(), q.ideal)
+        elems = []
+        for _ in range(12):
+            terms = {}
+            for d in rng.sample(list(R.even_degrees()), 2):
+                exps = R.degree_exps(d)
+                for m in rng.sample(exps, min(2, len(exps))):
+                    terms[m] = rng.choice(values if R is k2 else values[:4])
+            elems.append(normal_form_any(R.element(terms), q.ideal))
+        for _ in range(40):
+            a, b = rng.choice(elems), rng.choice(elems)
+            want = {
+                q.mul: outcome(lambda: normal_form_any(a * b, q.ideal)),
+                q.add: normal_form_any(a + b, q.ideal),
+            }
+            for op, expected in want.items():
+                for u, v in ((a, b), (b, a), (a, b)):
+                    assert outcome(lambda: op(u, v)) == expected
+            overflows += want[q.mul] is WindowOverflow
+            nonzero += want[q.mul] is not WindowOverflow and not want[q.mul].is_zero()
+            for _ in range(2):
+                assert q.neg(a) == normal_form_any(-a, q.ideal)
+    # v2^2 has degree 12 > 8: the first call and the second both raise
+    v2 = quotients[0].nf(k2.var("v2"))
+    for _ in range(2):
+        with pytest.raises(WindowOverflow):
+            quotients[0].mul(v2, v2)
+    assert overflows and nonzero
+
+
 def test_quotient_nf_memo_is_per_ring():
     """Two rings that differ only in the degree window share no memo
     entries: an element of one is still refused by the quotient of the
