@@ -28,6 +28,7 @@ from .errors import (
 from .linalg import (
     FieldLattice,
     _row_combination,
+    common_denominator,
     kernel_basis,
     lattice_for,
     lattice_intersection_rows,
@@ -134,32 +135,34 @@ def quotient_invariants(z_rows, b_rows, width, base) -> ModuleEntry:
 
 def _lattice_quotient(lat, b_rows, base) -> ModuleEntry:
     """Invariants of L/B for the lattice ``lat`` = L and rows B inside it:
-    B written on ``lat.basis()``, then Smith form.
+    B written on ``lat.integer_basis()``, then Smith form.
 
-    Over Z/m ``lat`` is the integer lift L + m * Z^w, so B is lifted too, by
+    The Smith form takes the integer coordinates without their unit
+    denominators, as a unit multiple of a row keeps the span.  Over Z/m
+    ``lat`` is the integer lift L + m * Z^w, so B is lifted too, by
     ``modulus_rows`` in ambient coordinates: m * e_j on the basis of L is
     not m * e_j.  (The m * e_j that ``module_invariants`` adds on the
     coordinates lie in m * L, which those rows already span.)  Over the
     other bases ``modulus_rows`` is empty."""
     if not lat.rank:
         return ModuleEntry()
-    coords = [lat.coordinates(b) for b in b_rows + modulus_rows(base, lat.width)]
+    coords = [lat.integer_coordinates(b) for b in b_rows + modulus_rows(base, lat.width)]
     if None in coords:
         raise SemanticError("relation span escapes the cycle span")
-    return ModuleEntry(*module_invariants(base, coords, lat.rank))
+    return ModuleEntry(*module_invariants(base, [row for row, _ in coords], lat.rank))
 
 
-def _is_unit_row(coeffs, r, rows, lat, width) -> bool:
-    """Whether sum of ``(c_k - [k == r]) * rows[k]`` lies in ``lat``.
+def _is_unit_row(coeffs, r, rows, lat, width, den=1) -> bool:
+    """Whether sum of ``(c_k - den * [k == r]) * rows[k]`` lies in ``lat``.
 
-    That is, whether ``coeffs`` is row ``r`` of the identity modulo ``lat``;
-    with ``r`` None, whether it is the zero row.  The sum is taken on plain
-    ``int`` and ``Fraction`` values: every lattice accepts any integer
-    representative of a vector over F_p or Z/m.
+    That is, for a unit ``den``, whether ``coeffs / den`` is row ``r`` of
+    the identity modulo ``lat``; with ``r`` None, whether it is the zero
+    row.  The sum is taken on plain ``int`` values: every lattice accepts
+    any integer representative of a vector over F_p or Z/m.
     """
     if r is not None:
         coeffs = list(coeffs)
-        coeffs[r] -= 1
+        coeffs[r] -= den
     diff = _row_combination(coeffs, rows, [0] * width)
     return not any(diff) or lat.contains(diff)
 
@@ -240,6 +243,12 @@ def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport
 
     Both paths decide each degree alike, so the report, ``failure_degree``
     included, does not depend on the path.
+
+    The first entry of a ring without relations over a domain (Z, Z_(p),
+    F_p) passes with no scan: L_s and L_t are 0 over the base, and y * M is
+    the product x * y (a ``used`` m has all of x * m in the window) in a
+    Laurent polynomial ring over a domain, so y * M = 0 forces y = 0.  Z/4
+    is no domain: there 2 * 2 = 0.
     """
     one = (0,) * len(ring.generators)
     constants = []  # the coefficients of the constant entries so far
@@ -249,7 +258,8 @@ def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport
             return RegularityReport(False, k, None, window, "zero entry")
         p = residue_prime(ring.base, constants)
         dx = x.degree()
-        for d in ring.even_degrees(window - dx):
+        no_scan = not prev and not ring.relations and ring.base.is_domain
+        for d in () if no_scan else ring.even_degrees(window - dx):
             # The leading ("gen", 0, m) rows of the principal slice are x * m
             # for each monomial m of degree d whose product fits.
             mult = ideal_context(ring, (x,), d + dx)
@@ -580,35 +590,39 @@ def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
         ctxs = [ideal_context(ring, fam, q) for fam in fams]
         rels = [ideal_context(ring, _product_gens(ring, allgens, fam), q) for fam in fams]
         entries = [_lattice_quotient(c.lattice, r.rows, base) for c, r in zip(ctxs, rels)]
-        a_basis = lat.basis()
-        bases = [c.lattice.basis() for c in ctxs]
+        a_basis = lat.integer_basis()
+        bases = [c.lattice.integer_basis() for c in ctxs]
         # fwd[s][r]: the part of a_basis[r] on the generator rows of ideal s,
         # a combination of rows of ctxs[s], on that lattice's basis.  Row r
-        # of the transform writes a_basis[r] on the rows of ctx_all; over Z/m
-        # its entries on the lattice's own multiples of m, which vanish over
-        # Z/m, come last and the zip with row_owner drops them.
-        sols = lat.T[: lat.rank]
-        fwd = [
-            [c.lattice.coordinates(_row_combination(
+        # of the transform writes unit * a_basis[r] on the rows of ctx_all;
+        # over Z/m its entries on the lattice's own multiples of m, which
+        # vanish over Z/m, come last and the zip with row_owner drops them.
+        sols, unit = lat.integer_transform()
+        fwd, fden = common_denominator([
+            [c.lattice.integer_coordinates(_row_combination(
                 [x if o == s else 0 for x, o in zip(sol, row_owner)], ctx_all.rows, [0] * width
             )) for sol in sols]
             for s, c in enumerate(ctxs)
-        ]
+        ])
         # bwd[s][k]: basis vector k of summand s on a_basis
-        bwd = [[lat.coordinates(b) for b in basis] for basis in bases]
+        bwd, bden = common_denominator(
+            [[lat.integer_coordinates(b) for b in basis] for basis in bases]
+        )
         back_rows = [row for rows in bwd for row in rows]
+        # fwd is over fden * unit and bwd over bden, so each composite is X / den
+        den = fden * unit * bden
         ok = all(
             # backward ∘ forward = identity on A modulo I² relations
             _is_unit_row(
                 _row_combination([c for f in fwd for c in f[r]], back_rows, [0] * len(a_basis)),
-                r, a_basis, rel_all.lattice, width,
+                r, a_basis, rel_all.lattice, width, den,
             )
             for r in range(len(a_basis))
         ) and all(
             # forward ∘ backward = identity on each summand modulo its relations
             _is_unit_row(
                 _row_combination(brow, fwd[s], [0] * len(bases[s])),
-                r if s == idx else None, bases[s], rels[s].lattice, width,
+                r if s == idx else None, bases[s], rels[s].lattice, width, den,
             )
             for idx, rows in enumerate(bwd)
             for r, brow in enumerate(rows)

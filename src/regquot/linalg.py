@@ -18,8 +18,8 @@ elimination).
 
 Each lattice answers ``reduce``, ``contains`` and ``coordinates`` (the
 coefficients of a vector on the echelon ``basis()``) from the echelon form
-alone.  Only ``solve``, which writes a vector on the original rows, needs
-the transform ``T``, and every lattice builds it the same way, on first
+alone.  Only ``solve`` and ``integer_transform``, which write on the
+original rows, need the transform ``T``; every lattice builds it on first
 read: the elimination runs again on rows that carry the identity as extra
 columns past ``width`` (``_with_identity``), and ``_transform_rows`` reads
 them back.  ``kernel_basis`` reads the kernel from those columns too.
@@ -30,13 +30,13 @@ elimination only on the rows that are left.
 Rows are ``int``: the ring layer clears the coefficients of each ideal
 slice and each Koszul differential once, over one p-unit multiple, and
 hands every lattice integer rows, which nothing here converts again.
-``Fraction`` s with p-unit denominators arrive only as vectors and as
-``LocalLattice`` coordinates.  The p-local routines accept them and compute
-fraction-free: each row is an integer vector over one p-unit denominator,
-and elimination multiplies rows by p-units (Bareiss-style
-integer-preserving elimination), which are invertible over Z_(p).
-``Fraction`` s are built only for returned values, which are exactly the
-rationals that elimination over Q would give.
+``Fraction`` s with p-unit denominators arrive only as vectors.  The
+p-local routines compute fraction-free: each row is an integer vector over
+one p-unit denominator, and elimination multiplies rows by p-units
+(Bareiss-style integer-preserving elimination), which are invertible over
+Z_(p).  Quotients and conormal maps read every lattice through its
+``integer_*`` views, so ``Fraction`` s are built only for what ``basis()``,
+``T``, ``reduce``, ``coordinates`` and ``solve`` return.
 
 ``lattice_for``, ``module_invariants``, ``kernel_basis`` and
 ``residue_prime`` are the one place where the base ring picks the algebra:
@@ -195,7 +195,27 @@ def hnf_transform(rows, width):
     return [_dense(row, width) for row in A], _transform_rows(A, width, len(rows)), pivots
 
 
-class IntLattice:
+class _Lattice:
+    """Integer views of a lattice, each ``D`` a unit: ``integer_basis()``,
+    ``integer_transform()`` as ``(t, D)`` with ``t[r] * rows == D * basis[r]``
+    and ``integer_coordinates(vec)`` as ``(C, D)`` with ``C / D`` on that
+    basis, or None.  Here, for ``int`` lattices, ``D`` is 1."""
+
+    def contains(self, vec) -> bool:
+        return not any(self.reduce(vec))
+
+    def integer_basis(self):
+        return self.basis()
+
+    def integer_transform(self):
+        return self.T[: self.rank], 1
+
+    def integer_coordinates(self, vec):
+        coef = self.coordinates(vec)
+        return None if coef is None else (coef, 1)
+
+
+class IntLattice(_Lattice):
     """Row span of integer vectors with canonical coset representatives.
 
     Construction runs ``_hermite`` on sparse rows and keeps that echelon
@@ -243,9 +263,6 @@ class IntLattice:
     def reduce(self, vec):
         """Canonical representative of ``vec`` modulo the lattice."""
         return self._reduce(vec)
-
-    def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
 
     def coordinates(self, vec):
         """Integer coefficients on ``basis()`` giving ``vec``, or None."""
@@ -517,18 +534,18 @@ def _bareiss_local(A, d, width, p):
     return pivots
 
 
-class LocalLattice:
+class LocalLattice(_Lattice):
     """Span over Z_(p) of p-local rational rows, echelonized with p-power pivots.
 
     Row ``i`` of the echelon form is kept fraction-free, as a sparse integer
-    row over one positive p-unit denominator ``d[i]``, by
-    ``_bareiss_local``; ``reduce``, ``contains`` and ``coordinates`` read
-    only these rows.  ``E`` and ``basis()`` give them as ``Fraction`` s,
-    built once on first use.  The transform ``T`` with ``E == T * rows`` is
-    needed by ``solve`` alone: on first read the same elimination runs again
-    with the identity columns of ``_with_identity``.  Rows whose
-    denominator is divisible by ``p`` are not p-local and raise
-    ``SemanticError``.
+    row ``A[i]`` over one positive p-unit denominator ``d[i]``, by
+    ``_bareiss_local``.  The pivot rows ``A[r]`` are ``integer_basis()``,
+    and one loop, ``_reduce``, gives the residue and the coordinates on it
+    over one p-unit; ``E``, ``basis()``, ``reduce``, ``coordinates`` and
+    ``solve`` give them as ``Fraction`` s.  The transform ``T`` with
+    ``E == T * rows`` is built on first read by the same elimination with
+    the identity columns of ``_with_identity``.  Rows whose denominator is
+    divisible by ``p`` are not p-local and raise ``SemanticError``.
     """
 
     def __init__(self, rows, width, p):
@@ -547,23 +564,35 @@ class LocalLattice:
         ]
 
     @cached_property
-    def T(self):
+    def _transform(self):
+        """``(U, d)`` with ``T[i] == U[i] / d[i]``."""
         A, d = _local_rows(self._rows, self.p)
         _bareiss_local(_with_identity(A, self.width, d), d, self.width, self.p)
-        return [
-            _fractions(t, den) for t, den in zip(_transform_rows(A, self.width, self.nrows), d)
-        ]
+        return _transform_rows(A, self.width, self.nrows), d
+
+    @cached_property
+    def T(self):
+        return [_fractions(t, den) for t, den in zip(*self._transform)]
 
     def basis(self):
         return [self.E[r] for r, _, _ in self.pivots]
 
-    def _reduce_numerators(self, vec, coef=None):
-        """``(N, D)``: ``vec`` reduced to ``N / D``; ``coef[r]`` records what
-        ``basis()[r]`` removed: ``(dr*N - q*A[r]) / (D*dr) == N/D - (q/D) * E[r]``
-        for the echelon row ``A[r]`` over ``dr``.
-        The normal-form path ``reduce`` passes no ``coef``."""
+    def integer_basis(self):
+        return [_dense(row, self.width) for row in self._echelon[: self.rank]]
+
+    def integer_transform(self):
+        # T[r] * rows == A[r] / d[r] with T[r] == U[r] / e[r], e from T's run
+        U, e = self._transform
+        D = lcm(*e[: self.rank])
+        return [[dr * D // f * x for x in t] for t, f, dr in zip(U, e, self._d[: self.rank])], D
+
+    def _reduce(self, vec):
+        """``(N, C, D)`` with ``vec == (N + sum of C[r] * A[r]) / D``, ``N / D``
+        its canonical residue: taking ``q / D`` times ``A[r] / d[r]`` off is
+        ``(d[r] * N - q * A[r]) / (d[r] * D)``, so ``C[r]`` is ``q``."""
         p = self.p
         N, D = _local_numerators(vec, p)
+        C = {}
         for r, c, v in self.pivots:
             x = N[c]
             if not x:
@@ -574,25 +603,30 @@ class LocalLattice:
                 dr = self._d[r]
                 if dr != 1:
                     N = [dr * a for a in N]
+                    C = {k: dr * a for k, a in C.items()}
+                    D *= dr
                 for j, y in self._echelon[r].items():
                     N[j] -= q * y
-                if coef is not None:
-                    coef[r] = Fraction(q, D)
-                D *= dr
-        return N, D
+                C[r] = q
+        return N, C, D
 
     def reduce(self, vec):
         """Canonical representative of ``vec`` modulo the lattice."""
-        return _fractions(*self._reduce_numerators(vec))
+        N, _, D = self._reduce(vec)
+        return _fractions(N, D)
 
     def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        return not any(self._reduce(vec)[0])
+
+    def integer_coordinates(self, vec):
+        """``(C, D)`` with ``C / D`` on ``integer_basis()`` giving ``vec``, or None."""
+        N, C, D = self._reduce(vec)
+        return None if any(N) else (_dense(C, self.rank), D)
 
     def coordinates(self, vec):
         """Z_(p) coefficients on ``basis()`` giving ``vec``, or None."""
-        coef = [_ZERO] * self.rank
-        N, _ = self._reduce_numerators(vec, coef)
-        return None if any(N) else coef
+        got = self.integer_coordinates(vec)
+        return got and [Fraction(c * dr, got[1]) if c else _ZERO for c, dr in zip(got[0], self._d)]
 
     def solve(self, vec):
         """Z_(p) coefficients on the original rows giving ``vec``, or None."""
@@ -652,7 +686,7 @@ def _echelon_mod_p(A, width, p):
     return echelon, kernel
 
 
-class FieldLattice:
+class FieldLattice(_Lattice):
     """Span over F_p of integer rows, in sparse reduced row echelon form mod p.
 
     ``pivots`` are the pivot columns in increasing order, and ``basis()[k]``
@@ -705,9 +739,6 @@ class FieldLattice:
                     res[j] -= f * x
         return [x % p for x in res]
 
-    def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
-
     def coordinates(self, vec):
         """Coefficients mod p on ``basis()`` giving ``vec``, or None."""
         if not self.contains(vec):
@@ -728,6 +759,14 @@ class FieldLattice:
 def cleared_rows(rows):
     """Scale each row by the lcm of its denominators; returns integer rows."""
     return [_cleared(row)[0] for row in rows]
+
+
+def common_denominator(groups):
+    """Groups of ``(row, d)`` pairs as ``(rows, D)``, ``rows[g][i] / D == row / d``."""
+    D = lcm(*(d for pairs in groups for _, d in pairs))
+    return [
+        [row if d == D else [x * (D // d) for x in row] for row, d in pairs] for pairs in groups
+    ], D
 
 
 def cleared_matrix(rows):
@@ -781,17 +820,16 @@ def lift_rank(lat) -> int:
 def module_invariants(base, rows, width):
     """``(free rank, factors)`` of ``base^width`` modulo the span of ``rows``.
 
-    ``factors`` are the sorted invariant factors above 1 of the quotient, as
-    p-parts over Z_(p); there the rows, such as ``LocalLattice``
-    coordinates, may hold ``Fraction`` s: clearing scales each row by a
-    unit of Z_(p), which keeps the span.  Over F_p a quotient of dimension
-    k has free rank 0 and k factors p, as over its integer lift; over Z/m
-    the rows are lifted by ``modulus_rows``.
+    The rows are ``int``.  ``factors`` are the sorted invariant factors above
+    1 of the quotient, as p-parts over Z_(p), where a row stands for all its
+    p-unit multiples, such as ``integer_coordinates`` over any denominator.
+    Over F_p a quotient of dimension k has free rank 0 and k factors p, as
+    over its integer lift; over Z/m the rows are lifted by ``modulus_rows``.
     """
     if base.kind == PRIME_FIELD:
         return 0, (base.p,) * (width - FieldLattice(rows, width, base.p).rank)
     if base.kind == INTEGERS_LOCALIZED:
-        invs = [p_part(v, base.p) for v in snf_invariants(cleared_rows(rows))]
+        invs = [p_part(v, base.p) for v in snf_invariants(rows)]
     else:
         invs = snf_invariants(rows + modulus_rows(base, width))
     return width - len(invs), tuple(sorted(v for v in invs if v > 1))

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd
 
 from .errors import MixedRings, NonHomogeneous, SemanticError, WindowOverflow
 from .linalg import cleared_matrix, lattice_for, module_invariants
@@ -219,8 +220,10 @@ def _degree_exps(ring: GradedRing, d: int):
     lw = ring.laurent_window
     minrest = [0] * (n + 1)
     maxrest: list[int | None] = [0] * (n + 1)
+    modulus = [0] * (n + 1)  # gcd of the degrees of generators i, i + 1, ...
     for i in range(n - 1, -1, -1):
         g = gens[i]
+        modulus[i] = gcd(g.degree, modulus[i + 1])
         lo = -lw * g.degree if g.invertible else 0
         minrest[i] = minrest[i + 1] + lo
         if maxrest[i + 1] is None or (not g.invertible and g.degree > 0):
@@ -230,15 +233,8 @@ def _degree_exps(ring: GradedRing, d: int):
             maxrest[i] = maxrest[i + 1] + hi
     out = []
     acc = [0] * n
-    # a last generator of positive degree takes the one exponent that is left
-    last = n - 1 if n and gens[-1].degree > 0 else None
 
     def rec(i: int, remaining: int) -> None:
-        if i == last:
-            e, r = divmod(remaining, gens[i].degree)
-            if not r and (-lw <= e <= lw if gens[i].invertible else e >= 0):
-                out.append((*acc[:i], e))
-            return
         if i == n:
             if remaining == 0:
                 out.append(tuple(acc))
@@ -254,7 +250,18 @@ def _degree_exps(ring: GradedRing, d: int):
             if hi < 0:
                 return
             hi //= g.degree
-        for e in range(lo, hi + 1):
+        # Generators i, i + 1, ... reach only multiples of k = modulus[i], and
+        # those after i of G = modulus[i + 1]: remaining - e * |g| is one iff
+        # e lies in one class mod G / k, or, for G = 0, iff it is 0.
+        k, G = modulus[i], modulus[i + 1]
+        if k and remaining % k:
+            return
+        step = G // k if G else 1
+        if step > 1:
+            lo += ((remaining // k) * pow(g.degree // k, -1, step) - lo) % step
+        elif k and not G:
+            lo, hi = max(lo, remaining // k), min(hi, remaining // k)
+        for e in range(lo, hi + 1, step):
             rem = remaining - e * g.degree
             if rem < minrest[i + 1]:
                 if not g.invertible and g.degree > 0:

@@ -275,6 +275,30 @@ def test_modular_reports_match_pinned_digests(command, base):
     assert hashlib.sha256(text.encode()).hexdigest() == MODULAR_DIGESTS[command, base]
 
 
+@pytest.mark.parametrize("command, window", [("tor", 20), ("decompose", 12)])
+def test_integer_and_two_local_reports_are_identical(command, window):
+    # The ladder's shapes have unit coefficients, so localizing at 2 keeps
+    # every invariant factor (all powers of 2) and every listed degree.
+    texts = []
+    for base in ("Z", "Z_(2)"):
+        doc = {
+            "command": command,
+            "ring": {
+                "base": base,
+                "generators": [{"name": n, "degree": 2} for n in ("x", "y", "z")],
+            },
+            "window": {"degree": window},
+        }
+        if command == "tor":
+            doc.update(first=["x", "y", "z"], second=["x"], index=1)
+        else:
+            doc.update(ideals=[["x"], ["y"], ["z"]])
+        report = run_job(parse_job(json.dumps(doc)))
+        assert report.status == 0
+        texts.append(canonical_json(report.payload()))
+    assert texts[0] == texts[1]
+
+
 # sha256 of the canonical reports of K(n) scenario jobs that the benchmark
 # ladder does not run.  K(4) at p=3 takes about 2 s and is left out.
 SCENARIO_DIGESTS = {

@@ -22,6 +22,7 @@ from regquot.ideals import (
     RegularityReport,
     _cycle_rows,
     _is_unit_row,
+    _product_gens,
     _regularity,
     check_condition_ii,
     check_regular_sequence,
@@ -35,6 +36,7 @@ from regquot.linalg import (
     FieldLattice,
     IntLattice,
     LocalLattice,
+    _row_combination,
     cleared_matrix,
     kernel_basis,
     lattice_for,
@@ -375,6 +377,11 @@ def test_unit_row_check(base):
     assert not _is_unit_row([1, 1], 0, rows, lat, 2)
     assert _is_unit_row([0, 0], None, rows, lat, 2)
     assert not _is_unit_row([0, 1], None, rows, lat, 2)
+    # over a denominator 5, which is a unit of every base here: [5, 0] / 5
+    # is row 0, and [4, 0] / 5 differs from it by -[1, 1] / 5
+    assert _is_unit_row([5, 0], 0, rows, lat, 2, 5)
+    assert not _is_unit_row([5, 1], 0, rows, lat, 2, 5)
+    assert _is_unit_row([4, 0], 0, rows, lat, 2, 5) == (base.p == 3)
     mod = base.characteristic
     if mod:
         # raw integers that differ from the identity row, or from the zero
@@ -383,6 +390,91 @@ def test_unit_row_check(base):
         assert _is_unit_row([-mod, 1 + 2 * mod], 1, rows, lat, 2)
         assert _is_unit_row([mod, mod], None, rows, lat, 2)
         assert not _is_unit_row([1 + mod, 1], 0, rows, lat, 2)
+
+
+def ref_conormal_checks(ring, ideals, window):
+    """Degree -> whether ``decompose_conormal``'s two checks pass, computed
+    on ``Fraction`` rows: the maps on ``basis()`` through ``T`` and
+    ``coordinates``, and each check as ``X - e_r`` in the relation span."""
+    fams = [tuple(fam) for fam in ideals]
+    allgens = sum(fams, ())
+    owner = [idx for idx, fam in enumerate(fams) for _ in fam]
+    prod_all = _product_gens(ring, allgens, allgens)
+
+    def unit_row(coeffs, r, rows, lat, width):
+        coeffs = list(coeffs)
+        if r is not None:
+            coeffs[r] -= 1
+        diff = _row_combination(coeffs, rows, [Fraction(0)] * width)
+        return not any(diff) or lat.contains(diff)
+
+    out = {}
+    for q in ring.even_degrees(window):
+        width = len(ring.degree_exps(q))
+        ctx_all = ideal_context(ring, allgens, q)
+        lat = ctx_all.lattice
+        if not width or not lat.rank:
+            continue
+        row_owner = [owner[gi] if kind == "gen" else None for kind, gi, _ in ctx_all.tags]
+        rel_all = ideal_context(ring, prod_all, q)
+        ctxs = [ideal_context(ring, fam, q) for fam in fams]
+        rels = [ideal_context(ring, _product_gens(ring, allgens, fam), q) for fam in fams]
+        a_basis = lat.basis()
+        bases = [c.lattice.basis() for c in ctxs]
+        fwd = [
+            [c.lattice.coordinates(_row_combination(
+                [x if o == s else 0 for x, o in zip(sol, row_owner)], ctx_all.rows,
+                [Fraction(0)] * width,
+            )) for sol in lat.T[: lat.rank]]
+            for s, c in enumerate(ctxs)
+        ]
+        bwd = [[lat.coordinates(b) for b in basis] for basis in bases]
+        back_rows = [row for rows in bwd for row in rows]
+        out[q] = all(
+            unit_row(
+                _row_combination(
+                    [c for f in fwd for c in f[r]], back_rows, [Fraction(0)] * len(a_basis)
+                ),
+                r, a_basis, rel_all.lattice, width,
+            )
+            for r in range(len(a_basis))
+        ) and all(
+            unit_row(
+                _row_combination(brow, fwd[s], [Fraction(0)] * len(bases[s])),
+                r if s == idx else None, bases[s], rels[s].lattice, width,
+            )
+            for idx, rows in enumerate(bwd)
+            for r, brow in enumerate(rows)
+            for s in range(len(fams))
+        )
+    return out
+
+
+def test_conormal_checks_match_fraction_reference():
+    # Seeded Z_(2) and Z_(3) families with torsion coefficients and p-unit
+    # denominators: the integer maps over one p-unit denominator decide
+    # every degree as the Fraction maps do.
+    gens = [Generator(n, 2) for n in ("x", "y", "z")]
+    rng = random.Random(1503)
+    checked = 0
+    for p in (2, 3):
+        ring = GradedRing(BaseRing.integers_localized(p), gens, degree_window=8)
+        x, y, z = (ring.var(n) for n in ("x", "y", "z"))
+        fams = [[[2 * x], [6 * y]], [[6 * y], [x], [z]], [[x, 2 * y], [z]]]
+        for _ in range(6):
+            choices = [1, -1, 2, 3, 6, Fraction(5, 7), Fraction(-4, 5)]
+            coeffs = [rng.choice(choices) for _ in range(3)]
+            fams.append([[c * g] for c, g in zip(coeffs, (x, y, z))])
+        for ideals in fams:
+            try:
+                dec = decompose_conormal(ring, ideals)
+            except ConditionIIFails:
+                continue
+            want = ref_conormal_checks(ring, ideals, ring.degree_window)
+            assert {q: d.verified for q, d in dec.degrees.items()} == want, ideals
+            assert dec.verified
+            checked += 1
+    assert checked >= 10
 
 
 # -- oracle for the regularity check ----------------------------------
@@ -621,9 +713,10 @@ def test_field_path_calls_no_kernel_basis(monkeypatch):
         assert kernels(field, x, y) == kernels(field, x + y, x) == 0
         local = GradedRing(BaseRing.integers_localized(p), xy, degree_window=8)
         x, y = local.var("x"), local.var("y")
-        # entry p itself runs on a kernel; nothing after it does
+        # entry p, the first over a domain without relations, needs no
+        # kernel, and nothing after it runs one
         first = kernels(local, local.constant(p))
-        assert first > 0
+        assert first == 0
         assert kernels(local, local.constant(p), x, y) == first
         assert kernels(local, local.constant(Fraction(p, 5)), x) == first
         # after p^2 the entries keep the kernel path
@@ -632,6 +725,55 @@ def test_field_path_calls_no_kernel_basis(monkeypatch):
         spec = build_scenario(p, 3).spec
         assert kernels(spec.ring, *spec.sequence) == kernels(spec.ring, spec.sequence[0])
     _clear_ring_caches()
+
+
+def test_first_entry_over_a_domain_matches_kernel_oracle(monkeypatch):
+    # With no earlier entry and no relations, a nonzero entry over Z,
+    # Z_(p) or F_p passes every degree with no kernel; over Z/4 the kernel
+    # path still finds that 2 kills 2.
+    calls = []
+    counted = lambda *args: calls.append(args) or kernel_basis(*args)  # noqa: E731
+    monkeypatch.setattr(ideals_module, "kernel_basis", counted)
+    xy = [Generator("x", 2), Generator("y", 2)]
+    laurent = [Generator("x", 2), Generator("v", 4, invertible=True)]
+    bases = [
+        (BaseRing.integers(), [1, -1, 2, 6]),
+        (BaseRing.integers_localized(2), [1, 2, 6, Fraction(4, 3)]),
+        (BaseRing.integers_localized(3), [1, 3, 6, Fraction(9, 2)]),
+        (BaseRing.prime_field(3), [1, 2]),
+        (BaseRing.integers_mod(4), [1, 2, 3]),
+        (BaseRing.integers_mod(6), [1, 2, 3]),
+    ]
+    rng = random.Random(1502)
+    outcomes = set()
+    for base, coeffs in bases:
+        plain = GradedRing(base, xy, degree_window=8)
+        x, y = plain.var("x"), plain.var("y")
+        rings = [
+            plain,
+            GradedRing(base, laurent, degree_window=6, laurent_window=1),
+            GradedRing(base, xy, degree_window=8, relations=[x * x * y - y * y * y]),
+        ]
+        for ring in rings:
+            cases = [(ring.constant(c),) for c in coeffs]
+            for _ in range(6):
+                length = rng.randint(1, 2)
+                cases.append(tuple(_random_homogeneous(rng, ring, coeffs) for _ in range(length)))
+            for seq in cases:
+                _clear_ring_caches()
+                want = ref_regularity_kernel(ring, seq, ring.degree_window)
+                _clear_ring_caches()
+                calls.clear()
+                got = _regularity(ring, seq, ring.degree_window)
+                assert got == want, (ring, seq)
+                if base.is_domain and not ring.relations and len(seq) == 1:
+                    assert not calls, (ring, seq)
+                outcomes.add((base.is_domain, want.regular))
+    z4 = GradedRing(BaseRing.integers_mod(4), xy, degree_window=8)
+    report = _regularity(z4, (z4.constant(2),), 8)
+    assert not report.regular and report.first_failure == 1 and report.failure_degree == 0
+    _clear_ring_caches()
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # -- one lattice per ideal slice --------------------------------------

@@ -432,6 +432,55 @@ def test_local_lattice_rejects_rows_that_are_not_p_local():
     assert str(err.value) == "denominator of 3/4 is divisible by 2, not 2-local"
 
 
+def test_integer_quotient_route_matches_cleared_fraction_coordinates():
+    """``_lattice_quotient`` hands the integer coordinates of each relation,
+    without their p-unit denominators, to the Smith form; the route it
+    replaces took the ``Fraction`` ``coordinates`` and cleared them row by
+    row with ``cleared_rows``.  The p-parts must agree."""
+    from regquot.ideals import ModuleEntry, _lattice_quotient
+
+    rng = Random(1504)
+    unit_dens = escaped = nontrivial = 0
+    for _ in range(600):
+        p = rng.choice([2, 3, 5])
+        rows, w = local_matrix(rng, p)
+        lat = LocalLattice(rows, w, p)
+        base = BaseRing.integers_localized(p)
+        b_rows = [
+            [
+                sum((Fraction(q) * row[j] for q, row in zip(coeffs, rows)), Fraction(0))
+                for j in range(w)
+            ]
+            for coeffs in ([local_entry(rng, p) for _ in rows] for _ in range(rng.randint(0, 4)))
+        ]
+        entry = ModuleEntry()
+        if lat.rank:
+            coords = [lat.coordinates(b) for b in b_rows]
+            invs = [p_part(v, p) for v in snf_invariants(cleared_rows(coords))]
+            entry = ModuleEntry(lat.rank - len(invs), tuple(sorted(v for v in invs if v > 1)))
+        assert _lattice_quotient(lat, b_rows, base) == entry
+        nontrivial += bool(entry.factors)
+        sols, unit = lat.integer_transform()
+        assert unit % p and len(sols) == lat.rank
+        for sol, a in zip(sols, lat.integer_basis()):
+            assert combo(rows, sol) == [unit * x for x in a]
+        for b in b_rows:
+            C, D = lat.integer_coordinates(b)
+            assert D > 0 and D % p and all(type(c) is int for c in C)
+            unit_dens += D != 1
+            got = combo(lat.integer_basis(), C) if C else [0] * w
+            assert [Fraction(x, D) for x in got] == b
+        stranger = [local_entry(rng, p) for _ in range(w)]
+        if not lat.contains(stranger):
+            assert lat.integer_coordinates(stranger) is None
+        if lat.rank and not lat.contains(stranger):
+            escaped += 1
+            with pytest.raises(SemanticError):
+                _lattice_quotient(lat, b_rows + [stranger], base)
+    assert unit_dens >= 500 and escaped >= 200, (unit_dens, escaped)
+    assert nontrivial >= 100, nontrivial
+
+
 def test_cleared_helpers_match_fraction_reference():
     rng = Random(101)
     for _ in range(500):

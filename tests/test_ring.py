@@ -145,6 +145,21 @@ def test_degree_exps_match_brute_force():
             BaseRing.integers(), gens,
             degree_window=rng.randint(0, 8), laurent_window=rng.randint(0, 2),
         ))
+    # degrees whose gcds leave most exponent prefixes without a monomial,
+    # as in the Morava rings, whose generators have degrees 2(p^i - 1)
+    for _ in range(30):
+        gens = [
+            Generator("g%d" % i, rng.choice([0, 4, 6, 10, 16]), invertible=rng.random() < 0.3)
+            for i in range(rng.randint(2, 4))
+        ]
+        rings.append(GradedRing(
+            BaseRing.integers(), gens,
+            degree_window=rng.randint(0, 20), laurent_window=rng.randint(0, 2),
+        ))
+    rings.append(GradedRing(
+        BaseRing.integers_localized(3),
+        [Generator("v1", 4), Generator("v2", 16), Generator("v3", 52, invertible=True)], 54, 2,
+    ))
     last = [g.generators[-1] for g in rings if g.generators]
     # invertible, degree-0 and plain last generators all occur
     assert {(g.invertible, g.degree > 0) for g in last} == {
