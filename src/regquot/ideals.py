@@ -128,7 +128,7 @@ class GradedModuleReport:
 
 def quotient_invariants(z_rows, b_rows, width, base) -> ModuleEntry:
     """Invariants of Z/B for lattices B <= Z inside a rank-``width`` slice."""
-    if width == 0 or not z_rows:
+    if width == 0:
         return ModuleEntry()
     return _lattice_quotient(lattice_for(base, z_rows, width), b_rows, base)
 
@@ -144,8 +144,6 @@ def _lattice_quotient(lat, b_rows, base) -> ModuleEntry:
     not m * e_j.  (The m * e_j that ``module_invariants`` adds on the
     coordinates lie in m * L, which those rows already span.)  Over the
     other bases ``modulus_rows`` is empty."""
-    if not lat.rank:
-        return ModuleEntry()
     coords = [lat.integer_coordinates(b) for b in b_rows + modulus_rows(base, lat.width)]
     if None in coords:
         raise SemanticError("relation span escapes the cycle span")
@@ -205,7 +203,7 @@ def _has_kernel(base, rows, used, src, tgt, p):
     for row, m in zip(rows, used):
         e = [0] * src.width
         e[pos[m]] = 1
-        joint.append(tgt.residue_lattice.reduce(row) + src.residue_lattice.reduce(e))
+        joint.append(tgt.residue_lattice.reduce(row)[0] + src.residue_lattice.reduce(e)[0])
     pivots = FieldLattice(joint, tgt.width + src.width, p).pivots
     return bool(pivots) and pivots[-1] >= tgt.width  # a pivot past tgt's block
 

@@ -533,14 +533,22 @@ class IdealContext:
 
     def solve_vector(self, vec):
         """Pairs ``(tag, c)`` writing ``vec`` as the sum of ``c`` times the
-        multiple each tag names, before ``scale``, over the base; or None.
+        multiple each tag names, before ``scale``, over the base, each ``c``
+        nonzero and canonical; or None.
 
         Over Z/m the lattice's own multiples of m come after the tagged rows
         and drop out of the pairs, being zero over Z/m."""
         sol = self.lattice.solve(vec)
         if sol is None:
             return None
-        return [(tag, c * self.scale) for tag, c in zip(self.tags, sol) if c]
+        S, D = sol
+        normalize, scale = self.ring.base.normalize, self.scale
+        # S is not reduced over F_p and Z/m, so x may normalize to 0
+        return [
+            (tag, c)
+            for tag, x in zip(self.tags, S)
+            if x and (c := normalize(x * scale if D == 1 else Fraction(x * scale, D)))
+        ]
 
     def quotient_entry(self):
         """(free rank, nontrivial invariant factors) of this graded piece."""
@@ -581,11 +589,16 @@ def normal_form(element: RingElement, gens, degree: int | None = None) -> RingEl
                 "bound %d exceeds degree window %d" % (degree, ring.degree_window)
             )
     ctx = ideal_context(ring, gens, d)
-    # each lattice's reduce returns canonical coefficients: ints over Z,
-    # entries in [0, pivot), inside [0, m), over Z/m, residues mod p over
-    # F_p and reduced Fractions over Z_(p)
-    red = ctx.lattice.reduce(element.vector(ctx.exps))
-    return RingElement(ring, dict(zip(ctx.exps, red)))
+    # The lattice answers the canonical residue as integers N over one unit
+    # D: ints over Z, in [0, pivot), inside [0, m), over Z/m, residues mod p
+    # over F_p, and over Z_(p) numerators over a p-unit.  This exit and
+    # IdealContext.solve_vector are the only places that divide, and
+    # normalize gives each coefficient its base ring's type.
+    N, D = ctx.lattice.reduce(element.vector(ctx.exps))
+    normalize = ring.base.normalize
+    return RingElement(
+        ring, {e: normalize(x if D == 1 else Fraction(x, D)) for e, x in zip(ctx.exps, N) if x}
+    )
 
 
 def normal_form_any(element: RingElement, gens) -> RingElement:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_linalg import over
 
 from regquot import ideals as ideals_module
 from regquot import linalg
@@ -22,6 +23,7 @@ from regquot.ideals import (
     RegularityReport,
     _cycle_rows,
     _is_unit_row,
+    _lattice_quotient,
     _product_gens,
     _regularity,
     check_condition_ii,
@@ -327,6 +329,42 @@ def test_quotient_invariants_localize_by_p_part():
     assert nontrivial >= 40 and mixed >= 10, (nontrivial, mixed)
 
 
+def test_rank_zero_cycle_span_refuses_escaping_relations():
+    # A cycle span of rank 0, from zero rows or from no rows at all, takes
+    # the escape check that every other rank takes: a relation row outside
+    # it raises, and zero relation rows, over F_3 also rows that are 0 mod
+    # 3, give the zero entry.
+    rng = random.Random(1601)
+    f3 = BaseRing.prime_field(3)
+    escaped = 0
+    for base in (BaseRing.integers_localized(2), f3, BaseRing.integers()):
+        for _ in range(60):
+            width = rng.randint(1, 4)
+            z_rows = [[0] * width for _ in range(rng.randint(0, 3))]
+            mult = 3 if base == f3 else 0
+            zero = [
+                [mult * rng.randint(-2, 2) for _ in range(width)]
+                for _ in range(rng.randint(0, 3))
+            ]
+            lat = lattice_for(base, z_rows, width)
+            assert lat.rank == 0
+            assert quotient_invariants(z_rows, zero, width, base) == ModuleEntry()
+            assert _lattice_quotient(lat, zero, base) == ModuleEntry()
+            stranger = [rng.randint(-5, 5) for _ in range(width)]
+            if base.p == 2:
+                stranger = [Fraction(x, rng.choice((1, 3, 5))) for x in stranger]
+            if not any(x % 3 if base == f3 else x for x in stranger):
+                continue
+            escaped += 1
+            rows = zero + [stranger]
+            rng.shuffle(rows)
+            with pytest.raises(SemanticError, match="escapes the cycle span"):
+                quotient_invariants(z_rows, rows, width, base)
+            with pytest.raises(SemanticError, match="escapes the cycle span"):
+                _lattice_quotient(lat, rows, base)
+    assert escaped >= 150, escaped
+
+
 def _p_part(n, p):
     out = 1
     while n % p == 0:
@@ -394,8 +432,11 @@ def test_unit_row_check(base):
 
 def ref_conormal_checks(ring, ideals, window):
     """Degree -> whether ``decompose_conormal``'s two checks pass, computed
-    on ``Fraction`` rows: the maps on ``basis()`` through ``T`` and
-    ``coordinates``, and each check as ``X - e_r`` in the relation span."""
+    on ``Fraction`` rows: the maps on ``integer_basis()`` through the
+    transform and the coordinates as ``t / D`` and ``C / D``, with nothing
+    cleared, and each check as ``X - e_r`` in the relation span.  Each row
+    of ``integer_basis()`` is a unit times the echelon row, so each check
+    row only gains unit factors, and no decision changes."""
     fams = [tuple(fam) for fam in ideals]
     allgens = sum(fams, ())
     owner = [idx for idx, fam in enumerate(fams) for _ in fam]
@@ -419,16 +460,18 @@ def ref_conormal_checks(ring, ideals, window):
         rel_all = ideal_context(ring, prod_all, q)
         ctxs = [ideal_context(ring, fam, q) for fam in fams]
         rels = [ideal_context(ring, _product_gens(ring, allgens, fam), q) for fam in fams]
-        a_basis = lat.basis()
-        bases = [c.lattice.basis() for c in ctxs]
+        a_basis = lat.integer_basis()
+        bases = [c.lattice.integer_basis() for c in ctxs]
+        t, D = lat.integer_transform()
+        sols = [over((row, D)) for row in t]
         fwd = [
-            [c.lattice.coordinates(_row_combination(
+            [over(c.lattice.integer_coordinates(_row_combination(
                 [x if o == s else 0 for x, o in zip(sol, row_owner)], ctx_all.rows,
                 [Fraction(0)] * width,
-            )) for sol in lat.T[: lat.rank]]
+            ))) for sol in sols]
             for s, c in enumerate(ctxs)
         ]
-        bwd = [[lat.coordinates(b) for b in basis] for basis in bases]
+        bwd = [[over(lat.integer_coordinates(b)) for b in basis] for basis in bases]
         back_rows = [row for rows in bwd for row in rows]
         out[q] = all(
             unit_row(

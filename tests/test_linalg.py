@@ -17,7 +17,6 @@ from regquot.linalg import (
     FieldLattice,
     IntLattice,
     LocalLattice,
-    canonical_residue,
     cleared_matrix,
     cleared_rows,
     hnf_transform,
@@ -84,6 +83,29 @@ def combo(rows, coeffs):
     return out
 
 
+def over(got):
+    """An answer ``(X, D)`` of a lattice's integer face as the rationals
+    ``X / D``; None stays None."""
+    return None if got is None else [Fraction(x, got[1]) for x in got[0]]
+
+
+def fraction_face(lat):
+    """``(basis, T)``: the echelon basis of ``lat`` and the transform rows
+    writing it on the original rows, as ``Fraction`` s read off the integer
+    face.  Basis row ``r`` is row ``r`` of ``integer_basis()`` over the unit
+    part ``u`` of its pivot, which over Z_(p) leaves the pivot ``p^v`` and
+    elsewhere is 1; ``T[r]`` is row ``r`` of ``integer_transform()`` over
+    ``D * u``."""
+    t, D = lat.integer_transform()
+    basis, T = [], []
+    for row, tr in zip(lat.integer_basis(), t):
+        lead = next(x for x in row if x)
+        u = lead // p_part(lead, lat.p) if isinstance(lat, LocalLattice) else 1
+        basis.append([Fraction(x, u) for x in row])
+        T.append([Fraction(x, D * u) for x in tr])
+    return basis, T
+
+
 def test_hnf_transform_reconstructs_input():
     rng = Random(11)
     for _ in range(40):
@@ -111,9 +133,8 @@ def test_lattice_solve_returns_exact_witness():
         lat = IntLattice(rows, w)
         coeffs = [rng.randint(-5, 5) for _ in range(m)]
         v = combo(rows, coeffs)
-        x = lat.solve(v)
-        assert x is not None
-        assert combo(rows, x) == v
+        x, D = lat.solve(v)
+        assert D == 1 and combo(rows, x) == v
         assert lat.contains(v)
 
 
@@ -127,8 +148,9 @@ def test_lattice_reduction_is_canonical_on_cosets():
         v = [rng.randint(-9, 9) for _ in range(w)]
         shift = combo(rows, [rng.randint(-4, 4) for _ in range(m)])
         moved = [a + b for a, b in zip(v, shift)]
-        assert lat.reduce(v) == lat.reduce(moved)
-        assert lat.reduce(lat.reduce(v)) == lat.reduce(v)
+        red, D = lat.reduce(v)
+        assert D == 1 and lat.reduce(moved) == (red, 1)
+        assert lat.reduce(red) == (red, 1)
         assert lat.contains(v) == (lat.solve(v) is not None)
 
 
@@ -201,21 +223,16 @@ def test_pval_and_p_part():
     assert p_part(7, 2) == 1
 
 
-def test_canonical_residue_inverts_denominator():
-    # 1/3 = 3^{-1} mod 8 where 3*3 = 9 = 1, so 1/3 -> 3 mod 8
-    assert canonical_residue(Fraction(1, 3), 2, 3) == 3
-    assert canonical_residue(5, 2, 1) == 1
-    assert canonical_residue(Fraction(7, 5), 2, 0) == 0
-    assert canonical_residue(6, 3, 2) == 6
-
-
 def test_local_lattice_saturates_units():
     # over Z_(2) the row (3) spans everything, the row (6) spans 2*Z_(2)
     lat3 = LocalLattice([[3]], 1, 2)
     assert lat3.contains([1])
-    assert lat3.reduce([1]) == [0]
+    assert over(lat3.reduce([1])) == [0]
     lat6 = LocalLattice([[6]], 1, 2)
-    assert lat6.reduce([5]) == [1]
+    assert over(lat6.reduce([5])) == [1]
+    # 1/3 is 3 mod 2 * Z_(2) times the unit 3, and 3 * 3 = 9 is 1 mod 8
+    assert over(lat6.reduce([Fraction(1, 3)])) == [1]
+    assert over(LocalLattice([[8]], 1, 2).reduce([Fraction(1, 3)])) == [3]
     assert lat6.contains([Fraction(2, 3)])
     assert not lat6.contains([Fraction(1, 3)])
 
@@ -238,7 +255,7 @@ def test_local_lattice_solve_witness():
         lat = LocalLattice(rows, w, p)
         coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(m)]
         v = [sum((q * row[j] for q, row in zip(coeffs, rows)), Fraction(0)) for j in range(w)]
-        x = lat.solve(v)
+        x = over(lat.solve(v))
         assert x is not None
         got = [sum((q * row[j] for q, row in zip(x, rows)), Fraction(0)) for j in range(w)]
         assert got == v
@@ -260,8 +277,9 @@ def test_local_lattice_reduction_canonical():
             sum((q * row[j] for q, row in zip(coeffs, rows)), Fraction(0)) for j in range(w)
         ]
         moved = [a + b for a, b in zip(v, shift)]
-        assert lat.reduce(v) == lat.reduce(moved)
-        assert lat.reduce(lat.reduce(v)) == lat.reduce(v)
+        red = over(lat.reduce(v))
+        assert over(lat.reduce(moved)) == red
+        assert over(lat.reduce(red)) == red
 
 
 def test_cleared_rows_and_matrix():
@@ -402,10 +420,8 @@ def test_local_lattice_matches_fraction_oracle():
         lat = LocalLattice(rows, w, p)
         ref = RefLocalLattice(rows, w, p)
         assert lat.pivots == ref.pivots
-        assert lat.E == ref.E
-        assert lat.basis() == [ref.E[r] for r, _, _ in ref.pivots]
-        assert "T" not in vars(lat)
-        assert lat.T == ref.U
+        assert "_transform" not in vars(lat)
+        assert fraction_face(lat) == (ref.E[: lat.rank], ref.U[: lat.rank])
         for _ in range(3):
             if rng.random() < 0.5:
                 coeffs = [local_entry(rng, p) for _ in rows]
@@ -416,8 +432,8 @@ def test_local_lattice_matches_fraction_oracle():
             else:
                 vec = [local_entry(rng, p) for _ in range(w)]
             want = ref.solve(vec)
-            assert lat.reduce(vec) == ref.reduce(vec)
-            assert lat.solve(vec) == want
+            assert over(lat.reduce(vec)) == ref.reduce(vec)
+            assert over(lat.solve(vec)) == want
             assert lat.contains(vec) == (want is not None)
 
 
@@ -434,9 +450,10 @@ def test_local_lattice_rejects_rows_that_are_not_p_local():
 
 def test_integer_quotient_route_matches_cleared_fraction_coordinates():
     """``_lattice_quotient`` hands the integer coordinates of each relation,
-    without their p-unit denominators, to the Smith form; the route it
-    replaces took the ``Fraction`` ``coordinates`` and cleared them row by
-    row with ``cleared_rows``.  The p-parts must agree."""
+    without their p-unit denominators, to the Smith form; the reference
+    writes each relation on the ``Fraction`` echelon basis with the fraction
+    oracle and clears those rows one by one with ``cleared_rows``.  The
+    p-parts must agree, at every rank, 0 included."""
     from regquot.ideals import ModuleEntry, _lattice_quotient
 
     rng = Random(1504)
@@ -453,11 +470,9 @@ def test_integer_quotient_route_matches_cleared_fraction_coordinates():
             ]
             for coeffs in ([local_entry(rng, p) for _ in rows] for _ in range(rng.randint(0, 4)))
         ]
-        entry = ModuleEntry()
-        if lat.rank:
-            coords = [lat.coordinates(b) for b in b_rows]
-            invs = [p_part(v, p) for v in snf_invariants(cleared_rows(coords))]
-            entry = ModuleEntry(lat.rank - len(invs), tuple(sorted(v for v in invs if v > 1)))
+        on_basis = RefLocalLattice(fraction_face(lat)[0], w, p).solve
+        invs = [p_part(v, p) for v in snf_invariants(cleared_rows(map(on_basis, b_rows)))]
+        entry = ModuleEntry(lat.rank - len(invs), tuple(sorted(v for v in invs if v > 1)))
         assert _lattice_quotient(lat, b_rows, base) == entry
         nontrivial += bool(entry.factors)
         sols, unit = lat.integer_transform()
@@ -473,7 +488,6 @@ def test_integer_quotient_route_matches_cleared_fraction_coordinates():
         stranger = [local_entry(rng, p) for _ in range(w)]
         if not lat.contains(stranger):
             assert lat.integer_coordinates(stranger) is None
-        if lat.rank and not lat.contains(stranger):
             escaped += 1
             with pytest.raises(SemanticError):
                 _lattice_quotient(lat, b_rows + [stranger], base)
@@ -635,8 +649,8 @@ def test_snf_matches_reference_elimination():
 
 def ref_hnf_transform(rows, width):
     """Row Hermite form with a separately carried transform, the eager
-    form that ``hnf_transform``, ``kernel_basis`` and ``IntLattice.T`` must
-    reproduce."""
+    form that ``hnf_transform``, ``kernel_basis`` and the transform of
+    ``IntLattice`` must reproduce."""
     m = len(rows)
     A = [[int(x) for x in row] for row in rows]
     T = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -697,15 +711,15 @@ def test_lazy_transform_matches_eager_hermite_form():
         assert hnf_transform(rows, w) == (H, T, pivots)
         assert kernel_basis(ZZ, rows, w) == T[len(pivots) :]
         lat = IntLattice(rows, w)
-        assert (lat.H, lat.pivots, lat.rank) == (H, pivots, len(pivots))
-        assert "T" not in vars(lat)
+        assert (lat.integer_basis(), lat.pivots) == ([H[r] for r, _ in pivots], pivots)
+        assert "_transform" not in vars(lat)
         for _ in range(3):
             if rng.random() < 0.5:
                 vec = combo(rows, [rng.randint(-3, 3) for _ in rows])
             else:
                 vec = [rng.randint(-9, 9) for _ in range(w)]
-            assert lat.solve(vec) == ref_solve(H, T, pivots, vec)
-        assert lat.T == T
+            assert over(lat.solve(vec)) == ref_solve(H, T, pivots, vec)
+        assert lat.integer_transform() == (T[: len(pivots)], 1)
 
 
 def test_hermite_reduce_is_canonical_under_unimodular_row_operations():
@@ -725,17 +739,18 @@ def test_hermite_reduce_is_canonical_under_unimodular_row_operations():
             else:
                 moved[i] = [-a for a in moved[i]]
         lat, other = IntLattice(rows, w), IntLattice(moved, w)
-        assert other.basis() == lat.basis()
+        assert other.integer_basis() == lat.integer_basis()
         for _ in range(3):
             vec = [rng.randint(-12, 12) for _ in range(w)]
             assert other.reduce(vec) == lat.reduce(vec)
 
 
 def test_coordinates_match_second_lattice_route():
-    """``coordinates`` against the route it replaces: a second lattice over
-    ``basis()``, then ``solve`` on that lattice's rows.  The second lattice
-    is the test-local eager Hermite form over Z and the fraction oracle
-    over Z_(p), so neither side shares elimination code with the other."""
+    """``integer_coordinates``, as ``C / D``, against a second lattice over
+    ``integer_basis()`` and ``solve`` on that lattice's rows.  The second
+    lattice is the test-local eager Hermite form over Z and the fraction
+    oracle over Z_(p), so neither side shares elimination code with the
+    other."""
     rng = Random(149)
     inside = outside = 0
     for k in range(2000):
@@ -743,7 +758,7 @@ def test_coordinates_match_second_lattice_route():
             rows, w = int_matrix(rng, 6, 6, list(range(-5, 6)) + [0] * 4)
             lat = IntLattice(rows, w)
             if lat.rank:
-                H, T, pivots = ref_hnf_transform(lat.basis(), w)
+                H, T, pivots = ref_hnf_transform(lat.integer_basis(), w)
                 ref = lambda vec: ref_solve(H, T, pivots, vec)
             else:
                 ref = lambda vec: None if any(vec) else []
@@ -757,7 +772,7 @@ def test_coordinates_match_second_lattice_route():
             p = rng.choice([2, 3, 5])
             rows, w = local_matrix(rng, p)
             lat = LocalLattice(rows, w, p)
-            ref = RefLocalLattice(lat.basis(), w, p).solve
+            ref = RefLocalLattice(lat.integer_basis(), w, p).solve
 
             def member():
                 coeffs = [local_entry(rng, p) for _ in rows]
@@ -771,7 +786,7 @@ def test_coordinates_match_second_lattice_route():
         for _ in range(4):
             vec = member() if rng.random() < 0.5 else stranger()
             want = ref(vec)
-            got = lat.coordinates(vec)
+            got = over(lat.integer_coordinates(vec))
             assert (got is None) == (want is None)
             if got is None:
                 outside += 1
@@ -780,7 +795,7 @@ def test_coordinates_match_second_lattice_route():
             assert got == want
             assert len(got) == lat.rank
             total = [Fraction(0)] * w
-            for c, row in zip(got, lat.basis()):
+            for c, row in zip(got, lat.integer_basis()):
                 total = [t + c * x for t, x in zip(total, row)]
             assert total == [Fraction(x) for x in vec]
     assert inside > 2500 and outside > 1500
@@ -930,20 +945,21 @@ def test_int_lattice_matches_dense_reference():
         assert kernel_basis(base, rows, w) == [t[: len(rows)] for t in T[len(pivots) :]]
         lat, ref = IntLattice(lift, w), ref_IntLattice(lift, w)
         assert type(lattice_for(base, rows, w)) is IntLattice
-        assert (lat.H, lat.pivots, lat.rank) == (ref.H, ref.pivots, ref.rank)
-        assert (lat.H, lat.pivots) == (H, pivots)
-        assert lat.basis() == ref.basis()
-        assert "T" not in vars(lat)
+        assert (lat.pivots, lat.rank) == (ref.pivots, ref.rank)
+        assert (ref.H, ref.pivots) == (H, pivots)
+        assert lat.integer_basis() == ref.basis()
+        assert "_transform" not in vars(lat)
         for _ in range(4):
             if rng.random() < 0.5:
                 vec = combo(lift, [rng.randint(-3, 3) for _ in lift]) if lift else [0] * w
             else:
                 vec = [rng.randint(-40, 40) for _ in range(w)]
-            assert lat.reduce(vec) == ref.reduce(vec)
+            assert lat.reduce(vec) == (ref.reduce(vec), 1)
             assert lat.contains(vec) == ref.contains(vec)
-            assert lat.coordinates(vec) == ref.coordinates(vec)
-            assert lat.solve(vec) == ref.solve(vec)
-        assert lat.T == ref.T == T
+            assert over(lat.integer_coordinates(vec)) == ref.coordinates(vec)
+            assert over(lat.solve(vec)) == ref.solve(vec)
+        assert lat.integer_transform() == (ref.T[: ref.rank], 1)
+        assert ref.T == T
         assert snf_invariants(lift) == RefSnf(lift).invariants
         cases.add(kind)
         cases.add("width 0" if w == 0 else "no rows" if not lift else "rows")
@@ -997,8 +1013,8 @@ def combo_mod(rows, coeffs, w, p):
 
 def ref_echelon_mod_p(rows, width, p):
     """The reduced row echelon form mod ``p`` with the transform kept in a
-    separate ``{row: coef}`` dict per row, the form that ``FieldLattice.T``
-    and the F_p ``kernel_basis`` must reproduce.  Returns ``(echelon,
+    separate ``{row: coef}`` dict per row, the form that the transform of
+    ``FieldLattice`` and the F_p ``kernel_basis`` must reproduce.  Returns ``(echelon,
     kernel)``: ``echelon`` maps each pivot column to ``(row, transform)``,
     and ``kernel`` holds the transforms of the rows that reduce to zero."""
 
@@ -1052,7 +1068,7 @@ def test_field_lattice_matches_padded_integer_lattice():
         assert type(lattice_for(base, rows, w)) is FieldLattice
         assert lift_rank(lat) == ref.rank == w
         # the Hermite rows with pivot 1 are the echelon rows, the rest p * e_c
-        assert lat.basis() == [ref.H[r] for r, c in ref.pivots if ref.H[r][c] == 1]
+        assert lat.integer_basis() == [ref.H[r] for r, c in ref.pivots if ref.H[r][c] == 1]
         assert [c for r, c in ref.pivots if ref.H[r][c] == p] == [
             c for c in range(w) if c not in lat.pivots
         ]
@@ -1060,28 +1076,31 @@ def test_field_lattice_matches_padded_integer_lattice():
         assert module_invariants(base, rows, w) == (0, factors) == (0, (p,) * (w - lat.rank))
         echelon, kernel = ref_echelon_mod_p(rows, w, p)
         assert lat.pivots == sorted(echelon)
-        assert lat.basis() == [dense_of(echelon[c][0], w) for c in lat.pivots]
-        assert "T" not in vars(lat)
-        assert lat.T == [dense_of(echelon[c][1], m) for c in lat.pivots]
+        assert lat.integer_basis() == [dense_of(echelon[c][0], w) for c in lat.pivots]
+        assert "_transform" not in vars(lat)
+        T, D = lat.integer_transform()
+        assert (T, D) == ([dense_of(echelon[c][1], m) for c in lat.pivots], 1)
         assert kernel_basis(base, rows, w) == [dense_of(t, m) for t in kernel]
-        assert len(lat.T) == lat.rank
-        for t, row in zip(lat.T, lat.basis()):
+        assert len(T) == lat.rank
+        for t, row in zip(T, lat.integer_basis()):
             assert combo_mod(rows, t, w, p) == row
         for _ in range(4):
             if rng.random() < 0.5:
                 vec = combo(rows, [rng.randint(-p, p) for _ in rows]) if rows else [0] * w
             else:
                 vec = [rng.randint(-2 * p, 2 * p) for _ in range(w)]
-            red = lat.reduce(vec)
-            assert red == ref.reduce(vec)
+            red, D = lat.reduce(vec)
+            assert D == 1 and red == ref.reduce(vec)
             assert all(0 <= x < p for x in red)
             inside = lat.contains(vec)
             assert inside == ref.contains(vec)
-            coef, sol = lat.coordinates(vec), lat.solve(vec)
+            coef, sol = lat.integer_coordinates(vec), lat.solve(vec)
             if not inside:
                 assert coef is None and sol is None
                 continue
-            assert combo_mod(lat.basis(), coef, w, p) == [x % p for x in vec]
+            (coef, c_den), (sol, s_den) = coef, sol
+            assert c_den == s_den == 1
+            assert combo_mod(lat.integer_basis(), coef, w, p) == [x % p for x in vec]
             assert len(sol) == m
             assert combo_mod(rows, sol, w, p) == [x % p for x in vec]
         ker = kernel_basis(base, rows, w)

@@ -4,6 +4,7 @@ from itertools import product
 from random import Random
 
 import pytest
+from test_linalg import over
 
 from regquot.errors import (
     MixedRings,
@@ -510,7 +511,7 @@ def test_int_slice_rows_match_base_valued_rows():
                             vec = [base.add(a, base.mul(c, b)) for a, b in zip(vec, row)]
                     else:
                         vec = [base.normalize(rng.choice(coeffs + [0, 0])) for _ in range(ctx.width)]
-                    assert ctx.lattice.reduce(vec) == ref_lat.reduce(vec)
+                    assert over(ctx.lattice.reduce(vec)) == over(ref_lat.reduce(vec))
                     pairs = ctx.solve_vector(vec)
                     if not ref_lat.contains(vec):
                         assert pairs is None
@@ -603,11 +604,64 @@ def test_trusted_arithmetic_matches_validating_constructor():
                     continue
                 d = comp.degree()
                 ctx = ideal_context(R, ideal, d)
-                red = ctx.lattice.reduce(comp.vector(ctx.exps))
+                red = over(ctx.lattice.reduce(comp.vector(ctx.exps)))
                 nf = canonical(normal_form(comp, ideal))
                 assert nf == ref_element(R, dict(zip(ctx.exps, red)))
                 reduced += nf != comp
     assert overflows and reduced
+
+
+def test_ring_exits_keep_the_base_coefficient_type():
+    """The lattices answer in integers over one unit, and ``normal_form``
+    and ``IdealContext.solve_vector`` are the two places that divide.  Over
+    Z, F_3, Z/4 and Z_(2), seeded elements go through both: every
+    coefficient is nonzero where ``normal_form`` stores it, canonical, and
+    of its base ring's type, ``Fraction`` over Z_(2) and ``int`` elsewhere,
+    and the pairs of ``solve_vector`` write the element back on the ideal's
+    generators and relations."""
+    gens = [Generator("x", 2), Generator("y", 2)]
+    z2 = BaseRing.integers_localized(2)
+    cases = [
+        (BaseRing.integers(), [1, -1, 2, 3, -6]),
+        (BaseRing.prime_field(3), [1, 2, 4, -5]),
+        (BaseRing.integers_mod(4), [1, 2, 3, 6, -1]),
+        (z2, [1, 2, 6, Fraction(1, 3), Fraction(-4, 5), Fraction(6, 7)]),
+    ]
+    units = solved = 0
+    for base, coeffs in cases:
+        kind = Fraction if base == z2 else int
+        R = GradedRing(base, gens, degree_window=8)
+        x, y = R.var("x"), R.var("y")
+        rng = Random("exits:%r" % (base,))
+
+        def rand_elem(d):
+            exps = R.degree_exps(d)
+            picked = rng.sample(exps, min(len(exps), rng.randint(1, 3)))
+            return R.element({e: rng.choice(coeffs) for e in picked})
+
+        for _ in range(12):
+            ideal = [rng.choice(coeffs) * x + rng.choice(coeffs) * y, rng.choice(coeffs) * y]
+            for d in (2, 4, 6):
+                elem = rand_elem(d)
+                nf = normal_form(elem, ideal)
+                for c in nf.terms.values():
+                    assert type(c) is kind and c and base.normalize(c) == c
+                ctx = ideal_context(R, ideal, d)
+                member = rand_elem(d - 2) * ideal[0] + rand_elem(d - 2) * ideal[1]
+                for vec, inside in ((member, True), (elem - nf, True), (elem, None)):
+                    pairs = ctx.solve_vector(vec.vector(ctx.exps))
+                    if pairs is None:
+                        assert inside is None and not normal_form(vec, ideal).is_zero()
+                        continue
+                    back = R.zero()
+                    for (tag, gi, m), c in pairs:
+                        assert type(c) is kind and c and base.normalize(c) == c
+                        units += kind is Fraction and Fraction(c).denominator != 1
+                        assert tag == "gen"
+                        back = back + R.element({m: c}) * ideal[gi]
+                    assert back == vec
+                    solved += not vec.is_zero()
+    assert units >= 100 and solved >= 300, (units, solved)
 
 
 def test_element_rejects_outside_input():
