@@ -8,9 +8,16 @@ dual-functional route on every basis word.  An operator is stored as a
 sparse matrix: a dict from each basis word with a nonzero image to the
 terms of that image.  A composite of the Q_i sends each word to at most
 one signed word, so the matrix has at most 2^n entries, not 4^n.
+
+Each derivation builds its matrix once, on first read, by applying itself
+to the 2^n basis words; a composite is the product of its factors'
+matrices, and ``theta(s)`` in ``duality_square_commutes`` is Q_{s_0}'s
+matrix times that of the shorter word ``theta(s[1:])``.  Every check still
+compares full matrices or tables over all 2^n words.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from .clifford import (
@@ -38,7 +45,12 @@ def _require_exterior(algebra) -> None:
 
 class DerivationOperator:
     """Odd derivation sending each generator to a coefficient multiple of 1;
-    ``support`` pairs each generator whose image is nonzero with it."""
+    ``support`` pairs each generator whose image is nonzero with it.
+
+    ``matrix`` is its sparse matrix, in the form ``CohomologyOperator``
+    stores, built once on first read.  A one-operator ``compose`` shares
+    it, so no caller may change it.
+    """
 
     parity = 1
 
@@ -87,6 +99,10 @@ class DerivationOperator:
         return CliffordElement(self.owner, out)
 
     __call__ = apply
+
+    @cached_property
+    def matrix(self):
+        return operator_matrix(self.owner, self.apply)
 
     def is_zero(self) -> bool:
         return not self.support
@@ -201,8 +217,34 @@ class CohomologyOperator:
         return "operator[%s]" % tag
 
 
+def _product(left, right, coeff):
+    """Sparse matrix of ``left`` after ``right``: each row of ``right`` sent
+    through the rows of ``left``.  Sums that come to zero are dropped, and
+    so are rows left empty, as ``operator_matrix`` drops them."""
+    mul, add, is_zero = coeff.mul, coeff.add, coeff.is_zero
+    rows = {}
+    for w, row in right.items():
+        out: dict = {}
+        for u, c in row.items():
+            image = left.get(u)
+            if image is None:
+                continue
+            for v, d in image.items():
+                val = mul(c, d)
+                out[v] = add(out[v], val) if v in out else val
+        out = {v: c for v, c in out.items() if not is_zero(c)}
+        if out:
+            rows[w] = out
+    return rows
+
+
 def compose(ops, owner: CliffordAlgebra | None = None) -> CohomologyOperator:
-    """Matrix of the composition; the rightmost operator acts first."""
+    """Matrix of the composition; the rightmost operator acts first.
+
+    The product of the operators' cached matrices, folded from the right:
+    no operator is applied to the basis again once its matrix is built.
+    A one-operator composition shares that operator's read-only matrix.
+    """
     ops = list(ops)
     if not ops:
         if owner is None:
@@ -219,23 +261,13 @@ def compose(ops, owner: CliffordAlgebra | None = None) -> CohomologyOperator:
             raise MixedOwners("operators acting on different algebras")
     if owner is not None and owner != first.owner:
         raise MixedOwners("owner does not match the operators")
-    algebra = first.owner
-
-    def run(elem):
-        for op in reversed(ops):
-            if not elem.terms:
-                break
-            elem = op.apply(elem)
-        return elem
-
+    coeff = first.owner.coeff
+    matrix = ops[-1].matrix
+    for op in reversed(ops[:-1]):
+        matrix = _product(op.matrix, matrix, coeff)
     labels = [op.label for op in ops]
     word = tuple(labels) if all(l is not None for l in labels) else None
-    return CohomologyOperator(
-        algebra,
-        operator_matrix(algebra, run),
-        word=word,
-        parity=len(ops) % 2,
-    )
+    return CohomologyOperator(first.owner, matrix, word=word, parity=len(ops) % 2)
 
 
 def theta(algebra: CliffordAlgebra, indices) -> CohomologyOperator:
@@ -273,7 +305,12 @@ def theta_rank(algebra: CliffordAlgebra) -> int:
 def generator_checks(ext: CliffordAlgebra):
     """``(qs, squares_zero, anticommute, theta_rank)`` for the generator
     derivations Q_i of ``ext``: the formal-word map is injective when the
-    rank is 2^n."""
+    rank is 2^n.
+
+    Each Q_i applies itself to the 2^n basis words once, for its matrix;
+    Q_i^2 and both orders of every pair are then matrix products, compared
+    as full matrices.
+    """
     qs = [bockstein(ext, i) for i in range(ext.n)]
     squares = all(compose([q, q]).is_zero() for q in qs)
     anti = all(
@@ -452,15 +489,13 @@ def kronecker_dual(algebra: CliffordAlgebra, mapping) -> DualFunctional:
 
 
 def Psi(op) -> DualFunctional:
-    """Project an operator to its empty-word component on each basis word."""
+    """Project an operator to its empty-word component on each basis word:
+    the entry at the empty word of each row of ``op.matrix``."""
     algebra = op.owner
     _require_exterior(algebra)
-    coeff = algebra.coeff
-    table = {}
-    for w in algebra.basis_words():
-        img = op.apply(CliffordElement(algebra, {w: coeff.one()}))
-        table[w] = img.terms.get((), coeff.zero())
-    return DualFunctional(algebra, table)
+    return DualFunctional(
+        algebra, {w: row[()] for w, row in op.matrix.items() if () in row}
+    )
 
 
 def Delta(algebra: CliffordAlgebra, indices) -> DualFunctional:
@@ -468,34 +503,47 @@ def Delta(algebra: CliffordAlgebra, indices) -> DualFunctional:
 
     Computed on a list model of the words, independent of the operator
     matrices: the rightmost symbol strips its letter first and each strip
-    contributes the parity sign of the letter's position.
+    contributes the parity sign of the letter's position.  A basis word
+    survives only if every strip finds its letter and nothing is left, so
+    its letters are exactly the symbols, each once.  The basis word of the
+    in-range symbols is therefore the only candidate, and the model runs
+    on it alone; with a repeated or out-of-range symbol a strip misses and
+    the functional is zero.
     """
     _require_exterior(algebra)
     indices = tuple(indices)
     coeff = algebra.coeff
-    table = {}
-    for w in algebra.basis_words():
-        remaining = list(w)
-        sign = 1
-        dead = False
-        for i in reversed(indices):
-            if i not in remaining:
-                dead = True
-                break
-            t = remaining.index(i)
-            if t % 2:
-                sign = -sign
-            remaining.pop(t)
-        if dead or remaining:
-            continue
-        one = coeff.one()
-        table[w] = one if sign > 0 else coeff.neg(one)
-    return DualFunctional(algebra, table)
+    w = tuple(i for i in range(algebra.n) if i in indices)
+    remaining = list(w)
+    sign = 1
+    for i in reversed(indices):
+        if i not in remaining:
+            return DualFunctional(algebra, {})
+        t = remaining.index(i)
+        if t % 2:
+            sign = -sign
+        remaining.pop(t)
+    one = coeff.one()
+    return DualFunctional(algebra, {w: one if sign > 0 else coeff.neg(one)})
 
 
 def duality_square_commutes(algebra: CliffordAlgebra) -> bool:
-    """Compare the operator route with the dual-word route on all words."""
+    """Compare the operator route with the dual-word route on all words.
+
+    ``theta(s)`` is built as Q_{s_0}'s matrix times the matrix of
+    ``theta(s[1:])``, which the loop reached first, since the basis words
+    come by length; each Q_i applies itself to the basis once, for its
+    matrix.  ``Psi`` and ``Delta`` then compare full tables over all 2^n
+    words.
+    """
     _require_exterior(algebra)
-    return all(
-        Psi(theta(algebra, s)) == Delta(algebra, s) for s in algebra.basis_words()
-    )
+    qs = [bockstein(algebra, i) for i in range(algebra.n)]
+    coeff = algebra.coeff
+    thetas = {(): compose([], owner=algebra)}
+    for s in algebra.basis_words():
+        if s:
+            matrix = _product(qs[s[0]].matrix, thetas[s[1:]].matrix, coeff)
+            thetas[s] = CohomologyOperator(algebra, matrix, word=s)
+        if Psi(thetas[s]) != Delta(algebra, s):
+            return False
+    return True

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import regquot.derivations as derivations_module
 from regquot.clifford import CliffordAlgebra, CliffordElement, homology_presentation
 from regquot.conormal import QuotientRingSpec, conormal_module, zero_form
 from regquot.derivations import (
@@ -14,6 +15,7 @@ from regquot.derivations import (
     compose,
     dual_basis_functional,
     duality_square_commutes,
+    generator_checks,
     kronecker_dual,
     leibniz_check,
     psi,
@@ -535,3 +537,145 @@ def test_leibniz_default_multiplies_generator_pairs_only(monkeypatch):
     monkeypatch.setattr(CliffordElement, "__mul__", counted)
     assert leibniz_check(op)
     assert len(calls) == 3 * (n + 1) * 2**n
+
+
+# -- oracle: the apply-every-word routes of Psi, Delta and theta(s) -----
+#
+# ``duality_square_commutes`` builds each theta(s) as a matrix product on
+# theta(s[1:]), ``Psi`` reads the empty-word entries of the matrix rows and
+# ``Delta`` expands one word.  The references below are the earlier routes:
+# ``ref_compose`` per word, ``Psi`` by applying the operator to every basis
+# word, and ``Delta``'s list model run on all 2^n words.
+
+
+def ref_Psi(op):
+    """Empty-word coefficient of the operator's image of each basis word."""
+    algebra = op.owner
+    coeff = algebra.coeff
+    table = {}
+    for w in algebra.basis_words():
+        img = op.apply(algebra.element({w: coeff.one()}))
+        table[w] = img.terms.get((), coeff.zero())
+    return kronecker_dual(algebra, table)
+
+
+def ref_Delta(algebra, indices):
+    """The signed list model of ``Delta`` on every basis word."""
+    coeff = algebra.coeff
+    table = {}
+    for w in algebra.basis_words():
+        remaining = list(w)
+        sign = 1
+        for i in reversed(indices):
+            if i not in remaining:
+                break
+            t = remaining.index(i)
+            if t % 2:
+                sign = -sign
+            remaining.pop(t)
+        else:
+            if not remaining:
+                table[w] = coeff.one() if sign > 0 else coeff.neg(coeff.one())
+    return kronecker_dual(algebra, table)
+
+
+def _check_dual_routes(ext, rng, values, monkeypatch):
+    """Compare the theta(s) matrices that ``duality_square_commutes`` hands
+    to ``Psi``, ``Psi`` itself and ``Delta`` with their references on
+    ``ext``; return how many ``Psi`` and ``Delta`` values were zero and
+    nonzero."""
+    n = ext.n
+    basis = ext.basis_words()
+    handed = []
+    real_psi = derivations_module.Psi
+
+    def spy(op):
+        handed.append((op.word, op.matrix))
+        return real_psi(op)
+
+    monkeypatch.setattr(derivations_module, "Psi", spy)
+    assert duality_square_commutes(ext)
+    monkeypatch.setattr(derivations_module, "Psi", real_psi)
+    assert [s for s, _ in handed] == basis
+    for s, matrix in handed:
+        qs = [bockstein(ext, i) for i in s]
+        assert matrix == _sparse(ref_compose(qs, ext)), s
+        assert matrix == theta(ext, s).matrix
+
+    qs = [bockstein(ext, i) for i in range(n)]
+    ops = list(qs)
+    for _ in range(8):
+        length = rng.randrange(4) if n else 0
+        ops.append(compose([rng.choice(qs) for _ in range(length)], owner=ext))
+        ops.append(_random_sparse_operator(ext, rng, values))
+    outcomes = [0, 0]
+    for op in ops:
+        f = Psi(op)
+        assert f == ref_Psi(op)
+        outcomes[f.is_zero()] += 1
+
+    # unordered, repeated and out-of-range symbols, and every basis word in
+    # a shuffled order
+    tuples = [tuple(rng.sample(w, len(w))) for w in basis]
+    for _ in range(12):
+        tuples.append(tuple(rng.randrange(-1, n + 1) for _ in range(rng.randrange(n + 2))))
+    for indices in tuples:
+        f = Delta(ext, indices)
+        assert f == ref_Delta(ext, indices), indices
+        outcomes[f.is_zero()] += 1
+    return outcomes
+
+
+ROUTE_BASES = {**ORACLE_BASES, "Z_(2)": BaseRing.integers_localized(2)}
+
+
+@pytest.mark.parametrize("base_name", sorted(ROUTE_BASES))
+def test_dual_routes_match_apply_every_word_oracles(base_name, monkeypatch):
+    """Seeded, at ranks 0-5: the incremental theta(s) matrices, ``Psi`` on
+    Q_i composites and random sparse operators, and ``Delta`` on seeded
+    index tuples all match their references."""
+    base = ROUTE_BASES[base_name]
+    rng = random.Random("dual-routes:%s" % base_name)
+    values = [0, 0, 1, -1, 2, -2, 3]
+    nonzero = zero = 0
+    for n in range(6):
+        ext = CliffordAlgebra.from_scalars(base, [0] * n)
+        a, b = _check_dual_routes(ext, rng, values, monkeypatch)
+        nonzero += a
+        zero += b
+    # both outcomes occur, so neither an empty nor a constant table passes
+    assert nonzero and zero
+
+
+def test_dual_routes_match_oracles_on_graded_coefficients(k2_p3, monkeypatch):
+    ring, _, ext = k2_p3
+    rng = random.Random("dual-routes:k2_p3")
+    values = [0, 1, -1, 2, ring.var("v2"), ring.var("v1") + ring.var("v2")]
+    nonzero, zero = _check_dual_routes(ext, rng, values, monkeypatch)
+    assert nonzero and zero
+
+
+def test_generator_checks_apply_each_generator_once_per_word(monkeypatch):
+    """At rank 5 each Q_i applies itself to the 2^n basis words once, for
+    its matrix: ``generator_checks`` makes n*2^n calls to
+    ``DerivationOperator.apply`` beyond those ``theta_rank`` makes on its
+    own, and ``duality_square_commutes`` at most n*2^n."""
+    n = 5
+    ext = CliffordAlgebra.from_scalars(BaseRing.integers(), [0] * n)
+    calls = []
+    apply = DerivationOperator.apply
+
+    def counted(self, elem):
+        calls.append(1)
+        return apply(self, elem)
+
+    monkeypatch.setattr(DerivationOperator, "apply", counted)
+    assert theta_rank(ext) == 2**n
+    own = len(calls)
+    calls.clear()
+    _, squares, anti, rank = generator_checks(ext)
+    assert squares and anti and rank == 2**n
+    assert len(calls) == n * 2**n + own
+    calls.clear()
+    assert duality_square_commutes(ext)
+    assert len(calls) <= n * 2**n
