@@ -273,9 +273,7 @@ class CliffordAlgebra:
         return CliffordElement(self, {(): self.coeff.coerce(v)})
 
     def generator(self, i: int) -> "CliffordElement":
-        if not 0 <= i < self.n:
-            raise BadIndex("generator index %d out of range" % i)
-        return CliffordElement(self, {(i,): self.coeff.one()})
+        return CliffordElement(self, {self.checked_word((i,)): self.coeff.one()})
 
     def phi(self, x: RingElement) -> "CliffordElement":
         """Characteristic map: the class of x in I/I² written on the basis."""
@@ -364,12 +362,6 @@ class CliffordElement:
 
     def coefficient(self, word):
         return self.terms.get(tuple(word), self.owner.coeff.zero())
-
-    def word_length_parity(self):
-        parities = {len(w) % 2 for w in self.terms}
-        if len(parities) > 1:
-            return None
-        return parities.pop() if parities else 0
 
     def degree(self):
         """Total degree in graded mode; None for zero or ungraded owners."""
@@ -469,12 +461,7 @@ class CliffordElement:
             c = self.terms[w]
             word = "*".join(self.owner.names[i] for i in w) if w else "1"
             cs = coeff.render(c)
-            if cs == "1":
-                parts.append(word)
-            elif any(ch in cs for ch in " +-") and not cs.lstrip("-").isdigit():
-                parts.append("(%s)*%s" % (cs, word))
-            else:
-                parts.append("%s*%s" % (cs, word))
+            parts.append(word if cs == "1" else "%s*%s" % (_render_value(coeff, c), word))
         return " + ".join(parts)
 
 

@@ -1,13 +1,16 @@
 """Odd derivations of exterior algebras and the operator-level cohomology.
 
 A derivation here is determined by its coefficient values on the
-generators and extends by the signed Leibniz rule; on a basis word it
-acts as a signed partial derivative.  Compositions of the generator
-derivations give the operator model of cohomology, checked against the
-dual-functional route on every basis word.  An operator is stored as a
-sparse matrix: a dict from each basis word with a nonzero image to the
-terms of that image.  A composite of the Q_i sends each word to at most
-one signed word, so the matrix has at most 2^n entries, not 4^n.
+generators, its ``images``, and extends by the signed Leibniz rule; on a
+basis word it acts as a signed partial derivative.  Its Kronecker dual is
+``Psi``, the functional tabulated on the word basis.  Compositions of the
+generator derivations give the operator model of cohomology, checked
+against the dual-word route ``Delta`` on every basis word, and the
+verified presentation is rendered by ``clifford.presentation_of``.  An
+operator is stored as a sparse matrix: a dict from each basis word with a
+nonzero image to the terms of that image.  A composite of the Q_i sends
+each word to at most one signed word, so the matrix has at most 2^n
+entries, not 4^n.
 
 Each derivation builds its matrix once, on first read, by applying itself
 to the 2^n basis words; a composite is the product of its factors'
@@ -24,6 +27,7 @@ from .clifford import (
     AlgebraPresentation,
     CliffordAlgebra,
     CliffordElement,
+    presentation_of,
 )
 from .conormal import QuotientRingSpec, conormal_module, zero_form
 from .errors import (
@@ -283,18 +287,20 @@ def theta_rank(algebra: CliffordAlgebra) -> int:
     The generator derivations of each subset word are applied, rightmost
     first, to the top basis word; the results are unit multiples of
     pairwise distinct words, so counting the distinct unit-coefficient
-    outputs certifies the rank.
+    outputs certifies the rank.  The image for s is Q_{s_0} applied to the
+    image for s[1:], which the loop reached first, since the basis words
+    come by length: 2^n - 1 applications in all.
     """
     _require_exterior(algebra)
     coeff = algebra.coeff
     qs = [bockstein(algebra, i) for i in range(algebra.n)]
-    top = CliffordElement(algebra, {tuple(range(algebra.n)): coeff.one()})
+    images = {(): CliffordElement(algebra, {tuple(range(algebra.n)): coeff.one()})}
     units = (coeff.one(), coeff.neg(coeff.one()))
     seen = set()
     for s in algebra.basis_words():
-        img = top
-        for i in reversed(s):
-            img = qs[i].apply(img)
+        if s:
+            images[s] = qs[s[0]].apply(images[s[1:]])
+        img = images[s]
         if len(img.terms) == 1:
             (word, c), = img.terms.items()
             if c in units:
@@ -320,17 +326,17 @@ def generator_checks(ext: CliffordAlgebra):
     return qs, squares, anti, theta_rank(ext)
 
 
-def leibniz_check(op, pairs=None) -> bool:
+def leibniz_check(op) -> bool:
     """Signed Leibniz identity D(uv) = D(u)v + (-1)^{|D||u|} uD(v) on
-    sample pairs.
+    basis words.
 
-    By default u runs over 1 and the generators a_i and v over every basis
-    word: (n+1)*2^n pairs, which decide the identity on all 4^n basis
-    pairs.  The pairs (1, v) give D(v) = D(1)v + D(v), so D(1) = 0 (take
-    v = 1) and Leibniz holds for u = 1.  A basis word u of length k > 0 is
-    a_i*w with i its first index and w the rest, a word of length k - 1.
-    D is linear and the product associative, and the identity for fixed u
-    is linear in v, so if Leibniz holds for w and every v, then with
+    u runs over 1 and the generators a_i and v over every basis word:
+    (n+1)*2^n pairs, which decide the identity on all 4^n basis pairs.
+    The pairs (1, v) give D(v) = D(1)v + D(v), so D(1) = 0 (take v = 1)
+    and Leibniz holds for u = 1.  A basis word u of length k > 0 is a_i*w
+    with i its first index and w the rest, a word of length k - 1.  D is
+    linear and the product associative, and the identity for fixed u is
+    linear in v, so if Leibniz holds for w and every v, then with
     e = (-1)^|D|:
       D(a_i*w*v) = D(a_i)wv + e a_i D(wv)          [(a_i, each word of wv)]
                  = D(a_i)wv + e a_i D(w)v + e^k a_i w D(v)   [Leibniz for w]
@@ -338,20 +344,18 @@ def leibniz_check(op, pairs=None) -> bool:
     Induction on k covers every u.
     """
     algebra = op.owner
-    if pairs is None:
-        one = algebra.coeff.one()
-        basis = [CliffordElement(algebra, {w: one}) for w in algebra.basis_words()]
-        pairs = ((u, v) for u in basis[: algebra.n + 1] for v in basis)
-    for u, v in pairs:
-        pu = u.word_length_parity()
-        if pu is None:
-            raise SemanticError("samples must have pure word-length parity")
-        lhs = op.apply(u * v)
-        second = u * op.apply(v)
-        if op.parity % 2 and pu % 2:
-            second = -second
-        if lhs != op.apply(u) * v + second:
-            return False
+    one = algebra.coeff.one()
+    words = algebra.basis_words()
+    basis = [CliffordElement(algebra, {w: one}) for w in words]
+    images = [op.apply(v) for v in basis]
+    for wu, u, du in zip(words[: algebra.n + 1], basis, images):
+        odd = op.parity % 2 and len(wu) % 2
+        for v, dv in zip(basis, images):
+            second = u * dv
+            if odd:
+                second = -second
+            if op.apply(u * v) != du * v + second:
+                return False
     return True
 
 
@@ -376,69 +380,11 @@ def cohomology_presentation(spec: QuotientRingSpec) -> AlgebraPresentation:
     if rank != 2 ** ext.n:
         raise SemanticError("formal word map is not injective")
     names = tuple("Q%d" % i for i in range(ext.n))
-    gens = tuple((names[i], -module.degrees[i]) for i in range(ext.n))
-    rels = ["%s^2" % nm for nm in names]
-    for i in range(ext.n):
-        for j in range(i + 1, ext.n):
-            rels.append(
-                "%s*%s + %s*%s" % (names[i], names[j], names[j], names[i])
-            )
-    return AlgebraPresentation(
-        "exterior", gens, tuple(rels), "Lambda(%s)" % ", ".join(names)
-    )
+    degrees = tuple(-d for d in ext.degrees)
+    return presentation_of(CliffordAlgebra._raw(ext.coeff, names, degrees, ext.q, {}))
 
 
 # -- dual functionals -------------------------------------------------
-
-
-class GeneratorFunctional:
-    """Coefficient-valued functional on the conormal generators."""
-
-    def __init__(self, owner: CliffordAlgebra, values):
-        _require_exterior(owner)
-        values = tuple(owner.coeff.coerce(v) for v in values)
-        if len(values) != owner.n:
-            raise SemanticError("one value per generator required")
-        self.owner = owner
-        self.values = values
-
-    def value(self, i: int):
-        if not 0 <= i < self.owner.n:
-            raise BadIndex("generator index out of range")
-        return self.values[i]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GeneratorFunctional)
-            and self.owner == other.owner
-            and self.values == other.values
-        )
-
-    def __repr__(self):
-        coeff = self.owner.coeff
-        parts = [
-            "%s*y%d" % (coeff.render(c), i)
-            for i, c in enumerate(self.values)
-            if not coeff.is_zero(c)
-        ]
-        return " + ".join(parts) if parts else "0"
-
-
-def dual_basis_functional(algebra: CliffordAlgebra, i: int) -> GeneratorFunctional:
-    if not isinstance(i, int) or not 0 <= i < algebra.n:
-        raise BadIndex("generator index %r out of range" % (i,))
-    values = [algebra.coeff.zero()] * algebra.n
-    values[i] = algebra.coeff.one()
-    return GeneratorFunctional(algebra, values)
-
-
-def psi(op: DerivationOperator) -> GeneratorFunctional:
-    """Restrict the derivation to length-one words and read off values."""
-    return GeneratorFunctional(op.owner, op.images)
-
-
-def psi_inverse(f: GeneratorFunctional) -> DerivationOperator:
-    return DerivationOperator(f.owner, f.values)
 
 
 class DualFunctional:
@@ -482,10 +428,10 @@ class DualFunctional:
 
 def kronecker_dual(algebra: CliffordAlgebra, mapping) -> DualFunctional:
     """Tabulate a coefficient-valued map on the word basis: the entry point
-    that turns each word into a tuple and coerces each value."""
+    that checks each word and coerces each value."""
     _require_exterior(algebra)
-    coerce = algebra.coeff.coerce
-    return DualFunctional(algebra, {tuple(w): coerce(c) for w, c in dict(mapping).items()})
+    word, coerce = algebra.checked_word, algebra.coeff.coerce
+    return DualFunctional(algebra, {word(w): coerce(c) for w, c in dict(mapping).items()})
 
 
 def Psi(op) -> DualFunctional:

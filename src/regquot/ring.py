@@ -699,30 +699,3 @@ class QuotientRing:
     def is_trivial(self) -> bool:
         return self.nf(self.ring.one()).is_zero()
 
-
-def domain_report(ring: GradedRing):
-    """Whether the presented ring is an integral domain, as far as claimed.
-
-    With no relations the monomial basis is free, so the ring is a domain
-    exactly when the base is; the check is structural and reported as
-    verified up to the degree window.
-    """
-    if ring.relations:
-        return {
-            "domain": None,
-            "verified_up_to": 0,
-            "reason": "relations present; no degreewise domain claim is made",
-        }
-    if not ring.base.is_domain:
-        m = ring.base.modulus
-        d = next(k for k in range(2, m) if m % k == 0)
-        return {
-            "domain": False,
-            "verified_up_to": ring.degree_window,
-            "reason": "zero divisors in the base: %d * %d = 0" % (d, m // d),
-        }
-    return {
-        "domain": True,
-        "verified_up_to": ring.degree_window,
-        "reason": "free monomial basis over a domain base",
-    }

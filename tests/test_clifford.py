@@ -374,6 +374,10 @@ def test_tensor_element_checks_words_and_coefficients():
         t.element({((1, 0), ()): 1})
     with pytest.raises(SemanticError):
         t.element({((0,), (1, 1)): 1})
+    # a generator index is checked as a one-letter word
+    for i in (0.5, 2, -1):
+        with pytest.raises(BadIndex):
+            cl.generator(i)
     u = t.element({((0, 1), (1,)): 7, ((), ()): 3})
     assert u.terms == {((0, 1), (1,)): 1}
     # (a0*a1)^2 = -q0*q1 = -2 and a1^2 = q1 = 2, so the square is -4 = 2

@@ -13,13 +13,10 @@ from regquot.derivations import (
     bockstein,
     cohomology_presentation,
     compose,
-    dual_basis_functional,
     duality_square_commutes,
     generator_checks,
     kronecker_dual,
     leibniz_check,
-    psi,
-    psi_inverse,
     theta,
     theta_rank,
 )
@@ -152,28 +149,13 @@ def test_cohomology_presentation_requires_regular():
         cohomology_presentation(spec)
 
 
-def test_psi_reads_dual_basis(ext2):
-    assert psi(bockstein(ext2, 1)) == dual_basis_functional(ext2, 1)
-    zero = DerivationOperator(ext2, [0, 0])
-    assert psi(zero).values == (0, 0)
-
-
-def test_psi_inverse_round_trip(k2_p3):
-    ring, spec, ext = k2_p3
-    v2 = ring.var("v2")
-    scaled = bockstein(ext, 1) * v2
-    func = psi(scaled)
-    assert func.value(0) == ring.zero()
-    assert func.value(1) == v2
-    assert psi_inverse(func) == scaled
-    assert scaled.degree == 11
-
-
 def test_operator_degree_mismatch(k2_p3):
     # v1 itself dies in the coefficients, but v2 survives and its degree
     # cannot be shared between the two generator slots
     ring, spec, ext = k2_p3
     assert ext.coeff.coerce(ring.var("v1")).is_zero()
+    # v2 has degree 16 and Q1's generator degree 5
+    assert (bockstein(ext, 1) * ring.var("v2")).degree == 11
     with pytest.raises(DegreeMismatch):
         DerivationOperator(ext, [ring.var("v2"), ring.constant(1)])
     with pytest.raises(DegreeMismatch):
@@ -194,10 +176,9 @@ def test_effder_identity(k2_p3):
     fext = CliffordAlgebra(fmod, zero_form(fmod))
     ops.append(bockstein(fext, 0) + bockstein(fext, 1))
     for theta_op in ops:
-        func = psi(theta_op)
         owner = theta_op.owner
         for j in range(owner.n):
-            assert theta_op.apply(owner.generator(j)) == owner.scalar(func.value(j))
+            assert theta_op.apply(owner.generator(j)) == owner.scalar(theta_op.images[j])
 
 
 def test_Psi_projects_to_counit(ext2):
@@ -234,7 +215,7 @@ def test_two_route_value_on_top_word(ext2):
     assert lhs.value((0, 1)) in (1, -1)
 
 
-def test_kronecker_dual_tabulates(ext2):
+def test_kronecker_dual_tabulates(ext2, ext3):
     eps = kronecker_dual(ext2, {(): 1})
     assert eps.value(()) == 1
     assert eps.value((0,)) == 0
@@ -243,6 +224,11 @@ def test_kronecker_dual_tabulates(ext2):
     point = CliffordAlgebra.from_scalars(BaseRing.integers(), [])
     f = kronecker_dual(point, {(): 5})
     assert f.value(()) == 5
+    # each word is checked as CliffordAlgebra.element checks it
+    with pytest.raises(SemanticError):
+        kronecker_dual(ext3, {(2, 0): 1})
+    with pytest.raises(BadIndex):
+        kronecker_dual(ext3, {(5,): 1})
 
 
 def test_Psi_requires_exterior():
@@ -459,15 +445,14 @@ def ref_leibniz_check(op):
     checked only the pairs (1 or a generator, basis word)."""
     algebra = op.owner
     one = algebra.coeff.one()
-    basis = [algebra.element({w: one}) for w in algebra.basis_words()]
-    for u in basis:
-        for v in basis:
-            pu = u.word_length_parity()
-            if pu is None:
-                raise SemanticError("samples must have pure word-length parity")
+    words = algebra.basis_words()
+    for wu in words:
+        u = algebra.element({wu: one})
+        for wv in words:
+            v = algebra.element({wv: one})
             lhs = op.apply(u * v)
             second = u * op.apply(v)
-            if op.parity % 2 and pu % 2:
+            if op.parity % 2 and len(wu) % 2:
                 second = -second
             if lhs != op.apply(u) * v + second:
                 return False
@@ -522,8 +507,8 @@ def test_leibniz_generator_pairs_match_exhaustive_oracle(base_name):
 
 
 def test_leibniz_default_multiplies_generator_pairs_only(monkeypatch):
-    """At rank 5 the default check makes three products for each of the
-    (n+1)*2^n pairs (u*v, u*D(v) and D(u)*v), not 3*4^n."""
+    """At rank 5 the check makes three products for each of the (n+1)*2^n
+    pairs (u*v, u*D(v) and D(u)*v), not 3*4^n."""
     n = 5
     ext = CliffordAlgebra.from_scalars(BaseRing.integers(), [0] * n)
     op = bockstein(ext, 2)
@@ -659,7 +644,8 @@ def test_generator_checks_apply_each_generator_once_per_word(monkeypatch):
     """At rank 5 each Q_i applies itself to the 2^n basis words once, for
     its matrix: ``generator_checks`` makes n*2^n calls to
     ``DerivationOperator.apply`` beyond those ``theta_rank`` makes on its
-    own, and ``duality_square_commutes`` at most n*2^n."""
+    own, and ``duality_square_commutes`` at most n*2^n.  ``theta_rank``
+    applies one Q_i per nonempty subset word: 2^n - 1 calls."""
     n = 5
     ext = CliffordAlgebra.from_scalars(BaseRing.integers(), [0] * n)
     calls = []
@@ -672,6 +658,7 @@ def test_generator_checks_apply_each_generator_once_per_word(monkeypatch):
     monkeypatch.setattr(DerivationOperator, "apply", counted)
     assert theta_rank(ext) == 2**n
     own = len(calls)
+    assert own == 2**n - 1
     calls.clear()
     _, squares, anti, rank = generator_checks(ext)
     assert squares and anti and rank == 2**n

@@ -19,7 +19,6 @@ from regquot.ring import (
     IdealContext,
     QuotientRing,
     RingElement,
-    domain_report,
     ideal_context,
     normal_form,
     normal_form_any,
@@ -270,18 +269,6 @@ def test_parse_round_trip():
     assert L.parse("2*v1 + 1") == L.var("v1") * 2 + L.one()
     with pytest.raises(SemanticError):
         R.parse("z + 1")
-
-
-def test_domain_report():
-    assert domain_report(poly_f2_xy())["domain"] is True
-    bad = GradedRing(BaseRing.integers_mod(6), [], degree_window=2)
-    rep = domain_report(bad)
-    assert rep["domain"] is False
-    assert "2" in rep["reason"]
-    base = BaseRing.integers()
-    R = GradedRing(base, [], degree_window=2)
-    withrel = GradedRing(base, [], degree_window=2, relations=[R.constant(4)])
-    assert domain_report(withrel)["domain"] is None
 
 
 def test_generator_validation():
