@@ -178,7 +178,7 @@ def _cmd_derivations(doc, window, laurent):
     ext = CliffordAlgebra(module, zero_form(module))
     qs, squares, anti, rank = generator_checks(ext)
     leibniz = [leibniz_check(q) for q in qs]
-    duality = duality_square_commutes(ext)
+    duality = duality_square_commutes(ext, qs)
     ok = all(leibniz) and squares and anti and rank == 2**ext.n and duality
     results = {
         "rank": ext.n,

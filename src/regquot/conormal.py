@@ -150,7 +150,7 @@ class ConormalModule:
         for comp in x.homogeneous_components().values():
             d = comp.degree()
             ctx = ideal_context(self.ring, seq, d)
-            tagged = ctx.solve_vector(comp.vector(ctx.exps))
+            tagged = ctx.solve_vector(ctx.vector(comp))
             if tagged is None:
                 raise NotInIdeal("element is not in the ideal within the window")
             for (kind, gi, m), c in tagged:

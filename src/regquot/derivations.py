@@ -15,8 +15,11 @@ entries, not 4^n.
 Each derivation builds its matrix once, on first read, by applying itself
 to the 2^n basis words; a composite is the product of its factors'
 matrices, and ``theta(s)`` in ``duality_square_commutes`` is Q_{s_0}'s
-matrix times that of the shorter word ``theta(s[1:])``.  Every check still
-compares full matrices or tables over all 2^n words.
+matrix times that of the shorter word ``theta(s[1:])``.  ``leibniz_check``
+reads D(v) for each basis word v off the matrix too, and a derivations job
+hands the Q_i of ``generator_checks`` to every later check, so each Q_i
+builds its matrix once per job.  Every check still compares full matrices
+or tables over all 2^n words.
 """
 from __future__ import annotations
 
@@ -341,13 +344,13 @@ def leibniz_check(op) -> bool:
       D(a_i*w*v) = D(a_i)wv + e a_i D(wv)          [(a_i, each word of wv)]
                  = D(a_i)wv + e a_i D(w)v + e^k a_i w D(v)   [Leibniz for w]
                  = D(a_i*w)v + e^k (a_i*w) D(v)                  [(a_i, w)]
-    Induction on k covers every u.
+    Induction on k covers every u.  Each D(v) is read off ``op.matrix``.
     """
     algebra = op.owner
     one = algebra.coeff.one()
     words = algebra.basis_words()
     basis = [CliffordElement(algebra, {w: one}) for w in words]
-    images = [op.apply(v) for v in basis]
+    images = [CliffordElement(algebra, op.matrix.get(w, {})) for w in words]
     for wu, u, du in zip(words[: algebra.n + 1], basis, images):
         odd = op.parity % 2 and len(wu) % 2
         for v, dv in zip(basis, images):
@@ -473,17 +476,20 @@ def Delta(algebra: CliffordAlgebra, indices) -> DualFunctional:
     return DualFunctional(algebra, {w: one if sign > 0 else coeff.neg(one)})
 
 
-def duality_square_commutes(algebra: CliffordAlgebra) -> bool:
+def duality_square_commutes(algebra: CliffordAlgebra, qs=None) -> bool:
     """Compare the operator route with the dual-word route on all words.
 
     ``theta(s)`` is built as Q_{s_0}'s matrix times the matrix of
     ``theta(s[1:])``, which the loop reached first, since the basis words
-    come by length; each Q_i applies itself to the basis once, for its
-    matrix.  ``Psi`` and ``Delta`` then compare full tables over all 2^n
-    words.
+    come by length.  ``qs`` are the generator derivations Q_i of
+    ``algebra``, as ``generator_checks`` returns them with their matrices
+    built; without them each Q_i is made here and applies itself to the
+    basis once, for its matrix.  ``Psi`` and ``Delta`` then compare full
+    tables over all 2^n words.
     """
     _require_exterior(algebra)
-    qs = [bockstein(algebra, i) for i in range(algebra.n)]
+    if qs is None:
+        qs = [bockstein(algebra, i) for i in range(algebra.n)]
     coeff = algebra.coeff
     thetas = {(): compose([], owner=algebra)}
     for s in algebra.basis_words():

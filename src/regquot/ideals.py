@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import (
     ConditionIIFails,
@@ -36,7 +36,6 @@ from .linalg import (
     module_invariants,
     modulus_rows,
     residue_prime,
-    sparse_row,
 )
 from .ring import GradedRing, QuotientRing, RingElement, cleared_coefficients, ideal_context
 
@@ -150,8 +149,9 @@ def _lattice_quotient(lat, b_rows, base) -> ModuleEntry:
     return ModuleEntry(*module_invariants(base, [row for row, _ in coords], lat.rank))
 
 
-def _is_unit_row(coeffs, r, rows, lat, width, den=1) -> bool:
-    """Whether sum of ``(c_k - den * [k == r]) * rows[k]`` lies in ``lat``.
+def _is_unit_row(coeffs, r, rows, lat, den=1) -> bool:
+    """Whether sum of ``(c_k - den * [k == r]) * rows[k]`` lies in ``lat``,
+    for sparse ``coeffs`` and ``rows``.
 
     That is, for a unit ``den``, whether ``coeffs / den`` is row ``r`` of
     the identity modulo ``lat``; with ``r`` None, whether it is the zero
@@ -159,10 +159,10 @@ def _is_unit_row(coeffs, r, rows, lat, width, den=1) -> bool:
     any integer representative of a vector over F_p or Z/m.
     """
     if r is not None:
-        coeffs = list(coeffs)
-        coeffs[r] -= den
-    diff = _row_combination(coeffs, rows, [0] * width)
-    return not any(diff) or lat.contains(diff)
+        coeffs = dict(coeffs)
+        coeffs[r] = coeffs.get(r, 0) - den
+    diff = _row_combination(coeffs, rows)
+    return not diff or lat.contains(diff)
 
 
 # -- regular sequences ------------------------------------------------
@@ -178,32 +178,33 @@ class RegularityReport:
 
 
 def _cycle_rows(base, map_rows, target_rel_rows, source_width, target_width):
-    """Generators of {x : x * M in span(target relations)} over ``base``,
-    for ``int`` rows of M and of the relations."""
+    """Sparse generators of {x : x * M in span(target relations)} over
+    ``base``, for sparse ``int`` rows of M and of the relations."""
     if target_width == 0 or not map_rows:
-        return [[1 if i == j else 0 for j in range(source_width)] for i in range(source_width)]
+        return [{i: 1} for i in range(source_width)]
     kernel = kernel_basis(base, map_rows + target_rel_rows, target_width)
-    return [x for x in (k[: len(map_rows)] for k in kernel) if any(x)]
+    n = len(map_rows)
+    return [x for x in ({i: v for i, v in k.items() if i < n} for k in kernel) if x]
 
 
 def _has_kernel(base, rows, used, src, tgt, p):
     """Whether some y on the ``used`` monomials has ``y * rows`` in the
     target slice ``tgt`` but ``y`` not in the source slice ``src``: by a
     rank count mod ``p`` when ``p`` is given, else on a kernel basis."""
-    pos = {m: j for j, m in enumerate(src.exps)}
+    cols = [src.index[m] for m in used]
     if p is None:
-        for vec in _cycle_rows(base, rows, tgt.rows, len(used), tgt.width):
-            full = [0] * src.width
-            for val, m in zip(vec, used):
-                full[pos[m]] = val
-            if not src.contains_vector(full):
-                return True
-        return False
-    joint = []
-    for row, m in zip(rows, used):
-        e = [0] * src.width
-        e[pos[m]] = 1
-        joint.append(tgt.residue_lattice.reduce(row)[0] + src.residue_lattice.reduce(e)[0])
+        return any(
+            not src.lattice.contains({cols[i]: val for i, val in vec.items()})
+            for vec in _cycle_rows(base, rows, tgt.rows, len(used), tgt.width)
+        )
+    shift = tgt.width
+    joint = [
+        {
+            **tgt.residue_lattice.reduce(row)[0],
+            **{shift + k: x for k, x in src.residue_lattice.reduce({j: 1})[0].items()},
+        }
+        for row, j in zip(rows, cols)
+    ]
     pivots = FieldLattice(joint, tgt.width + src.width, p).pivots
     return bool(pivots) and pivots[-1] >= tgt.width  # a pivot past tgt's block
 
@@ -295,13 +296,15 @@ def check_regular_sequence(ring: GradedRing, elements, window: int | None = None
 class KoszulComplex:
     """Exterior-basis Koszul complex of a sequence, tensored with R/K.
 
-    The differentials hold ``int`` entries: the sequence's coefficients
-    times one common multiple ``scale`` of their denominators, from the
-    ``ring.cleared_coefficients`` that ideal slices use too.  ``scale`` is
-    a p-unit over Z_(p) and 1 over the other bases, and over F_p and Z/m
-    an entry is any integer of its residue class, so the rows are ``scale``
-    times the differential over the base.  Scaling by a unit keeps the
-    kernels, the spans and the check that d∘d lies in the relations.
+    The differentials and relation rows are sparse, ``{col: value}`` on the
+    chain slices, and store no zero.  The differentials hold ``int``
+    entries: the sequence's coefficients times one common multiple
+    ``scale`` of their denominators, from the ``ring.cleared_coefficients``
+    that ideal slices use too.  ``scale`` is a p-unit over Z_(p) and 1 over
+    the other bases, and over F_p and Z/m an entry is any integer of its
+    residue class, so the rows are ``scale`` times the differential over
+    the base.  Scaling by a unit keeps the kernels, the spans and the check
+    that d∘d lies in the relations.
     """
 
     def __init__(self, ring: GradedRing, j_gens, k_gens=(), window: int | None = None):
@@ -317,9 +320,6 @@ class KoszulComplex:
         self._coeffs, self.scale = cleared_coefficients(self.j_gens)
         self._differentials: dict = {}  # (i, q) -> differential_rows(i, q)
 
-    def subsets(self, i: int):
-        return list(combinations(range(self.length), i))
-
     def shift(self, subset) -> int:
         return sum(self._degs[j] for j in subset)
 
@@ -328,7 +328,7 @@ class KoszulComplex:
         if i < 0 or i > self.length:
             return []
         out = []
-        for S in self.subsets(i):
+        for S in combinations(range(self.length), i):
             d = q - self.shift(S)
             if d > self.ring.degree_window:
                 continue
@@ -337,22 +337,14 @@ class KoszulComplex:
         return out
 
     def relation_rows(self, i: int, q: int):
-        """Coefficient-quotient relation rows for the (i, q) slice."""
+        """Coefficient-quotient relation rows for the (i, q) slice, sparse."""
         basis = self.chain_slice(i, q)
         index = {sm: j for j, sm in enumerate(basis)}
         rows = []
-        by_subset: dict = {}
-        for S, m in basis:
-            by_subset.setdefault(S, []).append(m)
-        for S in by_subset:
-            d = q - self.shift(S)
-            ctx = ideal_context(self.ring, self.k_gens, d)
-            for row in ctx.rows:
-                out = [0] * len(basis)
-                for val, m in zip(row, ctx.exps):
-                    if val:
-                        out[index[(S, m)]] = val
-                rows.append(out)
+        for S in dict.fromkeys(S for S, _ in basis):
+            ctx = ideal_context(self.ring, self.k_gens, q - self.shift(S))
+            cols = [index[(S, m)] for m in ctx.exps]
+            rows.extend({cols[j]: val for j, val in row.items()} for row in ctx.rows)
         return rows
 
     def differential_rows(self, i: int, q: int):
@@ -373,7 +365,8 @@ class KoszulComplex:
         rows = []
         truncated = False
         for S, m in src:
-            row = [0] * len(tgt)
+            # each (rest, prod) is hit once: rest names j, and prod the term
+            row = {}
             for t, j in enumerate(S):
                 rest = tuple(x for x in S if x != j)
                 sign = -1 if t % 2 else 1
@@ -383,16 +376,16 @@ class KoszulComplex:
                     if key not in index:
                         truncated = True
                         continue
-                    row[index[key]] += sign * c
+                    row[index[key]] = sign * c
             rows.append(row)
         return rows, truncated
 
     def validate_squares(self, q: int) -> None:
         """d∘d lands in the relation span of the target slice.
 
-        Each row of d_i is combined in integers with the sparse rows of
-        d_{i-1}.  Over F_p and Z/m a product that vanishes only mod p or m
-        still passes, since the relation lattice works mod p or holds the
+        Each row of d_i is combined in integers with the rows of d_{i-1}.
+        Over F_p and Z/m a product that vanishes only mod p or m still
+        passes, since the relation lattice works mod p or holds the
         multiples of m.
         """
         base = self.ring.base
@@ -402,15 +395,10 @@ class KoszulComplex:
                 continue
             d_i, t1 = self.differential_rows(i, q)
             d_im1, t2 = self.differential_rows(i - 1, q)
-            sparse = [sparse_row(row) for row in d_im1]
             lat = None  # the relation lattice, built for the first nonzero row
             for row in d_i:
-                comp = [0] * width
-                for a, mid in zip(row, sparse):
-                    if a:
-                        for j, x in mid.items():
-                            comp[j] += a * x
-                if not any(comp):
+                comp = _row_combination(row, d_im1)
+                if not comp:
                     continue
                 if lat is None:
                     lat = lattice_for(base, self.relation_rows(i - 2, q), width)
@@ -444,13 +432,14 @@ def tor(ring: GradedRing, j_gens, k_gens, i: int, window: int | None = None):
     if i < 0:
         raise SemanticError("homological degree must be >= 0")
     jseq = checked_sequence(ring, _gens(ring, j_gens))
+    kseq = _gens(ring, k_gens)  # invalid input is refused before any verdict
     top = ring.degree_window if window is None else min(window, ring.degree_window)
     reg = check_regular_sequence(ring, jseq, top)
     if not reg.regular:
         raise NotVerifiedRegular(
             "sequence not verified regular (fails at entry %s)" % (reg.first_failure,)
         )
-    cx = KoszulComplex(ring, jseq, _gens(ring, k_gens), top)
+    cx = KoszulComplex(ring, jseq, kseq, top)
     degrees = list(ring.even_degrees(top))
     report = GradedModuleReport((degrees[0] if degrees else 0, top))
     if i > cx.length:
@@ -583,6 +572,7 @@ def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
         if not lift_rank(lat):
             continue
         row_owner = [owner[gi] if kind == "gen" else None for kind, gi, _ in ctx_all.tags]
+        n_rows = len(row_owner)
         rel_all = ideal_context(ring, prod_all, q)
         a_entry = _lattice_quotient(lat, rel_all.rows, base)
         ctxs = [ideal_context(ring, fam, q) for fam in fams]
@@ -594,11 +584,12 @@ def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
         # a combination of rows of ctxs[s], on that lattice's basis.  Row r
         # of the transform writes unit * a_basis[r] on the rows of ctx_all;
         # over Z/m its entries on the lattice's own multiples of m, which
-        # vanish over Z/m, come last and the zip with row_owner drops them.
+        # vanish over Z/m, come at indices past row_owner and are dropped.
         sols, unit = lat.integer_transform()
         fwd, fden = common_denominator([
             [c.lattice.integer_coordinates(_row_combination(
-                [x if o == s else 0 for x, o in zip(sol, row_owner)], ctx_all.rows, [0] * width
+                {i: x for i, x in sol.items() if i < n_rows and row_owner[i] == s},
+                ctx_all.rows,
             )) for sol in sols]
             for s, c in enumerate(ctxs)
         ])
@@ -607,20 +598,24 @@ def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
             [[lat.integer_coordinates(b) for b in basis] for basis in bases]
         )
         back_rows = [row for rows in bwd for row in rows]
+        offset = list(accumulate(map(len, bwd), initial=0))  # summand s starts at offset[s]
         # fwd is over fden * unit and bwd over bden, so each composite is X / den
         den = fden * unit * bden
         ok = all(
             # backward ∘ forward = identity on A modulo I² relations
             _is_unit_row(
-                _row_combination([c for f in fwd for c in f[r]], back_rows, [0] * len(a_basis)),
-                r, a_basis, rel_all.lattice, width, den,
+                _row_combination(
+                    {offset[s] + k: c for s, f in enumerate(fwd) for k, c in f[r].items()},
+                    back_rows,
+                ),
+                r, a_basis, rel_all.lattice, den,
             )
             for r in range(len(a_basis))
         ) and all(
             # forward ∘ backward = identity on each summand modulo its relations
             _is_unit_row(
-                _row_combination(brow, fwd[s], [0] * len(bases[s])),
-                r if s == idx else None, bases[s], rels[s].lattice, width, den,
+                _row_combination(brow, fwd[s]),
+                r if s == idx else None, bases[s], rels[s].lattice, den,
             )
             for idx, rows in enumerate(bwd)
             for r, brow in enumerate(rows)

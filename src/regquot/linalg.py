@@ -1,72 +1,58 @@
 """Exact row-style linear algebra over the integers, the p-local integers
 and the prime fields.
 
-Everything here works on plain lists.  Vectors are rows; a lattice is the
-row span of a list of vectors.  Over the integers the canonical form is the
-row Hermite normal form with non-negative entries above each pivot; over
-Z_(p) rows are echelonized with p-power pivots (valuation pivoting), which
-is the denominator-cleared normal form for a discrete valuation ring; over
-F_p it is the reduced row echelon form mod p, kept on sparse rows.
-
-Hermite forms follow Cohen, GTM 138, section 2.4.  All three lattices
-keep their rows sparse inside, as ``{col: value}`` dicts, and dense at the
-API: they take dense rows and vectors and return dense integer rows.  The
-ideal-slice and Koszul rows they see are nearly empty, so each elimination
-step touches only the nonzero entries (Dumas, Saunders & Villard, J.
-Symbolic Comput. 2001, for sparse elimination).
+A lattice is the row span of a list of vectors.  Its canonical form is the
+row Hermite normal form over Z (Cohen, GTM 138, section 2.4), an echelon
+form with p-power pivots over Z_(p), and the reduced row echelon form mod
+p over F_p.  Every row and vector crossing this module's API is sparse, a
+``{col: value}`` dict that stores no zero, except the rows handed to the
+``IntLattice`` and ``LocalLattice`` constructors, which ``lattice_for``
+densifies.  The ideal-slice and Koszul rows are nearly empty, so each
+elimination step touches only nonzero entries (Dumas, Saunders & Villard,
+J. Symbolic Comput. 2001), and a reduction visits only the pivot columns
+its vector holds (``_pivot_walk``).
 
 Every lattice answers in integers over one unit ``D``, 1 over Z, F_p and
-Z/m and a p-unit over Z_(p) (``_Lattice`` lists the answers).  Nothing
-here builds a ``Fraction``: the ring layer divides, once, where a
-coefficient leaves for a ring element.  ``reduce`` and the coordinates
-come from the echelon form alone.  The transform, which ``solve`` needs,
-is built on first read: the elimination runs again on rows that carry the
-identity as extra columns past ``width`` (``_with_identity``), and
-``_transform_rows`` reads them back.  ``kernel_basis`` reads the kernel
-from those columns too.  ``snf_invariants`` first eliminates unit pivots
-on sparse rows, each of which splits off an invariant factor 1, and runs
-the general Smith elimination only on the rows that are left.
+Z/m and a p-unit over Z_(p) (``_Lattice`` lists the answers); nothing here
+builds a ``Fraction``.  The transform, which ``solve`` needs, is built on
+first read by the same elimination on rows that carry the identity as
+extra columns past ``width`` (``_with_identity``); ``kernel_basis`` reads
+the kernel from those columns too.  ``snf_invariants`` first eliminates
+unit pivots, each of which splits off an invariant factor 1.
 
-Rows are ``int``: the ring layer clears the coefficients of each ideal
-slice and each Koszul differential once, over one p-unit multiple, and
-hands every lattice integer rows, which nothing here converts again.
-``Fraction`` s with p-unit denominators arrive only as vectors.  The
-p-local routines compute fraction-free: each row is an integer vector over
-one p-unit denominator, and elimination multiplies rows by p-units
-(Bareiss-style integer-preserving elimination), which are invertible over
-Z_(p).
+Rows are ``int``: the ring layer clears each ideal slice and Koszul
+differential once, over one p-unit multiple.  ``Fraction`` s with p-unit
+denominators arrive only as vectors.  The p-local routines are
+fraction-free: each row is an integer vector over one p-unit denominator,
+and elimination multiplies rows by p-units (Bareiss-style).
 
 ``lattice_for``, ``module_invariants``, ``kernel_basis`` and
 ``residue_prime`` are the one place where the base ring picks the algebra:
-Z_(p) gets the p-local lattice and p-parts of the invariant factors, F_p
-the field lattice, and Z and Z/m the integer lattice; ``residue_prime``
-says when a span may be taken mod p.  A span over Z/m is lifted to Z here, by the
-``modulus_rows`` m * e_j, so no caller carries them.  Localizing at p is
-exact, so Z and Z_(p) need different pivots but nothing else.
+the p-local lattice and p-parts of the invariant factors over Z_(p), the
+field lattice over F_p, and the integer lattice over Z and over Z/m,
+whose spans are lifted to Z here by the ``modulus_rows`` m * e_j.
+``residue_prime`` says when a span may be taken mod p.
 """
 from __future__ import annotations
 
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
 
 from .errors import SemanticError
 from .scalars import INTEGERS_LOCALIZED, INTEGERS_MOD, PRIME_FIELD
 
 
-def _sub_row(rows, i, j, q):
-    rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
-
-
-def _row_combination(coef, rows, out):
-    """``out`` plus the sum of ``coef[k] * rows[k]``, added in place; zero
-    coefficients and zero entries cost no product."""
-    for c, row in zip(coef, rows):
+def _row_combination(coef, rows):
+    """The sum of ``coef[k] * rows[k]`` over the sparse coefficients
+    ``coef``, as a sparse row; zero coefficients cost no product."""
+    out = {}
+    for k, c in coef.items():
         if c:
-            for j in compress(range(len(row)), row):
-                out[j] += c * row[j]
-    return out
+            for j, x in rows[k].items():
+                out[j] = out.get(j, 0) + c * x
+    return {j: x for j, x in out.items() if x}
 
 
 def sparse_row(row):
@@ -74,13 +60,9 @@ def sparse_row(row):
     return {j: row[j] for j in compress(range(len(row)), row)}
 
 
-def _dense(row, width, start=0):
-    """Columns ``start`` to ``start + width`` of a sparse row, as a dense list."""
-    out = [0] * width
-    for j, x in row.items():
-        if 0 <= j - start < width:
-            out[j - start] = x
-    return out
+def _columns(row, start, stop):
+    """Columns ``start`` to ``stop`` of a sparse row, renumbered from 0."""
+    return {j - start: x for j, x in row.items() if start <= j < stop}
 
 
 def _with_identity(A, width, diag=None):
@@ -89,9 +71,9 @@ def _with_identity(A, width, diag=None):
     denominators, so that each transform row shares its row's denominator.
 
     Every elimination here seeks pivots in the first ``width`` columns only,
-    so these entries ride along with each row operation, and
-    ``_transform_rows`` reads them back.  A row left with entries past
-    ``width`` only is a kernel vector.
+    so these entries ride along with each row operation, and ``_columns``
+    reads them back.  A row left with entries past ``width`` only is a
+    kernel vector.
 
     A run with these columns gives the same echelon rows as one without.
     Over Z and F_p the first ``width`` columns go through the very same
@@ -104,11 +86,6 @@ def _with_identity(A, width, diag=None):
     for i, row in enumerate(A):
         row[width + i] = 1 if diag is None else diag[i]
     return A
-
-
-def _transform_rows(A, width, m):
-    """The first ``m`` transform columns of each row of ``A``, as dense rows."""
-    return [_dense(row, m, width) for row in A]
 
 
 def _sub_multiple(dst, q, src):
@@ -180,23 +157,53 @@ def _hermite(A, width):
 
 
 def hnf_transform(rows, width):
-    """Row Hermite form of ``rows``.
+    """Row Hermite form of the sparse ``rows``.
 
-    Returns ``(H, T, pivots)`` with ``T`` unimodular, ``T * rows == H``,
-    zero rows of ``H`` last, and ``pivots`` a list of ``(row, col)`` pairs.
-    Entries above each pivot are reduced into ``[0, pivot)``.  ``T`` rides
-    along as the identity columns of ``_with_identity``.
+    Returns ``(H, T, pivots)``, sparse rows with ``T`` unimodular,
+    ``T * rows == H`` and zero rows of ``H`` last, and ``pivots`` a list of
+    ``(row, col)`` pairs.  Entries above each pivot are reduced into
+    ``[0, pivot)``.  ``T`` rides along as the identity columns of
+    ``_with_identity``, so its rows past the rank span the left kernel.
     """
-    A = _with_identity([sparse_row(row) for row in rows], width)
+    A = _with_identity([dict(row) for row in rows], width)
     pivots = _hermite(A, width)
-    return [_dense(row, width) for row in A], _transform_rows(A, width, len(rows)), pivots
+    top = width + len(rows)
+    return [_columns(row, 0, width) for row in A], [_columns(row, width, top) for row in A], pivots
+
+
+def _pivot_walk(res, hits):
+    """The pivot columns that the sparse ``res`` holds, smallest first,
+    while the caller takes an echelon row off ``res`` at each.  An echelon
+    row is zero left of its pivot, so a step at ``c`` can fill only the
+    pivot columns ``hits[c]`` of its row past ``c``, pushed after it: the
+    walk yields the pivots where a loop over all pivots acts, in order."""
+    heap = [c for c in res if c in hits]
+    heapify(heap)
+    last = None
+    while heap:
+        c = heappop(heap)
+        if c != last and res.get(c):
+            last = c
+            yield c
+            for j in hits[c]:
+                if j in res:
+                    heappush(heap, j)
+
+
+def _hits(echelon, pivots):
+    """``hits`` for ``_pivot_walk`` from the ``(row, col)`` pivots."""
+    cols = {c for _, c in pivots}
+    return {c: [j for j in echelon[r] if j > c and j in cols] for r, c in pivots}
 
 
 class _Lattice:
     """The one face of every lattice: integers over one unit ``D``, which
     is 1 over Z, F_p and Z/m.
 
-    * ``integer_basis()``: the echelon rows ``_echelon[:rank]``, dense;
+    Vectors and answers are sparse ``{index: value}`` dicts:
+
+    * ``integer_basis()``: the echelon rows ``_echelon[:rank]``, which no
+      caller may change;
     * ``reduce(vec)``: ``(N, D)``, ``N / D`` the canonical residue;
     * ``integer_coordinates(vec)``: ``(C, D)``, ``C / D`` on that basis,
       or None;
@@ -206,10 +213,10 @@ class _Lattice:
     """
 
     def contains(self, vec) -> bool:
-        return not any(self.reduce(vec)[0])
+        return not self.reduce(vec)[0]
 
     def integer_basis(self):
-        return [_dense(row, self.width) for row in self._echelon[: self.rank]]
+        return self._echelon[: self.rank]
 
     def integer_transform(self):
         return self._transform
@@ -220,55 +227,54 @@ class _Lattice:
         if got is None:
             return None
         t, D = self.integer_transform()
-        return _row_combination(got[0], t, [0] * self.nrows), got[1] * D
+        return _row_combination(got[0], t), got[1] * D
 
 
 class IntLattice(_Lattice):
     """Row span of integer vectors with canonical coset representatives.
 
-    Construction runs ``_hermite`` on sparse rows and keeps that echelon
-    form and its pivots, which is all that ``reduce``, ``contains`` and
-    ``integer_coordinates`` read.  The transform that ``solve`` alone
-    needs, the rows of the ``T`` of ``hnf_transform(rows, width)`` up to
-    the rank, is built on first read.
+    The constructor takes dense rows.  It runs ``_hermite`` on them made
+    sparse and keeps that echelon form and its pivots, which is all that
+    ``reduce``, ``contains`` and ``integer_coordinates`` read.  The
+    transform that ``solve`` alone needs, the rows of the ``T`` of
+    ``hnf_transform`` up to the rank, is built on first read.
     """
 
     def __init__(self, rows, width):
         self.width = width
         self.nrows = len(rows)
-        self._rows = rows
-        self._echelon = [sparse_row(row) for row in rows]
+        self._rows = [sparse_row(row) for row in rows]
+        self._echelon = [dict(row) for row in self._rows]
         self.pivots = _hermite(self._echelon, width)
         self.rank = len(self.pivots)
+        self._row_at = {c: r for r, c in self.pivots}
+        self._hits = _hits(self._echelon, self.pivots)
 
     @cached_property
     def _transform(self):
         return hnf_transform(self._rows, self.width)[1][: self.rank], 1
 
-    def _reduce(self, vec, coef=None):
-        """``vec`` reduced modulo the lattice; ``coef[r]`` records the
-        multiple of basis row ``r`` removed.  ``reduce`` passes no ``coef``."""
-        res = list(vec)
-        for r, c in self.pivots:
-            if not res[c]:
-                continue
+    def _reduce(self, vec):
+        """``(res, coef)``: ``vec`` reduced modulo the lattice, and the
+        multiple ``coef[r]`` of basis row ``r`` removed."""
+        res = dict(vec)
+        coef = {}
+        for c in _pivot_walk(res, self._hits):
+            r = self._row_at[c]
             row = self._echelon[r]
             q = res[c] // row[c]
             if q:
-                for j, x in row.items():
-                    res[j] -= q * x
-                if coef is not None:
-                    coef[r] = q
-        return res
+                _sub_multiple(res, q, row)
+                coef[r] = q
+        return res, coef
 
     def reduce(self, vec):
         """Canonical representative of ``vec`` modulo the lattice, over 1."""
-        return self._reduce(vec), 1
+        return self._reduce(vec)[0], 1
 
     def integer_coordinates(self, vec):
-        coef = [0] * self.rank
-        res = self._reduce(vec, coef)
-        return None if any(res) else (coef, 1)
+        res, coef = self._reduce(vec)
+        return None if res else (coef, 1)
 
     # The benchmark's tracer wraps and restores ``solve`` in the class's own
     # namespace, here and on ``LocalLattice``.
@@ -280,9 +286,10 @@ def _has_unit(row) -> bool:
 
 
 def snf_invariants(rows):
-    """Invariant factors (positive, each dividing the next) of the row span.
+    """Invariant factors (positive, each dividing the next) of the span of
+    the sparse ``rows``.
 
-    A unit-pivot phase runs first, on sparse ``{col: value}`` rows (Dumas,
+    A unit-pivot phase runs first (Dumas,
     Saunders & Villard, J. Symbolic Comput. 2001): while some row has an
     entry +-1, take the shortest such row (the first on ties, kept in a heap
     keyed by length and position), subtract multiples of it from every
@@ -290,10 +297,10 @@ def snf_invariants(rows):
     and drop it.  Once
     the pivot column is clear, column operations clear the rest of the
     pivot row without touching any other row, so each such step splits off
-    one invariant factor 1.  The leftover rows, usually none, go to the
-    general smallest-entry elimination.
+    one invariant factor 1.  The leftover rows, usually none, go to
+    ``_snf_general``.
     """
-    A = [row for row in map(sparse_row, rows) if row]
+    A = [dict(row) for row in rows if row]
     # (length, index) of each row that holds a unit, smallest first.  An
     # entry is stale once its row is gone, has changed length or has lost
     # its unit; a row is pushed again whenever an elimination changes it.
@@ -324,77 +331,33 @@ def snf_invariants(rows):
             if _has_unit(row):
                 heappush(queue, (len(row), k))
         units += 1
-    A = [row for row in A if row]
-    cols = sorted({j for row in A for j in row})
-    return [1] * units + _snf_general([[row.get(j, 0) for j in cols] for row in A])
+    return [1] * units + _snf_general([row for row in A if row])
 
 
 def _snf_general(A):
-    """Invariant factors of the nonzero integer rows ``A``, destroying ``A``.
+    """Invariant factors of the sparse integer rows ``A``, destroying ``A``.
 
-    Each step moves a smallest entry to the corner, clears its row and
-    column, and adds any row the corner does not divide into the first.
+    Row Hermite forms of the rows and of the columns alternate until each
+    row holds one entry.  A pass makes the first pivot the gcd of its
+    column or row, so it shrinks until it divides both and stands alone,
+    and then the rest follows.  The diagonal is brought to a divisibility
+    chain by gcd and lcm, which keeps the Smith form.
     """
-    invs = []
-    while A and A[0]:
-        best = None
-        for i, row in enumerate(A):
-            for j, x in enumerate(row):
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
+    while True:
+        _hermite(A, 1 + max((j for row in A for j in row), default=-1))
+        A = [row for row in A if row]
+        if all(len(row) == 1 for row in A):
             break
-        _, bi, bj = best
-        A[0], A[bi] = A[bi], A[0]
-        for row in A:
-            row[0], row[bj] = row[bj], row[0]
-        while True:
-            dirty = False
-            for i in range(1, len(A)):
-                if A[i][0]:
-                    q = A[i][0] // A[0][0]
-                    if q:
-                        _sub_row(A, i, 0, q)
-                    if A[i][0]:
-                        dirty = True
-            if dirty:
-                bi = min(
-                    (i for i in range(len(A)) if A[i][0]),
-                    key=lambda i: abs(A[i][0]),
-                )
-                A[0], A[bi] = A[bi], A[0]
-                continue
-            dirty = False
-            for j in range(1, len(A[0])):
-                if A[0][j]:
-                    q = A[0][j] // A[0][0]
-                    if q:
-                        for row in A:
-                            row[j] -= q * row[0]
-                    if A[0][j]:
-                        dirty = True
-            if dirty:
-                bj = min(
-                    (j for j in range(len(A[0])) if A[0][j]),
-                    key=lambda j: abs(A[0][j]),
-                )
-                for row in A:
-                    row[0], row[bj] = row[bj], row[0]
-                continue
-            d = abs(A[0][0])
-            if d == 1:
-                break
-            off = None
-            for i in range(1, len(A)):
-                if any(x % d for x in A[i]):
-                    off = i
-                    break
-            if off is None:
-                break
-            A[0] = [a + b for a, b in zip(A[0], A[off])]
-        invs.append(abs(A[0][0]))
-        A = [row[1:] for row in A[1:]]
-        A = [row for row in A if any(row)]
+        cols = {}
+        for i, row in enumerate(A):
+            for j, x in row.items():
+                cols.setdefault(j, {})[i] = x
+        A = list(cols.values())
+    invs = sorted(abs(x) for row in A for x in row.values())
+    for i in range(len(invs)):
+        for j in range(i + 1, len(invs)):
+            g = gcd(invs[i], invs[j])
+            invs[i], invs[j] = g, invs[i] * invs[j] // g
     return invs
 
 
@@ -430,27 +393,20 @@ def _residue(num, den, pk) -> int:
     return num * pow(den, -1, pk) % pk if pk > 1 else 0
 
 
-def _cleared(vec):
-    """``(N, D)`` with ``vec == N / D``: integer numerators over the lcm ``D``
-    of the denominators.  An all-``int`` ``vec`` is copied at once."""
-    if set(map(type, vec)) <= {int}:
-        return list(vec), 1
-    dens = [x.denominator for x in vec]
-    den = lcm(*dens)
-    if den == 1:
-        return [x.numerator for x in vec], 1
-    return [x.numerator * (den // e) for x, e in zip(vec, dens)], den
-
-
 def _local_numerators(vec, p):
-    """``_cleared(vec)`` for a p-local ``vec``; other vectors raise ``SemanticError``."""
-    nums, den = _cleared(vec)
+    """``(N, D)`` with the sparse p-local ``vec == N / D``: integer
+    numerators over the lcm ``D`` of the denominators, a p-unit.  An
+    all-``int`` ``vec`` is copied at once; a vector that is not p-local
+    raises ``SemanticError``."""
+    if set(map(type, vec.values())) <= {int}:
+        return dict(vec), 1
+    den = lcm(*(x.denominator for x in vec.values()))
     if den % p == 0:
-        bad = next(x for x in vec if x.denominator % p == 0)
+        bad = next(x for x in vec.values() if x.denominator % p == 0)
         raise SemanticError(
             "denominator of %s is divisible by %d, not %d-local" % (bad, p, p)
         )
-    return nums, den
+    return {j: x.numerator * (den // x.denominator) for j, x in vec.items()}, den
 
 
 def _stripped(row, d):
@@ -462,10 +418,10 @@ def _stripped(row, d):
 
 
 def _local_rows(rows, p):
-    """``(A, d)``: each p-local row as sparse integer numerators ``A[i]``
-    over a p-unit denominator ``d[i]``."""
-    pairs = [_local_numerators(row, p) for row in rows]
-    return [sparse_row(nums) for nums, _ in pairs], [den for _, den in pairs]
+    """``(A, d)``: each dense p-local row as sparse integer numerators
+    ``A[i]`` over a p-unit denominator ``d[i]``."""
+    pairs = [_local_numerators(sparse_row(row), p) for row in rows]
+    return [nums for nums, _ in pairs], [den for _, den in pairs]
 
 
 def _bareiss_local(A, d, width, p):
@@ -482,20 +438,39 @@ def _bareiss_local(A, d, width, p):
     its pivot as its denominator, and entries above a pivot keep their
     canonical residue in ``[0, p^v)``.  Each updated row is divided by its
     common factor with its denominator, which keeps the integers small.
+
+    ``holders`` indexes the rows nonzero in each column, as in
+    ``snf_invariants``, so a column visits only those rows, in row order;
+    ``place`` updates it on the columns of a row that a step may change.
     """
     m = len(A)
+    holders = {}  # column < width -> indices of the rows nonzero there
+
+    def place(i, row):
+        for j in row:
+            if j < width:
+                (holders.setdefault(j, set()).add if j in A[i] else holders[j].discard)(i)
+
+    for i, row in enumerate(A):
+        place(i, row)
+
     pivots = []
     r = 0
     for c in range(width):
         if r == m:
             break
-        cand = [(pval(A[i][c], p), i) for i in range(r, m) if c in A[i]]
+        held = sorted(holders.get(c, ()))
+        cand = [(pval(A[i][c], p), i) for i in held if i >= r]
         if not cand:
             continue
         v, i0 = min(cand)
         if i0 != r:
-            A[r], A[i0] = A[i0], A[r]
+            swapped = A[r], A[i0] = A[i0], A[r]
             d[r], d[i0] = d[i0], d[r]
+            for i in (r, i0):
+                for row in swapped:
+                    place(i, row)
+            held = sorted(holders[c])
         pk = p**v
         # E[r] / unit with unit = E[r][c] / p^v is A[r] over A[r][c] / p^v.
         dr = A[r][c] // pk
@@ -503,10 +478,10 @@ def _bareiss_local(A, d, width, p):
             A[r] = {j: -x for j, x in A[r].items()}
             dr = -dr
         A[r], d[r] = piv, dr = _stripped(A[r], dr)
-        for i in range(m):
-            a = A[i].get(c)
-            if i == r or not a:
+        for i in held:
+            if i == r:
                 continue
+            a = A[i][c]
             if i > r:
                 q = a // pk
             else:
@@ -515,6 +490,7 @@ def _bareiss_local(A, d, width, p):
                 row = A[i] if dr == 1 else {j: dr * x for j, x in A[i].items()}
                 _sub_multiple(row, q, piv)
                 A[i], d[i] = _stripped(row, d[i] * dr)
+                place(i, piv)
         pivots.append((r, c, v))
         r += 1
     return pivots
@@ -529,8 +505,9 @@ class LocalLattice(_Lattice):
     rows ``A[r]`` are ``integer_basis()``, and one loop, ``_reduce``, gives
     the residue and the coordinates on them over one p-unit.  The transform
     is built on first read by the same elimination with the identity
-    columns of ``_with_identity``.  Rows whose denominator is divisible by
-    ``p`` are not p-local and raise ``SemanticError``.
+    columns of ``_with_identity``.  The constructor takes dense rows; rows
+    whose denominator is divisible by ``p`` are not p-local and raise
+    ``SemanticError``.
     """
 
     def __init__(self, rows, width, p):
@@ -541,6 +518,8 @@ class LocalLattice(_Lattice):
         self._echelon, self._d = _local_rows(rows, p)
         self.pivots = _bareiss_local(self._echelon, self._d, width, p)
         self.rank = len(self.pivots)
+        self._row_at = {c: (r, v) for r, c, v in self.pivots}
+        self._hits = _hits(self._echelon, [(r, c) for r, c, _ in self.pivots])
 
     @cached_property
     def _transform(self):
@@ -548,9 +527,9 @@ class LocalLattice(_Lattice):
         # scaled by d[r] * D / e[r] writes D * A[r].
         A, e = _local_rows(self._rows, self.p)
         _bareiss_local(_with_identity(A, self.width, e), e, self.width, self.p)
-        U = _transform_rows(A[: self.rank], self.width, self.nrows)
         D = lcm(*e[: self.rank])
-        return [[dr * D // f * x for x in u] for u, f, dr in zip(U, e, self._d)], D
+        U = [_columns(row, self.width, self.width + self.nrows) for row in A[: self.rank]]
+        return [{k: dr * D // f * x for k, x in u.items()} for u, f, dr in zip(U, e, self._d)], D
 
     def _reduce(self, vec):
         """``(N, C, D)`` with ``vec == (N + sum of C[r] * A[r]) / D``, ``N / D``
@@ -559,20 +538,21 @@ class LocalLattice(_Lattice):
         p = self.p
         N, D = _local_numerators(vec, p)
         C = {}
-        for r, c, v in self.pivots:
+        for c in _pivot_walk(N, self._hits):
+            r, v = self._row_at[c]
             x = N[c]
-            if not x:
-                continue
             pk = p**v
             q = (x - _residue(x, D, pk) * D) // pk
             if q:
                 dr = self._d[r]
                 if dr != 1:
-                    N = [dr * a for a in N]
-                    C = {k: dr * a for k, a in C.items()}
+                    # in place, as _pivot_walk reads N
+                    for j in N:
+                        N[j] *= dr
+                    for k in C:
+                        C[k] *= dr
                     D *= dr
-                for j, y in self._echelon[r].items():
-                    N[j] -= q * y
+                _sub_multiple(N, q, self._echelon[r])
                 C[r] = q
         return N, C, D
 
@@ -584,7 +564,7 @@ class LocalLattice(_Lattice):
 
     def integer_coordinates(self, vec):
         N, C, D = self._reduce(vec)
-        return None if any(N) else (_dense(C, self.rank), D)
+        return None if N else (C, D)
 
     solve = _Lattice.solve
 
@@ -610,16 +590,19 @@ def _echelon_mod_p(A, width, p):
     anything is left in the first ``width`` columns, its leading entry is
     scaled to 1 and cleared from every echelon row, so each pivot column
     stays zero outside its own row (Dumas, Saunders & Villard, J. Symbolic
-    Comput. 2001, for sparse elimination).
+    Comput. 2001, for sparse elimination).  ``holders`` indexes the echelon
+    rows nonzero in each column, so the clearing visits only those.
 
     Returns ``(echelon, kernel)``: ``echelon`` maps each pivot column to its
     row, and ``kernel`` holds the rows left with entries past ``width``
     only.  On rows from ``_with_identity`` these are a basis of the left
     kernel mod ``p``, since row ``i`` enters its own transform with
-    coefficient 1 and otherwise only earlier rows do.
+    coefficient 1 and otherwise only earlier rows do.  The rows ``A`` are
+    left as they are.
     """
     echelon = {}
     kernel = []
+    holders = {}  # column < width -> pivots of the echelon rows nonzero there
     for row in A:
         v = {j: y for j, x in row.items() if (y := x % p)}
         for c in [c for c in v if c in echelon]:
@@ -633,16 +616,22 @@ def _echelon_mod_p(A, width, p):
         inv = pow(v[c0], -1, p)
         if inv != 1:
             v = {j: x * inv % p for j, x in v.items()}
-        for e in echelon.values():
-            f = e.get(c0)
-            if f:
-                _add_multiple(e, p - f, v, p)
+        for c in holders.pop(c0, ()):
+            e = echelon[c]
+            _add_multiple(e, p - e[c0], v, p)
+            for j in v:
+                if c0 != j < width:
+                    (holders.setdefault(j, set()).add if j in e else holders[j].discard)(c)
         echelon[c0] = v
+        for j in v:
+            if j < width:
+                holders.setdefault(j, set()).add(c0)
     return echelon, kernel
 
 
 class FieldLattice(_Lattice):
-    """Span over F_p of integer rows, in sparse reduced row echelon form mod p.
+    """Span over F_p of sparse integer rows, in sparse reduced row echelon
+    form mod p.
 
     ``pivots`` are the pivot columns in increasing order, and row ``k`` of
     ``integer_basis()`` is the echelon row with entry 1 at ``pivots[k]`` and
@@ -663,55 +652,57 @@ class FieldLattice(_Lattice):
         self.width = width
         self.nrows = len(rows)
         self._rows = rows
-        self._row_at, _ = _echelon_mod_p(map(sparse_row, rows), width, p)
-        self.pivots = sorted(self._row_at)
-        self._echelon = [self._row_at[c] for c in self.pivots]
+        row_at, _ = _echelon_mod_p(rows, width, p)
+        self.pivots = sorted(row_at)
+        self._echelon = [row_at[c] for c in self.pivots]
+        self._index = {c: k for k, c in enumerate(self.pivots)}
         self.rank = len(self.pivots)
 
     @cached_property
     def _transform(self):
-        A = _with_identity([sparse_row(row) for row in self._rows], self.width)
+        A = _with_identity([dict(row) for row in self._rows], self.width)
         echelon, _ = _echelon_mod_p(A, self.width, self.p)
-        return _transform_rows([echelon[c] for c in self.pivots], self.width, self.nrows), 1
+        top = self.width + self.nrows
+        return [_columns(echelon[c], self.width, top) for c in self.pivots], 1
 
     def reduce(self, vec):
         """Canonical representative of ``vec`` modulo the span and ``p``, over 1."""
-        p = self.p
-        res = list(vec)
+        p, index = self.p, self._index
+        res = dict(vec)
         # Each echelon row is 0 at the other pivots, so the multiple of the
         # row at pivot c to take off is the entry of ``vec`` itself there.
-        for c in compress(range(self.width), vec):
-            row = self._row_at.get(c)
-            if row is not None:
-                f = vec[c] % p
-                for j, x in row.items():
-                    res[j] -= f * x
-        return [x % p for x in res], 1
+        for c, f in vec.items():
+            if c in index:
+                for j, x in self._echelon[index[c]].items():
+                    res[j] = res.get(j, 0) - f * x
+        return {j: y for j, x in res.items() if (y := x % p)}, 1
 
     def integer_coordinates(self, vec):
         if not self.contains(vec):
             return None
-        return [vec[c] % self.p for c in self.pivots], 1
+        p, index = self.p, self._index
+        return {index[c]: y for c, x in vec.items() if c in index and (y := x % p)}, 1
 
 
 # -- denominator clearing ---------------------------------------------
 
 
 def cleared_rows(rows):
-    """Scale each row by the lcm of its denominators; returns integer rows."""
-    return [_cleared(row)[0] for row in rows]
+    """Scale each dense row by the lcm of its denominators; returns integer rows."""
+    return [cleared_matrix([row])[0][0] for row in rows]
 
 
 def common_denominator(groups):
-    """Groups of ``(row, d)`` pairs as ``(rows, D)``, ``rows[g][i] / D == row / d``."""
+    """Groups of sparse ``(row, d)`` pairs as ``(rows, D)``, ``rows[g][i] / D == row / d``."""
     D = lcm(*(d for pairs in groups for _, d in pairs))
     return [
-        [row if d == D else [x * (D // d) for x in row] for row, d in pairs] for pairs in groups
+        [row if d == D else {j: x * (D // d) for j, x in row.items()} for row, d in pairs]
+        for pairs in groups
     ], D
 
 
 def cleared_matrix(rows):
-    """Scale the whole matrix by one common denominator multiple."""
+    """Scale the whole dense matrix by one common denominator multiple."""
     mult = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (mult // x.denominator) for x in row] for row in rows], mult
 
@@ -723,18 +714,21 @@ def modulus_rows(base, width):
     """The rows ``m * e_j`` that lift a span over Z/m to Z; none over other bases."""
     if base.kind != INTEGERS_MOD:
         return []
-    return [[base.modulus if j == k else 0 for k in range(width)] for j in range(width)]
+    return [{j: base.modulus} for j in range(width)]
 
 
 def lattice_for(base, rows, width):
-    """The span of ``rows`` over ``base``: a ``LocalLattice`` over Z_(p), a
-    ``FieldLattice`` over F_p, and an ``IntLattice`` over Z and, on the rows
-    lifted by ``modulus_rows``, over Z/m."""
-    if base.kind == INTEGERS_LOCALIZED:
-        return LocalLattice(rows, width, base.p)
+    """The span of the sparse ``rows`` over ``base``: a ``LocalLattice``
+    over Z_(p), a ``FieldLattice`` over F_p, and an ``IntLattice`` over Z
+    and, on the rows lifted by ``modulus_rows``, over Z/m.  The integer and
+    p-local constructors take their rows dense."""
     if base.kind == PRIME_FIELD:
         return FieldLattice(rows, width, base.p)
-    return IntLattice(rows + modulus_rows(base, width), width)
+    lift = rows + modulus_rows(base, width)
+    dense = [list(map(row.get, range(width), repeat(0))) for row in lift]
+    if base.kind == INTEGERS_LOCALIZED:
+        return LocalLattice(dense, width, base.p)
+    return IntLattice(dense, width)
 
 
 def residue_prime(base, constants):
@@ -761,7 +755,7 @@ def lift_rank(lat) -> int:
 def module_invariants(base, rows, width):
     """``(free rank, factors)`` of ``base^width`` modulo the span of ``rows``.
 
-    The rows are ``int``.  ``factors`` are the sorted invariant factors above
+    The rows are sparse, with ``int`` values.  ``factors`` are the sorted invariant factors above
     1 of the quotient, as p-parts over Z_(p), where a row stands for all its
     p-unit multiples, such as ``integer_coordinates`` over any denominator.
     Over F_p a quotient of dimension k has free rank 0 and k factors p, as
@@ -777,29 +771,34 @@ def module_invariants(base, rows, width):
 
 
 def kernel_basis(base, rows, width):
-    """Rows spanning the left kernel ``{x : x * rows == 0}`` over ``base``.
+    """Sparse rows spanning the left kernel ``{x : x * rows == 0}`` of the
+    sparse ``rows`` over ``base``.
 
     Over Z and Z_(p) (whose rows are integers) it is a basis of the integer
-    kernel, read from the transform columns of the Hermite rows past the
-    rank; over F_p a basis of the kernel mod p.  Over Z/m the kernel of the
-    lift by ``modulus_rows``, cut back to the coordinates of ``rows``,
-    generates ``{x : x * rows in m * Z^width}``.
+    kernel, the rows of ``hnf_transform``'s ``T`` past the rank; over F_p a
+    basis of the kernel mod p.  Over Z/m the kernel of the lift by
+    ``modulus_rows``, cut back to the coordinates of ``rows``, generates
+    ``{x : x * rows in m * Z^width}``.
     """
+    n = len(rows)
     if base.kind == PRIME_FIELD:
-        A = _with_identity([sparse_row(row) for row in rows], width)
-        return _transform_rows(_echelon_mod_p(A, width, base.p)[1], width, len(rows))
-    A = _with_identity([sparse_row(row) for row in rows + modulus_rows(base, width)], width)
-    rank = len(_hermite(A, width))
-    return _transform_rows(A[rank:], width, len(rows))
+        A = _with_identity([dict(row) for row in rows], width)
+        _, kernel = _echelon_mod_p(A, width, base.p)
+        return [_columns(row, width, width + n) for row in kernel]
+    _, T, pivots = hnf_transform(rows + modulus_rows(base, width), width)
+    return [_columns(t, 0, n) for t in T[len(pivots) :]]
 
 
 def lattice_intersection_rows(base, rows_a, rows_b, width):
-    """Generating rows for the intersection of two row spans over ``base``.
+    """Sparse generating rows for the intersection of the spans of the
+    sparse ``rows_a`` and ``rows_b`` over ``base``: each kernel vector of
+    ``rows_a + rows_b``, cut to its coordinates on ``rows_a``, combines
+    them.
 
     Over Z/m they generate it together with ``modulus_rows``, which every
     lattice over Z/m adds."""
     if not rows_a or not rows_b:
         return []
     kernel = kernel_basis(base, rows_a + rows_b, width)
-    gens = (_row_combination(k, rows_a, [0] * width) for k in kernel)
-    return [vec for vec in gens if any(vec)]
+    gens = (_row_combination(_columns(k, 0, len(rows_a)), rows_a) for k in kernel)
+    return [vec for vec in gens if vec]

@@ -413,12 +413,6 @@ class RingElement:
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), self.ring.base.zero())
 
-    def vector(self, exps_list):
-        missing = set(self.terms) - set(exps_list)
-        if missing:
-            raise SemanticError("element has terms outside the given basis")
-        return [self.terms.get(e, self.ring.base.zero()) for e in exps_list]
-
     # -- rendering ----------------------------------------------------
 
     def _term_str(self, exps, coeff) -> str:
@@ -472,10 +466,12 @@ class IdealContext:
 
     ``rows`` are tagged ``("gen", i, m)`` (generator ``i`` times monomial
     ``m``, in monomial order) or ``("relation", i, m)``, in that order: all
-    ``gen`` rows come first.  Every row holds ``int`` entries: the
+    ``gen`` rows come first.  Each row is sparse, ``{col: value}`` on the
+    monomials ``exps``, and stores no zero.  Its values are ``int``: the
     coefficients of the generators and relations times one common multiple
     ``scale`` of their denominators, a p-unit that is 1 over Z, F_p and
-    Z/m, so the rows span the ideal's slice over the base.  The rows carry
+    Z/m, so the rows span the ideal's slice over the base.  Vectors, as
+    ``vector`` builds them, are sparse on ``exps`` too.  The rows carry
     nothing for the base itself: ``linalg`` works mod p over F_p and adds
     the multiples of m over Z/m.  The context is the one owner of its
     slice's ``lattice``, built on first read: a caller that needs only the
@@ -486,7 +482,7 @@ class IdealContext:
         self.ring = ring
         self.d = d
         self.exps = list(ring.degree_exps(d))
-        index = {e: j for j, e in enumerate(self.exps)}
+        self.index = index = {e: j for j, e in enumerate(self.exps)}
         width = len(self.exps)
         rows = []
         tags = []
@@ -506,10 +502,7 @@ class IdealContext:
                 cols = [index.get(tuple(a + b for a, b in zip(m, exps))) for exps in g.terms]
                 if None in cols:
                     continue
-                row = [0] * width
-                for j, c in zip(cols, coeffs):
-                    row[j] = c
-                rows.append(row)
+                rows.append(dict(zip(cols, coeffs)))
                 tags.append(("gen" if gi < len(gens) else "relation", gi, m))
         self.rows = rows
         self.tags = tags
@@ -528,26 +521,32 @@ class IdealContext:
             return self.lattice
         return lattice_for(field, self.rows, self.width)
 
-    def contains_vector(self, vec) -> bool:
-        return self.lattice.contains(vec)
+    def vector(self, element):
+        """The coefficients of ``element``, of degree ``d``, as a sparse
+        vector on ``exps``."""
+        try:
+            return {self.index[e]: c for e, c in element.terms.items()}
+        except KeyError:
+            raise SemanticError("element has terms outside the given basis") from None
 
     def solve_vector(self, vec):
         """Pairs ``(tag, c)`` writing ``vec`` as the sum of ``c`` times the
         multiple each tag names, before ``scale``, over the base, each ``c``
         nonzero and canonical; or None.
 
-        Over Z/m the lattice's own multiples of m come after the tagged rows
-        and drop out of the pairs, being zero over Z/m."""
+        Over Z/m the lattice's own multiples of m come after the tagged rows,
+        at indices past ``tags``, and are dropped, being zero over Z/m."""
         sol = self.lattice.solve(vec)
         if sol is None:
             return None
         S, D = sol
-        normalize, scale = self.ring.base.normalize, self.scale
+        normalize, scale, tags = self.ring.base.normalize, self.scale, self.tags
         # S is not reduced over F_p and Z/m, so x may normalize to 0
         return [
-            (tag, c)
-            for tag, x in zip(self.tags, S)
-            if x and (c := normalize(x * scale if D == 1 else Fraction(x * scale, D)))
+            (tags[i], c)
+            for i in sorted(S)
+            if i < len(tags)
+            and (c := normalize(S[i] * scale if D == 1 else Fraction(S[i] * scale, D)))
         ]
 
     def quotient_entry(self):
@@ -594,10 +593,10 @@ def normal_form(element: RingElement, gens, degree: int | None = None) -> RingEl
     # over F_p, and over Z_(p) numerators over a p-unit.  This exit and
     # IdealContext.solve_vector are the only places that divide, and
     # normalize gives each coefficient its base ring's type.
-    N, D = ctx.lattice.reduce(element.vector(ctx.exps))
-    normalize = ring.base.normalize
+    N, D = ctx.lattice.reduce(ctx.vector(element))
+    normalize, exps = ring.base.normalize, ctx.exps
     return RingElement(
-        ring, {e: normalize(x if D == 1 else Fraction(x, D)) for e, x in zip(ctx.exps, N) if x}
+        ring, {exps[j]: normalize(N[j] if D == 1 else Fraction(N[j], D)) for j in sorted(N)}
     )
 
 

@@ -461,6 +461,24 @@ def test_mistyped_job_fields_exit_2(tmp_path, capsys, doc):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("base", ["Z", "Z/4"])
+def test_tor_refuses_invalid_second_before_the_regularity_verdict(tmp_path, capsys, base):
+    # (x, 2y) is regular over Z but not over Z/4, where 2y kills 2; the
+    # non-homogeneous second sequence is invalid input on both bases.
+    doc = {
+        "command": "tor",
+        "ring": {"base": base, "generators": [{"name": n, "degree": 2} for n in "xy"]},
+        "window": {"degree": 6},
+        "first": ["x", "2*y"],
+        "second": ["x+y*y"],
+        "index": 1,
+    }
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error[NonHomogeneous]: ")
+
+
 _DELETE = object()
 FUZZ_VALUES = (None, 0, 1, -1, 2, 3, True, 2.5, "", "x", "Z", "scenario", [], ["x"], [1], {}, {"p": 2})
 

@@ -666,3 +666,40 @@ def test_generator_checks_apply_each_generator_once_per_word(monkeypatch):
     calls.clear()
     assert duality_square_commutes(ext)
     assert len(calls) <= n * 2**n
+    # handed the Q_i of generator_checks, with their matrices built, the
+    # duality check applies none, and leibniz_check applies each Q_i only
+    # to the (n+1)*2^n products u*v, reading D(v) off the matrix
+    qs, *_ = generator_checks(ext)
+    calls.clear()
+    assert duality_square_commutes(ext, qs)
+    assert not calls
+    assert all(leibniz_check(q) for q in qs)
+    assert len(calls) == n * (n + 1) * 2**n
+
+
+def test_derivations_job_builds_each_generator_matrix_once(monkeypatch):
+    """A derivations job builds the matrix of each Q_i once: its Leibniz
+    and duality checks read the matrices that ``generator_checks`` built."""
+    from regquot.cli import run_job
+    from regquot.jobio import canonical_json, parse_job
+
+    built = []
+    real = derivations_module.operator_matrix
+
+    def counted(algebra, fn):
+        built.append(fn)
+        return real(algebra, fn)
+
+    monkeypatch.setattr(derivations_module, "operator_matrix", counted)
+    n = 4
+    names = ["x%d" % i for i in range(1, n + 1)]
+    doc = {
+        "command": "derivations",
+        "ring": {"base": "F2", "generators": [{"name": x, "degree": 2} for x in names]},
+        "window": {"degree": 4},
+        "sequence": names,
+    }
+    report = run_job(parse_job(canonical_json(doc)))
+    assert report.status == 0 and report.results["duality_square"]
+    assert all(report.results["leibniz"])
+    assert len(built) == n

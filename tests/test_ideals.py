@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from test_linalg import over
+from test_linalg import dense_of, over, sparse_of, sparse_rows
 
 from regquot import ideals as ideals_module
 from regquot import linalg
@@ -38,7 +38,6 @@ from regquot.linalg import (
     FieldLattice,
     IntLattice,
     LocalLattice,
-    _row_combination,
     cleared_matrix,
     kernel_basis,
     lattice_for,
@@ -130,7 +129,7 @@ def test_koszul_slices_and_differential(f2_xy):
     rows, truncated = cx.differential_rows(1, 2)
     assert not truncated
     # target basis is [(0,1)=y, (1,0)=x]; source is [({0},1), ({1},1)]
-    assert rows == [[0, 1], [1, 0]]
+    assert [dense_of(row, 2) for row in rows] == [[0, 1], [1, 0]]
     for q in (2, 4, 6, 8):
         cx.validate_squares(q)
 
@@ -318,6 +317,7 @@ def test_quotient_invariants_localize_by_p_part():
         for _ in range(rng.randint(0, 4)):
             coeffs = [rng.choice((0, 1, -1, 2, 3, 4, 5)) for _ in z_rows]
             b_rows.append([sum(c * r[j] for c, r in zip(coeffs, z_rows)) for j in range(width)])
+        z_rows, b_rows = sparse_rows(z_rows), sparse_rows(b_rows)
         over_z = quotient_invariants(z_rows, b_rows, width, integers)
         nontrivial += bool(over_z.factors)
         mixed += any(f % 6 == 0 or f % 10 == 0 or f % 15 == 0 for f in over_z.factors)
@@ -340,10 +340,10 @@ def test_rank_zero_cycle_span_refuses_escaping_relations():
     for base in (BaseRing.integers_localized(2), f3, BaseRing.integers()):
         for _ in range(60):
             width = rng.randint(1, 4)
-            z_rows = [[0] * width for _ in range(rng.randint(0, 3))]
+            z_rows = [{} for _ in range(rng.randint(0, 3))]
             mult = 3 if base == f3 else 0
             zero = [
-                [mult * rng.randint(-2, 2) for _ in range(width)]
+                sparse_of([mult * rng.randint(-2, 2) for _ in range(width)])
                 for _ in range(rng.randint(0, 3))
             ]
             lat = lattice_for(base, z_rows, width)
@@ -356,7 +356,7 @@ def test_rank_zero_cycle_span_refuses_escaping_relations():
             if not any(x % 3 if base == f3 else x for x in stranger):
                 continue
             escaped += 1
-            rows = zero + [stranger]
+            rows = zero + [sparse_of(stranger)]
             rng.shuffle(rows)
             with pytest.raises(SemanticError, match="escapes the cycle span"):
                 quotient_invariants(z_rows, rows, width, base)
@@ -405,34 +405,38 @@ def ref_combine(base, coeffs, rows, width):
 def test_unit_row_check(base):
     # The decomposition check: sum (c_k - [k == r]) rows[k] in the lattice.
     rows = [[1, 1], [0, 1]]
-    lat = lattice_for(base, [[2, 2]], 2)
+    lat = lattice_for(base, [{0: 2, 1: 2}], 2)
     assert ref_combine(base, [3, -1], rows, 2) == [base.normalize(x) for x in (3, 2)]
-    assert _is_unit_row([1, 0], 0, rows, lat, 2)
-    assert _is_unit_row([0, 1], 1, rows, lat, 2)
-    assert _is_unit_row([3, 0], 0, rows, lat, 2)
+
+    def unit(coeffs, r, den=1):
+        return _is_unit_row(sparse_of(coeffs), r, sparse_rows(rows), lat, den)
+
+    assert unit([1, 0], 0)
+    assert unit([0, 1], 1)
+    assert unit([3, 0], 0)
     # [1, 1] is half of [2, 2], and 2 is a unit of Z_(3) and F_3 only
-    assert _is_unit_row([2, 0], 0, rows, lat, 2) == (base.p == 3)
-    assert not _is_unit_row([1, 1], 0, rows, lat, 2)
-    assert _is_unit_row([0, 0], None, rows, lat, 2)
-    assert not _is_unit_row([0, 1], None, rows, lat, 2)
+    assert unit([2, 0], 0) == (base.p == 3)
+    assert not unit([1, 1], 0)
+    assert unit([0, 0], None)
+    assert not unit([0, 1], None)
     # over a denominator 5, which is a unit of every base here: [5, 0] / 5
     # is row 0, and [4, 0] / 5 differs from it by -[1, 1] / 5
-    assert _is_unit_row([5, 0], 0, rows, lat, 2, 5)
-    assert not _is_unit_row([5, 1], 0, rows, lat, 2, 5)
-    assert _is_unit_row([4, 0], 0, rows, lat, 2, 5) == (base.p == 3)
+    assert unit([5, 0], 0, 5)
+    assert not unit([5, 1], 0, 5)
+    assert unit([4, 0], 0, 5) == (base.p == 3)
     mod = base.characteristic
     if mod:
         # raw integers that differ from the identity row, or from the zero
         # row, only by multiples of p or m
-        assert _is_unit_row([1 + mod, -mod], 0, rows, lat, 2)
-        assert _is_unit_row([-mod, 1 + 2 * mod], 1, rows, lat, 2)
-        assert _is_unit_row([mod, mod], None, rows, lat, 2)
-        assert not _is_unit_row([1 + mod, 1], 0, rows, lat, 2)
+        assert unit([1 + mod, -mod], 0)
+        assert unit([-mod, 1 + 2 * mod], 1)
+        assert unit([mod, mod], None)
+        assert not unit([1 + mod, 1], 0)
 
 
 def ref_conormal_checks(ring, ideals, window):
     """Degree -> whether ``decompose_conormal``'s two checks pass, computed
-    on ``Fraction`` rows: the maps on ``integer_basis()`` through the
+    on dense ``Fraction`` rows: the maps on ``integer_basis()`` through the
     transform and the coordinates as ``t / D`` and ``C / D``, with nothing
     cleared, and each check as ``X - e_r`` in the relation span.  Each row
     of ``integer_basis()`` is a unit times the echelon row, so each check
@@ -442,12 +446,21 @@ def ref_conormal_checks(ring, ideals, window):
     owner = [idx for idx, fam in enumerate(fams) for _ in fam]
     prod_all = _product_gens(ring, allgens, allgens)
 
+    def combine(coeffs, rows, width):
+        out = [Fraction(0)] * width
+        for c, row in zip(coeffs, rows):
+            if c:
+                for j, x in enumerate(row):
+                    if x:
+                        out[j] += c * x
+        return out
+
     def unit_row(coeffs, r, rows, lat, width):
         coeffs = list(coeffs)
         if r is not None:
             coeffs[r] -= 1
-        diff = _row_combination(coeffs, rows, [Fraction(0)] * width)
-        return not any(diff) or lat.contains(diff)
+        diff = combine(coeffs, rows, width)
+        return not any(diff) or lat.contains(sparse_of(diff))
 
     out = {}
     for q in ring.even_degrees(window):
@@ -460,30 +473,31 @@ def ref_conormal_checks(ring, ideals, window):
         rel_all = ideal_context(ring, prod_all, q)
         ctxs = [ideal_context(ring, fam, q) for fam in fams]
         rels = [ideal_context(ring, _product_gens(ring, allgens, fam), q) for fam in fams]
-        a_basis = lat.integer_basis()
-        bases = [c.lattice.integer_basis() for c in ctxs]
+        a_basis = [dense_of(b, width) for b in lat.integer_basis()]
+        bases = [[dense_of(b, width) for b in c.lattice.integer_basis()] for c in ctxs]
+        all_rows = [dense_of(row, width) for row in ctx_all.rows]
         t, D = lat.integer_transform()
-        sols = [over((row, D)) for row in t]
+        sols = [over((row, D), lat.nrows) for row in t]
         fwd = [
-            [over(c.lattice.integer_coordinates(_row_combination(
-                [x if o == s else 0 for x, o in zip(sol, row_owner)], ctx_all.rows,
-                [Fraction(0)] * width,
-            ))) for sol in sols]
+            [over(c.lattice.integer_coordinates(sparse_of(combine(
+                [x if o == s else 0 for x, o in zip(sol, row_owner)], all_rows, width,
+            ))), c.lattice.rank) for sol in sols]
             for s, c in enumerate(ctxs)
         ]
-        bwd = [[over(lat.integer_coordinates(b)) for b in basis] for basis in bases]
+        bwd = [
+            [over(lat.integer_coordinates(sparse_of(b)), lat.rank) for b in basis]
+            for basis in bases
+        ]
         back_rows = [row for rows in bwd for row in rows]
         out[q] = all(
             unit_row(
-                _row_combination(
-                    [c for f in fwd for c in f[r]], back_rows, [Fraction(0)] * len(a_basis)
-                ),
+                combine([c for f in fwd for c in f[r]], back_rows, len(a_basis)),
                 r, a_basis, rel_all.lattice, width,
             )
             for r in range(len(a_basis))
         ) and all(
             unit_row(
-                _row_combination(brow, fwd[s], [Fraction(0)] * len(bases[s])),
+                combine(brow, fwd[s], len(bases[s])),
                 r if s == idx else None, bases[s], rels[s].lattice, width,
             )
             for idx, rows in enumerate(bwd)
@@ -555,11 +569,12 @@ def ref_regularity(ring, elems, window):
                 continue
             # the rows hold base values, and _cycle_rows takes int rows
             ints, _ = cleared_matrix(rows)
-            for vec in _cycle_rows(base, ints, tgt.rows, len(used), len(tgt.exps)):
+            kernel = _cycle_rows(base, sparse_rows(ints), tgt.rows, len(used), len(tgt.exps))
+            for vec in kernel:
                 full = [0] * len(src.exps)
-                for val, m in zip(vec, used):
+                for val, m in zip(dense_of(vec, len(used)), used):
                     full[src.exps.index(m)] = val
-                if not src.contains_vector(full):
+                if not src.lattice.contains(sparse_of(full)):
                     return RegularityReport(
                         False,
                         k,
@@ -653,9 +668,9 @@ def ref_regularity_kernel(ring, elems, window):
             pos = {m: j for j, m in enumerate(src.exps)}
             for vec in kernel:
                 full = [0] * len(src.exps)
-                for val, m in zip(vec, used):
+                for val, m in zip(dense_of(vec, len(used)), used):
                     full[pos[m]] = val
-                if not src.contains_vector(full):
+                if not src.lattice.contains(sparse_of(full)):
                     return RegularityReport(
                         False,
                         k,
@@ -842,7 +857,10 @@ def test_slice_lattice_is_built_once_on_first_read(monkeypatch, base):
     assert ctx.rows and not built
     lat = ctx.lattice
     assert ctx.lattice is lat and len(built) == 1
-    assert built[0][:2] == (ctx.rows, ctx.width)
+    # the integer and p-local constructors take the rows dense
+    rows, width = built[0][:2]
+    assert width == ctx.width
+    assert [row if type(lat) is FieldLattice else sparse_of(row) for row in rows] == ctx.rows
     cx = KoszulComplex(ring, [x, y], [x * y])
     assert any(cx.relation_rows(i, q) for i in range(3) for q in (4, 6, 8))
     assert len(built) == 1
@@ -876,7 +894,8 @@ def test_every_lattice_receives_int_rows(monkeypatch):
     def recording(name, f):
         def wrapped(*args):
             rows = args[1] if name.endswith("Lattice") else args[0]
-            seen.setdefault(name, set()).update(type(x) for row in rows for x in row)
+            values = (row.values() if isinstance(row, dict) else row for row in rows)
+            seen.setdefault(name, set()).update(type(x) for row in values for x in row)
             return f(*args)
         return wrapped
 
@@ -967,7 +986,7 @@ def ref_validate_squares(cx, q, rows_of):
         lat = lattice_for(base, cx.relation_rows(i - 2, q), width)
         for row in rows_of(i):
             comp = ref_combine(base, row, rows_of(i - 1), width)
-            if any(comp) and not lat.contains(comp):
+            if any(comp) and not lat.contains(sparse_of(comp)):
                 raise SemanticError("Koszul differential does not square to zero")
 
 
@@ -984,10 +1003,11 @@ def ref_homology_entry(cx, i, q):
         z_rows = [[int(a == b) for b in range(width)] for a in range(width)]
     else:
         mat, _ = cleared_matrix(d_i)
-        kernel = kernel_basis(base, mat + cx.relation_rows(i - 1, q), target)
+        rows = sparse_rows(mat) + cx.relation_rows(i - 1, q)
+        kernel = [dense_of(k, len(rows)) for k in kernel_basis(base, rows, target)]
         z_rows = [x for x in (k[: len(d_i)] for k in kernel) if any(x)]
-    b_rows = ref_differential_rows(cx, i + 1, q) + cx.relation_rows(i, q)
-    return quotient_invariants(z_rows, b_rows, width, base)
+    b_rows = sparse_rows(ref_differential_rows(cx, i + 1, q)) + cx.relation_rows(i, q)
+    return quotient_invariants(sparse_rows(z_rows), b_rows, width, base)
 
 
 KOSZUL_BASES = [
@@ -999,6 +1019,44 @@ KOSZUL_BASES = [
     (BaseRing.integers_mod(6), 5, 3),
     (BaseRing.integers_localized(2), 3, Fraction(5, 3)),
 ]
+
+
+@pytest.mark.parametrize("base, a, b", KOSZUL_BASES, ids=["Z", "F3", "Z/4", "Z/6", "Z_(2)"])
+def test_row_builders_store_no_zero(base, a, b):
+    # Every row between ring, ideals and linalg is a {col: value} dict on
+    # its slice that stores no zero: the ideal-slice rows, with and without
+    # ring relations, the Koszul differentials and relation rows, the
+    # kernel rows and the cycle rows built from them.
+    gens = [Generator(n, 2) for n in ("x", "y", "z")]
+    plain = GradedRing(base, gens, degree_window=8)
+    x, y, z = (plain.var(n) for n in ("x", "y", "z"))
+    rel = GradedRing(base, gens, degree_window=8, relations=[x * y * b - z * z])
+    counts = dict.fromkeys(("slice", "differential", "relation", "kernel", "cycle"), 0)
+
+    def check(kind, rows, width):
+        for row in rows:
+            assert isinstance(row, dict) and all(row.values()), (kind, row)
+            assert all(type(j) is int and 0 <= j < width for j in row), (kind, row)
+        counts[kind] += len(rows)
+
+    for ring in (plain, rel):
+        x, y, z = (ring.var(n) for n in ("x", "y", "z"))
+        j_gens, k_gens = [x * a, y + x * b, z], [z, y * y]
+        cx = KoszulComplex(ring, j_gens, k_gens)
+        for q in ring.even_degrees(8):
+            for ideal in (j_gens, k_gens, [x * y * a, y * z]):
+                ctx = ideal_context(ring, ideal, q)
+                check("slice", ctx.rows, ctx.width)
+            for i in range(cx.length + 1):
+                width, target = len(cx.chain_slice(i, q)), len(cx.chain_slice(i - 1, q))
+                d_i, _ = cx.differential_rows(i, q)
+                rels = cx.relation_rows(i - 1, q)
+                check("differential", d_i, target)
+                check("relation", cx.relation_rows(i, q), width)
+                if d_i and target:
+                    check("kernel", kernel_basis(base, d_i + rels, target), len(d_i) + len(rels))
+                check("cycle", _cycle_rows(base, d_i, rels, width, target), width)
+    assert all(counts.values()), counts
 
 
 @pytest.mark.parametrize("base, a, b", KOSZUL_BASES, ids=["Z", "F3", "Z/4", "Z/6", "Z_(2)"])
@@ -1015,7 +1073,8 @@ def test_int_koszul_rows_match_base_valued_rows(base, a, b):
             ref = ref_differential_rows(cx, i, q)
             assert not truncated and len(rows) == len(ref)
             for row, want in zip(rows, ref):
-                assert all(type(v) is int for v in row)
+                assert all(type(v) is int for v in row.values())
+                row = dense_of(row, len(want))
                 if n:
                     assert all((v - w) % n == 0 for v, w in zip(row, want))
                 else:
@@ -1032,8 +1091,8 @@ def test_int_koszul_rows_match_base_valued_rows(base, a, b):
     assert tor1_equals_intersection_over_product(ring, j_gens, k_gens)
     # one flipped sign in d_2 breaks d∘d = 0, on both routes
     rows, truncated = cx.differential_rows(2, 4)
-    flipped = [list(row) for row in rows]
-    j = next(j for j, v in enumerate(flipped[0]) if v)
+    flipped = [dict(row) for row in rows]
+    j = min(flipped[0])
     flipped[0][j] = -flipped[0][j]
     ref = ref_differential_rows(cx, 2, 4)
     ref[0][j] = base.neg(ref[0][j])

@@ -83,26 +83,47 @@ def combo(rows, coeffs):
     return out
 
 
-def over(got):
-    """An answer ``(X, D)`` of a lattice's integer face as the rationals
-    ``X / D``; None stays None."""
-    return None if got is None else [Fraction(x, got[1]) for x in got[0]]
+def sparse_of(row):
+    """A dense row as the ``{col: value}`` dict that the lattices take."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def sparse_rows(rows):
+    return [sparse_of(row) for row in rows]
+
+
+def dense_of(row, m):
+    """A sparse ``{col: value}`` row as a dense list of length ``m``."""
+    assert all(0 <= j < m for j in row) and all(row.values())
+    return [row.get(j, 0) for j in range(m)]
+
+
+def over(got, m):
+    """A sparse answer ``(X, D)`` of a lattice's integer face as the dense
+    rationals ``X / D`` of length ``m``; None stays None."""
+    return None if got is None else [Fraction(x, got[1]) for x in dense_of(got[0], m)]
+
+
+def dense_hnf(rows, width):
+    """``hnf_transform`` on the dense ``rows``, answered as dense rows."""
+    H, T, pivots = hnf_transform(sparse_rows(rows), width)
+    return [dense_of(h, width) for h in H], [dense_of(t, len(rows)) for t in T], pivots
 
 
 def fraction_face(lat):
     """``(basis, T)``: the echelon basis of ``lat`` and the transform rows
-    writing it on the original rows, as ``Fraction`` s read off the integer
-    face.  Basis row ``r`` is row ``r`` of ``integer_basis()`` over the unit
-    part ``u`` of its pivot, which over Z_(p) leaves the pivot ``p^v`` and
-    elsewhere is 1; ``T[r]`` is row ``r`` of ``integer_transform()`` over
-    ``D * u``."""
+    writing it on the original rows, as dense ``Fraction`` s read off the
+    integer face.  Basis row ``r`` is row ``r`` of ``integer_basis()`` over
+    the unit part ``u`` of its pivot, which over Z_(p) leaves the pivot
+    ``p^v`` and elsewhere is 1; ``T[r]`` is row ``r`` of
+    ``integer_transform()`` over ``D * u``."""
     t, D = lat.integer_transform()
     basis, T = [], []
     for row, tr in zip(lat.integer_basis(), t):
-        lead = next(x for x in row if x)
+        lead = row[min(row)]
         u = lead // p_part(lead, lat.p) if isinstance(lat, LocalLattice) else 1
-        basis.append([Fraction(x, u) for x in row])
-        T.append([Fraction(x, D * u) for x in tr])
+        basis.append([Fraction(x, u) for x in dense_of(row, lat.width)])
+        T.append([Fraction(x, D * u) for x in dense_of(tr, lat.nrows)])
     return basis, T
 
 
@@ -112,7 +133,7 @@ def test_hnf_transform_reconstructs_input():
         m = rng.randint(1, 4)
         w = rng.randint(1, 4)
         rows = [[rng.randint(-9, 9) for _ in range(w)] for _ in range(m)]
-        H, T, pivots = hnf_transform(rows, w)
+        H, T, pivots = dense_hnf(rows, w)
         for i in range(m):
             assert combo(rows, T[i]) == H[i]
         assert abs(det(T)) == 1
@@ -133,9 +154,9 @@ def test_lattice_solve_returns_exact_witness():
         lat = IntLattice(rows, w)
         coeffs = [rng.randint(-5, 5) for _ in range(m)]
         v = combo(rows, coeffs)
-        x, D = lat.solve(v)
-        assert D == 1 and combo(rows, x) == v
-        assert lat.contains(v)
+        x, D = lat.solve(sparse_of(v))
+        assert D == 1 and combo(rows, dense_of(x, m)) == v
+        assert lat.contains(sparse_of(v))
 
 
 def test_lattice_reduction_is_canonical_on_cosets():
@@ -145,9 +166,9 @@ def test_lattice_reduction_is_canonical_on_cosets():
         w = rng.randint(1, 4)
         rows = [[rng.randint(-5, 5) for _ in range(w)] for _ in range(m)]
         lat = IntLattice(rows, w)
-        v = [rng.randint(-9, 9) for _ in range(w)]
+        v = sparse_of([rng.randint(-9, 9) for _ in range(w)])
         shift = combo(rows, [rng.randint(-4, 4) for _ in range(m)])
-        moved = [a + b for a, b in zip(v, shift)]
+        moved = sparse_of([v.get(j, 0) + b for j, b in enumerate(shift)])
         red, D = lat.reduce(v)
         assert D == 1 and lat.reduce(moved) == (red, 1)
         assert lat.reduce(red) == (red, 1)
@@ -160,19 +181,22 @@ def test_kernel_rows_annihilate_and_count_matches_rank():
         m = rng.randint(1, 5)
         w = rng.randint(1, 4)
         rows = [[rng.randint(-4, 4) for _ in range(w)] for _ in range(m)]
-        ker = kernel_basis(ZZ, rows, w)
+        ker = kernel_basis(ZZ, sparse_rows(rows), w)
         for x in ker:
-            assert combo(rows, x) == [0] * w
+            assert combo(rows, dense_of(x, m)) == [0] * w
         assert len(ker) == m - frac_rank(rows, w)
 
 
 def test_snf_known_values():
-    assert snf_invariants([[2, 4], [6, 8]]) == [2, 4]
-    assert snf_invariants([[1, 0], [0, 1]]) == [1, 1]
-    assert snf_invariants([[4, 0], [0, 6]]) == [2, 12]
-    assert snf_invariants([[16]]) == [16]
-    assert snf_invariants([[0, 0], [0, 0]]) == []
-    assert snf_invariants([[2, 0], [0, 2], [0, 0]]) == [2, 2]
+    def snf(rows):
+        return snf_invariants(sparse_rows(rows))
+
+    assert snf([[2, 4], [6, 8]]) == [2, 4]
+    assert snf([[1, 0], [0, 1]]) == [1, 1]
+    assert snf([[4, 0], [0, 6]]) == [2, 12]
+    assert snf([[16]]) == [16]
+    assert snf([[0, 0], [0, 0]]) == []
+    assert snf([[2, 0], [0, 2], [0, 0]]) == [2, 2]
 
 
 def test_snf_divisibility_chain_and_determinant_product():
@@ -181,7 +205,7 @@ def test_snf_divisibility_chain_and_determinant_product():
         n = rng.randint(1, 3)
         rows = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
         d = det(rows)
-        invs = snf_invariants(rows)
+        invs = snf_invariants(sparse_rows(rows))
         for a, b in zip(invs, invs[1:]):
             assert b % a == 0
         if d != 0:
@@ -202,13 +226,13 @@ def test_intersection_contains_common_vectors():
         w = rng.randint(1, 4)
         rows_a = [[rng.randint(-4, 4) for _ in range(w)] for _ in range(rng.randint(1, 3))]
         rows_b = [[rng.randint(-4, 4) for _ in range(w)] for _ in range(rng.randint(1, 3))]
-        inter = lattice_intersection_rows(ZZ, rows_a, rows_b, w)
+        inter = lattice_intersection_rows(ZZ, sparse_rows(rows_a), sparse_rows(rows_b), w)
         lat_a = IntLattice(rows_a, w)
         lat_b = IntLattice(rows_b, w)
-        lat_i = IntLattice(inter, w)
+        lat_i = IntLattice([dense_of(g, w) for g in inter], w)
         for g in inter:
             assert lat_a.contains(g) and lat_b.contains(g)
-        v = combo(rows_a, [rng.randint(-3, 3) for _ in rows_a])
+        v = sparse_of(combo(rows_a, [rng.randint(-3, 3) for _ in rows_a]))
         if lat_b.contains(v):
             assert lat_i.contains(v)
 
@@ -226,15 +250,15 @@ def test_pval_and_p_part():
 def test_local_lattice_saturates_units():
     # over Z_(2) the row (3) spans everything, the row (6) spans 2*Z_(2)
     lat3 = LocalLattice([[3]], 1, 2)
-    assert lat3.contains([1])
-    assert over(lat3.reduce([1])) == [0]
+    assert lat3.contains({0: 1})
+    assert over(lat3.reduce({0: 1}), 1) == [0]
     lat6 = LocalLattice([[6]], 1, 2)
-    assert over(lat6.reduce([5])) == [1]
+    assert over(lat6.reduce({0: 5}), 1) == [1]
     # 1/3 is 3 mod 2 * Z_(2) times the unit 3, and 3 * 3 = 9 is 1 mod 8
-    assert over(lat6.reduce([Fraction(1, 3)])) == [1]
-    assert over(LocalLattice([[8]], 1, 2).reduce([Fraction(1, 3)])) == [3]
-    assert lat6.contains([Fraction(2, 3)])
-    assert not lat6.contains([Fraction(1, 3)])
+    assert over(lat6.reduce({0: Fraction(1, 3)}), 1) == [1]
+    assert over(LocalLattice([[8]], 1, 2).reduce({0: Fraction(1, 3)}), 1) == [3]
+    assert lat6.contains({0: Fraction(2, 3)})
+    assert not lat6.contains({0: Fraction(1, 3)})
 
 
 def test_local_lattice_solve_witness():
@@ -255,7 +279,7 @@ def test_local_lattice_solve_witness():
         lat = LocalLattice(rows, w, p)
         coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(m)]
         v = [sum((q * row[j] for q, row in zip(coeffs, rows)), Fraction(0)) for j in range(w)]
-        x = over(lat.solve(v))
+        x = over(lat.solve(sparse_of(v)), m)
         assert x is not None
         got = [sum((q * row[j] for q, row in zip(x, rows)), Fraction(0)) for j in range(w)]
         assert got == v
@@ -277,9 +301,9 @@ def test_local_lattice_reduction_canonical():
             sum((q * row[j] for q, row in zip(coeffs, rows)), Fraction(0)) for j in range(w)
         ]
         moved = [a + b for a, b in zip(v, shift)]
-        red = over(lat.reduce(v))
-        assert over(lat.reduce(moved)) == red
-        assert over(lat.reduce(red)) == red
+        red = over(lat.reduce(sparse_of(v)), w)
+        assert over(lat.reduce(sparse_of(moved)), w) == red
+        assert over(lat.reduce(sparse_of(red)), w) == red
 
 
 def test_cleared_rows_and_matrix():
@@ -413,12 +437,16 @@ def local_matrix(rng, p):
 
 
 def test_local_lattice_matches_fraction_oracle():
+    # The rows fed sparse through lattice_for, against the Fraction oracle;
+    # the kernel of the cleared rows against the dense augmented Hermite form.
     rng = Random(97)
     for _ in range(2400):
         p = rng.choice([2, 3, 5])
         rows, w = local_matrix(rng, p)
-        lat = LocalLattice(rows, w, p)
+        base = BaseRing.integers_localized(p)
+        lat = lattice_for(base, sparse_rows(rows), w)
         ref = RefLocalLattice(rows, w, p)
+        assert type(lat) is LocalLattice
         assert lat.pivots == ref.pivots
         assert "_transform" not in vars(lat)
         assert fraction_face(lat) == (ref.E[: lat.rank], ref.U[: lat.rank])
@@ -432,14 +460,18 @@ def test_local_lattice_matches_fraction_oracle():
             else:
                 vec = [local_entry(rng, p) for _ in range(w)]
             want = ref.solve(vec)
-            assert over(lat.reduce(vec)) == ref.reduce(vec)
-            assert over(lat.solve(vec)) == want
-            assert lat.contains(vec) == (want is not None)
+            assert over(lat.reduce(sparse_of(vec)), w) == ref.reduce(vec)
+            assert over(lat.solve(sparse_of(vec)), len(rows)) == want
+            assert lat.contains(sparse_of(vec)) == (want is not None)
+        ints = cleared_rows(rows)
+        _, T, pivots = ref_hnf_augmented(ints, w)
+        ker = kernel_basis(base, sparse_rows(ints), w)
+        assert [dense_of(x, len(rows)) for x in ker] == T[len(pivots) :]
 
 
 def test_local_lattice_rejects_rows_that_are_not_p_local():
     lat = LocalLattice([[Fraction(1, 3), 2]], 2, 2)
-    assert lat.contains([1, 6])
+    assert lat.contains({0: 1, 1: 6})
     with pytest.raises(SemanticError) as err:
         LocalLattice([[1, 0], [Fraction(3, 4), 1]], 2, 2)
     with pytest.raises(SemanticError) as scalar_err:
@@ -471,26 +503,28 @@ def test_integer_quotient_route_matches_cleared_fraction_coordinates():
             for coeffs in ([local_entry(rng, p) for _ in rows] for _ in range(rng.randint(0, 4)))
         ]
         on_basis = RefLocalLattice(fraction_face(lat)[0], w, p).solve
-        invs = [p_part(v, p) for v in snf_invariants(cleared_rows(map(on_basis, b_rows)))]
+        cleared = cleared_rows(map(on_basis, b_rows))
+        invs = [p_part(v, p) for v in snf_invariants(sparse_rows(cleared))]
         entry = ModuleEntry(lat.rank - len(invs), tuple(sorted(v for v in invs if v > 1)))
-        assert _lattice_quotient(lat, b_rows, base) == entry
+        assert _lattice_quotient(lat, sparse_rows(b_rows), base) == entry
         nontrivial += bool(entry.factors)
         sols, unit = lat.integer_transform()
         assert unit % p and len(sols) == lat.rank
-        for sol, a in zip(sols, lat.integer_basis()):
-            assert combo(rows, sol) == [unit * x for x in a]
+        basis = [dense_of(a, w) for a in lat.integer_basis()]
+        for sol, a in zip(sols, basis):
+            assert combo(rows, dense_of(sol, len(rows))) == [unit * x for x in a]
         for b in b_rows:
-            C, D = lat.integer_coordinates(b)
-            assert D > 0 and D % p and all(type(c) is int for c in C)
+            C, D = lat.integer_coordinates(sparse_of(b))
+            assert D > 0 and D % p and all(type(c) is int for c in C.values())
             unit_dens += D != 1
-            got = combo(lat.integer_basis(), C) if C else [0] * w
+            got = combo(basis, dense_of(C, lat.rank)) if basis else [0] * w
             assert [Fraction(x, D) for x in got] == b
-        stranger = [local_entry(rng, p) for _ in range(w)]
+        stranger = sparse_of([local_entry(rng, p) for _ in range(w)])
         if not lat.contains(stranger):
             assert lat.integer_coordinates(stranger) is None
             escaped += 1
             with pytest.raises(SemanticError):
-                _lattice_quotient(lat, b_rows + [stranger], base)
+                _lattice_quotient(lat, sparse_rows(b_rows) + [stranger], base)
     assert unit_dens >= 500 and escaped >= 200, (unit_dens, escaped)
     assert nontrivial >= 100, nontrivial
 
@@ -631,7 +665,7 @@ def test_snf_matches_determinantal_divisors():
     for _ in range(250):
         # units and non-units together, so both phases of the elimination run
         rows, _ = int_matrix(rng, 5, 5, [0, 0, 0, 1, -1, 2, -2, 3, 4, -6, 9])
-        invs = snf_invariants(rows)
+        invs = snf_invariants(sparse_rows(rows))
         assert invs == determinantal_invariants(rows)
         mixed += 1 in invs and any(x > 1 for x in invs)
     assert mixed >= 25
@@ -644,7 +678,7 @@ def test_snf_matches_reference_elimination():
         rows, _ = int_matrix(
             rng, 40 if big else 10, 30 if big else 8, [0] * 8 + [1, -1, 1, 2, -2, 3, -4, 6]
         )
-        assert snf_invariants(rows) == RefSnf(rows).invariants
+        assert snf_invariants(sparse_rows(rows)) == RefSnf(rows).invariants
 
 
 def ref_hnf_transform(rows, width):
@@ -708,18 +742,21 @@ def test_lazy_transform_matches_eager_hermite_form():
     for _ in range(400):
         rows, w = int_matrix(rng, 6, 6, list(range(-5, 6)) + [0] * 4)
         H, T, pivots = ref_hnf_transform(rows, w)
-        assert hnf_transform(rows, w) == (H, T, pivots)
-        assert kernel_basis(ZZ, rows, w) == T[len(pivots) :]
+        m = len(rows)
+        assert dense_hnf(rows, w) == (H, T, pivots)
+        assert [dense_of(k, m) for k in kernel_basis(ZZ, sparse_rows(rows), w)] == T[len(pivots) :]
         lat = IntLattice(rows, w)
-        assert (lat.integer_basis(), lat.pivots) == ([H[r] for r, _ in pivots], pivots)
+        assert lat.integer_basis() == [sparse_of(H[r]) for r, _ in pivots]
+        assert lat.pivots == pivots
         assert "_transform" not in vars(lat)
         for _ in range(3):
             if rng.random() < 0.5:
                 vec = combo(rows, [rng.randint(-3, 3) for _ in rows])
             else:
                 vec = [rng.randint(-9, 9) for _ in range(w)]
-            assert over(lat.solve(vec)) == ref_solve(H, T, pivots, vec)
-        assert lat.integer_transform() == (T[: len(pivots)], 1)
+            assert over(lat.solve(sparse_of(vec)), m) == ref_solve(H, T, pivots, vec)
+        t, D = lat.integer_transform()
+        assert ([dense_of(x, m) for x in t], D) == (T[: len(pivots)], 1)
 
 
 def test_hermite_reduce_is_canonical_under_unimodular_row_operations():
@@ -741,7 +778,7 @@ def test_hermite_reduce_is_canonical_under_unimodular_row_operations():
         lat, other = IntLattice(rows, w), IntLattice(moved, w)
         assert other.integer_basis() == lat.integer_basis()
         for _ in range(3):
-            vec = [rng.randint(-12, 12) for _ in range(w)]
+            vec = sparse_of([rng.randint(-12, 12) for _ in range(w)])
             assert other.reduce(vec) == lat.reduce(vec)
 
 
@@ -758,7 +795,7 @@ def test_coordinates_match_second_lattice_route():
             rows, w = int_matrix(rng, 6, 6, list(range(-5, 6)) + [0] * 4)
             lat = IntLattice(rows, w)
             if lat.rank:
-                H, T, pivots = ref_hnf_transform(lat.integer_basis(), w)
+                H, T, pivots = ref_hnf_transform([dense_of(b, w) for b in lat.integer_basis()], w)
                 ref = lambda vec: ref_solve(H, T, pivots, vec)
             else:
                 ref = lambda vec: None if any(vec) else []
@@ -772,7 +809,7 @@ def test_coordinates_match_second_lattice_route():
             p = rng.choice([2, 3, 5])
             rows, w = local_matrix(rng, p)
             lat = LocalLattice(rows, w, p)
-            ref = RefLocalLattice(lat.integer_basis(), w, p).solve
+            ref = RefLocalLattice([dense_of(b, w) for b in lat.integer_basis()], w, p).solve
 
             def member():
                 coeffs = [local_entry(rng, p) for _ in rows]
@@ -786,17 +823,16 @@ def test_coordinates_match_second_lattice_route():
         for _ in range(4):
             vec = member() if rng.random() < 0.5 else stranger()
             want = ref(vec)
-            got = over(lat.integer_coordinates(vec))
+            got = over(lat.integer_coordinates(sparse_of(vec)), lat.rank)
             assert (got is None) == (want is None)
             if got is None:
                 outside += 1
                 continue
             inside += 1
             assert got == want
-            assert len(got) == lat.rank
             total = [Fraction(0)] * w
             for c, row in zip(got, lat.integer_basis()):
-                total = [t + c * x for t, x in zip(total, row)]
+                total = [t + c * x for t, x in zip(total, dense_of(row, w))]
             assert total == [Fraction(x) for x in vec]
     assert inside > 2500 and outside > 1500
 
@@ -934,33 +970,38 @@ def lattice_matrix(rng):
 
 
 def test_int_lattice_matches_dense_reference():
+    # The rows fed sparse through lattice_for, against the dense reference.
     rng = Random(163)
     cases = set()
     for _ in range(1500):
         rows, w, kind = lattice_matrix(rng)
         base = BaseRing.integers_mod(rng.choice([4, 6, 9])) if kind == "Z/m" else ZZ
-        lift = rows + modulus_rows(base, w)
+        lift = rows + [dense_of(row, w) for row in modulus_rows(base, w)]
+        n = len(lift)
         H, T, pivots = ref_hnf_augmented(lift, w)
-        assert hnf_transform(lift, w) == (H, T, pivots)
-        assert kernel_basis(base, rows, w) == [t[: len(rows)] for t in T[len(pivots) :]]
-        lat, ref = IntLattice(lift, w), ref_IntLattice(lift, w)
-        assert type(lattice_for(base, rows, w)) is IntLattice
+        assert dense_hnf(lift, w) == (H, T, pivots)
+        ker = kernel_basis(base, sparse_rows(rows), w)
+        assert [dense_of(k, len(rows)) for k in ker] == [t[: len(rows)] for t in T[len(pivots) :]]
+        lat, ref = lattice_for(base, sparse_rows(rows), w), ref_IntLattice(lift, w)
+        assert type(lat) is IntLattice and lat.nrows == n
         assert (lat.pivots, lat.rank) == (ref.pivots, ref.rank)
         assert (ref.H, ref.pivots) == (H, pivots)
-        assert lat.integer_basis() == ref.basis()
+        assert [dense_of(b, w) for b in lat.integer_basis()] == ref.basis()
         assert "_transform" not in vars(lat)
         for _ in range(4):
             if rng.random() < 0.5:
                 vec = combo(lift, [rng.randint(-3, 3) for _ in lift]) if lift else [0] * w
             else:
                 vec = [rng.randint(-40, 40) for _ in range(w)]
-            assert lat.reduce(vec) == (ref.reduce(vec), 1)
-            assert lat.contains(vec) == ref.contains(vec)
-            assert over(lat.integer_coordinates(vec)) == ref.coordinates(vec)
-            assert over(lat.solve(vec)) == ref.solve(vec)
-        assert lat.integer_transform() == (ref.T[: ref.rank], 1)
+            sv = sparse_of(vec)
+            assert lat.reduce(sv) == (sparse_of(ref.reduce(vec)), 1)
+            assert lat.contains(sv) == ref.contains(vec)
+            assert over(lat.integer_coordinates(sv), lat.rank) == ref.coordinates(vec)
+            assert over(lat.solve(sv), n) == ref.solve(vec)
+        t, D = lat.integer_transform()
+        assert ([dense_of(x, n) for x in t], D) == (ref.T[: ref.rank], 1)
         assert ref.T == T
-        assert snf_invariants(lift) == RefSnf(lift).invariants
+        assert snf_invariants(sparse_rows(lift)) == RefSnf(lift).invariants
         cases.add(kind)
         cases.add("width 0" if w == 0 else "no rows" if not lift else "rows")
         if w and [0] * w in rows:
@@ -1052,11 +1093,8 @@ def ref_echelon_mod_p(rows, width, p):
     return echelon, kernel
 
 
-def dense_of(row, m):
-    return [row.get(j, 0) for j in range(m)]
-
-
 def test_field_lattice_matches_padded_integer_lattice():
+    # The rows fed sparse, against the padded dense integer lattice.
     rng = Random(151)
     cases = set()
     for _ in range(1500):
@@ -1064,56 +1102,58 @@ def test_field_lattice_matches_padded_integer_lattice():
         base = BaseRing.prime_field(p)
         rows, w = field_matrix(rng, p)
         m = len(rows)
-        lat, ref = FieldLattice(rows, w, p), padded_ref(rows, w, p)
-        assert type(lattice_for(base, rows, w)) is FieldLattice
+        lat, ref = lattice_for(base, sparse_rows(rows), w), padded_ref(rows, w, p)
+        assert type(lat) is FieldLattice
         assert lift_rank(lat) == ref.rank == w
+        basis = [dense_of(b, w) for b in lat.integer_basis()]
         # the Hermite rows with pivot 1 are the echelon rows, the rest p * e_c
-        assert lat.integer_basis() == [ref.H[r] for r, c in ref.pivots if ref.H[r][c] == 1]
+        assert basis == [ref.H[r] for r, c in ref.pivots if ref.H[r][c] == 1]
         assert [c for r, c in ref.pivots if ref.H[r][c] == p] == [
             c for c in range(w) if c not in lat.pivots
         ]
         factors = tuple(sorted(v for v in RefSnf(ref.H).invariants if v > 1))
-        assert module_invariants(base, rows, w) == (0, factors) == (0, (p,) * (w - lat.rank))
+        got = module_invariants(base, sparse_rows(rows), w)
+        assert got == (0, factors) == (0, (p,) * (w - lat.rank))
         echelon, kernel = ref_echelon_mod_p(rows, w, p)
         assert lat.pivots == sorted(echelon)
-        assert lat.integer_basis() == [dense_of(echelon[c][0], w) for c in lat.pivots]
+        assert lat.integer_basis() == [echelon[c][0] for c in lat.pivots]
         assert "_transform" not in vars(lat)
         T, D = lat.integer_transform()
-        assert (T, D) == ([dense_of(echelon[c][1], m) for c in lat.pivots], 1)
-        assert kernel_basis(base, rows, w) == [dense_of(t, m) for t in kernel]
+        assert (T, D) == ([echelon[c][1] for c in lat.pivots], 1)
+        ker = kernel_basis(base, sparse_rows(rows), w)
+        assert ker == kernel
         assert len(T) == lat.rank
-        for t, row in zip(T, lat.integer_basis()):
-            assert combo_mod(rows, t, w, p) == row
+        for t, row in zip(T, basis):
+            assert combo_mod(rows, dense_of(t, m), w, p) == row
         for _ in range(4):
             if rng.random() < 0.5:
                 vec = combo(rows, [rng.randint(-p, p) for _ in rows]) if rows else [0] * w
             else:
                 vec = [rng.randint(-2 * p, 2 * p) for _ in range(w)]
-            red, D = lat.reduce(vec)
-            assert D == 1 and red == ref.reduce(vec)
-            assert all(0 <= x < p for x in red)
-            inside = lat.contains(vec)
+            sv = sparse_of(vec)
+            red, D = lat.reduce(sv)
+            assert D == 1 and dense_of(red, w) == ref.reduce(vec)
+            assert all(0 < x < p for x in red.values())
+            inside = lat.contains(sv)
             assert inside == ref.contains(vec)
-            coef, sol = lat.integer_coordinates(vec), lat.solve(vec)
+            coef, sol = lat.integer_coordinates(sv), lat.solve(sv)
             if not inside:
                 assert coef is None and sol is None
                 continue
             (coef, c_den), (sol, s_den) = coef, sol
             assert c_den == s_den == 1
-            assert combo_mod(lat.integer_basis(), coef, w, p) == [x % p for x in vec]
-            assert len(sol) == m
-            assert combo_mod(rows, sol, w, p) == [x % p for x in vec]
-        ker = kernel_basis(base, rows, w)
+            assert combo_mod(basis, dense_of(coef, lat.rank), w, p) == [x % p for x in vec]
+            assert combo_mod(rows, dense_of(sol, m), w, p) == [x % p for x in vec]
         assert len(ker) == m - lat.rank
         for x in ker:
-            assert len(x) == m and all(0 <= c < p for c in x)
-            assert combo_mod(rows, x, w, p) == [0] * w
+            assert all(0 < c < p for c in x.values())
+            assert combo_mod(rows, dense_of(x, m), w, p) == [0] * w
         # the padded kernel, cut back to the rows, spans the same space mod p
         span = FieldLattice(ker, m, p)
         assert span.rank == len(ker)
         _, T, pivots = ref_hnf_augmented(ref._rows, w)
         for x in T[len(pivots) :]:
-            assert span.contains(x[:m])
+            assert span.contains(sparse_of(x[:m]))
         cases.add(p)
         cases.add("width 0" if w == 0 else "no rows" if m == 0 else "rows")
         if w and lat.rank == w:
@@ -1132,6 +1172,7 @@ def test_field_intersection_spans_the_common_subspace():
         base = BaseRing.prime_field(p)
         rows_a, w = field_matrix(rng, p)
         rows_b = [[rng.randint(0, p - 1) for _ in range(w)] for _ in range(rng.randint(0, 5))]
+        rows_a, rows_b = sparse_rows(rows_a), sparse_rows(rows_b)
         inter = lattice_intersection_rows(base, rows_a, rows_b, w)
         lat_a, lat_b = FieldLattice(rows_a, w, p), FieldLattice(rows_b, w, p)
         for g in inter:
@@ -1139,3 +1180,12 @@ def test_field_intersection_spans_the_common_subspace():
         # dim(A ∩ B) = dim A + dim B - dim(A + B)
         total = FieldLattice(rows_a + rows_b, w, p).rank
         assert FieldLattice(inter, w, p).rank == lat_a.rank + lat_b.rank - total
+
+
+def test_snf_without_unit_entries_matches_reference():
+    # No entry is +-1, so the unit-pivot phase finds nothing at first and
+    # the alternating Hermite passes of _snf_general do the work.
+    rng = Random(173)
+    for k in range(300):
+        rows, _ = int_matrix(rng, 7, 6, [0] * 6 + [2, -2, 3, 4, -6, 9, 10, -15])
+        assert snf_invariants(sparse_rows(rows)) == RefSnf(rows).invariants
