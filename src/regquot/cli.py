@@ -58,6 +58,7 @@ from .jobio import (
 )
 from .morava import build_scenario, kn_algebra, kn_form
 from .pairs import PairMorphism, make_pair, naturality_suite
+from .ring import QuotientRing
 
 MATH_ERRORS = (
     NotRegular,
@@ -115,7 +116,7 @@ def algebra_element(cl, text: str):
     def atom(name):
         if name in index:
             return cl.generator(index[name])
-        if hasattr(cl.coeff, "ring"):
+        if isinstance(cl.coeff, QuotientRing):
             return cl.scalar(cl.coeff.ring.var(name))
         raise SemanticError("unknown name %r in algebra expression" % (name,))
 

@@ -4,13 +4,20 @@ Elements are kept in normal form on the basis of strictly increasing index
 words.  Multiplication inserts generators one at a time: a repeated index
 contracts to the quadratic value, and moving a generator past a larger one
 swaps with a sign and adds the polarized cross term.  Coefficients are
-treated as central.  Quotient-coefficient sums, products and negatives
-are memoized per ``QuotientRing``, and basis-word products per algebra.
+treated as central.
+
+An algebra's ``coeff`` is its coefficient ring itself: the ``BaseRing``
+of an ungraded algebra, or the ``QuotientRing`` R/I of the conormal
+module, which memoizes its sums, products and negatives.  Every
+coefficient the ring returns is a normalized ``int`` or ``Fraction`` or a
+reduced residue, so a reduced coefficient is zero exactly when it is
+falsy, and the algebra tests it so.  ``BruteForceModel`` alone calls the
+ring's ``is_zero``, which normalizes or reduces first.  Basis-word
+products are memoized per algebra.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .conormal import (
@@ -29,90 +36,8 @@ from .errors import (
     NotExterior,
     SemanticError,
 )
-from .ring import QuotientRing, RingElement
+from .ring import RingElement
 from .scalars import BaseRing
-
-
-class ScalarCoefficients:
-    """Plain base-ring coefficients with no grading."""
-
-    graded = False
-
-    def __init__(self, base: BaseRing):
-        self.base = base
-
-    def zero(self):
-        return self.base.zero()
-
-    def one(self):
-        return self.base.one()
-
-    def coerce(self, v):
-        if isinstance(v, (int, Fraction)):
-            return self.base.normalize(v)
-        raise SemanticError("scalar coefficient expected")
-
-    def add(self, a, b):
-        return self.base.add(a, b)
-
-    def mul(self, a, b):
-        return self.base.mul(a, b)
-
-    def neg(self, a):
-        return self.base.neg(a)
-
-    def is_zero(self, a):
-        return a == self.base.zero()
-
-    def render(self, a):
-        return self.base.render(a)
-
-    def degree_of(self, a):
-        return None
-
-    def __eq__(self, other):
-        return isinstance(other, ScalarCoefficients) and self.base == other.base
-
-    def __hash__(self):
-        return hash(("scalar", self.base))
-
-
-class QuotientCoefficients:
-    """Coefficients in a quotient of the ambient graded ring."""
-
-    graded = True
-
-    def __init__(self, quotient: QuotientRing):
-        self.quotient = quotient
-        self.ring = quotient.ring
-        # the quotient's own operations: one, add, mul and neg are memoized there
-        self.zero, self.one = quotient.zero, quotient.one
-        self.add, self.mul, self.neg = quotient.add, quotient.mul, quotient.neg
-
-    def coerce(self, v):
-        if isinstance(v, (int, Fraction)):
-            v = self.ring.constant(v)
-        if not isinstance(v, RingElement) or v.ring != self.ring:
-            raise SemanticError("coefficient outside the quotient ring")
-        return self.quotient.nf(v)
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def render(self, a):
-        return repr(a)
-
-    def degree_of(self, a):
-        return a.degree()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuotientCoefficients)
-            and self.quotient == other.quotient
-        )
-
-    def __hash__(self):
-        return hash(("quotient", self.quotient.ring, self.quotient.ideal))
 
 
 class CliffordAlgebra:
@@ -121,17 +46,16 @@ class CliffordAlgebra:
     def __init__(self, module: ConormalModule, form: BilinearFormData):
         if not isinstance(form, BilinearFormData) or form.module != module:
             raise SemanticError("form does not belong to the module")
-        coeff = QuotientCoefficients(module.coefficients)
         n = module.rank
         q = tuple(form.quadratic(i) for i in range(n))
         s = {}
         for i in range(n):
             for j in range(i + 1, n):
                 val = form.polarized(i, j)
-                if not coeff.is_zero(val):
+                if val:
                     s[(i, j)] = val
         self._init_raw(
-            coeff,
+            module.coefficients,
             tuple("a%d" % i for i in range(n)),
             module.degrees,
             q,
@@ -144,20 +68,19 @@ class CliffordAlgebra:
     def from_scalars(cls, base: BaseRing, diagonal, cross=None, names=None):
         """Ungraded algebra from a diagonal (and optional cross terms)."""
         self = cls.__new__(cls)
-        coeff = ScalarCoefficients(base)
-        q = tuple(coeff.coerce(v) for v in diagonal)
+        q = tuple(base.coerce(v) for v in diagonal)
         n = len(q)
         s = {}
         if cross:
             for (i, j), v in dict(cross).items():
                 if not (0 <= i < j < n):
                     raise BadIndex("cross term index out of range")
-                v = coeff.coerce(v)
-                if not coeff.is_zero(v):
+                v = base.coerce(v)
+                if v:
                     s[(i, j)] = v
         if names is None:
             names = tuple("a%d" % i for i in range(n))
-        self._init_raw(coeff, tuple(names), None, q, s, None, None)
+        self._init_raw(base, tuple(names), None, q, s, None, None)
         return self
 
     @classmethod
@@ -203,7 +126,7 @@ class CliffordAlgebra:
     # -- structure ----------------------------------------------------
 
     def is_exterior(self) -> bool:
-        return not self.s and all(self.coeff.is_zero(v) for v in self.q)
+        return not self.s and not any(self.q)
 
     def s_value(self, i: int, j: int):
         if i == j:
@@ -299,18 +222,16 @@ class CliffordAlgebra:
             if last < j:
                 res = ((w + (j,), coeff.one()),)
             elif last == j:
-                res = ((rest, self.q[j]),) if not coeff.is_zero(self.q[j]) else ()
+                res = ((rest, self.q[j]),) if self.q[j] else ()
             else:
                 acc: dict = {}
                 for u, c in self._insert(rest, j):
                     word = u + (last,)
                     acc[word] = coeff.add(acc.get(word, coeff.zero()), coeff.neg(c))
                 sval = self.s_value(j, last)
-                if not coeff.is_zero(sval):
+                if sval:
                     acc[rest] = coeff.add(acc.get(rest, coeff.zero()), sval)
-                res = tuple(
-                    (u, c) for u, c in acc.items() if not coeff.is_zero(c)
-                )
+                res = tuple((u, c) for u, c in acc.items() if c)
         self._icache[key] = res
         return res
 
@@ -328,10 +249,9 @@ class CliffordAlgebra:
             for w, c in terms.items():
                 for u, d in self._insert(w, j):
                     val = coeff.mul(c, d)
-                    if coeff.is_zero(val):
-                        continue
-                    nxt[u] = coeff.add(nxt.get(u, coeff.zero()), val)
-            terms = {w: c for w, c in nxt.items() if not coeff.is_zero(c)}
+                    if val:
+                        nxt[u] = coeff.add(nxt.get(u, coeff.zero()), val)
+            terms = {w: c for w, c in nxt.items() if c}
         self._wcache[key] = terms
         return terms
 
@@ -347,9 +267,8 @@ class CliffordElement:
     __slots__ = ("owner", "terms")
 
     def __init__(self, owner: CliffordAlgebra, terms):
-        is_zero = owner.coeff.is_zero
         self.owner = owner
-        self.terms = {w: c for w, c in terms.items() if not is_zero(c)}
+        self.terms = {w: c for w, c in terms.items() if c}
 
     # -- helpers ------------------------------------------------------
 
@@ -418,13 +337,12 @@ class CliffordElement:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 c12 = coeff.mul(c1, c2)
-                if coeff.is_zero(c12):
+                if not c12:
                     continue
                 for w, c in self.owner.word_product(w1, w2).items():
                     val = coeff.mul(c12, c)
-                    if coeff.is_zero(val):
-                        continue
-                    out[w] = coeff.add(out.get(w, coeff.zero()), val)
+                    if val:
+                        out[w] = coeff.add(out.get(w, coeff.zero()), val)
         return CliffordElement(self.owner, out)
 
     def __rmul__(self, other):
@@ -511,7 +429,7 @@ def presentation_of(algebra: CliffordAlgebra, warnings=()) -> AlgebraPresentatio
     rels = []
     for i in range(algebra.n):
         name = algebra.names[i]
-        if coeff.is_zero(algebra.q[i]):
+        if not algebra.q[i]:
             rels.append("%s^2" % name)
         else:
             rels.append("%s^2 - %s*1" % (name, _render_value(coeff, algebra.q[i])))
@@ -524,7 +442,7 @@ def presentation_of(algebra: CliffordAlgebra, warnings=()) -> AlgebraPresentatio
                 algebra.names[i],
             )
             sval = algebra.s_value(i, j)
-            if coeff.is_zero(sval):
+            if not sval:
                 rels.append(lhs)
             else:
                 rels.append("%s - %s*1" % (lhs, _render_value(coeff, sval)))
@@ -536,8 +454,8 @@ def presentation_of(algebra: CliffordAlgebra, warnings=()) -> AlgebraPresentatio
         display = "Lambda(%s)" % ", ".join(algebra.names)
     else:
         kind = "clifford"
-        plain = [i for i in range(algebra.n) if coeff.is_zero(algebra.q[i])]
-        twisted = [i for i in range(algebra.n) if not coeff.is_zero(algebra.q[i])]
+        plain = [i for i in range(algebra.n) if not algebra.q[i]]
+        twisted = [i for i in range(algebra.n) if algebra.q[i]]
         crossed = {i for pair in algebra.s for i in pair}
         if crossed.intersection(plain) or crossed.intersection(twisted):
             display = "Cl(%s)" % ", ".join(algebra.names)
@@ -636,9 +554,8 @@ class TensorElement:
     __slots__ = ("owner", "terms")
 
     def __init__(self, owner: TensorAlgebra, terms):
-        is_zero = owner.coeff.is_zero
         self.owner = owner
-        self.terms = {k: c for k, c in terms.items() if not is_zero(c)}
+        self.terms = {k: c for k, c in terms.items() if c}
 
     def _same(self, other):
         if not isinstance(other, TensorElement) or self.owner != other.owner:
@@ -672,15 +589,14 @@ class TensorElement:
                 c12 = coeff.mul(c1, c2)
                 if sign < 0:
                     c12 = coeff.neg(c12)
-                if coeff.is_zero(c12):
+                if not c12:
                     continue
                 for wu, cu in left.word_product(u1, u2).items():
                     for wv, cv in right.word_product(v1, v2).items():
                         val = coeff.mul(c12, coeff.mul(cu, cv))
-                        if coeff.is_zero(val):
-                            continue
-                        key = (wu, wv)
-                        out[key] = coeff.add(out.get(key, coeff.zero()), val)
+                        if val:
+                            key = (wu, wv)
+                            out[key] = coeff.add(out.get(key, coeff.zero()), val)
         return TensorElement(self.owner, out)
 
     def __eq__(self, other):
@@ -766,7 +682,6 @@ class AlgebraMap:
         for img in images:
             if not isinstance(img, CliffordElement) or img.owner != target:
                 raise MixedAlgebras("image outside the target algebra")
-        coeff = source.coeff
         for i in range(source.n):
             lhs = images[i] * images[i]
             if lhs != target.scalar(source.q[i]):
@@ -894,13 +809,13 @@ def brute_force_presentation(
     base ring.  Returns (presentation, model).
     """
     if isinstance(module_or_rank, ConormalModule):
-        coeff = QuotientCoefficients(module_or_rank.coefficients)
+        coeff = module_or_rank.coefficients
         n = module_or_rank.rank
         degrees = module_or_rank.degrees
     else:
         if base is None:
             raise SemanticError("scalar mode needs a base ring")
-        coeff = ScalarCoefficients(base)
+        coeff = base
         n = int(module_or_rank)
         degrees = None
     if isinstance(form_matrix, BilinearFormData):
@@ -910,12 +825,7 @@ def brute_force_presentation(
     if len(matrix) != n:
         raise SemanticError("matrix size does not match the rank")
     model = BruteForceModel(coeff, matrix, word_bound)
-    s = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = model.svals[(i, j)]
-            if not coeff.is_zero(v):
-                s[(i, j)] = v
+    s = {(i, j): v for (i, j), v in model.svals.items() if i < j and v}
     shadow = CliffordAlgebra._raw(
         coeff,
         tuple("a%d" % i for i in range(n)),

@@ -135,7 +135,6 @@ class ConormalModule:
         self.coefficients = parent.coefficients if coefficients is None else coefficients
         self.degrees = tuple(x.degree() + 1 for x in parent.sequence)
         self.rank = len(self.degrees)
-        self.basis_names = tuple("xbar%d" % i for i in range(self.rank))
 
     def with_coefficients(self, coefficients: QuotientRing) -> "ConormalModule":
         return ConormalModule(self.parent, coefficients)

@@ -66,7 +66,7 @@ class DerivationOperator:
         images = tuple(owner.coeff.coerce(v) for v in images)
         if len(images) != owner.n:
             raise SemanticError("one image per generator required")
-        support = tuple((i, c) for i, c in enumerate(images) if not owner.coeff.is_zero(c))
+        support = tuple((i, c) for i, c in enumerate(images) if c)
         degree = None
         if owner.degrees is not None:
             degs = set()
@@ -228,7 +228,7 @@ def _product(left, right, coeff):
     """Sparse matrix of ``left`` after ``right``: each row of ``right`` sent
     through the rows of ``left``.  Sums that come to zero are dropped, and
     so are rows left empty, as ``operator_matrix`` drops them."""
-    mul, add, is_zero = coeff.mul, coeff.add, coeff.is_zero
+    mul, add = coeff.mul, coeff.add
     rows = {}
     for w, row in right.items():
         out: dict = {}
@@ -239,7 +239,7 @@ def _product(left, right, coeff):
             for v, d in image.items():
                 val = mul(c, d)
                 out[v] = add(out[v], val) if v in out else val
-        out = {v: c for v, c in out.items() if not is_zero(c)}
+        out = {v: c for v, c in out.items() if c}
         if out:
             rows[w] = out
     return rows
@@ -398,9 +398,8 @@ class DualFunctional:
     goes through ``kronecker_dual``."""
 
     def __init__(self, owner: CliffordAlgebra, table):
-        is_zero = owner.coeff.is_zero
         self.owner = owner
-        self.table = {w: c for w, c in table.items() if not is_zero(c)}
+        self.table = {w: c for w, c in table.items() if c}
 
     def value(self, word):
         return self.table.get(tuple(word), self.owner.coeff.zero())

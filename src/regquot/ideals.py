@@ -307,14 +307,13 @@ class KoszulComplex:
     that d∘d lies in the relations.
     """
 
-    def __init__(self, ring: GradedRing, j_gens, k_gens=(), window: int | None = None):
+    def __init__(self, ring: GradedRing, j_gens, k_gens=()):
         self.ring = ring
         self.j_gens = checked_sequence(ring, j_gens)
         self.k_gens = _gens(ring, k_gens)
         for g in self.j_gens:
             if g.is_zero():
                 raise SemanticError("Koszul sequence entries must be nonzero")
-        self.window = ring.degree_window if window is None else min(window, ring.degree_window)
         self.length = len(self.j_gens)
         self._degs = [g.degree() for g in self.j_gens]
         self._coeffs, self.scale = cleared_coefficients(self.j_gens)
@@ -432,14 +431,15 @@ def tor(ring: GradedRing, j_gens, k_gens, i: int, window: int | None = None):
     if i < 0:
         raise SemanticError("homological degree must be >= 0")
     jseq = checked_sequence(ring, _gens(ring, j_gens))
-    kseq = _gens(ring, k_gens)  # invalid input is refused before any verdict
+    # the complex refuses invalid input, such as a zero entry of the first
+    # sequence or a non-homogeneous second one, before any verdict
+    cx = KoszulComplex(ring, jseq, k_gens)
     top = ring.degree_window if window is None else min(window, ring.degree_window)
     reg = check_regular_sequence(ring, jseq, top)
     if not reg.regular:
         raise NotVerifiedRegular(
             "sequence not verified regular (fails at entry %s)" % (reg.first_failure,)
         )
-    cx = KoszulComplex(ring, jseq, kseq, top)
     degrees = list(ring.even_degrees(top))
     report = GradedModuleReport((degrees[0] if degrees else 0, top))
     if i > cx.length:

@@ -298,6 +298,9 @@ class RingElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_homogeneous(self) -> bool:
         degs = {self.ring.monomial_degree(e) for e in self.terms}
         return len(degs) <= 1
@@ -609,7 +612,13 @@ def normal_form_any(element: RingElement, gens) -> RingElement:
 
 
 class QuotientRing:
-    """View of R/I with arithmetic done through canonical residues."""
+    """View of R/I with arithmetic done through canonical residues.
+
+    It is also the coefficient ring of the Clifford and exterior algebras
+    over R/I: ``coerce``, ``render`` and ``degree_of`` serve them next to
+    the arithmetic, and each residue it returns is zero exactly when it is
+    falsy, which the algebras test in place of ``is_zero``.
+    """
 
     def __init__(self, ring: GradedRing, ideal=()):
         self.ring = ring
@@ -656,6 +665,19 @@ class QuotientRing:
 
     def is_zero(self, element: RingElement) -> bool:
         return self.nf(element).is_zero()
+
+    def coerce(self, v) -> RingElement:
+        """The residue of ``v``, an ``int``, ``Fraction`` or element of R."""
+        if isinstance(v, (int, Fraction)):
+            v = self.ring.constant(v)
+        if not isinstance(v, RingElement) or v.ring != self.ring:
+            raise SemanticError("coefficient outside the quotient ring")
+        return self.nf(v)
+
+    render = staticmethod(repr)
+
+    def degree_of(self, a: RingElement):
+        return a.degree()
 
     def eq(self, a: RingElement, b: RingElement) -> bool:
         return self.nf(a - b).is_zero()

@@ -132,6 +132,12 @@ class BaseRing:
             )
         return a
 
+    def coerce(self, v):
+        """``v`` as a coefficient: an ``int`` or ``Fraction`` normalized."""
+        if isinstance(v, (int, Fraction)):
+            return self.normalize(v)
+        raise SemanticError("scalar coefficient expected")
+
     def zero(self):
         return Fraction(0) if self.kind == INTEGERS_LOCALIZED else 0
 
@@ -140,9 +146,6 @@ class BaseRing:
 
     def add(self, a, b):
         return self.normalize(a + b)
-
-    def sub(self, a, b):
-        return self.normalize(a - b)
 
     def mul(self, a, b):
         return self.normalize(a * b)
@@ -170,3 +173,7 @@ class BaseRing:
         if isinstance(a, Fraction) and a.denominator == 1:
             return str(a.numerator)
         return str(a)
+
+    def degree_of(self, a) -> None:
+        """Base coefficients carry no grading."""
+        return None

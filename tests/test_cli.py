@@ -461,22 +461,32 @@ def test_mistyped_job_fields_exit_2(tmp_path, capsys, doc):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("base", ["Z", "Z/4"])
-def test_tor_refuses_invalid_second_before_the_regularity_verdict(tmp_path, capsys, base):
-    # (x, 2y) is regular over Z but not over Z/4, where 2y kills 2; the
-    # non-homogeneous second sequence is invalid input on both bases.
+@pytest.mark.parametrize(
+    "base, first, second, error",
+    [
+        # (x, 2y) is regular over Z but not over Z/4, where 2y kills 2; the
+        # non-homogeneous second sequence is invalid input on both bases
+        pytest.param("Z", ["x", "2*y"], ["x+y*y"], "NonHomogeneous", id="Z"),
+        pytest.param("Z/4", ["x", "2*y"], ["x+y*y"], "NonHomogeneous", id="Z/4"),
+        # a zero entry fails the regularity check, but is invalid input first
+        pytest.param("Z", ["0"], ["x"], "SemanticError", id="zero-first"),
+    ],
+)
+def test_tor_refuses_invalid_second_before_the_regularity_verdict(
+    tmp_path, capsys, base, first, second, error
+):
     doc = {
         "command": "tor",
         "ring": {"base": base, "generators": [{"name": n, "degree": 2} for n in "xy"]},
         "window": {"degree": 6},
-        "first": ["x", "2*y"],
-        "second": ["x+y*y"],
+        "first": first,
+        "second": second,
         "index": 1,
     }
     path = tmp_path / "job.json"
     path.write_text(json.dumps(doc))
     assert main([str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error[NonHomogeneous]: ")
+    assert capsys.readouterr().err.startswith("error[%s]: " % error)
 
 
 _DELETE = object()

@@ -8,8 +8,6 @@ from regquot.clifford import (
     AlgebraMap,
     BruteForceModel,
     CliffordAlgebra,
-    QuotientCoefficients,
-    ScalarCoefficients,
     TensorAlgebra,
     antipode,
     augmentation,
@@ -20,7 +18,8 @@ from regquot.clifford import (
     presentation_of,
     tau,
 )
-from regquot.conormal import ProductToken, QuotientRingSpec
+from regquot.conormal import ProductToken, QuotientRingSpec, conormal_module, zero_form
+from regquot.derivations import DerivationOperator, Psi, bockstein, compose, kronecker_dual
 from regquot.errors import (
     BadIndex,
     BoundTooSmall,
@@ -31,6 +30,7 @@ from regquot.errors import (
     NotInIdeal,
     SemanticError,
 )
+from regquot.morava import build_scenario, kn_algebra
 from regquot.ring import GradedRing, Generator, QuotientRing
 from regquot.scalars import BaseRing
 
@@ -320,14 +320,13 @@ def test_element_products_match_brute_force():
     ]
     for base, values in cases:
         rng = random.Random("element-products:%r" % (base,))
-        coeff = ScalarCoefficients(base)
         for n in (2, 3):
             matrix = [[rng.choice(values + [0]) for _ in range(n)] for _ in range(n)]
             # a nonzero square and a nonzero cross term in every form
             matrix[0][0], matrix[0][1], matrix[1][0] = 1, 1, 0
             cross = {(i, j): matrix[i][j] + matrix[j][i] for i, j in combinations(range(n), 2)}
             cl = CliffordAlgebra.from_scalars(base, [matrix[i][i] for i in range(n)], cross=cross)
-            model = BruteForceModel(coeff, matrix)
+            model = BruteForceModel(base, matrix)
             words = cl.basis_words()
 
             def rand_elem():
@@ -336,8 +335,8 @@ def test_element_products_match_brute_force():
 
             def canonical(u):
                 for c in u.terms.values():
-                    assert not coeff.is_zero(c) and coeff.coerce(c) == c
-                    assert type(coeff.coerce(c)) is type(c)
+                    assert not base.is_zero(c) and base.coerce(c) == c
+                    assert type(base.coerce(c)) is type(c)
                 return u
 
             for _ in range(12):
@@ -346,18 +345,78 @@ def test_element_products_match_brute_force():
                 for w1, c1 in u.terms.items():
                     for w2, c2 in v.terms.items():
                         for w, c in model.product(w1, w2).items():
-                            val = coeff.mul(coeff.mul(c1, c2), c)
-                            want[w] = coeff.add(want.get(w, coeff.zero()), val)
+                            val = base.mul(base.mul(c1, c2), c)
+                            want[w] = base.add(want.get(w, base.zero()), val)
                 assert canonical(u * v).terms == {w: c for w, c in want.items() if c != 0}
                 for built in (u, u + v, u - v, -u, u * 3, 2 * v, antipode(u)):
                     canonical(built)
+
+
+def test_stored_coefficients_are_truthy_and_nonzero():
+    """The algebras test a stored coefficient for zero by its truth value.
+    Over Z, F_3, Z/4 and Z_(2), and over the graded coefficients of K(2) at
+    p = 2, every coefficient that seeded sums, products, derivation
+    matrices and dual tables store is truthy, and the ring's own
+    ``is_zero`` rejects each one; inputs include values that reduce to
+    zero, and Z/4 and Z_(2)/(2) have products that do."""
+    bases = [
+        (BaseRing.integers(), [1, -1, 2, 3]),
+        (BaseRing.prime_field(3), [1, 2, 3, 4]),
+        (BaseRing.integers_mod(4), [1, 2, 3, 4]),
+        (BaseRing.integers_localized(2), [1, 2, Fraction(1, 3), Fraction(-2, 5)]),
+    ]
+    # (algebra, exterior algebra over the same ring, coefficient inputs)
+    cases = [
+        (
+            CliffordAlgebra.from_scalars(base, [1, 0, 2], cross={(0, 2): 1}),
+            CliffordAlgebra.from_scalars(base, [0, 0, 0]),
+            values,
+        )
+        for base, values in bases
+    ]
+    sc = build_scenario(2, 2)
+    module = conormal_module(sc.spec)
+    graded_ext = CliffordAlgebra(module, zero_form(module))
+    cases.append((kn_algebra(sc)[1], graded_ext, [1, 2, 3, -1, sc.ring.var("v1")]))
+    assert not sc.ring.zero() and sc.ring.one()
+    for cl, ext, values in cases:
+        coeff = cl.coeff
+        assert ext.coeff == coeff and not coeff.zero() and coeff.one()
+        rng = random.Random("truthy-coefficients:%r" % (coeff,))
+
+        def stored(cs):
+            for c in cs:
+                assert c and not coeff.is_zero(c)
+
+        def rand_elem(alg):
+            words = alg.basis_words()
+            picked = rng.sample(words, rng.randint(1, len(words)))
+            return alg.element({w: rng.choice(values) for w in picked})
+
+        for _ in range(10):
+            u, v = rand_elem(cl), rand_elem(cl)
+            for built in (u, v, u * v, v * u, u + v, u - v, u * 2, antipode(u)):
+                stored(built.terms.values())
+        ops = [bockstein(ext, i) * rng.choice(values) for i in range(ext.n)]
+        if ext.degrees is None:
+            for _ in range(3):
+                ops.append(DerivationOperator(ext, [rng.choice(values) for _ in range(ext.n)]))
+        for _ in range(10):
+            op = compose(rng.choices(ops, k=rng.randint(1, 3)))
+            for row in op.matrix.values():
+                stored(row.values())
+            stored(Psi(op).table.values())
+        for op in ops:
+            stored(c for _, c in op.support)
+        dual = kronecker_dual(ext, {w: rng.choice(values) for w in ext.basis_words()})
+        stored(dual.table.values())
 
 
 def test_trivial_quotient_coefficients_have_zero_one():
     """Over a quotient that holds 1, the stored unit is the reduced one, so
     ``one`` and the generators are zero elements."""
     R = GradedRing(BaseRing.integers(), [Generator("x", 2)], degree_window=4)
-    coeff = QuotientCoefficients(QuotientRing(R, [R.constant(1)]))
+    coeff = QuotientRing(R, [R.constant(1)])
     assert coeff.one().is_zero()
     cl = CliffordAlgebra._raw(coeff, ("a0",), (1,), (coeff.zero(),), {})
     assert cl.one().is_zero() and cl.generator(0).is_zero()
@@ -386,7 +445,7 @@ def test_tensor_element_checks_words_and_coefficients():
 
 def test_brute_force_bound_too_small():
     model = BruteForceModel(
-        ScalarCoefficients(BaseRing.integers()),
+        BaseRing.integers(),
         [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
         word_bound=2,
     )
