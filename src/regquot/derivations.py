@@ -1,30 +1,21 @@
 """Odd derivations of exterior algebras and the operator-level cohomology.
 
-A derivation here is determined by its coefficient values on the
-generators, its ``images``, and extends by the signed Leibniz rule; on a
-basis word it acts as a signed partial derivative.  Its Kronecker dual is
-``Psi``, the functional tabulated on the word basis.  Compositions of the
-generator derivations give the operator model of cohomology, checked
-against the dual-word route ``Delta`` on every basis word, and the
-verified presentation is rendered by ``clifford.presentation_of``.  An
-operator is stored as a sparse matrix: a dict from each basis word with a
-nonzero image to the terms of that image.  A composite of the Q_i sends
-each word to at most one signed word, so the matrix has at most 2^n
-entries, not 4^n.
+A derivation is determined by its coefficient values on the generators,
+its ``images``; on a basis word it acts as a signed partial derivative.
+Its Kronecker dual is ``Psi``.  Compositions of the generator derivations
+Q_i give the operator model of cohomology, checked against the dual-word
+route ``Delta`` on every basis word and rendered by ``presentation_of``.
 
-Each derivation builds its matrix once, on first read, by applying itself
-to the 2^n basis words; a composite is the product of its factors'
-matrices, and ``theta(s)`` in ``duality_square_commutes`` is Q_{s_0}'s
-matrix times that of the shorter word ``theta(s[1:])``.  ``leibniz_check``
-reads D(v) for each basis word v off the matrix too, and a derivations job
-hands the Q_i of ``generator_checks`` to every later check, so each Q_i
-builds its matrix once per job.  Every check still compares full matrices
-or tables over all 2^n words.
+An operator is a sparse matrix: a dict from each basis word with a nonzero
+image to the terms of that image.  A composite of the Q_i sends each word
+to at most one subword times 1 or -1, so it is kept as a signed word map
+``word -> (word, sign)``, composed by lookups and sign products, and its
+matrix is built only when read.  The checks decide their identities from
+O(2^n) or O(n^2) evaluations, each proved in its docstring.
 """
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
 
 from .clifford import (
     AlgebraPresentation,
@@ -55,8 +46,8 @@ class DerivationOperator:
     ``support`` pairs each generator whose image is nonzero with it.
 
     ``matrix`` is its sparse matrix, in the form ``CohomologyOperator``
-    stores, built once on first read.  A one-operator ``compose`` shares
-    it, so no caller may change it.
+    stores, and ``signs`` its signed word map when it has one; each is
+    built once, on first read, and no caller may change it.
     """
 
     parity = 1
@@ -111,6 +102,22 @@ class DerivationOperator:
     def matrix(self):
         return operator_matrix(self.owner, self.apply)
 
+    @cached_property
+    def signs(self):
+        """Signed word map of the zero derivation, or of the one with image
+        1 at a single generator a_i: each word holding a_i goes to the word
+        without it, with sign -1 where a_i sits at an odd position.  None
+        for any other."""
+        if not self.support:
+            return {}
+        (i, c), *more = self.support
+        if more or c != self.owner.coeff.one():
+            return None
+        return {
+            w: (w[:t] + w[t + 1 :], -1 if t % 2 else 1)
+            for w in self.owner.basis_words() if i in w for t in [w.index(i)]
+        }
+
     def is_zero(self) -> bool:
         return not self.support
 
@@ -158,6 +165,12 @@ def bockstein(algebra: CliffordAlgebra, i: int) -> DerivationOperator:
     return DerivationOperator(algebra, images, label=i)
 
 
+def _unit(coeff):
+    """The coefficient of each sign of a signed word map."""
+    one = coeff.one()
+    return {1: one, -1: coeff.neg(one)}
+
+
 def operator_matrix(algebra: CliffordAlgebra, fn):
     """Sparse matrix of a linear operator: each basis word with a nonzero
     image under ``fn``, mapped to the terms of that image."""
@@ -175,8 +188,12 @@ class CohomologyOperator:
 
     ``matrix`` maps each basis word with a nonzero image to that image's
     terms, a dict from word to nonzero coefficient; the words it omits map
-    to zero, so the zero operator has the empty matrix.
+    to zero, so the zero operator has the empty matrix.  A composite of
+    generator derivations (``_from_signs``) keeps its signed word map in
+    ``signs``, None for any other, and builds its matrix on first read.
     """
+
+    signs = None
 
     def __init__(self, owner: CliffordAlgebra, matrix, word=None, parity=None):
         _require_exterior(owner)
@@ -188,6 +205,17 @@ class CohomologyOperator:
                 raise SemanticError("parity required without a formal word")
             parity = len(self.word) % 2
         self.parity = parity
+
+    @classmethod
+    def _from_signs(cls, owner, signs, word, parity):
+        self = cls.__new__(cls)
+        self.owner, self.signs, self.word, self.parity = owner, signs, word, parity
+        return self
+
+    @cached_property
+    def matrix(self):
+        unit = _unit(self.owner.coeff)
+        return {w: {u: unit[s]} for w, (u, s) in self.signs.items()}
 
     def apply(self, elem: CliffordElement) -> CliffordElement:
         if elem.owner != self.owner:
@@ -224,43 +252,29 @@ class CohomologyOperator:
         return "operator[%s]" % tag
 
 
-def _product(left, right, coeff):
-    """Sparse matrix of ``left`` after ``right``: each row of ``right`` sent
-    through the rows of ``left``.  Sums that come to zero are dropped, and
-    so are rows left empty, as ``operator_matrix`` drops them."""
-    mul, add = coeff.mul, coeff.add
-    rows = {}
-    for w, row in right.items():
-        out: dict = {}
-        for u, c in row.items():
-            image = left.get(u)
-            if image is None:
-                continue
-            for v, d in image.items():
-                val = mul(c, d)
-                out[v] = add(out[v], val) if v in out else val
-        out = {v: c for v, c in out.items() if c}
-        if out:
-            rows[w] = out
-    return rows
+def _after(left, right):
+    """Signed word map of ``left`` after ``right``: a lookup and a sign
+    product per word."""
+    get = left.get
+    return {w: (hit[0], s * hit[1]) for w, (u, s) in right.items() if (hit := get(u))}
 
 
 def compose(ops, owner: CliffordAlgebra | None = None) -> CohomologyOperator:
-    """Matrix of the composition; the rightmost operator acts first.
+    """The composition; the rightmost operator acts first.
 
-    The product of the operators' cached matrices, folded from the right:
-    no operator is applied to the basis again once its matrix is built.
-    A one-operator composition shares that operator's read-only matrix.
+    Folded from the right over the operators' cached signed word maps when
+    every operator has one, else by applying each cached matrix to the rows
+    so far.  A one-operator composition shares that operator's read-only
+    map or matrix.
     """
     ops = list(ops)
     if not ops:
         if owner is None:
             raise SemanticError("empty composition needs an explicit owner")
         _require_exterior(owner)
-        one = owner.coeff.one()
-        rows = {w: {w: one} for w in owner.basis_words()}
-        return CohomologyOperator(owner, rows, word=())
-    first = ops[0]
+        signs = {w: (w, 1) for w in owner.basis_words()}
+        return CohomologyOperator._from_signs(owner, signs, (), 0)
+    first, last = ops[0], ops[-1]
     for op in ops:
         if not isinstance(op, DerivationOperator):
             raise SemanticError("compose expects derivation operators")
@@ -268,13 +282,19 @@ def compose(ops, owner: CliffordAlgebra | None = None) -> CohomologyOperator:
             raise MixedOwners("operators acting on different algebras")
     if owner is not None and owner != first.owner:
         raise MixedOwners("owner does not match the operators")
-    coeff = first.owner.coeff
-    matrix = ops[-1].matrix
-    for op in reversed(ops[:-1]):
-        matrix = _product(op.matrix, matrix, coeff)
     labels = [op.label for op in ops]
     word = tuple(labels) if all(l is not None for l in labels) else None
-    return CohomologyOperator(first.owner, matrix, word=word, parity=len(ops) % 2)
+    if all(op.signs is not None for op in ops):
+        signs = last.signs
+        for op in reversed(ops[:-1]):
+            signs = _after(op.signs, signs)
+        return CohomologyOperator._from_signs(first.owner, signs, word, len(ops) % 2)
+    matrix, owner = last.matrix, first.owner
+    for op in reversed(ops[:-1]):
+        step = CohomologyOperator(owner, op.matrix, parity=1).apply
+        rows = ((w, step(CliffordElement(owner, row)).terms) for w, row in matrix.items())
+        matrix = {w: row for w, row in rows if row}
+    return CohomologyOperator(owner, matrix, word=word, parity=len(ops) % 2)
 
 
 def theta(algebra: CliffordAlgebra, indices) -> CohomologyOperator:
@@ -292,74 +312,102 @@ def theta_rank(algebra: CliffordAlgebra) -> int:
     pairwise distinct words, so counting the distinct unit-coefficient
     outputs certifies the rank.  The image for s is Q_{s_0} applied to the
     image for s[1:], which the loop reached first, since the basis words
-    come by length: 2^n - 1 applications in all.
+    come by length: 2^n - 1 applications in all, each to one term.
     """
     _require_exterior(algebra)
     coeff = algebra.coeff
     qs = [bockstein(algebra, i) for i in range(algebra.n)]
     images = {(): CliffordElement(algebra, {tuple(range(algebra.n)): coeff.one()})}
+    for s in algebra.basis_words()[1:]:
+        images[s] = qs[s[0]].apply(images[s[1:]])
     units = (coeff.one(), coeff.neg(coeff.one()))
-    seen = set()
-    for s in algebra.basis_words():
-        if s:
-            images[s] = qs[s[0]].apply(images[s[1:]])
-        img = images[s]
-        if len(img.terms) == 1:
-            (word, c), = img.terms.items()
-            if c in units:
-                seen.add(word)
-    return len(seen)
+    terms = [next(iter(img.terms.items())) for img in images.values() if len(img.terms) == 1]
+    return len({w for w, c in terms if c in units})
 
 
 def generator_checks(ext: CliffordAlgebra):
     """``(qs, squares_zero, anticommute, theta_rank)`` for the generator
-    derivations Q_i of ``ext``: the formal-word map is injective when the
+    derivations Q_i of ``ext``; the formal-word map is injective when the
     rank is 2^n.
 
-    Each Q_i applies itself to the 2^n basis words once, for its matrix;
-    Q_i^2 and both orders of every pair are then matrix products, compared
-    as full matrices.
+    For odd derivations D and E, D^2 and DE + ED are derivations in every
+    characteristic: the cross terms of D^2(xy), and of DE(xy) + ED(xy),
+    cancel.  A derivation killing 1 and every a_k is zero.  So once each
+    Q_i's signed word map, which the later checks read, passes
+    ``leibniz_check``, D(E(a_k)) = 0 for all D, E among the Q_i and all k,
+    read off the same maps, certifies both identities.  No matrix is built.
     """
     qs = [bockstein(ext, i) for i in range(ext.n)]
-    squares = all(compose([q, q]).is_zero() for q in qs)
-    anti = all(
-        compose([qs[i], qs[j]]) == compose([qs[j], qs[i]]).negated()
-        for i, j in combinations(range(ext.n), 2)
+    hits = [hit for e in qs for k in range(ext.n) if (hit := e.signs.get((k,)))]
+    zero = all(map(leibniz_check, qs)) and not any(
+        d.signs.get(u) for u, _ in hits for d in qs
     )
-    return qs, squares, anti, theta_rank(ext)
+    return qs, zero, zero, theta_rank(ext)
 
 
 def leibniz_check(op) -> bool:
-    """Signed Leibniz identity D(uv) = D(u)v + (-1)^{|D||u|} uD(v) on
-    basis words.
+    """Signed Leibniz identity D(uv) = D(u)v + e^|u| uD(v), e = (-1)^|D|,
+    on all basis words, decided by D(1) = 0, one row per word and relations.
 
-    u runs over 1 and the generators a_i and v over every basis word:
-    (n+1)*2^n pairs, which decide the identity on all 4^n basis pairs.
-    The pairs (1, v) give D(v) = D(1)v + D(v), so D(1) = 0 (take v = 1)
-    and Leibniz holds for u = 1.  A basis word u of length k > 0 is a_i*w
-    with i its first index and w the rest, a word of length k - 1.  D is
-    linear and the product associative, and the identity for fixed u is
-    linear in v, so if Leibniz holds for w and every v, then with
-    e = (-1)^|D|:
-      D(a_i*w*v) = D(a_i)wv + e a_i D(wv)          [(a_i, each word of wv)]
-                 = D(a_i)wv + e a_i D(w)v + e^k a_i w D(v)   [Leibniz for w]
-                 = D(a_i*w)v + e^k (a_i*w) D(v)                  [(a_i, w)]
-    Induction on k covers every u.  Each D(v) is read off ``op.matrix``.
+    With L(i, j) = D(a_i)a_j + e a_i D(a_j), the row of w = a_i w', i its
+    first letter, is D(w) = D(a_i)w' + e a_i D(w'), and the relations are
+    L(i, i) = 0 and L(i, j) + L(j, i) = 0 for i < j.  A derivation passes
+    them.  They suffice: E(x_1...x_k) = sum_t e^(t-1) x_1...D(x_t)...x_k,
+    read in the algebra, is a derivation from the tensor algebra, and
+    E(x r y) = e^|x| x E(r) y vanishes on the relators r = a_i a_i and
+    a_i a_j + a_j a_i, since E(r) is L(i, i) or L(i, j) + L(j, i).  So E
+    is a derivation of the exterior algebra agreeing with D on the a_i, and
+    the rows give E = D by induction on length.  Rows alone do not suffice:
+    over Z, the odd operator a_0 -> a_1 passes every row, but
+    L(0, 0) = -2 a_0 a_1.
+
+    An odd signed word map sending each a_i to a signed 1 or to 0 meets
+    the relations identically, and each row compares signed words, signs
+    read as coefficients: D(a_i)w' is a signed w' and a_i D(w') a signed
+    word holding i, so D(w) can match at most one.  Other operators run
+    rows and relations as Clifford products.
     """
     algebra = op.owner
-    one = algebra.coeff.one()
+    n = algebra.n
     words = algebra.basis_words()
-    basis = [CliffordElement(algebra, {w: one}) for w in words]
-    images = [CliffordElement(algebra, op.matrix.get(w, {})) for w in words]
-    for wu, u, du in zip(words[: algebra.n + 1], basis, images):
-        odd = op.parity % 2 and len(wu) % 2
-        for v, dv in zip(basis, images):
-            second = u * dv
-            if odd:
-                second = -second
-            if op.apply(u * v) != du * v + second:
-                return False
-    return True
+    signs = op.signs
+    if signs is not None and op.parity % 2 and () not in signs:
+        gens = [signs.get((i,)) for i in range(n)]
+        if all(g is None or not g[0] for g in gens):
+            unit = _unit(algebra.coeff)
+            for w in words[1:]:
+                g, d, got = gens[w[0]], signs.get(w[1:]), signs.get(w)
+                if g and d:
+                    return False
+                want = (w[1:], g[1]) if g else ((w[0],) + d[0], -d[1]) if d else None
+                if got != want and not (
+                    got and want and got[0] == want[0] and unit[got[1]] == unit[want[1]]
+                ):
+                    return False
+            return True
+    matrix = op.matrix
+    if () in matrix:
+        return False
+    one = algebra.coeff.one()
+
+    def word(w):
+        return CliffordElement(algebra, {w: one})
+
+    def image(w):
+        return CliffordElement(algebra, matrix.get(w, {}))
+
+    def expansion(i, v, dv):
+        """D(a_i)v + e a_i D(v), the Leibniz expansion of D(a_i v)."""
+        second = word((i,)) * dv
+        return image((i,)) * v + (-second if op.parity % 2 else second)
+
+    lead = [[expansion(i, word((j,)), image((j,))) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        if not lead[i][i].is_zero():
+            return False
+        if any(not (lead[i][j] + lead[j][i]).is_zero() for j in range(i + 1, n)):
+            return False
+    return all(image(w) == expansion(w[0], word(w[1:]), image(w[1:])) for w in words[1:])
 
 
 def cohomology_presentation(spec: QuotientRingSpec) -> AlgebraPresentation:
@@ -438,12 +486,15 @@ def kronecker_dual(algebra: CliffordAlgebra, mapping) -> DualFunctional:
 
 def Psi(op) -> DualFunctional:
     """Project an operator to its empty-word component on each basis word:
-    the entry at the empty word of each row of ``op.matrix``."""
+    the empty-word entry of each matrix row, or of each signed image."""
     algebra = op.owner
     _require_exterior(algebra)
-    return DualFunctional(
-        algebra, {w: row[()] for w, row in op.matrix.items() if () in row}
-    )
+    if op.signs is None:
+        return DualFunctional(
+            algebra, {w: row[()] for w, row in op.matrix.items() if () in row}
+        )
+    unit = _unit(algebra.coeff)
+    return DualFunctional(algebra, {w: unit[s] for w, (u, s) in op.signs.items() if not u})
 
 
 def Delta(algebra: CliffordAlgebra, indices) -> DualFunctional:
@@ -478,23 +529,20 @@ def Delta(algebra: CliffordAlgebra, indices) -> DualFunctional:
 def duality_square_commutes(algebra: CliffordAlgebra, qs=None) -> bool:
     """Compare the operator route with the dual-word route on all words.
 
-    ``theta(s)`` is built as Q_{s_0}'s matrix times the matrix of
+    ``theta(s)`` is the signed word map of Q_{s_0} after that of
     ``theta(s[1:])``, which the loop reached first, since the basis words
-    come by length.  ``qs`` are the generator derivations Q_i of
-    ``algebra``, as ``generator_checks`` returns them with their matrices
-    built; without them each Q_i is made here and applies itself to the
-    basis once, for its matrix.  ``Psi`` and ``Delta`` then compare full
-    tables over all 2^n words.
+    come by length.  ``qs`` are the Q_i of ``algebra``, as
+    ``generator_checks`` returns them; without them they are made here.
+    ``Psi`` and ``Delta`` compare tables on all 2^n words.
     """
     _require_exterior(algebra)
     if qs is None:
         qs = [bockstein(algebra, i) for i in range(algebra.n)]
-    coeff = algebra.coeff
     thetas = {(): compose([], owner=algebra)}
     for s in algebra.basis_words():
         if s:
-            matrix = _product(qs[s[0]].matrix, thetas[s[1:]].matrix, coeff)
-            thetas[s] = CohomologyOperator(algebra, matrix, word=s)
+            signs = _after(qs[s[0]].signs, thetas[s[1:]].signs)
+            thetas[s] = CohomologyOperator._from_signs(algebra, signs, s, len(s) % 2)
         if Psi(thetas[s]) != Delta(algebra, s):
             return False
     return True

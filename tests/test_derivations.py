@@ -475,14 +475,25 @@ def _random_sparse_operator(ext, rng, values):
     return CohomologyOperator(ext, matrix, parity=rng.randrange(2))
 
 
+def _random_signed_operator(ext, rng):
+    """A seeded signed word map of random parity: a few basis words, each
+    sent to a random subword of itself with sign 1 or -1."""
+    signs = {}
+    for w in rng.sample(ext.basis_words(), rng.randrange(min(4, 2**ext.n) + 1)):
+        signs[w] = (tuple(i for i in w if rng.randrange(2)), rng.choice((1, -1)))
+    return CohomologyOperator._from_signs(ext, signs, None, rng.randrange(2))
+
+
 @pytest.mark.parametrize("base_name", sorted(ORACLE_BASES))
 def test_leibniz_generator_pairs_match_exhaustive_oracle(base_name):
-    """The (n+1)*2^n generator pairs decide Leibniz exactly as all 4^n
+    """D(1), the rows and the relations decide Leibniz exactly as all 4^n
     basis pairs do: on the Q_i, the zero derivation, composites of 1-3 Q_i
-    (odd and even), seeded random derivations and seeded random sparse
-    operators of either parity, at ranks 0-4."""
+    (odd and even), seeded random derivations, seeded random sparse
+    operators of either parity and seeded random signed word maps, at
+    ranks 0-4."""
     base = ORACLE_BASES[base_name]
     rng = random.Random("leibniz-oracle:%s" % base_name)
+    signed = random.Random("leibniz-signed:%s" % base_name)
     values = [0, 0, 1, -1, 2, -2, 3]
     holds = breaks = 0
     for n in range(5):
@@ -496,6 +507,7 @@ def test_leibniz_generator_pairs_match_exhaustive_oracle(base_name):
         for _ in range(6):
             ops.append(DerivationOperator(ext, [rng.choice(values) for _ in range(n)]))
             ops.append(_random_sparse_operator(ext, rng, values))
+        ops += [_random_signed_operator(ext, signed) for _ in range(40)]
         for op in ops:
             expected = ref_leibniz_check(op)
             assert leibniz_check(op) == expected, (n, op)
@@ -507,11 +519,11 @@ def test_leibniz_generator_pairs_match_exhaustive_oracle(base_name):
 
 
 def test_leibniz_default_multiplies_generator_pairs_only(monkeypatch):
-    """At rank 5 the check makes three products for each of the (n+1)*2^n
-    pairs (u*v, u*D(v) and D(u)*v), not 3*4^n."""
+    """At rank 5 a Q_i is checked on its signed word map with no Clifford
+    product, and a derivation without one makes two products per row and
+    per ordered generator pair: 2*(2^n - 1) + 2*n^2, not 3*4^n."""
     n = 5
     ext = CliffordAlgebra.from_scalars(BaseRing.integers(), [0] * n)
-    op = bockstein(ext, 2)
     calls = []
     mul = CliffordElement.__mul__
 
@@ -520,8 +532,38 @@ def test_leibniz_default_multiplies_generator_pairs_only(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(CliffordElement, "__mul__", counted)
+    assert leibniz_check(bockstein(ext, 2))
+    assert len(calls) == 0
+    op = DerivationOperator(ext, [1, 2, 0, 0, -1])
+    assert op.signs is None
     assert leibniz_check(op)
-    assert len(calls) == 3 * (n + 1) * 2**n
+    assert len(calls) == 2 * (2**n - 1) + 2 * n**2
+
+
+def test_leibniz_rows_alone_do_not_decide():
+    """The odd operator sending a_0 to a_1 and every other basis word to 0
+    passes every row D(w) = D(a_i)w' + e a_i D(w') over Z, so only the
+    relation L(0, 0) = D(a_0)a_0 - a_0 D(a_0) = -2 a_0 a_1 refutes it."""
+    ext2 = CliffordAlgebra.from_scalars(BaseRing.integers(), [0, 0])
+    op = CohomologyOperator(ext2, {(0,): {(1,): 1}}, parity=1)
+    one = ext2.coeff.one()
+    for w in ext2.basis_words()[1:]:
+        first = op.apply(ext2.element({(w[0],): one})) * ext2.element({w[1:]: one})
+        second = ext2.element({(w[0],): one}) * op.apply(ext2.element({w[1:]: one}))
+        assert op.apply(ext2.element({w: one})) == first - second
+    assert not leibniz_check(op)
+    assert not ref_leibniz_check(op)
+
+
+def test_leibniz_signed_row_with_two_expected_words():
+    """A signed word map sending a_0 and a_1 to 1 has the row
+    D(a_0 a_1) = a_1 - a_0, two words, which the one signed image
+    D(a_0 a_1) = a_1 cannot match, though it matches the first term."""
+    ext2 = CliffordAlgebra.from_scalars(BaseRing.integers(), [0, 0])
+    signs = {(0,): ((), 1), (1,): ((), 1), (0, 1): ((1,), 1)}
+    op = CohomologyOperator._from_signs(ext2, signs, None, 1)
+    assert not leibniz_check(op)
+    assert not ref_leibniz_check(op)
 
 
 # -- oracle: the apply-every-word routes of Psi, Delta and theta(s) -----
@@ -641,45 +683,41 @@ def test_dual_routes_match_oracles_on_graded_coefficients(k2_p3, monkeypatch):
 
 
 def test_generator_checks_apply_each_generator_once_per_word(monkeypatch):
-    """At rank 5 each Q_i applies itself to the 2^n basis words once, for
-    its matrix: ``generator_checks`` makes n*2^n calls to
-    ``DerivationOperator.apply`` beyond those ``theta_rank`` makes on its
-    own, and ``duality_square_commutes`` at most n*2^n.  ``theta_rank``
-    applies one Q_i per nonempty subset word: 2^n - 1 calls."""
+    """At rank 5 ``generator_checks`` applies no Q_i beyond the 2^n - 1
+    one-term applications of ``theta_rank``: its Leibniz and generator-word
+    certificates, and ``duality_square_commutes`` after it, read the Q_i's
+    signed word maps, and no operator matrix is built."""
     n = 5
     ext = CliffordAlgebra.from_scalars(BaseRing.integers(), [0] * n)
-    calls = []
-    apply = DerivationOperator.apply
+    calls, built = [], []
+    apply, real = DerivationOperator.apply, derivations_module.operator_matrix
 
     def counted(self, elem):
         calls.append(1)
         return apply(self, elem)
 
     monkeypatch.setattr(DerivationOperator, "apply", counted)
+    monkeypatch.setattr(
+        derivations_module, "operator_matrix", lambda *a: built.append(1) or real(*a)
+    )
     assert theta_rank(ext) == 2**n
-    own = len(calls)
-    assert own == 2**n - 1
+    assert len(calls) == 2**n - 1
     calls.clear()
-    _, squares, anti, rank = generator_checks(ext)
+    qs, squares, anti, rank = generator_checks(ext)
     assert squares and anti and rank == 2**n
-    assert len(calls) == n * 2**n + own
+    assert len(calls) == 2**n - 1
     calls.clear()
     assert duality_square_commutes(ext)
-    assert len(calls) <= n * 2**n
-    # handed the Q_i of generator_checks, with their matrices built, the
-    # duality check applies none, and leibniz_check applies each Q_i only
-    # to the (n+1)*2^n products u*v, reading D(v) off the matrix
-    qs, *_ = generator_checks(ext)
-    calls.clear()
     assert duality_square_commutes(ext, qs)
-    assert not calls
     assert all(leibniz_check(q) for q in qs)
-    assert len(calls) == n * (n + 1) * 2**n
+    assert not calls and not built
 
 
 def test_derivations_job_builds_each_generator_matrix_once(monkeypatch):
-    """A derivations job builds the matrix of each Q_i once: its Leibniz
-    and duality checks read the matrices that ``generator_checks`` built."""
+    """Neither a derivations nor a cohomology job builds a Q_i matrix: the
+    squares and anticommutators are certified on the Q_i's signed word
+    maps, which the Leibniz and duality checks read too, and the rank
+    applies the Q_i to one term at a time."""
     from regquot.cli import run_job
     from regquot.jobio import canonical_json, parse_job
 
@@ -702,4 +740,84 @@ def test_derivations_job_builds_each_generator_matrix_once(monkeypatch):
     report = run_job(parse_job(canonical_json(doc)))
     assert report.status == 0 and report.results["duality_square"]
     assert all(report.results["leibniz"])
-    assert len(built) == n
+    assert len(built) == 0
+    doc["command"] = "cohomology"
+    report = run_job(parse_job(canonical_json(doc)))
+    assert report.status == 0
+    assert len(built) == 0
+
+
+def test_generator_certificates_read_the_signed_maps(monkeypatch):
+    """Q_i's signed word map without the sign of a_i's position is not a
+    derivation over Z: it sends a_0 a_1 to a_0 under Q_1, where the row
+    Q_1(a_0)a_1 - a_0 Q_1(a_1) gives -a_0.  ``generator_checks`` checks the
+    maps it certifies on, so over Z both answers are False; over F_2, where
+    -1 = 1, the maps are right."""
+    real = DerivationOperator.__dict__["signs"].func
+    unsigned = property(lambda self: {w: (u, 1) for w, (u, _) in real(self).items()})
+    monkeypatch.setattr(DerivationOperator, "signs", unsigned)
+    for base, holds in ((BaseRing.integers(), False), (BaseRing.prime_field(2), True)):
+        ext = CliffordAlgebra.from_scalars(base, [0, 0, 0])
+        _, squares, anti, rank = generator_checks(ext)
+        assert (squares, anti, rank) == (holds, holds, 8)
+
+
+def _certificates_match_full_matrices(ext, rng):
+    """``generator_checks`` and ``duality_square_commutes`` on ``ext``
+    against full-matrix compares and the dense ``ref_compose`` route."""
+    n = ext.n
+    qs, squares, anti, rank = generator_checks(ext)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng.shuffle(pairs)
+    assert squares == all(compose([q, q]).is_zero() for q in qs)
+    assert squares == all(ref_compose([q, q], ext).is_zero() for q in qs)
+    assert anti == all(
+        compose([qs[i], qs[j]]) == compose([qs[j], qs[i]]).negated() for i, j in pairs
+    )
+    assert anti == all(
+        ref_compose([qs[i], qs[j]], ext) == ref_compose([qs[j], qs[i]], ext).negated()
+        for i, j in pairs
+    )
+    assert rank == ref_theta_rank(ext)
+    basis = ext.basis_words()
+    dense = all(
+        ref_Psi(ref_compose([qs[i] for i in s], ext)) == ref_Delta(ext, s) for s in basis
+    )
+    assert duality_square_commutes(ext, qs) == duality_square_commutes(ext) == dense
+    # seeded Q-words, repeated letters included, as signed word maps against
+    # the dense tables: the matrix and the negated matrix, sign by sign
+    last = None
+    for _ in range(6):
+        word = [rng.randrange(n) for _ in range(rng.randrange(4))] if n else []
+        op = compose([qs[i] for i in word], owner=ext)
+        ref = ref_compose([qs[i] for i in word], ext)
+        assert op.signs is not None
+        assert op.matrix == _sparse(ref)
+        assert op.negated().matrix == _sparse(ref.negated())
+        assert (op == op.negated()) == (ref == ref.negated())
+        if last is not None:
+            assert (op == last[0]) == (ref == last[1])
+            assert (op == last[0].negated()) == (ref == last[1].negated())
+        last = op, ref
+    return squares and anti and rank == 2**n and dense
+
+
+CERTIFICATE_BASES = {**ROUTE_BASES, "F2": BaseRing.prime_field(2)}
+
+
+@pytest.mark.parametrize("base_name", sorted(CERTIFICATE_BASES))
+def test_generator_certificates_match_full_matrix_oracle(base_name):
+    """Seeded, at ranks 0-5 over Z, F_3, Z/4 and Z_(2), where -1 != 1 (or 2
+    is a zero divisor), and over F_2, where signed maps must treat -1 as
+    1: the squares, anticommute, rank and duality answers decided on
+    generator words and signed maps equal those of the full matrices, and
+    so do the signed Q-words and their equalities."""
+    rng = random.Random("certificates:%s" % base_name)
+    for n in range(6):
+        ext = CliffordAlgebra.from_scalars(CERTIFICATE_BASES[base_name], [0] * n)
+        assert _certificates_match_full_matrices(ext, rng)
+
+
+def test_generator_certificates_match_oracle_on_graded_coefficients(k2_p3):
+    _, _, ext = k2_p3
+    assert _certificates_match_full_matrices(ext, random.Random("certificates:k2_p3"))
