@@ -27,7 +27,6 @@ from .derivations import (
     cohomology_presentation,
     duality_square_commutes,
     generator_checks,
-    leibniz_check,
 )
 from .errors import (
     AlgebraError,
@@ -177,15 +176,14 @@ def _cmd_derivations(doc, window, laurent):
     spec, _ = _spec_and_target(doc, window, laurent)
     module = conormal_module(spec)
     ext = CliffordAlgebra(module, zero_form(module))
-    qs, squares, anti, rank = generator_checks(ext)
-    leibniz = [leibniz_check(q) for q in qs]
+    qs, leibniz, certified, rank = generator_checks(ext)
     duality = duality_square_commutes(ext, qs)
-    ok = all(leibniz) and squares and anti and rank == 2**ext.n and duality
+    ok = certified and rank == 2**ext.n and duality
     results = {
         "rank": ext.n,
         "leibniz": leibniz,
-        "squares_zero": squares,
-        "anticommute": anti,
+        "squares_zero": certified,
+        "anticommute": certified,
         "theta_rank": rank,
         "theta_rank_expected": 2**ext.n,
         "duality_square": duality,
@@ -262,8 +260,6 @@ def _pair_from_block(ring, block):
     if target is None:
         raise SemanticError("pair blocks need a target ideal")
     tq = tuple(ring.parse(t) for t in target)
-    from .ring import QuotientRing
-
     return make_pair(spec, QuotientRing(ring, tq), block.get("multiplicative", False))
 
 

@@ -7,11 +7,9 @@ Q_i give the operator model of cohomology, checked against the dual-word
 route ``Delta`` on every basis word and rendered by ``presentation_of``.
 
 An operator is a sparse matrix: a dict from each basis word with a nonzero
-image to the terms of that image.  A composite of the Q_i sends each word
-to at most one subword times 1 or -1, so it is kept as a signed word map
-``word -> (word, sign)``, composed by lookups and sign products, and its
-matrix is built only when read.  The checks decide their identities from
-O(2^n) or O(n^2) evaluations, each proved in its docstring.
+image to the terms of that image.  Each Q_i also keeps its signed word map
+``word -> (word, sign)``; the checks read them, deciding each identity
+from at most n 2^n lookups and sign products, as proved in its docstring.
 """
 from __future__ import annotations
 
@@ -188,12 +186,8 @@ class CohomologyOperator:
 
     ``matrix`` maps each basis word with a nonzero image to that image's
     terms, a dict from word to nonzero coefficient; the words it omits map
-    to zero, so the zero operator has the empty matrix.  A composite of
-    generator derivations (``_from_signs``) keeps its signed word map in
-    ``signs``, None for any other, and builds its matrix on first read.
+    to zero, so the zero operator has the empty matrix.
     """
-
-    signs = None
 
     def __init__(self, owner: CliffordAlgebra, matrix, word=None, parity=None):
         _require_exterior(owner)
@@ -205,17 +199,6 @@ class CohomologyOperator:
                 raise SemanticError("parity required without a formal word")
             parity = len(self.word) % 2
         self.parity = parity
-
-    @classmethod
-    def _from_signs(cls, owner, signs, word, parity):
-        self = cls.__new__(cls)
-        self.owner, self.signs, self.word, self.parity = owner, signs, word, parity
-        return self
-
-    @cached_property
-    def matrix(self):
-        unit = _unit(self.owner.coeff)
-        return {w: {u: unit[s]} for w, (u, s) in self.signs.items()}
 
     def apply(self, elem: CliffordElement) -> CliffordElement:
         if elem.owner != self.owner:
@@ -252,28 +235,21 @@ class CohomologyOperator:
         return "operator[%s]" % tag
 
 
-def _after(left, right):
-    """Signed word map of ``left`` after ``right``: a lookup and a sign
-    product per word."""
-    get = left.get
-    return {w: (hit[0], s * hit[1]) for w, (u, s) in right.items() if (hit := get(u))}
-
-
 def compose(ops, owner: CliffordAlgebra | None = None) -> CohomologyOperator:
     """The composition; the rightmost operator acts first.
 
-    Folded from the right over the operators' cached signed word maps when
-    every operator has one, else by applying each cached matrix to the rows
-    so far.  A one-operator composition shares that operator's read-only
-    map or matrix.
+    Folded from the right by applying each operator's cached matrix to the
+    rows so far.  A one-operator composition shares that operator's
+    read-only matrix.
     """
     ops = list(ops)
     if not ops:
         if owner is None:
             raise SemanticError("empty composition needs an explicit owner")
         _require_exterior(owner)
-        signs = {w: (w, 1) for w in owner.basis_words()}
-        return CohomologyOperator._from_signs(owner, signs, (), 0)
+        one = owner.coeff.one()
+        rows = {w: {w: one} for w in owner.basis_words()}
+        return CohomologyOperator(owner, rows, word=())
     first, last = ops[0], ops[-1]
     for op in ops:
         if not isinstance(op, DerivationOperator):
@@ -284,11 +260,6 @@ def compose(ops, owner: CliffordAlgebra | None = None) -> CohomologyOperator:
         raise MixedOwners("owner does not match the operators")
     labels = [op.label for op in ops]
     word = tuple(labels) if all(l is not None for l in labels) else None
-    if all(op.signs is not None for op in ops):
-        signs = last.signs
-        for op in reversed(ops[:-1]):
-            signs = _after(op.signs, signs)
-        return CohomologyOperator._from_signs(first.owner, signs, word, len(ops) % 2)
     matrix, owner = last.matrix, first.owner
     for op in reversed(ops[:-1]):
         step = CohomologyOperator(owner, op.matrix, parity=1).apply
@@ -326,9 +297,10 @@ def theta_rank(algebra: CliffordAlgebra) -> int:
 
 
 def generator_checks(ext: CliffordAlgebra):
-    """``(qs, squares_zero, anticommute, theta_rank)`` for the generator
-    derivations Q_i of ``ext``; the formal-word map is injective when the
-    rank is 2^n.
+    """``(qs, leibniz, certified, theta_rank)`` for the generator
+    derivations Q_i of ``ext``: each Q_i's ``leibniz_check``, whether
+    Q_i^2 = 0 and Q_iQ_j = -Q_jQ_i are certified, and the rank of the
+    formal-word map, 2^n when it is injective.
 
     For odd derivations D and E, D^2 and DE + ED are derivations in every
     characteristic: the cross terms of D^2(xy), and of DE(xy) + ED(xy),
@@ -338,11 +310,10 @@ def generator_checks(ext: CliffordAlgebra):
     read off the same maps, certifies both identities.  No matrix is built.
     """
     qs = [bockstein(ext, i) for i in range(ext.n)]
+    leibniz = [leibniz_check(q) for q in qs]
     hits = [hit for e in qs for k in range(ext.n) if (hit := e.signs.get((k,)))]
-    zero = all(map(leibniz_check, qs)) and not any(
-        d.signs.get(u) for u, _ in hits for d in qs
-    )
-    return qs, zero, zero, theta_rank(ext)
+    certified = all(leibniz) and not any(d.signs.get(u) for u, _ in hits for d in qs)
+    return qs, leibniz, certified, theta_rank(ext)
 
 
 def leibniz_check(op) -> bool:
@@ -361,17 +332,17 @@ def leibniz_check(op) -> bool:
     over Z, the odd operator a_0 -> a_1 passes every row, but
     L(0, 0) = -2 a_0 a_1.
 
-    An odd signed word map sending each a_i to a signed 1 or to 0 meets
-    the relations identically, and each row compares signed words, signs
-    read as coefficients: D(a_i)w' is a signed w' and a_i D(w') a signed
-    word holding i, so D(w) can match at most one.  Other operators run
-    rows and relations as Clifford products.
+    A derivation's signed word map (``DerivationOperator.signs``) sending
+    each a_i to a signed 1 or to 0 meets the relations identically, and
+    each row compares signed words, signs read as coefficients: D(a_i)w' is
+    a signed w' and a_i D(w') a signed word holding i, so D(w) can match at
+    most one.  Other operators run rows and relations as Clifford products.
     """
     algebra = op.owner
     n = algebra.n
     words = algebra.basis_words()
-    signs = op.signs
-    if signs is not None and op.parity % 2 and () not in signs:
+    signs = op.signs if isinstance(op, DerivationOperator) else None
+    if signs is not None and () not in signs:
         gens = [signs.get((i,)) for i in range(n)]
         if all(g is None or not g[0] for g in gens):
             unit = _unit(algebra.coeff)
@@ -413,8 +384,8 @@ def leibniz_check(op) -> bool:
 def cohomology_presentation(spec: QuotientRingSpec) -> AlgebraPresentation:
     """Exterior presentation on the generator derivations, verified.
 
-    Squares, anticommutators and the rank of the formal-word map are
-    checked by ``generator_checks`` before the presentation is emitted.
+    Leibniz, squares, anticommutators and the rank of the formal-word map
+    are checked by ``generator_checks`` before the presentation is emitted.
     """
     if not spec.is_regular:
         raise NotRegular(
@@ -423,11 +394,9 @@ def cohomology_presentation(spec: QuotientRingSpec) -> AlgebraPresentation:
         )
     module = conormal_module(spec)
     ext = CliffordAlgebra(module, zero_form(module))
-    _, squares, anti, rank = generator_checks(ext)
-    if not squares:
+    _, _, certified, rank = generator_checks(ext)
+    if not certified:
         raise SemanticError("generator derivation does not square to zero")
-    if not anti:
-        raise SemanticError("generator derivations do not anticommute")
     if rank != 2 ** ext.n:
         raise SemanticError("formal word map is not injective")
     names = tuple("Q%d" % i for i in range(ext.n))
@@ -486,15 +455,12 @@ def kronecker_dual(algebra: CliffordAlgebra, mapping) -> DualFunctional:
 
 def Psi(op) -> DualFunctional:
     """Project an operator to its empty-word component on each basis word:
-    the empty-word entry of each matrix row, or of each signed image."""
+    the empty-word entry of each row of ``op.matrix``."""
     algebra = op.owner
     _require_exterior(algebra)
-    if op.signs is None:
-        return DualFunctional(
-            algebra, {w: row[()] for w, row in op.matrix.items() if () in row}
-        )
-    unit = _unit(algebra.coeff)
-    return DualFunctional(algebra, {w: unit[s] for w, (u, s) in op.signs.items() if not u})
+    return DualFunctional(
+        algebra, {w: row[()] for w, row in op.matrix.items() if () in row}
+    )
 
 
 def Delta(algebra: CliffordAlgebra, indices) -> DualFunctional:
@@ -527,22 +493,28 @@ def Delta(algebra: CliffordAlgebra, indices) -> DualFunctional:
 
 
 def duality_square_commutes(algebra: CliffordAlgebra, qs=None) -> bool:
-    """Compare the operator route with the dual-word route on all words.
+    """Psi(theta(s)) = Delta(s) for every basis word s, one strip per s.
 
-    ``theta(s)`` is the signed word map of Q_{s_0} after that of
-    ``theta(s[1:])``, which the loop reached first, since the basis words
-    come by length.  ``qs`` are the Q_i of ``algebra``, as
-    ``generator_checks`` returns them; without them they are made here.
-    ``Psi`` and ``Delta`` compare tables on all 2^n words.
+    Each Q_i map deletes a_i, signed by its position, and kills every word
+    without it, so theta(s) = Q_{s_0} ... Q_{s_{k-1}} sends a basis word to
+    a multiple of 1 only if its letters are those of s: Psi(theta(s)) is
+    supported on s alone.  Its value there, the sign of stripping s through
+    the maps rightmost letter first (n 2^(n-1) lookups in all), is compared
+    with ``Delta(algebra, s)``; a strip that misses a key or ends on a
+    nonempty word answers False.  ``qs`` are the Q_i of ``algebra``, as
+    ``generator_checks`` returns them, or made here.
     """
     _require_exterior(algebra)
     if qs is None:
         qs = [bockstein(algebra, i) for i in range(algebra.n)]
-    thetas = {(): compose([], owner=algebra)}
+    unit = _unit(algebra.coeff)
     for s in algebra.basis_words():
-        if s:
-            signs = _after(qs[s[0]].signs, thetas[s[1:]].signs)
-            thetas[s] = CohomologyOperator._from_signs(algebra, signs, s, len(s) % 2)
-        if Psi(thetas[s]) != Delta(algebra, s):
+        w, sign = s, 1
+        for i in reversed(s):
+            hit = qs[i].signs.get(w)
+            if hit is None:
+                return False
+            w, sign = hit[0], sign * hit[1]
+        if w or DualFunctional(algebra, {s: unit[sign]}) != Delta(algebra, s):
             return False
     return True

@@ -475,13 +475,25 @@ def _random_sparse_operator(ext, rng, values):
     return CohomologyOperator(ext, matrix, parity=rng.randrange(2))
 
 
-def _random_signed_operator(ext, rng):
-    """A seeded signed word map of random parity: a few basis words, each
-    sent to a random subword of itself with sign 1 or -1."""
+def _signed_map(ext, signs):
+    """``(op, ref)`` for a signed word map: ``op`` is a derivation whose
+    cached ``signs`` and ``matrix`` are replaced by the map's, so that
+    ``leibniz_check`` reads the map, and ``ref`` the odd operator with the
+    map's matrix, for the oracle."""
+    one = ext.coeff.one()
+    matrix = {w: {u: one if s > 0 else ext.coeff.neg(one)} for w, (u, s) in signs.items()}
+    op = DerivationOperator(ext, [0] * ext.n)
+    op.signs, op.matrix = signs, matrix
+    return op, CohomologyOperator(ext, matrix, parity=1)
+
+
+def _random_signed_map(ext, rng):
+    """A seeded signed word map: a few basis words, each sent to a random
+    subword of itself with sign 1 or -1."""
     signs = {}
     for w in rng.sample(ext.basis_words(), rng.randrange(min(4, 2**ext.n) + 1)):
         signs[w] = (tuple(i for i in w if rng.randrange(2)), rng.choice((1, -1)))
-    return CohomologyOperator._from_signs(ext, signs, None, rng.randrange(2))
+    return _signed_map(ext, signs)
 
 
 @pytest.mark.parametrize("base_name", sorted(ORACLE_BASES))
@@ -489,8 +501,8 @@ def test_leibniz_generator_pairs_match_exhaustive_oracle(base_name):
     """D(1), the rows and the relations decide Leibniz exactly as all 4^n
     basis pairs do: on the Q_i, the zero derivation, composites of 1-3 Q_i
     (odd and even), seeded random derivations, seeded random sparse
-    operators of either parity and seeded random signed word maps, at
-    ranks 0-4."""
+    operators of either parity and seeded random signed word maps, handed
+    over as derivations' maps, at ranks 0-4."""
     base = ORACLE_BASES[base_name]
     rng = random.Random("leibniz-oracle:%s" % base_name)
     signed = random.Random("leibniz-signed:%s" % base_name)
@@ -507,9 +519,10 @@ def test_leibniz_generator_pairs_match_exhaustive_oracle(base_name):
         for _ in range(6):
             ops.append(DerivationOperator(ext, [rng.choice(values) for _ in range(n)]))
             ops.append(_random_sparse_operator(ext, rng, values))
-        ops += [_random_signed_operator(ext, signed) for _ in range(40)]
-        for op in ops:
-            expected = ref_leibniz_check(op)
+        cases = [(op, op) for op in ops]
+        cases += [_random_signed_map(ext, signed) for _ in range(40)]
+        for op, ref in cases:
+            expected = ref_leibniz_check(ref)
             assert leibniz_check(op) == expected, (n, op)
             holds += expected
             breaks += not expected
@@ -561,18 +574,18 @@ def test_leibniz_signed_row_with_two_expected_words():
     D(a_0 a_1) = a_1 cannot match, though it matches the first term."""
     ext2 = CliffordAlgebra.from_scalars(BaseRing.integers(), [0, 0])
     signs = {(0,): ((), 1), (1,): ((), 1), (0, 1): ((1,), 1)}
-    op = CohomologyOperator._from_signs(ext2, signs, None, 1)
+    op, ref = _signed_map(ext2, signs)
     assert not leibniz_check(op)
-    assert not ref_leibniz_check(op)
+    assert not ref_leibniz_check(ref)
 
 
 # -- oracle: the apply-every-word routes of Psi, Delta and theta(s) -----
 #
-# ``duality_square_commutes`` builds each theta(s) as a matrix product on
-# theta(s[1:]), ``Psi`` reads the empty-word entries of the matrix rows and
-# ``Delta`` expands one word.  The references below are the earlier routes:
-# ``ref_compose`` per word, ``Psi`` by applying the operator to every basis
-# word, and ``Delta``'s list model run on all 2^n words.
+# ``duality_square_commutes`` strips each subset word through the Q_i's
+# signed word maps, ``Psi`` reads the empty-word entries of the matrix rows
+# and ``Delta`` expands one word.  The references below are the earlier
+# routes: ``ref_compose`` per word, ``Psi`` by applying the operator to
+# every basis word, and ``Delta``'s list model run on all 2^n words.
 
 
 def ref_Psi(op):
@@ -606,28 +619,18 @@ def ref_Delta(algebra, indices):
     return kronecker_dual(algebra, table)
 
 
-def _check_dual_routes(ext, rng, values, monkeypatch):
-    """Compare the theta(s) matrices that ``duality_square_commutes`` hands
-    to ``Psi``, ``Psi`` itself and ``Delta`` with their references on
-    ``ext``; return how many ``Psi`` and ``Delta`` values were zero and
-    nonzero."""
+def _check_dual_routes(ext, rng, values):
+    """Compare ``duality_square_commutes``, the theta(s) matrices, ``Psi``
+    and ``Delta`` with their references on ``ext``; return how many
+    ``Psi`` and ``Delta`` values were zero and nonzero."""
     n = ext.n
     basis = ext.basis_words()
-    handed = []
-    real_psi = derivations_module.Psi
-
-    def spy(op):
-        handed.append((op.word, op.matrix))
-        return real_psi(op)
-
-    monkeypatch.setattr(derivations_module, "Psi", spy)
     assert duality_square_commutes(ext)
-    monkeypatch.setattr(derivations_module, "Psi", real_psi)
-    assert [s for s, _ in handed] == basis
-    for s, matrix in handed:
-        qs = [bockstein(ext, i) for i in s]
-        assert matrix == _sparse(ref_compose(qs, ext)), s
-        assert matrix == theta(ext, s).matrix
+    for s in basis:
+        ref = ref_compose([bockstein(ext, i) for i in s], ext)
+        op = theta(ext, s)
+        assert op.matrix == _sparse(ref), s
+        assert Psi(op) == ref_Psi(ref) == ref_Delta(ext, s), s
 
     qs = [bockstein(ext, i) for i in range(n)]
     ops = list(qs)
@@ -657,28 +660,28 @@ ROUTE_BASES = {**ORACLE_BASES, "Z_(2)": BaseRing.integers_localized(2)}
 
 
 @pytest.mark.parametrize("base_name", sorted(ROUTE_BASES))
-def test_dual_routes_match_apply_every_word_oracles(base_name, monkeypatch):
-    """Seeded, at ranks 0-5: the incremental theta(s) matrices, ``Psi`` on
-    Q_i composites and random sparse operators, and ``Delta`` on seeded
-    index tuples all match their references."""
+def test_dual_routes_match_apply_every_word_oracles(base_name):
+    """Seeded, at ranks 0-5: the duality square, the theta(s) matrices,
+    ``Psi`` on Q_i composites and random sparse operators, and ``Delta`` on
+    seeded index tuples all match their references."""
     base = ROUTE_BASES[base_name]
     rng = random.Random("dual-routes:%s" % base_name)
     values = [0, 0, 1, -1, 2, -2, 3]
     nonzero = zero = 0
     for n in range(6):
         ext = CliffordAlgebra.from_scalars(base, [0] * n)
-        a, b = _check_dual_routes(ext, rng, values, monkeypatch)
+        a, b = _check_dual_routes(ext, rng, values)
         nonzero += a
         zero += b
     # both outcomes occur, so neither an empty nor a constant table passes
     assert nonzero and zero
 
 
-def test_dual_routes_match_oracles_on_graded_coefficients(k2_p3, monkeypatch):
+def test_dual_routes_match_oracles_on_graded_coefficients(k2_p3):
     ring, _, ext = k2_p3
     rng = random.Random("dual-routes:k2_p3")
     values = [0, 1, -1, 2, ring.var("v2"), ring.var("v1") + ring.var("v2")]
-    nonzero, zero = _check_dual_routes(ext, rng, values, monkeypatch)
+    nonzero, zero = _check_dual_routes(ext, rng, values)
     assert nonzero and zero
 
 
@@ -703,8 +706,8 @@ def test_generator_checks_apply_each_generator_once_per_word(monkeypatch):
     assert theta_rank(ext) == 2**n
     assert len(calls) == 2**n - 1
     calls.clear()
-    qs, squares, anti, rank = generator_checks(ext)
-    assert squares and anti and rank == 2**n
+    qs, leibniz, certified, rank = generator_checks(ext)
+    assert leibniz == [True] * n and certified and rank == 2**n
     assert len(calls) == 2**n - 1
     calls.clear()
     assert duality_square_commutes(ext)
@@ -747,34 +750,101 @@ def test_derivations_job_builds_each_generator_matrix_once(monkeypatch):
     assert len(built) == 0
 
 
+def test_derivations_job_checks_leibniz_once_per_generator(monkeypatch):
+    """A rank-4 derivations job runs ``leibniz_check`` once on each Q_i:
+    the report reads the answers ``generator_checks`` certified on."""
+    import regquot.cli as cli_module
+    from regquot.cli import run_job
+    from regquot.jobio import canonical_json, parse_job
+
+    checked = []
+    real = derivations_module.leibniz_check
+
+    def counted(op):
+        checked.append(op.label)
+        return real(op)
+
+    monkeypatch.setattr(derivations_module, "leibniz_check", counted)
+    monkeypatch.setattr(cli_module, "leibniz_check", counted, raising=False)
+    n = 4
+    names = ["x%d" % i for i in range(1, n + 1)]
+    doc = {
+        "command": "derivations",
+        "ring": {"base": "F2", "generators": [{"name": x, "degree": 2} for x in names]},
+        "window": {"degree": 4},
+        "sequence": names,
+    }
+    report = run_job(parse_job(canonical_json(doc)))
+    assert report.status == 0 and report.results["leibniz"] == [True] * n
+    assert checked == list(range(n))
+
+
+def _plant_signs(monkeypatch, fault):
+    """Replace each Q_i's signed word map m by ``fault(i, m)``."""
+    real = DerivationOperator.__dict__["signs"].func
+    monkeypatch.setattr(
+        DerivationOperator, "signs", property(lambda self: fault(self.label, real(self)))
+    )
+
+
+def _unsigned(i, signs):
+    return {w: (u, 1) for w, (u, _) in signs.items()}
+
+
 def test_generator_certificates_read_the_signed_maps(monkeypatch):
     """Q_i's signed word map without the sign of a_i's position is not a
     derivation over Z: it sends a_0 a_1 to a_0 under Q_1, where the row
     Q_1(a_0)a_1 - a_0 Q_1(a_1) gives -a_0.  ``generator_checks`` checks the
-    maps it certifies on, so over Z both answers are False; over F_2, where
-    -1 = 1, the maps are right."""
-    real = DerivationOperator.__dict__["signs"].func
-    unsigned = property(lambda self: {w: (u, 1) for w, (u, _) in real(self).items()})
-    monkeypatch.setattr(DerivationOperator, "signs", unsigned)
+    maps it certifies on, so over Z Q_1 and Q_2 fail Leibniz and nothing is
+    certified; Q_0, whose letter always comes first, keeps its signs.  Over
+    F_2, where -1 = 1, the maps are right."""
+    _plant_signs(monkeypatch, _unsigned)
     for base, holds in ((BaseRing.integers(), False), (BaseRing.prime_field(2), True)):
         ext = CliffordAlgebra.from_scalars(base, [0, 0, 0])
-        _, squares, anti, rank = generator_checks(ext)
-        assert (squares, anti, rank) == (holds, holds, 8)
+        _, leibniz, certified, rank = generator_checks(ext)
+        assert (leibniz, certified, rank) == ([True, holds, holds], holds, 8)
+
+
+def _drops_a0_too(i, signs):
+    # Q_2 also deletes a_0: a_0 a_2 goes to 1, so the strip of s = a_0 a_2
+    # finds no key 1 in Q_0's map
+    if i != 2:
+        return signs
+    return {w: (tuple(x for x in u if x), s) for w, (u, s) in signs.items()}
+
+
+def _keeps_a1(i, signs):
+    # Q_1 sends each word to itself: the strip of s = a_1 ends on a_1
+    return {w: (w, s) for w, (u, s) in signs.items()} if i == 1 else signs
+
+
+@pytest.mark.parametrize("fault", [_unsigned, _drops_a0_too, _keeps_a1])
+def test_duality_square_refutes_planted_signed_maps(fault, monkeypatch):
+    """Over Z at rank 3 each planted fault in the Q_i's signed word maps,
+    one missing the position signs, one deleting a second letter and one
+    with a wrong target word, makes the one-word duality strips answer
+    False without raising.  Over F_2 the unsigned maps are right and pass."""
+    _plant_signs(monkeypatch, fault)
+    ext = CliffordAlgebra.from_scalars(BaseRing.integers(), [0, 0, 0])
+    assert duality_square_commutes(ext) is False
+    f2 = CliffordAlgebra.from_scalars(BaseRing.prime_field(2), [0, 0, 0])
+    assert duality_square_commutes(f2) is (fault is _unsigned)
 
 
 def _certificates_match_full_matrices(ext, rng):
     """``generator_checks`` and ``duality_square_commutes`` on ``ext``
     against full-matrix compares and the dense ``ref_compose`` route."""
     n = ext.n
-    qs, squares, anti, rank = generator_checks(ext)
+    qs, leibniz, certified, rank = generator_checks(ext)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng.shuffle(pairs)
-    assert squares == all(compose([q, q]).is_zero() for q in qs)
-    assert squares == all(ref_compose([q, q], ext).is_zero() for q in qs)
-    assert anti == all(
+    assert leibniz == [True] * n
+    assert certified == all(compose([q, q]).is_zero() for q in qs)
+    assert certified == all(ref_compose([q, q], ext).is_zero() for q in qs)
+    assert certified == all(
         compose([qs[i], qs[j]]) == compose([qs[j], qs[i]]).negated() for i, j in pairs
     )
-    assert anti == all(
+    assert certified == all(
         ref_compose([qs[i], qs[j]], ext) == ref_compose([qs[j], qs[i]], ext).negated()
         for i, j in pairs
     )
@@ -784,14 +854,13 @@ def _certificates_match_full_matrices(ext, rng):
         ref_Psi(ref_compose([qs[i] for i in s], ext)) == ref_Delta(ext, s) for s in basis
     )
     assert duality_square_commutes(ext, qs) == duality_square_commutes(ext) == dense
-    # seeded Q-words, repeated letters included, as signed word maps against
-    # the dense tables: the matrix and the negated matrix, sign by sign
+    # seeded Q-words, repeated letters included, against the dense tables:
+    # the matrix and the negated matrix, sign by sign
     last = None
     for _ in range(6):
         word = [rng.randrange(n) for _ in range(rng.randrange(4))] if n else []
         op = compose([qs[i] for i in word], owner=ext)
         ref = ref_compose([qs[i] for i in word], ext)
-        assert op.signs is not None
         assert op.matrix == _sparse(ref)
         assert op.negated().matrix == _sparse(ref.negated())
         assert (op == op.negated()) == (ref == ref.negated())
@@ -799,7 +868,7 @@ def _certificates_match_full_matrices(ext, rng):
             assert (op == last[0]) == (ref == last[1])
             assert (op == last[0].negated()) == (ref == last[1].negated())
         last = op, ref
-    return squares and anti and rank == 2**n and dense
+    return certified and rank == 2**n and dense
 
 
 CERTIFICATE_BASES = {**ROUTE_BASES, "F2": BaseRing.prime_field(2)}
@@ -811,7 +880,7 @@ def test_generator_certificates_match_full_matrix_oracle(base_name):
     is a zero divisor), and over F_2, where signed maps must treat -1 as
     1: the squares, anticommute, rank and duality answers decided on
     generator words and signed maps equal those of the full matrices, and
-    so do the signed Q-words and their equalities."""
+    so do the Q-words and their equalities."""
     rng = random.Random("certificates:%s" % base_name)
     for n in range(6):
         ext = CliffordAlgebra.from_scalars(CERTIFICATE_BASES[base_name], [0] * n)
