@@ -100,6 +100,7 @@ class CliffordAlgebra:
         self.n = len(names)
         self._icache: dict = {}
         self._wcache: dict = {}
+        self._words = None
 
     # -- identity -----------------------------------------------------
 
@@ -136,8 +137,10 @@ class CliffordAlgebra:
 
     def basis_words(self):
         """All strictly increasing index words, by length, then
-        lexicographically."""
-        return [w for k in range(self.n + 1) for w in combinations(range(self.n), k)]
+        lexicographically: one tuple, built on first read."""
+        if self._words is None:
+            self._words = tuple(w for k in range(self.n + 1) for w in combinations(range(self.n), k))
+        return self._words
 
     def generator_degree(self, i: int) -> int | None:
         return None if self.degrees is None else self.degrees[i]

@@ -476,7 +476,11 @@ def Delta(algebra: CliffordAlgebra, indices) -> DualFunctional:
     the functional is zero.
     """
     _require_exterior(algebra)
-    indices = tuple(indices)
+    return _delta(algebra, tuple(indices))
+
+
+def _delta(algebra, indices) -> DualFunctional:
+    """``Delta`` on an algebra already known to be exterior."""
     coeff = algebra.coeff
     w = tuple(i for i in range(algebra.n) if i in indices)
     remaining = list(w)
@@ -515,6 +519,6 @@ def duality_square_commutes(algebra: CliffordAlgebra, qs=None) -> bool:
             if hit is None:
                 return False
             w, sign = hit[0], sign * hit[1]
-        if w or DualFunctional(algebra, {s: unit[sign]}) != Delta(algebra, s):
+        if w or DualFunctional(algebra, {s: unit[sign]}) != _delta(algebra, s):
             return False
     return True

@@ -37,7 +37,7 @@ from .linalg import (
     modulus_rows,
     residue_prime,
 )
-from .ring import GradedRing, QuotientRing, RingElement, cleared_coefficients, ideal_context
+from .ring import GradedRing, QuotientRing, RingElement, _row_block, cleared_coefficients, ideal_context
 
 
 # -- sequence and ideal validation ------------------------------------
@@ -182,7 +182,7 @@ def _cycle_rows(base, map_rows, target_rel_rows, source_width, target_width):
     ``base``, for sparse ``int`` rows of M and of the relations."""
     if target_width == 0 or not map_rows:
         return [{i: 1} for i in range(source_width)]
-    kernel = kernel_basis(base, map_rows + target_rel_rows, target_width)
+    kernel = kernel_basis(base, [*map_rows, *target_rel_rows], target_width)
     n = len(map_rows)
     return [x for x in ({i: v for i, v in k.items() if i < n} for k in kernel) if x]
 
@@ -190,7 +190,11 @@ def _cycle_rows(base, map_rows, target_rel_rows, source_width, target_width):
 def _has_kernel(base, rows, used, src, tgt, p):
     """Whether some y on the ``used`` monomials has ``y * rows`` in the
     target slice ``tgt`` but ``y`` not in the source slice ``src``: by a
-    rank count mod ``p`` when ``p`` is given, else on a kernel basis."""
+    rank count mod ``p`` when ``p`` is given, else on a kernel basis.
+
+    The rank count needs e_m mod ``src`` for each used m, which it reads
+    off the reduced echelon form mod p: e_j itself when j is no pivot, and
+    the negated tail of the row at pivot j when it is one."""
     cols = [src.index[m] for m in used]
     if p is None:
         return any(
@@ -198,10 +202,12 @@ def _has_kernel(base, rows, used, src, tgt, p):
             for vec in _cycle_rows(base, rows, tgt.rows, len(used), tgt.width)
         )
     shift = tgt.width
+    lat = src.residue_lattice
+    at = dict(zip(lat.pivots, lat.integer_basis()))
     joint = [
         {
             **tgt.residue_lattice.reduce(row)[0],
-            **{shift + k: x for k, x in src.residue_lattice.reduce({j: 1})[0].items()},
+            **({shift + k: -x for k, x in at[j].items() if k != j} if j in at else {shift + j: 1}),
         }
         for row, j in zip(rows, cols)
     ]
@@ -259,12 +265,9 @@ def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport
         dx = x.degree()
         no_scan = not prev and not ring.relations and ring.base.is_domain
         for d in () if no_scan else ring.even_degrees(window - dx):
-            # The leading ("gen", 0, m) rows of the principal slice are x * m
-            # for each monomial m of degree d whose product fits.
-            mult = ideal_context(ring, (x,), d + dx)
-            used = [m for kind, _, m in mult.tags if kind == "gen"]
+            rows, used, _ = _row_block(ring, x, d + dx)
             if used and _has_kernel(
-                ring.base, mult.rows[: len(used)], used,
+                ring.base, rows, used,
                 ideal_context(ring, prev, d), ideal_context(ring, prev, d + dx), p,
             ):
                 return RegularityReport(

@@ -624,7 +624,7 @@ def _echelon_mod_p(A, width, p):
                     (holders.setdefault(j, set()).add if j in e else holders[j].discard)(c)
         echelon[c0] = v
         for j in v:
-            if j < width:
+            if c0 != j < width:
                 holders.setdefault(j, set()).add(c0)
     return echelon, kernel
 

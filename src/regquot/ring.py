@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import add
 
 from .errors import MixedRings, NonHomogeneous, SemanticError, WindowOverflow
 from .linalg import cleared_matrix, lattice_for, module_invariants
@@ -215,63 +216,44 @@ class GradedRing:
 
 @lru_cache(maxsize=None)
 def _degree_exps(ring: GradedRing, d: int):
-    gens = ring.generators
-    n = len(gens)
-    lw = ring.laurent_window
-    minrest = [0] * (n + 1)
-    maxrest: list[int | None] = [0] * (n + 1)
-    modulus = [0] * (n + 1)  # gcd of the degrees of generators i, i + 1, ...
-    for i in range(n - 1, -1, -1):
-        g = gens[i]
-        modulus[i] = gcd(g.degree, modulus[i + 1])
-        lo = -lw * g.degree if g.invertible else 0
-        minrest[i] = minrest[i + 1] + lo
-        if maxrest[i + 1] is None or (not g.invertible and g.degree > 0):
-            maxrest[i] = None
-        else:
-            hi = lw * g.degree if g.invertible else 0
-            maxrest[i] = maxrest[i + 1] + hi
-    out = []
-    acc = [0] * n
+    """Every exponent tuple of degree ``d`` inside the window, in lex order.
 
-    def rec(i: int, remaining: int) -> None:
-        if i == n:
-            if remaining == 0:
-                out.append(tuple(acc))
+    The bounded exponents come first: the invertible ones in ``[-lw, lw]``
+    and those of degree-0 generators up to the window.  The rest are at
+    least 0, so each ranges up to what is left of ``d``, largest degree
+    first, and the last one, of the smallest degree, is solved for, not
+    searched.  Generators ``order[k:]`` reach only multiples of the gcd
+    ``reach[k]`` of their degrees, which prunes the search.  The tuples are
+    sorted at the end.
+    """
+    gens, lw, top = ring.generators, ring.laurent_window, ring.degree_window
+    order = sorted(range(len(gens)), key=lambda i: (
+        not gens[i].invertible and gens[i].degree > 0, -gens[i].degree
+    ))
+    reach = [gcd(*(gens[i].degree for i in order[k:])) for k in range(len(order) + 1)]
+    out = []
+    acc = [0] * len(gens)
+
+    def rec(k: int, remaining: int) -> None:
+        if remaining % reach[k] if reach[k] else remaining:
             return
+        if k == len(order):
+            out.append(tuple(acc))
+            return
+        i = order[k]
         g = gens[i]
         if g.invertible:
-            lo, hi = -lw, lw
-        elif g.degree == 0:
-            lo, hi = 0, ring.degree_window
+            span = range(-lw, lw + 1)
+        elif not g.degree:
+            span = range(top + 1)
+        elif k == len(order) - 1:
+            span = (remaining // g.degree,) if remaining >= 0 else ()
         else:
-            lo = 0
-            hi = remaining - minrest[i + 1]
-            if hi < 0:
-                return
-            hi //= g.degree
-        # Generators i, i + 1, ... reach only multiples of k = modulus[i], and
-        # those after i of G = modulus[i + 1]: remaining - e * |g| is one iff
-        # e lies in one class mod G / k, or, for G = 0, iff it is 0.
-        k, G = modulus[i], modulus[i + 1]
-        if k and remaining % k:
-            return
-        step = G // k if G else 1
-        if step > 1:
-            lo += ((remaining // k) * pow(g.degree // k, -1, step) - lo) % step
-        elif k and not G:
-            lo, hi = max(lo, remaining // k), min(hi, remaining // k)
-        for e in range(lo, hi + 1, step):
-            rem = remaining - e * g.degree
-            if rem < minrest[i + 1]:
-                if not g.invertible and g.degree > 0:
-                    break
-                continue
-            if maxrest[i + 1] is not None and rem > maxrest[i + 1]:
-                continue
+            span = range(remaining // g.degree + 1)
+        for e in span:
             acc[i] = e
-            rec(i + 1, rem)
-            acc[i] = 0
+            rec(k + 1, remaining - e * g.degree)
+        acc[i] = 0
 
     rec(0, d)
     return tuple(sorted(out))
@@ -464,6 +446,28 @@ def cleared_coefficients(polys):
     return cleared_matrix([list(g.terms.values()) for g in polys])
 
 
+@lru_cache(maxsize=None)
+def _row_block(ring: GradedRing, g: RingElement, d: int):
+    """``(rows, monomials, scale)``: the rows g * m on ``degree_exps(d)``,
+    sparse and in monomial order, for each monomial m of degree d - |g|
+    whose product with g fits the window, those m, and g's own
+    ``cleared_coefficients`` scale, by which the rows are ``int``.
+
+    Each block is built once per process and shared by every ideal slice
+    and regularity check that reads it, so no caller may change it."""
+    (coeffs,), scale = cleared_coefficients([g])
+    if d - g.degree() > ring.degree_window:
+        return (), (), scale
+    index = {e: j for j, e in enumerate(ring.degree_exps(d))}
+    rows, monomials = [], []
+    for m in ring.degree_exps(d - g.degree()):
+        cols = [index.get(tuple(map(add, m, exps))) for exps in g.terms]
+        if None not in cols:
+            rows.append(dict(zip(cols, coeffs)))
+            monomials.append(m)
+    return tuple(rows), tuple(monomials), scale
+
+
 class IdealContext:
     """Canonical reduction data for one ideal in one degree.
 
@@ -473,43 +477,44 @@ class IdealContext:
     monomials ``exps``, and stores no zero.  Its values are ``int``: the
     coefficients of the generators and relations times one common multiple
     ``scale`` of their denominators, a p-unit that is 1 over Z, F_p and
-    Z/m, so the rows span the ideal's slice over the base.  Vectors, as
-    ``vector`` builds them, are sparse on ``exps`` too.  The rows carry
-    nothing for the base itself: ``linalg`` works mod p over F_p and adds
-    the multiples of m over Z/m.  The context is the one owner of its
-    slice's ``lattice``, built on first read: a caller that needs only the
-    rows builds none.
+    Z/m, so the rows span the ideal's slice over the base.  The rows of
+    each polynomial are its ``_row_block``, rescaled by ``scale`` over the
+    block's own scale where the two differ, so contexts share rows with
+    each other and with the regularity check: no consumer may change a
+    row.  Vectors, as ``vector`` builds them, are sparse on ``exps`` too.
+    The rows carry nothing for the base itself: ``linalg`` works mod p
+    over F_p and adds the multiples of m over Z/m.  The context is the one
+    owner of its slice's ``lattice``, built on first read: a caller that
+    needs only the rows builds none.
     """
 
     def __init__(self, ring: GradedRing, gens, d: int):
         self.ring = ring
         self.d = d
         self.exps = list(ring.degree_exps(d))
-        self.index = index = {e: j for j, e in enumerate(self.exps)}
-        width = len(self.exps)
-        rows = []
-        tags = []
+        self.index = {e: j for j, e in enumerate(self.exps)}
+        self.width = len(self.exps)
         gens = tuple(gens)
         polys = gens + ring.relations
         for g in polys:
             if g.ring != ring:
                 raise MixedRings("ideal generator from a different ring")
-        nums, self.scale = cleared_coefficients(polys)
-        for gi, (g, coeffs) in enumerate(zip(polys, nums)):
-            if not coeffs:
-                continue
-            gd = g.degree()
-            if d - gd > ring.degree_window:
-                continue
-            for m in ring.degree_exps(d - gd):
-                cols = [index.get(tuple(a + b for a, b in zip(m, exps))) for exps in g.terms]
-                if None in cols:
-                    continue
-                rows.append(dict(zip(cols, coeffs)))
-                tags.append(("gen" if gi < len(gens) else "relation", gi, m))
-        self.rows = rows
-        self.tags = tags
-        self.width = width
+        self._blocks = [(gi, _row_block(ring, g, d)) for gi, g in enumerate(polys) if g]
+        self._ngens = len(gens)
+        self.scale = lcm(*(s for _, (_, _, s) in self._blocks))
+        self.rows = []
+        for _, (rows, _, s) in self._blocks:
+            k = self.scale // s
+            self.rows.extend(rows if k == 1 else ({j: k * x for j, x in r.items()} for r in rows))
+
+    @cached_property
+    def tags(self):
+        """The tag of each row, built on first read."""
+        return [
+            ("gen" if gi < self._ngens else "relation", gi, m)
+            for gi, (_, monomials, _) in self._blocks
+            for m in monomials
+        ]
 
     @cached_property
     def lattice(self):
@@ -518,11 +523,20 @@ class IdealContext:
     @cached_property
     def residue_lattice(self):
         """The span of ``rows`` mod the prime p of F_p or Z_(p), built on
-        first read; over F_p it is ``lattice`` itself."""
-        field = BaseRing.prime_field(self.ring.base.p)
+        first read; over F_p it is ``lattice`` itself.  Over Z_(p) it is
+        built on the blocks, which are p-unit multiples of their rows, and
+        skips each block that vanishes mod p, such as that of p itself."""
+        p = self.ring.base.p
+        field = BaseRing.prime_field(p)
         if field == self.ring.base:
             return self.lattice
-        return lattice_for(field, self.rows, self.width)
+        rows = [
+            row
+            for _, (block, _, _) in self._blocks
+            if block and any(x % p for x in block[0].values())
+            for row in block
+        ]
+        return lattice_for(field, rows, self.width)
 
     def vector(self, element):
         """The coefficients of ``element``, of degree ``d``, as a sparse

@@ -180,7 +180,14 @@ def test_cross_terms_enter_products():
 
 def test_basis_words_rank_two():
     cl = CliffordAlgebra.from_scalars(BaseRing.integers(), [0, 0])
-    assert cl.basis_words() == [(), (0,), (1,), (0, 1)]
+    assert cl.basis_words() == ((), (0,), (1,), (0, 1))
+
+
+def test_basis_words_built_once_as_a_tuple():
+    cl = CliffordAlgebra.from_scalars(BaseRing.integers(), [0, 0, 0])
+    words = cl.basis_words()
+    assert isinstance(words, tuple) and len(words) == 8
+    assert cl.basis_words() is words
 
 
 def test_mixed_algebras_guard():

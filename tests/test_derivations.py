@@ -208,6 +208,22 @@ def test_duality_square_graded(k2_p3):
     assert duality_square_commutes(ext)
 
 
+def test_duality_square_checks_the_form_once(monkeypatch):
+    # the public Delta keeps its check, and the square checks its form once
+    ext = CliffordAlgebra.from_scalars(BaseRing.prime_field(2), [0] * 4)
+    qs = [bockstein(ext, i) for i in range(4)]
+    calls = []
+    real = derivations_module._require_exterior
+    monkeypatch.setattr(
+        derivations_module, "_require_exterior", lambda a: calls.append(a) or real(a)
+    )
+    assert duality_square_commutes(ext, qs)
+    assert calls == [ext]
+    cl = CliffordAlgebra.from_scalars(BaseRing.integers(), [1])
+    with pytest.raises(NotExterior):
+        Delta(cl, (0,))
+
+
 def test_two_route_value_on_top_word(ext2):
     lhs = Psi(theta(ext2, (0, 1)))
     rhs = Delta(ext2, (0, 1))

@@ -43,7 +43,14 @@ from regquot.linalg import (
     lattice_for,
 )
 from regquot.morava import build_scenario
-from regquot.ring import GradedRing, Generator, QuotientRing, _cached_context, ideal_context
+from regquot.ring import (
+    GradedRing,
+    Generator,
+    IdealContext,
+    QuotientRing,
+    _cached_context,
+    ideal_context,
+)
 from regquot.scalars import BaseRing
 
 
@@ -645,6 +652,26 @@ def test_regularity_matches_row_loop_oracle():
     _clear_ring_caches()
     # regular, non-regular with a kernel degree, and non-regular without one
     assert outcomes == {(True, False), (False, True), (False, False)}
+
+
+def test_regularity_builds_prefix_slices_only(monkeypatch):
+    # The rows x * m come from the cached row blocks, so every ideal slice
+    # that the check builds is the slice of a prefix of the sequence.
+    sc = build_scenario(2, 3)
+    seq = tuple(sc.spec.sequence)
+    seen = []
+    build = IdealContext.__init__
+
+    def spy(self, ring, gens, d):
+        seen.append(tuple(gens))
+        build(self, ring, gens, d)
+
+    monkeypatch.setattr(IdealContext, "__init__", spy)
+    _clear_ring_caches()
+    assert check_regular_sequence(sc.ring, seq).regular
+    _clear_ring_caches()
+    assert {len(gens) for gens in seen} == {1, 2, 3}
+    assert all(gens == seq[: len(gens)] for gens in seen)
 
 
 def ref_regularity_kernel(ring, elems, window):

@@ -1,4 +1,5 @@
 """Graded ring presentations, windowed bases and canonical normal forms."""
+import json
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -6,12 +7,16 @@ from random import Random
 import pytest
 from test_linalg import over, sparse_of, sparse_rows
 
+import regquot.ring as ring_module
+from regquot.cli import run_job
 from regquot.errors import (
     MixedRings,
     NonHomogeneous,
     SemanticError,
     WindowOverflow,
 )
+from regquot.ideals import _regularity
+from regquot.jobio import parse_job
 from regquot.linalg import IntLattice, LocalLattice, cleared_rows, p_part, snf_invariants
 from regquot.ring import (
     GradedRing,
@@ -511,6 +516,44 @@ def test_int_slice_rows_match_base_valued_rows():
                     assert out == vec
                     solved += any(vec)
     assert solved >= 100, solved
+
+
+def test_cached_slices_keep_their_shared_rows(monkeypatch):
+    # Ideal slices share the cached row block of each polynomial and degree
+    # with each other and with the regularity check.  After a scenario, a
+    # Z_(2) tor and a Z decompose job in one process, every slice still
+    # cached equals a fresh build and the base-valued rows, so no consumer
+    # changed a shared row.
+    built = []
+    cached = ring_module._cached_context
+
+    def spy(*key):
+        built.append(key)
+        return cached(*key)
+
+    monkeypatch.setattr(ring_module, "_cached_context", spy)
+    cached.cache_clear()
+    _regularity.cache_clear()
+    xyz = {"base": "Z_(2)", "generators": [{"name": n, "degree": 2} for n in "xyz"]}
+    docs = [
+        {"command": "scenario", "scenario": {"p": 2, "n": 3}},
+        {"command": "tor", "ring": xyz, "window": {"degree": 16},
+         "first": ["x", "y", "z"], "second": ["x"], "index": 1},
+        {"command": "decompose", "ring": dict(xyz, base="Z"), "window": {"degree": 12},
+         "ideals": [["x"], ["y"], ["z"]]},
+    ]
+    for doc in docs:
+        assert run_job(parse_job(json.dumps(doc))).status == 0
+    slices = {key: cached(*key) for key in built}
+    assert len(slices) > 100, len(slices)
+    ring_module._row_block.cache_clear()
+    for (ring, gens, d), ctx in slices.items():
+        fresh = IdealContext(ring, gens, d)
+        assert (ctx.rows, ctx.tags, ctx.scale) == (fresh.rows, fresh.tags, fresh.scale)
+        ref = [(tag, row) for tag, row in ref_slice_rows(ring, gens, d) if tag[0] != "modulus"]
+        assert ctx.tags == [tag for tag, _ in ref]
+        assert ctx.rows == [{j: ctx.scale * x for j, x in enumerate(row) if x} for _, row in ref]
+    cached.cache_clear()
 
 
 # -- trusted arithmetic against a validating constructor ---------------
