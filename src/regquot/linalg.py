@@ -613,8 +613,8 @@ def _echelon_mod_p(A, width, p):
         if c0 >= width:
             kernel.append(v)
             continue
-        inv = pow(v[c0], -1, p)
-        if inv != 1:
+        if v[c0] != 1:
+            inv = pow(v[c0], -1, p)
             v = {j: x * inv % p for j, x in v.items()}
         for c in holders.pop(c0, ()):
             e = echelon[c]

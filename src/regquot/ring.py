@@ -218,13 +218,11 @@ class GradedRing:
 def _degree_exps(ring: GradedRing, d: int):
     """Every exponent tuple of degree ``d`` inside the window, in lex order.
 
-    The bounded exponents come first: the invertible ones in ``[-lw, lw]``
-    and those of degree-0 generators up to the window.  The rest are at
-    least 0, so each ranges up to what is left of ``d``, largest degree
-    first, and the last one, of the smallest degree, is solved for, not
-    searched.  Generators ``order[k:]`` reach only multiples of the gcd
-    ``reach[k]`` of their degrees, which prunes the search.  The tuples are
-    sorted at the end.
+    The bounded exponents come first: invertible ones in ``[-lw, lw]`` and
+    degree-0 ones up to the window.  Each other one ranges up to what is
+    left of ``d``, largest degree first, and the last, of least degree, is
+    solved for.  Generators ``order[k:]`` reach only multiples of the gcd
+    ``reach[k]`` of their degrees, which prunes; the tuples are sorted last.
     """
     gens, lw, top = ring.generators, ring.laurent_window, ring.degree_window
     order = sorted(range(len(gens)), key=lambda i: (
@@ -491,7 +489,7 @@ class IdealContext:
     def __init__(self, ring: GradedRing, gens, d: int):
         self.ring = ring
         self.d = d
-        self.exps = list(ring.degree_exps(d))
+        self.exps = ring.degree_exps(d)
         self.index = {e: j for j, e in enumerate(self.exps)}
         self.width = len(self.exps)
         gens = tuple(gens)
@@ -499,22 +497,20 @@ class IdealContext:
         for g in polys:
             if g.ring != ring:
                 raise MixedRings("ideal generator from a different ring")
-        self._blocks = [(gi, _row_block(ring, g, d)) for gi, g in enumerate(polys) if g]
-        self._ngens = len(gens)
-        self.scale = lcm(*(s for _, (_, _, s) in self._blocks))
+        self._blocks = [
+            ("gen" if gi < len(gens) else "relation", gi, _row_block(ring, g, d))
+            for gi, g in enumerate(polys) if g
+        ]
+        self.scale = lcm(*(s for _, _, (_, _, s) in self._blocks))
         self.rows = []
-        for _, (rows, _, s) in self._blocks:
+        for _, _, (rows, _, s) in self._blocks:
             k = self.scale // s
             self.rows.extend(rows if k == 1 else ({j: k * x for j, x in r.items()} for r in rows))
 
     @cached_property
     def tags(self):
         """The tag of each row, built on first read."""
-        return [
-            ("gen" if gi < self._ngens else "relation", gi, m)
-            for gi, (_, monomials, _) in self._blocks
-            for m in monomials
-        ]
+        return [(kind, gi, m) for kind, gi, (_, ms, _) in self._blocks for m in ms]
 
     @cached_property
     def lattice(self):
@@ -524,19 +520,14 @@ class IdealContext:
     def residue_lattice(self):
         """The span of ``rows`` mod the prime p of F_p or Z_(p), built on
         first read; over F_p it is ``lattice`` itself.  Over Z_(p) it is
-        built on the blocks, which are p-unit multiples of their rows, and
-        skips each block that vanishes mod p, such as that of p itself."""
+        built on the blocks, p-unit multiples of their rows, and skips each
+        block whose coefficients, which all its rows share, vanish mod p."""
         p = self.ring.base.p
         field = BaseRing.prime_field(p)
         if field == self.ring.base:
             return self.lattice
-        rows = [
-            row
-            for _, (block, _, _) in self._blocks
-            if block and any(x % p for x in block[0].values())
-            for row in block
-        ]
-        return lattice_for(field, rows, self.width)
+        blocks = [b for _, _, (b, _, _) in self._blocks if b and any(x % p for x in b[0].values())]
+        return lattice_for(field, [row for b in blocks for row in b], self.width)
 
     def vector(self, element):
         """The coefficients of ``element``, of degree ``d``, as a sparse
