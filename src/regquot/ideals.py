@@ -37,7 +37,9 @@ from .linalg import (
     modulus_rows,
     residue_prime,
 )
-from .ring import GradedRing, QuotientRing, RingElement, _row_block, cleared_coefficients, ideal_context
+from .ring import (
+    GradedRing, QuotientRing, RingElement, _row_block, cleared_coefficients, ideal_context
+)
 
 
 # -- sequence and ideal validation ------------------------------------
@@ -190,11 +192,9 @@ def _cycle_rows(base, map_rows, target_rel_rows, source_width, target_width):
 def _has_kernel(base, rows, used, src, tgt, p):
     """Whether some y on the ``used`` monomials has ``y * rows`` in the
     target slice ``tgt`` but ``y`` not in the source slice ``src``: by a
-    rank count mod ``p`` when ``p`` is given, else on a kernel basis.
-
-    The rank count needs e_m mod ``src`` for each used m, which it reads
-    off the reduced echelon form mod p: e_j itself when j is no pivot, and
-    the negated tail of the row at pivot j when it is one."""
+    rank count mod ``p`` when ``p`` is given, else on a kernel basis.  The
+    count reads e_m mod ``src`` off its reduced echelon form mod p: e_m when
+    m is no pivot, else the negated tail of the row at pivot m."""
     cols = [src.index[m] for m in used]
     if p is None:
         return any(
@@ -223,10 +223,12 @@ def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport
 
     With M the rows x * m for the ``used`` monomials m of degree d (those
     whose product fits) and L_s, L_t the slices of I in degrees d and
-    d + |x|, x passes in degree d when y * M in L_t implies y in L_s.  The
-    kernel path tests a kernel basis of y -> y * M mod L_t.  The field path
-    runs when ``linalg.residue_prime`` gives a prime p: over F_p, and over
-    Z_(p) after a constant entry c with v_p(c) = 1.  It builds no kernel:
+    d + |x|, x passes in degree d when y * M in L_t implies y in L_s.  M is
+    x's own ``_row_block``: the slice of (x) would give M times a p-unit,
+    which keeps both conditions.  The kernel path tests a kernel basis of
+    y -> y * M mod L_t.  The field path runs when ``linalg.residue_prime``
+    gives a prime p: over F_p, and over Z_(p) after a constant entry c with
+    v_p(c) = 1.  It builds no kernel:
 
     * Lift.  The rows c * m put p * Z^w in L_s and L_t, so whether y * M
       lies in L_t and y in L_s depends on y mod p only: a y over Z_(p)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add
 
@@ -446,24 +447,22 @@ def cleared_coefficients(polys):
 
 @lru_cache(maxsize=None)
 def _row_block(ring: GradedRing, g: RingElement, d: int):
-    """``(rows, monomials, scale)``: the rows g * m on ``degree_exps(d)``,
-    sparse and in monomial order, for each monomial m of degree d - |g|
-    whose product with g fits the window, those m, and g's own
-    ``cleared_coefficients`` scale, by which the rows are ``int``.
-
-    Each block is built once per process and shared by every ideal slice
-    and regularity check that reads it, so no caller may change it."""
+    """``(rows, monomials, scale)``: the sparse ``int`` rows g * m on
+    ``degree_exps(d)`` for the monomials m of degree d - |g| whose product
+    with g fits the window, in monomial order, those m, and the
+    ``cleared_coefficients`` scale of g alone.  Built once per process and
+    shared by every ideal slice and regularity check: no caller may change it."""
     (coeffs,), scale = cleared_coefficients([g])
     if d - g.degree() > ring.degree_window:
         return (), (), scale
     index = {e: j for j, e in enumerate(ring.degree_exps(d))}
-    rows, monomials = [], []
-    for m in ring.degree_exps(d - g.degree()):
-        cols = [index.get(tuple(map(add, m, exps))) for exps in g.terms]
-        if None not in cols:
-            rows.append(dict(zip(cols, coeffs)))
-            monomials.append(m)
-    return tuple(rows), tuple(monomials), scale
+    ms = ring.degree_exps(d - g.degree())
+    # for each m, the column of m * e for each term e of g, None outside the window
+    products = (map(tuple, map(map, repeat(add), ms, repeat(e))) for e in g.terms)
+    cols = list(zip(*(map(index.get, prods) for prods in products)))
+    fits = [None not in c for c in cols]
+    rows = tuple(map(dict, map(zip, compress(cols, fits), repeat(coeffs))))
+    return rows, tuple(compress(ms, fits)), scale
 
 
 class IdealContext:
@@ -475,11 +474,11 @@ class IdealContext:
     monomials ``exps``, and stores no zero.  Its values are ``int``: the
     coefficients of the generators and relations times one common multiple
     ``scale`` of their denominators, a p-unit that is 1 over Z, F_p and
-    Z/m, so the rows span the ideal's slice over the base.  The rows of
-    each polynomial are its ``_row_block``, rescaled by ``scale`` over the
-    block's own scale where the two differ, so contexts share rows with
-    each other and with the regularity check: no consumer may change a
-    row.  Vectors, as ``vector`` builds them, are sparse on ``exps`` too.
+    Z/m, so the rows span the ideal's slice over the base.  Each
+    polynomial's rows are its ``_row_block``, rescaled where its scale is
+    not ``scale``, so contexts share rows with each other and with the
+    regularity check: no consumer may change a row.  Vectors, as
+    ``vector`` builds them, are sparse on ``exps`` too.
     The rows carry nothing for the base itself: ``linalg`` works mod p
     over F_p and adds the multiples of m over Z/m.  The context is the one
     owner of its slice's ``lattice``, built on first read: a caller that
@@ -497,20 +496,19 @@ class IdealContext:
         for g in polys:
             if g.ring != ring:
                 raise MixedRings("ideal generator from a different ring")
-        self._blocks = [
-            ("gen" if gi < len(gens) else "relation", gi, _row_block(ring, g, d))
-            for gi, g in enumerate(polys) if g
-        ]
-        self.scale = lcm(*(s for _, _, (_, _, s) in self._blocks))
+        self._ngens = len(gens)
+        self._blocks = [(gi, _row_block(ring, g, d)) for gi, g in enumerate(polys) if g]
+        self.scale = lcm(*(s for _, (_, _, s) in self._blocks))
         self.rows = []
-        for _, _, (rows, _, s) in self._blocks:
+        for _, (rows, _, s) in self._blocks:
             k = self.scale // s
             self.rows.extend(rows if k == 1 else ({j: k * x for j, x in r.items()} for r in rows))
 
     @cached_property
     def tags(self):
         """The tag of each row, built on first read."""
-        return [(kind, gi, m) for kind, gi, (_, ms, _) in self._blocks for m in ms]
+        n = self._ngens
+        return [("gen" if i < n else "relation", i, m) for i, (_, ms, _) in self._blocks for m in ms]
 
     @cached_property
     def lattice(self):
@@ -526,7 +524,7 @@ class IdealContext:
         field = BaseRing.prime_field(p)
         if field == self.ring.base:
             return self.lattice
-        blocks = [b for _, _, (b, _, _) in self._blocks if b and any(x % p for x in b[0].values())]
+        blocks = [b for _, (b, _, _) in self._blocks if b and any(x % p for x in b[0].values())]
         return lattice_for(field, [row for b in blocks for row in b], self.width)
 
     def vector(self, element):
