@@ -201,8 +201,9 @@ def _has_kernel(base, rows, used, src, tgt, p):
             not src.lattice.contains({cols[i]: val for i, val in vec.items()})
             for vec in _cycle_rows(base, rows, tgt.rows, len(used), tgt.width)
         )
-    shift = tgt.width
-    lat = src.residue_lattice
+    shift, lat = tgt.width, src.residue_lattice
+    if lat.rank == src.width:  # every y lies in src mod p
+        return False
     at = dict(zip(lat.pivots, lat.integer_basis()))
     joint = [
         {
@@ -272,13 +273,8 @@ def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport
                 ring.base, rows, used,
                 ideal_context(ring, prev, d), ideal_context(ring, prev, d + dx), p,
             ):
-                return RegularityReport(
-                    False,
-                    k,
-                    d,
-                    window,
-                    "multiplication by entry %d has kernel in degree %d" % (k, d),
-                )
+                reason = "multiplication by entry %d has kernel in degree %d" % (k, d)
+                return RegularityReport(False, k, d, window, reason)
         if QuotientRing(ring, elems[:k]).is_trivial():
             return RegularityReport(
                 False, k, None, window, "quotient vanishes after entry %d" % k
