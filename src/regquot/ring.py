@@ -487,7 +487,6 @@ class IdealContext:
 
     def __init__(self, ring: GradedRing, gens, d: int):
         self.ring = ring
-        self.d = d
         self.exps = ring.degree_exps(d)
         self.index = {e: j for j, e in enumerate(self.exps)}
         self.width = len(self.exps)
@@ -528,8 +527,8 @@ class IdealContext:
         return lattice_for(field, [row for b in blocks for row in b], self.width)
 
     def vector(self, element):
-        """The coefficients of ``element``, of degree ``d``, as a sparse
-        vector on ``exps``."""
+        """The coefficients of ``element``, of this context's degree, as a
+        sparse vector on ``exps``."""
         try:
             return {self.index[e]: c for e, c in element.terms.items()}
         except KeyError:
