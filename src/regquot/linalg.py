@@ -602,7 +602,7 @@ def _echelon_mod_p(A, width, p):
     """
     echelon = {}
     kernel = []
-    holders = {}  # column < width -> pivots of the echelon rows nonzero there
+    holders = {}  # non-pivot column < width -> pivots of the echelon rows nonzero there
     for row in A:
         v = {j: y for j, x in row.items() if (y := x % p)}
         for c in [c for c in v if c in echelon]:
