@@ -347,6 +347,26 @@ def test_scenario_reports_match_pinned_digests(p, n):
     assert hashlib.sha256(text.encode()).hexdigest() == SCENARIO_DIGESTS[p, n]
 
 
+# sha256 of the canonical report of a rank-3 naturality job over Z: the
+# pair (x, y, 4) -> (x, y, 2) induces a0 -> a0, a1 -> a1, a2 -> 0, past the
+# rank-1 bundled job.  The CI module-entry step pins the same digest.
+NATURALITY_DOC = {
+    "command": "naturality",
+    "ring": {"base": "Z", "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 2}]},
+    "window": {"degree": 4},
+    "source_pair": {"sequence": ["x", "y", "4"], "target": ["x", "y", "2"]},
+    "target_pair": {"sequence": ["x", "y", "2"], "target": ["x", "y", "2"]},
+}
+NATURALITY_DIGEST = "ff65406abab0429b120be237affc6ad562435ee82c8ddbfaa64eb156be0ef4a1"
+
+
+def test_naturality_report_matches_pinned_digest():
+    report = run_job(parse_job(json.dumps(NATURALITY_DOC)))
+    assert report.status == 0 and report.results["all_pass"]
+    text = canonical_json(report.payload())
+    assert hashlib.sha256(text.encode()).hexdigest() == NATURALITY_DIGEST
+
+
 def test_window_override(tmp_path):
     code, report = run_file(JOBS / "k1_p2.job", tmp_path, ["--window", "8"])
     assert code == 0

@@ -28,7 +28,7 @@ from regquot.errors import (
     NotRegular,
     SemanticError,
 )
-from regquot.ring import GradedRing, Generator
+from regquot.ring import GradedRing, Generator, QuotientRing
 from regquot.scalars import BaseRing
 
 
@@ -699,6 +699,30 @@ def test_dual_routes_match_oracles_on_graded_coefficients(k2_p3):
     values = [0, 1, -1, 2, ring.var("v2"), ring.var("v1") + ring.var("v2")]
     nonzero, zero = _check_dual_routes(ext, rng, values)
     assert nonzero and zero
+
+
+THETA_BASES = {
+    "Z": BaseRing.integers(),
+    "F2": BaseRing.prime_field(2),
+    "Z/4": BaseRing.integers_mod(4),
+    "Z_(3)": BaseRing.integers_localized(3),
+}
+
+
+@pytest.mark.parametrize("base_name", sorted(THETA_BASES))
+def test_theta_rank_matches_oracle(base_name):
+    """``theta_rank`` equals the tabulated ``ref_theta_rank`` at ranks 0-7,
+    and is 0 over the trivial quotient R/(1), whose ``one`` is zero."""
+    base = THETA_BASES[base_name]
+    for n in range(8):
+        ext = CliffordAlgebra.from_scalars(base, [0] * n)
+        assert theta_rank(ext) == ref_theta_rank(ext) == 2**n
+    R = GradedRing(base, [Generator("x", 2)], degree_window=4)
+    coeff = QuotientRing(R, [R.constant(1)])
+    for n in range(3):
+        names, degrees = tuple("a%d" % i for i in range(n)), (1,) * n
+        trivial = CliffordAlgebra._raw(coeff, names, degrees, (coeff.zero(),) * n, {})
+        assert theta_rank(trivial) == 0
 
 
 def test_generator_checks_apply_each_generator_once_per_word(monkeypatch):
