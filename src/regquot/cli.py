@@ -55,7 +55,7 @@ from .jobio import (
     spec_from_job,
     target_from_job,
 )
-from .morava import build_scenario, kn_algebra, kn_form
+from .morava import build_scenario, kn_algebra
 from .pairs import PairMorphism, make_pair, naturality_suite
 from .ring import QuotientRing
 
@@ -284,7 +284,7 @@ def _cmd_naturality(doc, window, laurent):
 
 def _cmd_scenario(doc, window, laurent):
     sc = _scenario_from(doc, window, laurent)
-    pres, _ = kn_algebra(sc)
+    pres, algebra = kn_algebra(sc)
     results = {
         "p": sc.p,
         "n": sc.n,
@@ -293,7 +293,7 @@ def _cmd_scenario(doc, window, laurent):
         "ring": repr(sc.ring),
         "homology": presentation_payload(pres),
         "cohomology": presentation_payload(cohomology_presentation(sc.spec)),
-        "form": form_payload(kn_form(sc)),
+        "form": form_payload(algebra.form),
     }
     return 0, results, pres.warnings
 

@@ -486,14 +486,14 @@ def homology_presentation(
 ) -> tuple[AlgebraPresentation, CliffordAlgebra]:
     """Presentation of the quotient's homology algebra over a target.
 
-    The target defaults to the quotient itself.  Returns the presentation
-    together with the computing algebra; a non-regular sequence downgrades
-    the result to a lift-only statement via a warning.
+    Without a target the coefficients are the quotient itself and the form
+    is the characteristic form; a target base-changes it.  Returns the
+    presentation together with the computing algebra; a non-regular sequence
+    downgrades the result to a lift-only statement via a warning.
     """
     form = characteristic_form_diagonal(spec)
-    if target is None:
-        target = spec
-    form = base_change_form(form, target)
+    if target is not None:
+        form = base_change_form(form, target)
     algebra = CliffordAlgebra(form.module, form)
     warnings = []
     if not spec.is_regular:

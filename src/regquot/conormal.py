@@ -317,11 +317,10 @@ def exterior_rank_profile(module: ConormalModule, p: int, window: int | None = N
     degreewise an F_p vector space within the window.
     """
     ring = module.ring
-    top = ring.degree_window if window is None else min(window, ring.degree_window)
     degs = module.degrees
     shifts = [sum(c) for k in range(len(degs) + 1) for c in combinations(degs, k)]
     profile: dict = {}
-    for q in ring.even_degrees(top):
+    for q in ring.even_degrees(window):
         dim = ModuleEntry(*module.coefficients.entry(q)).dimension_over(p)
         if dim is None:
             raise SemanticError(

@@ -270,30 +270,37 @@ def compose(ops, owner: CliffordAlgebra | None = None) -> CohomologyOperator:
 
 def theta(algebra: CliffordAlgebra, indices) -> CohomologyOperator:
     """The operator of a formal exterior word in the generator derivations."""
-    return compose(
-        [bockstein(algebra, i) for i in tuple(indices)], owner=algebra
-    )
+    return compose([bockstein(algebra, i) for i in indices], owner=algebra)
+
+
+def _walk(qs, s, w):
+    """Q_{s_0} ... Q_{s_{k-1}} applied to the word w through the signed maps
+    of ``qs``, rightmost first: ``(word, sign)``, or None when a map misses."""
+    sign = 1
+    for i in reversed(s):
+        if (hit := qs[i].signs.get(w)) is None:
+            return None
+        w, sign = hit[0], sign * hit[1]
+    return w, sign
+
+
+def _theta_count(algebra, qs) -> int:
+    """``theta_rank`` read off the signed maps of ``qs``."""
+    top = tuple(range(algebra.n))
+    reached = {hit[0] for s in algebra.basis_words() if (hit := _walk(qs, s, top))}
+    return len(reached) if algebra.coeff.one() else 0
 
 
 def theta_rank(algebra: CliffordAlgebra) -> int:
     """Rank of the image of the formal exterior algebra in operators.
 
-    The generator derivations of each subset word are applied, rightmost
-    first, to the top basis word; the results are unit multiples of
-    pairwise distinct words, so counting the distinct unit-coefficient
-    outputs certifies the rank.  The image for s is Q_{s_0} applied to the
-    image for s[1:], which the loop reached first, since the basis words
-    come by length: 2^n - 1 applications in all, each to one term.
+    Through the Q_i's signed maps, theta(s) sends the top word to a unit
+    multiple of one word or to zero, and images at distinct words are
+    independent: the distinct words reached over all basis words s certify
+    the rank, 2^n when injective, and 0 when the coefficient ``one`` is 0.
     """
     _require_exterior(algebra)
-    coeff = algebra.coeff
-    qs = [bockstein(algebra, i) for i in range(algebra.n)]
-    images = {(): CliffordElement(algebra, {tuple(range(algebra.n)): coeff.one()})}
-    for s in algebra.basis_words()[1:]:
-        images[s] = qs[s[0]].apply(images[s[1:]])
-    units = (coeff.one(), coeff.neg(coeff.one()))
-    terms = [next(iter(img.terms.items())) for img in images.values() if len(img.terms) == 1]
-    return len({w for w, c in terms if c in units})
+    return _theta_count(algebra, [bockstein(algebra, i) for i in range(algebra.n)])
 
 
 def generator_checks(ext: CliffordAlgebra):
@@ -305,15 +312,15 @@ def generator_checks(ext: CliffordAlgebra):
     For odd derivations D and E, D^2 and DE + ED are derivations in every
     characteristic: the cross terms of D^2(xy), and of DE(xy) + ED(xy),
     cancel.  A derivation killing 1 and every a_k is zero.  So once each
-    Q_i's signed word map, which the later checks read, passes
-    ``leibniz_check``, D(E(a_k)) = 0 for all D, E among the Q_i and all k,
-    read off the same maps, certifies both identities.  No matrix is built.
+    Q_i's signed word map passes ``leibniz_check``, D(E(a_k)) = 0 for all
+    D, E among the Q_i and all k, read off the same maps, certifies both
+    identities.  The rank is counted on them too; nothing is applied.
     """
     qs = [bockstein(ext, i) for i in range(ext.n)]
     leibniz = [leibniz_check(q) for q in qs]
     hits = [hit for e in qs for k in range(ext.n) if (hit := e.signs.get((k,)))]
     certified = all(leibniz) and not any(d.signs.get(u) for u, _ in hits for d in qs)
-    return qs, leibniz, certified, theta_rank(ext)
+    return qs, leibniz, certified, _theta_count(ext, qs)
 
 
 def leibniz_check(op) -> bool:
@@ -458,9 +465,7 @@ def Psi(op) -> DualFunctional:
     the empty-word entry of each row of ``op.matrix``."""
     algebra = op.owner
     _require_exterior(algebra)
-    return DualFunctional(
-        algebra, {w: row[()] for w, row in op.matrix.items() if () in row}
-    )
+    return DualFunctional(algebra, {w: row[()] for w, row in op.matrix.items() if () in row})
 
 
 def Delta(algebra: CliffordAlgebra, indices) -> DualFunctional:
@@ -497,14 +502,14 @@ def _delta(algebra, indices) -> DualFunctional:
 
 
 def duality_square_commutes(algebra: CliffordAlgebra, qs=None) -> bool:
-    """Psi(theta(s)) = Delta(s) for every basis word s, one strip per s.
+    """Psi(theta(s)) = Delta(s) for every basis word s, one walk per s.
 
     Each Q_i map deletes a_i, signed by its position, and kills every word
     without it, so theta(s) = Q_{s_0} ... Q_{s_{k-1}} sends a basis word to
     a multiple of 1 only if its letters are those of s: Psi(theta(s)) is
-    supported on s alone.  Its value there, the sign of stripping s through
+    supported on s alone.  Its value there, the sign of walking s through
     the maps rightmost letter first (n 2^(n-1) lookups in all), is compared
-    with ``Delta(algebra, s)``; a strip that misses a key or ends on a
+    with ``Delta(algebra, s)``; a walk that misses a key or ends on a
     nonempty word answers False.  ``qs`` are the Q_i of ``algebra``, as
     ``generator_checks`` returns them, or made here.
     """
@@ -513,12 +518,7 @@ def duality_square_commutes(algebra: CliffordAlgebra, qs=None) -> bool:
         qs = [bockstein(algebra, i) for i in range(algebra.n)]
     unit = _unit(algebra.coeff)
     for s in algebra.basis_words():
-        w, sign = s, 1
-        for i in reversed(s):
-            hit = qs[i].signs.get(w)
-            if hit is None:
-                return False
-            w, sign = hit[0], sign * hit[1]
-        if w or DualFunctional(algebra, {s: unit[sign]}) != _delta(algebra, s):
+        hit = _walk(qs, s, s)
+        if not hit or hit[0] or DualFunctional(algebra, {s: unit[hit[1]]}) != _delta(algebra, s):
             return False
     return True

@@ -469,10 +469,9 @@ def tor1_equals_intersection_over_product(
     """Whether Tor_1 agrees degreewise with (J∩K)/(J·K) inside the window."""
     jseq = _gens(ring, j_gens)
     kseq = _gens(ring, k_gens)
-    top = ring.degree_window if window is None else min(window, ring.degree_window)
-    t1 = tor(ring, jseq, kseq, 1, top)
+    t1 = tor(ring, jseq, kseq, 1, window)
     prod = _product_gens(ring, jseq, kseq)
-    for q in ring.even_degrees(top):
+    for q in ring.even_degrees(window):
         rows_j = ideal_context(ring, jseq, q).rows
         rows_k = ideal_context(ring, kseq, q).rows
         width = len(ring.degree_exps(q))
@@ -494,14 +493,13 @@ def check_condition_ii(ring: GradedRing, ideals, window: int | None = None):
     for fam in fams:
         if not fam:
             raise EmptySequence("ideals must have at least one generator")
-    top = ring.degree_window if window is None else min(window, ring.degree_window)
     results = []
     for k in range(2, len(fams) + 1):
         prev = sum(fams[: k - 1], ())
         tail = fams[k - 1]
         prod = _product_gens(ring, prev, tail)
         holds = True
-        for q in ring.even_degrees(top):
+        for q in ring.even_degrees(window):
             width = len(ring.degree_exps(q))
             rows_p = ideal_context(ring, prev, q).rows
             rows_t = ideal_context(ring, tail, q).rows
@@ -555,14 +553,13 @@ def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
         raise ConditionIIFails(
             "product-intersection condition fails at ideal %d" % bad
         )
-    top = ring.degree_window if window is None else min(window, ring.degree_window)
     base = ring.base
     allgens = sum(fams, ())
     owner = [idx for idx, fam in enumerate(fams) for _ in fam]
     prod_all = _product_gens(ring, allgens, allgens)
     degrees = {}
     all_ok = True
-    for q in ring.even_degrees(top):
+    for q in ring.even_degrees(window):
         width = len(ring.degree_exps(q))
         if width == 0:
             continue

@@ -205,25 +205,16 @@ def ring_from_job(doc: dict, window=None, laurent=None) -> GradedRing:
 
 
 def sequence_from_job(ring: GradedRing, entries) -> QuotientRingSpec:
-    elements = []
     tokens = []
-    has_token = False
     for item in entries:
         if isinstance(item, str):
             item = {"element": item}
         if not isinstance(item, dict) or "element" not in item:
             raise SemanticError("sequence entries need an element expression")
         x = ring.parse(item["element"])
-        elements.append(x)
-        obstruction = item.get("obstruction")
-        if obstruction in (None, 0, "0"):
-            tokens.append(ProductToken(x))
-        else:
-            tokens.append(ProductToken(x, ring.parse(obstruction)))
-            has_token = True
-    if has_token:
-        return QuotientRingSpec(ring, elements, tokens)
-    return QuotientRingSpec(ring, elements)
+        obs = item.get("obstruction")
+        tokens.append(ProductToken(x, None if obs in (None, 0, "0") else ring.parse(obs)))
+    return QuotientRingSpec(ring, [tok.element for tok in tokens], tokens)
 
 
 def spec_from_job(ring: GradedRing, doc: dict) -> QuotientRingSpec:

