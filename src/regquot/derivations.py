@@ -481,12 +481,12 @@ def Delta(algebra: CliffordAlgebra, indices) -> DualFunctional:
     the functional is zero.
     """
     _require_exterior(algebra)
-    return _delta(algebra, tuple(indices))
+    return _delta(algebra, tuple(indices), _unit(algebra.coeff))
 
 
-def _delta(algebra, indices) -> DualFunctional:
-    """``Delta`` on an algebra already known to be exterior."""
-    coeff = algebra.coeff
+def _delta(algebra, indices, unit) -> DualFunctional:
+    """``Delta`` on an algebra already known to be exterior, with ``unit``
+    its ``_unit`` coefficients."""
     w = tuple(i for i in range(algebra.n) if i in indices)
     remaining = list(w)
     sign = 1
@@ -497,8 +497,7 @@ def _delta(algebra, indices) -> DualFunctional:
         if t % 2:
             sign = -sign
         remaining.pop(t)
-    one = coeff.one()
-    return DualFunctional(algebra, {w: one if sign > 0 else coeff.neg(one)})
+    return DualFunctional(algebra, {w: unit[sign]})
 
 
 def duality_square_commutes(algebra: CliffordAlgebra, qs=None) -> bool:
@@ -519,6 +518,6 @@ def duality_square_commutes(algebra: CliffordAlgebra, qs=None) -> bool:
     unit = _unit(algebra.coeff)
     for s in algebra.basis_words():
         hit = _walk(qs, s, s)
-        if not hit or hit[0] or DualFunctional(algebra, {s: unit[hit[1]]}) != _delta(algebra, s):
+        if not hit or hit[0] or DualFunctional(algebra, {s: unit[hit[1]]}) != _delta(algebra, s, unit):
             return False
     return True

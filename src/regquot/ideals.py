@@ -216,6 +216,29 @@ def _has_kernel(base, rows, used, src, tgt, p):
     return bool(pivots) and pivots[-1] >= tgt.width  # a pivot past tgt's block
 
 
+def _passes_by_structure(ring: GradedRing, prev: tuple, x: RingElement) -> bool:
+    """Whether ``prev`` leaves a (Laurent) polynomial ring over a domain
+    base/c, in which x's image, its terms on killed generators dropped and
+    its coefficients taken mod c, is nonzero: see ``_regularity``."""
+    if ring.relations:
+        return False
+    base, gens = ring.base, ring.generators
+    constants, killed = [], set()
+    for e in prev:
+        (exps, a), *rest = e.terms.items()
+        i = exps.index(1) if 1 in exps and exps.count(0) == len(exps) - 1 else None
+        if not rest and not any(exps):
+            constants.append(a)
+        elif rest or i is None or gens[i].invertible or not base.is_unit(a):
+            return False
+        else:
+            killed.add(i)
+    c = constants[0] if constants else 0
+    return len(constants) <= 1 and base.residue_is_domain(c) and any(
+        not base.divides(c, a) for exps, a in x.terms.items() if not any(exps[i] for i in killed)
+    )
+
+
 @lru_cache(maxsize=None)
 def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport:
     """Entry by entry, whether multiplication by the entry x is injective
@@ -252,11 +275,17 @@ def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport
     Both paths decide each degree alike, so the report, ``failure_degree``
     included, does not depend on the path.
 
-    The first entry of a ring without relations over a domain (Z, Z_(p),
-    F_p) passes with no scan: L_s and L_t are 0 over the base, and y * M is
-    the product x * y (a ``used`` m has all of x * m in the window) in a
-    Laurent polynomial ring over a domain, so y * M = 0 forces y = 0.  Z/4
-    is no domain: there 2 * 2 = 0.
+    ``_passes_by_structure`` decides some passes with no scan.  In a ring
+    without relations, let the earlier entries be at most one constant c
+    with base/c a domain (c = 0 for none) and unit multiples of
+    non-invertible generators.  Then L_s and L_t are spanned by the c * e_m
+    and the e_m of monomials on a killed generator, and y * M mod L_t is
+    the product of the images of x and y in the (Laurent) polynomial ring
+    over base/c on the other generators (a ``used`` m has all of x * m in
+    the window).  That ring is a domain, so when x's image is nonzero, y * M
+    in L_t forces y in L_s in every degree.  With no earlier entry this
+    needs a domain base: Z/4 is none, there 2 * 2 = 0.  Only passes are
+    decided: a zero image, and every other prefix, go to the scan.
     """
     one = (0,) * len(ring.generators)
     constants = []  # the coefficients of the constant entries so far
@@ -266,7 +295,7 @@ def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport
             return RegularityReport(False, k, None, window, "zero entry")
         p = residue_prime(ring.base, constants)
         dx = x.degree()
-        no_scan = not prev and not ring.relations and ring.base.is_domain
+        no_scan = _passes_by_structure(ring, prev, x)
         for d in () if no_scan else ring.even_degrees(window - dx):
             rows, used, _ = _row_block(ring, x, d + dx)
             if used and _has_kernel(

@@ -8,6 +8,7 @@ integers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import SemanticError
 
@@ -102,6 +103,25 @@ class BaseRing:
     def is_domain(self) -> bool:
         return self.kind != INTEGERS_MOD or is_prime(self.modulus)
 
+    def residue_is_domain(self, c) -> bool:
+        """Whether this ring modulo ``c`` is a domain: for c = 0 whether the
+        ring is one, over Z_(p) whether v_p(c) = 1, and over Z, F_p and Z/m
+        whether gcd(c, characteristic) is prime (never for a unit c)."""
+        c = self.normalize(c)
+        if not c:
+            return self.is_domain
+        if self.kind == INTEGERS_LOCALIZED:
+            return c.numerator % self.p == 0 and c.numerator % self.p**2 != 0
+        return is_prime(gcd(c, self.characteristic))
+
+    def divides(self, c, a) -> bool:
+        """Whether ``a`` lies in the ideal (c): whether it is zero mod ``c``."""
+        c, a = self.normalize(c), self.normalize(a)
+        if self.kind == INTEGERS_LOCALIZED:
+            return (a / c).denominator % self.p != 0 if c else not a
+        g = gcd(c, self.characteristic)
+        return a % g == 0 if g else not a
+
     @property
     def characteristic(self) -> int:
         """p for F_p, m for Z/m, and 0 for Z and Z_(p)."""
@@ -163,8 +183,6 @@ class BaseRing:
         if self.kind == PRIME_FIELD:
             return a != 0
         if self.kind == INTEGERS_MOD:
-            from math import gcd
-
             return gcd(a, self.modulus) == 1
         return a != 0 and a.numerator % self.p != 0
 

@@ -861,6 +861,72 @@ def test_first_entry_over_a_domain_matches_kernel_oracle(monkeypatch):
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def _certificate_cases():
+    """Seeded sequences over Z, Z_(3), F_3 and Z/4, in rings with a Laurent
+    and a degree-0 generator, whose prefixes mix constants (prime,
+    composite, p, p^2, p * unit), unit and non-unit multiples of
+    generators, repeated generators and entries of several terms."""
+    gens = [Generator("x", 2), Generator("y", 2), Generator("t", 0),
+            Generator("v", 4, invertible=True)]
+    rng = random.Random(2604)
+    cases = []
+    for base, consts, units, nonunits in (
+        (BaseRing.integers(), [3, -5, 6, 4], [1, -1], [2, 3]),
+        (BaseRing.integers_localized(3), [3, -3, 9, Fraction(6, 5)], [1, Fraction(2, 5)], [3, 6]),
+        (BaseRing.prime_field(3), [], [1, 2], []),
+        (BaseRing.integers_mod(4), [2], [1, 3], [2]),
+    ):
+        ring = GradedRing(base, gens, degree_window=4, laurent_window=1)
+        x, y, t, v = (ring.var(n) for n in "xytv")
+        vi = ring.parse("v^-1")
+        pool = [ring.constant(c) for c in consts]
+        pool += [u * g for u in units for g in (x, y, t)]
+        pool += [c * g for c in nonunits for g in (x, t)]
+        pool += [x + y, x + t * y, t * x, x * x * vi + t, v + x * y, 1 + t]
+        for _ in range(24):
+            cases.append((ring, tuple(rng.choice(pool) for _ in range(rng.randint(2, 4)))))
+        cases.append((ring, (*pool[:1], x, t, y)))
+        cases.append((ring, (x, y, x)))
+    return cases
+
+
+def test_regularity_certificate_matches_scan_oracles(monkeypatch):
+    # _passes_by_structure decides an entry's pass with no scan when the
+    # earlier entries leave a polynomial ring over a domain.  Its verdicts
+    # must leave every report equal to both scan oracles', also inside a
+    # smaller window; a case where they differ is a defect of the
+    # certificate, and the scan's answer stands.
+    decided, declined = [], []
+    certify = ideals_module._passes_by_structure
+
+    def spy(ring, prev, x):
+        passes = certify(ring, prev, x)
+        if prev:
+            (decided if passes else declined).append((ring, prev, x))
+        return passes
+
+    monkeypatch.setattr(ideals_module, "_passes_by_structure", spy)
+    outcomes = set()
+    for ring, seq in _certificate_cases():
+        for window in (ring.degree_window, ring.degree_window - 2):
+            _clear_ring_caches()
+            want = ref_regularity(ring, seq, window)
+            _clear_ring_caches()
+            assert ref_regularity_kernel(ring, seq, window) == want, (ring, seq, window)
+            _clear_ring_caches()
+            assert _regularity(ring, seq, window) == want, (ring, seq, window)
+            outcomes.add((want.regular, want.failure_degree is not None))
+    _clear_ring_caches()
+    assert len(decided) >= 20 and len(declined) >= 20, (len(decided), len(declined))
+    # over Z/4 no prefix that passed leaves a domain: Z/4 is none, and the
+    # one constant c with Z/4/c a domain, 2, is a zero divisor there
+    assert {ring.base for ring, _, _ in decided} == {
+        BaseRing.integers(), BaseRing.integers_localized(3), BaseRing.prime_field(3),
+    }
+    assert BaseRing.integers_mod(4) in {ring.base for ring, _, _ in declined}
+    assert outcomes == {(True, False), (False, True), (False, False)}
+
+
 # -- one lattice per ideal slice --------------------------------------
 
 

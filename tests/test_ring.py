@@ -521,9 +521,12 @@ def test_int_slice_rows_match_base_valued_rows():
 def test_cached_slices_keep_their_shared_rows(monkeypatch):
     # Ideal slices share the cached row block of each polynomial and degree
     # with each other and with the regularity check.  After a scenario, a
-    # Z_(2) tor and a Z decompose job in one process, every slice still
-    # cached equals a fresh build and the base-valued rows, so no consumer
-    # changed a shared row.
+    # Z_(2) tor, a Z decompose and a Z_(2) check-regular job in one
+    # process, every slice still cached equals a fresh build and the
+    # base-valued rows, so no consumer changed a shared row.  The
+    # regularity certificate decides the scenario's and the tor's entries
+    # with no scan; in the check-regular job, z after (x, x + y) is not
+    # decided by it, so the scan reads the shared rows of that prefix.
     built = []
     cached = ring_module._cached_context
 
@@ -541,6 +544,8 @@ def test_cached_slices_keep_their_shared_rows(monkeypatch):
          "first": ["x", "y", "z"], "second": ["x"], "index": 1},
         {"command": "decompose", "ring": dict(xyz, base="Z"), "window": {"degree": 12},
          "ideals": [["x"], ["y"], ["z"]]},
+        {"command": "check-regular", "ring": xyz, "window": {"degree": 40},
+         "sequence": ["x", "x + y", "z"]},
     ]
     for doc in docs:
         assert run_job(parse_job(json.dumps(doc))).status == 0

@@ -64,3 +64,33 @@ def test_equality_and_hash():
     assert BaseRing.prime_field(3) != BaseRing.prime_field(5)
     assert BaseRing.integers() != BaseRing.integers_mod(4)
     assert hash(BaseRing.integers_localized(7)) == hash(BaseRing.integers_localized(7))
+
+
+@pytest.mark.parametrize("base, domains, others", [
+    (BaseRing.integers(), [0, 5, -7], [1, -1, 6, 9]),
+    (BaseRing.integers_localized(3), [0, 3, -6, Fraction(3, 5)], [1, 2, 9, Fraction(18, 5)]),
+    (BaseRing.prime_field(3), [0], [1, 2]),
+    (BaseRing.integers_mod(4), [2, 6], [0, 1, 3]),
+    (BaseRing.integers_mod(5), [0], [1, 3]),
+])
+def test_residue_is_domain(base, domains, others):
+    # base/c: F_|c| over Z, F_p over Z_(p) for v_p(c) = 1, and Z/gcd(c, m)
+    # over Z/m; zero for a unit c, and the base itself for c = 0
+    assert all(base.residue_is_domain(c) for c in domains)
+    assert not any(base.residue_is_domain(c) for c in others)
+
+
+@pytest.mark.parametrize("base, c, inside, outside", [
+    (BaseRing.integers(), 3, [0, 3, -6], [1, 4]),
+    (BaseRing.integers(), 0, [0], [1, -2]),
+    (BaseRing.integers_localized(3), 3, [0, Fraction(6, 5), 9], [1, Fraction(2, 5)]),
+    (BaseRing.integers_localized(3), 9, [Fraction(18, 7)], [3, 6]),
+    (BaseRing.integers_localized(3), 0, [0], [3]),
+    (BaseRing.prime_field(3), 0, [0, 3], [1, 2]),
+    (BaseRing.prime_field(3), 2, [0, 1, 2], []),
+    (BaseRing.integers_mod(4), 2, [0, 2, 6], [1, 3]),
+    (BaseRing.integers_mod(4), 0, [0, 4], [2]),
+])
+def test_divides(base, c, inside, outside):
+    assert all(base.divides(c, a) for a in inside)
+    assert not any(base.divides(c, a) for a in outside)
