@@ -674,7 +674,16 @@ def orthogonal_split(algebra: CliffordAlgebra, threshold: int):
 
 
 class AlgebraMap:
-    """Multiplicative map of Clifford algebras given by generator images."""
+    """Multiplicative map of Clifford algebras given by generator images.
+
+    The constructor checks the source's relations on the images b_i of the
+    a_i: b_i^2 = q_i and b_ib_j + b_jb_i = s_ij.  Then ``apply`` is
+    multiplicative.  The coefficients are even, so central, and a_i -> b_i
+    extends to an algebra map from the tensor algebra on the a_i.  It kills
+    the relators a_ia_i - q_i and a_ia_j + a_ja_i - s_ij, so it factors
+    through the source.  The factored map sends a normal-form word
+    a_{i_1}...a_{i_k} to b_{i_1}...b_{i_k}, as the linear ``apply`` does.
+    """
 
     def __init__(self, source: CliffordAlgebra, target: CliffordAlgebra, images):
         if source.coeff != target.coeff:

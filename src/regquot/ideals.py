@@ -285,7 +285,10 @@ def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport
     the window).  That ring is a domain, so when x's image is nonzero, y * M
     in L_t forces y in L_s in every degree.  With no earlier entry this
     needs a domain base: Z/4 is none, there 2 * 2 = 0.  Only passes are
-    decided: a zero image, and every other prefix, go to the scan.
+    decided: a zero image, and every other prefix, go to the scan.  The
+    same certificate on the prefix through x and the element 1 proves R/I
+    nonzero, as 1 has a nonzero image in base/c[...], so the ``is_trivial``
+    check after x is skipped there.
     """
     one = (0,) * len(ring.generators)
     constants = []  # the coefficients of the constant entries so far
@@ -304,7 +307,8 @@ def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport
             ):
                 reason = "multiplication by entry %d has kernel in degree %d" % (k, d)
                 return RegularityReport(False, k, d, window, reason)
-        if QuotientRing(ring, elems[:k]).is_trivial():
+        nonzero = _passes_by_structure(ring, elems[:k], ring.one())
+        if not nonzero and QuotientRing(ring, elems[:k]).is_trivial():
             return RegularityReport(
                 False, k, None, window, "quotient vanishes after entry %d" % k
             )

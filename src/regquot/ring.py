@@ -616,7 +616,10 @@ class QuotientRing:
     It is also the coefficient ring of the Clifford and exterior algebras
     over R/I: ``coerce``, ``render`` and ``degree_of`` serve them next to
     the arithmetic, and each residue it returns is zero exactly when it is
-    falsy, which the algebras test in place of ``is_zero``.
+    falsy, which the algebras test in place of ``is_zero``.  Its one memo
+    is ``nf``'s, element to residue: ``add``, ``mul`` and ``neg`` reduce
+    the raw result through it, so a product that leaves the window raises
+    each time it is asked.
     """
 
     def __init__(self, ring: GradedRing, ideal=()):
@@ -630,16 +633,6 @@ class QuotientRing:
         self.ideal = tuple(g for g in ideal if not g.is_zero())
         # element -> residue; each residue is also its own key (nf is idempotent)
         self._nf: dict = {}
-        # operands -> residue of their sum, product or negative: a job sees
-        # few distinct residues, so each operation runs once per operands.
-        # The exterior checks read signed word maps and barely call them
-        # (rank-12 F_2 derivations: 2,093 negations), but Clifford products
-        # do: a rank-5 naturality job over Z[x0..x4] runs in about 0.12 s
-        # with these tables and CliffordAlgebra._wcache, and 0.4-0.7 s
-        # without them (Python 3.11, 2 vCPU).
-        self._add: dict = {}
-        self._mul: dict = {}
-        self._neg: dict = {}
         self._zero = ring.zero()
         self._one = None
 
@@ -694,28 +687,14 @@ class QuotientRing:
     def zero(self) -> RingElement:
         return self._zero
 
-    # add, mul and neg store a result only once it is computed, so an
-    # operation that raises (a product leaving the window) raises each time
-
     def add(self, a, b):
-        key = (a, b)
-        red = self._add.get(key)
-        if red is None:
-            red = self._add[key] = self.nf(a + b)
-        return red
+        return self.nf(a + b)
 
     def mul(self, a, b):
-        key = (a, b)
-        red = self._mul.get(key)
-        if red is None:
-            red = self._mul[key] = self.nf(a * b)
-        return red
+        return self.nf(a * b)
 
     def neg(self, a):
-        red = self._neg.get(a)
-        if red is None:
-            red = self._neg[a] = self.nf(-a)
-        return red
+        return self.nf(-a)
 
     def entry(self, d: int):
         """(free rank, invariant factors) of the degree-d graded piece."""

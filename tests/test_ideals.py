@@ -656,9 +656,10 @@ def test_regularity_matches_row_loop_oracle():
 
 def test_regularity_builds_prefix_slices_only(monkeypatch):
     # The rows x * m come from the cached row blocks, so every ideal slice
-    # that the check builds is the slice of a prefix of the sequence.
-    sc = build_scenario(2, 3)
-    seq = tuple(sc.spec.sequence)
+    # that the check builds is the slice of a prefix of the sequence.  The
+    # entries of (x + y, y + z, z + x) are not monomials, so structure
+    # decides none after the first and each prefix is scanned or checked
+    # for R/I = 0; K(3) at p=2 is decided by structure alone.
     seen = []
     build = IdealContext.__init__
 
@@ -667,11 +668,23 @@ def test_regularity_builds_prefix_slices_only(monkeypatch):
         build(self, ring, gens, d)
 
     monkeypatch.setattr(IdealContext, "__init__", spy)
+    xyz = [Generator(n, 2) for n in "xyz"]
+    for base in (BaseRing.prime_field(3), BaseRing.integers()):
+        ring = GradedRing(base, xyz, degree_window=8)
+        x, y, z = (ring.var(n) for n in "xyz")
+        seq = (x + y, y + z, z + x)
+        seen.clear()
+        _clear_ring_caches()
+        assert check_regular_sequence(ring, seq).regular
+        _clear_ring_caches()
+        assert {len(gens) for gens in seen} == {1, 2, 3}, base
+        assert all(gens == seq[: len(gens)] for gens in seen)
+    sc = build_scenario(2, 3)
+    seen.clear()
     _clear_ring_caches()
-    assert check_regular_sequence(sc.ring, seq).regular
+    assert check_regular_sequence(sc.ring, tuple(sc.spec.sequence)).regular
     _clear_ring_caches()
-    assert {len(gens) for gens in seen} == {1, 2, 3}
-    assert all(gens == seq[: len(gens)] for gens in seen)
+    assert not seen
 
 
 def ref_regularity_kernel(ring, elems, window):
@@ -895,13 +908,16 @@ def test_regularity_certificate_matches_scan_oracles(monkeypatch):
     # earlier entries leave a polynomial ring over a domain.  Its verdicts
     # must leave every report equal to both scan oracles', also inside a
     # smaller window; a case where they differ is a defect of the
-    # certificate, and the scan's answer stands.
-    decided, declined = [], []
+    # certificate, and the scan's answer stands.  Asked of a prefix and 1,
+    # it skips the prefix's is_trivial check, which must then answer False.
+    decided, declined, skipped, checked = [], [], [], []
     certify = ideals_module._passes_by_structure
 
     def spy(ring, prev, x):
         passes = certify(ring, prev, x)
-        if prev:
+        if x == ring.one():
+            (skipped if passes else checked).append((ring, prev))
+        elif prev:
             (decided if passes else declined).append((ring, prev, x))
         return passes
 
@@ -925,6 +941,14 @@ def test_regularity_certificate_matches_scan_oracles(monkeypatch):
     }
     assert BaseRing.integers_mod(4) in {ring.base for ring, _, _ in declined}
     assert outcomes == {(True, False), (False, True), (False, False)}
+    for ring, prefix in skipped:
+        assert not QuotientRing(ring, prefix).is_trivial(), (ring, prefix)
+    _clear_ring_caches()
+    assert len(skipped) >= 20 and len(checked) >= 20, (len(skipped), len(checked))
+    assert {ring.base for ring, _ in skipped} == {
+        BaseRing.integers(), BaseRing.integers_localized(3), BaseRing.prime_field(3),
+    }
+    assert BaseRing.integers_mod(4) in {ring.base for ring, _ in checked}
 
 
 # -- one lattice per ideal slice --------------------------------------

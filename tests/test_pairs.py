@@ -1,15 +1,24 @@
+import json
+from random import Random
+
 import pytest
 
-from regquot.clifford import augmentation, homology_presentation
-from regquot.conormal import ProductToken, QuotientRingSpec
+from regquot.cli import run_job
+from regquot.clifford import (
+    AlgebraMap,
+    CliffordAlgebra,
+    augmentation,
+    homology_presentation,
+)
+from regquot.conormal import ProductToken, QuotientRingSpec, opposite
 from regquot.errors import NotCompatible, NotUnital, NotWellDefined
+from regquot.jobio import parse_job
 from regquot.pairs import (
     AdmissiblePair,
     PairMorphism,
     make_pair,
     mixed_pair_presentation,
     naturality_suite,
-    opposite,
 )
 from regquot.ring import GradedRing, Generator, QuotientRing
 from regquot.scalars import BaseRing
@@ -161,3 +170,122 @@ def test_morphism_square_checked_over_the_whole_window():
     )
     with pytest.raises(NotWellDefined, match="in degree 10$"):
         morphism._verify_square()
+
+
+# -- multiplicativity by the Clifford relations ------------------------
+
+
+def ref_induced_map_multiplicative(amap):
+    """The ``induced-map-multiplicative`` check as ``naturality_suite`` ran
+    it before the certificate: every pair of source basis words u, v, with
+    apply(u) * apply(v) compared against apply(u * v)."""
+    cl_f = amap.source
+    words = cl_f.basis_words()
+    bad_pairs = []
+    for u in words:
+        for v in words:
+            eu = cl_f.element({u: cl_f.coeff.one()})
+            ev = cl_f.element({v: cl_f.coeff.one()})
+            if amap.apply(eu) * amap.apply(ev) != amap.apply(eu * ev):
+                bad_pairs.append("%s,%s" % (u, v))
+    return (
+        "induced-map-multiplicative",
+        not bad_pairs,
+        "fails on: " + "; ".join(bad_pairs) if bad_pairs else "",
+    )
+
+
+def _seeded_morphisms():
+    """Pair morphisms over Z, F_3, Z/4 and Z_(2) in R = base[x, y, v],
+    |v| = 6.  Each entry of the source sequence F is an entry g of the
+    target sequence G times 1, -1 or g, in a shuffled order; L holds G and
+    K holds F, and at most one more generator joins both.  About half the
+    draws twist: a unit-multiple entry and its g carry one obstruction, v
+    for x and y and x or y for a constant, so the source form is nonzero
+    unless L kills that obstruction."""
+    out = []
+    for base, consts in (
+        (BaseRing.integers(), [2, 3]),
+        (BaseRing.prime_field(3), []),
+        (BaseRing.integers_mod(4), []),
+        (BaseRing.integers_localized(2), [2]),
+    ):
+        ring = GradedRing(
+            base, [Generator("x", 2), Generator("y", 2), Generator("v", 6)], degree_window=18
+        )
+        x, y, v = (ring.var(n) for n in "xyv")
+        rng = Random("naturality:%r" % (base,))
+        for _ in range(8):
+            pool = [x, y] + [ring.constant(c) for c in rng.sample(consts, min(1, len(consts)))]
+            gs = rng.sample(pool, rng.randint(1, len(pool)))
+            twist = rng.random() < 0.5
+            obs = {g: (v if g.degree() else rng.choice([x, y])) if twist else None for g in gs}
+            entries = []
+            for g in gs:
+                u = rng.choice([1, -1, g])
+                entries.append((g * u, obs[g] if u in (1, -1) else None))
+            rng.shuffle(entries)
+            extra = [e for e in (x, y) if e not in gs][:rng.randint(0, 1)]
+            f = QuotientRingSpec(ring, [e for e, _ in entries],
+                                 [ProductToken(e, o) for e, o in entries])
+            g_spec = QuotientRingSpec(ring, gs, [ProductToken(g, obs[g]) for g in gs])
+            k = QuotientRing(ring, tuple(f.sequence) + tuple(extra))
+            l = QuotientRing(ring, tuple(gs) + tuple(extra))
+            out.append(PairMorphism(make_pair(f, k), make_pair(g_spec, l)))
+    return out
+
+
+def test_multiplicativity_certificate_matches_word_pair_replay(z_ring, k1_spec):
+    four = QuotientRing(z_ring, (z_ring.constant(4),))
+    exa = PairMorphism(
+        make_pair(QuotientRingSpec(z_ring, [z_ring.constant(16)]), four),
+        make_pair(QuotientRingSpec(z_ring, [z_ring.constant(8)]), four),
+    )
+    k1 = make_pair(k1_spec, k1_spec.coefficients)
+    bases, twisted = set(), 0
+    for m in [exa, PairMorphism(k1, k1)] + _seeded_morphisms():
+        report = naturality_suite(m)
+        assert report.amap is not None, m
+        assert report.checks[-1] == ref_induced_map_multiplicative(report.amap), m
+        bases.add(m.source.source.ring.base)
+        twisted += any(report.amap.source.q)
+    amap = naturality_suite(exa).amap
+    assert amap.images == (2 * amap.target.generator(0),)
+    assert len(bases) == 4 and twisted >= 10, (bases, twisted)
+
+
+def test_word_pair_replay_refutes_a_map_off_the_relations():
+    # The oracle is not vacuous: a map that skips the constructor's relation
+    # check and sends a0 to a0 + a1 in an algebra with a1^2 = 1 is not
+    # multiplicative, and the replay says so.
+    ext = CliffordAlgebra.from_scalars(BaseRing.prime_field(2), [0, 1])
+    amap = object.__new__(AlgebraMap)
+    amap.source, amap.target = ext, ext
+    amap.images = (ext.generator(0) + ext.generator(1), ext.generator(1))
+    name, passed, detail = ref_induced_map_multiplicative(amap)
+    assert not passed and detail.startswith("fails on: ")
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_naturality_job_applies_the_map_to_phi_samples_only(monkeypatch, n):
+    # The phi-square applies the map once per sequence entry and once per
+    # sum of two entries; the word-pair replay, 3 * 4^n more, is gone.
+    calls = []
+    apply = AlgebraMap.apply
+
+    def spy(self, elem):
+        calls.append(elem)
+        return apply(self, elem)
+
+    monkeypatch.setattr(AlgebraMap, "apply", spy)
+    names = ["x%d" % i for i in range(n)]
+    doc = {
+        "command": "naturality",
+        "ring": {"base": "Z", "generators": [{"name": x, "degree": 2} for x in names]},
+        "window": {"degree": 4},
+        "source_pair": {"sequence": names, "target": names},
+        "target_pair": {"sequence": names, "target": names},
+    }
+    report = run_job(parse_job(json.dumps(doc)))
+    assert report.status == 0 and report.results["all_pass"]
+    assert len(calls) == n + n * (n - 1) // 2

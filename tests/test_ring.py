@@ -343,9 +343,9 @@ def test_quotient_nf_memo_matches_uncached_normal_form():
     assert nonzero and inhomogeneous
 
 
-def test_quotient_operation_tables_match_fresh_normal_forms():
-    """``QuotientRing.mul``, ``add`` and ``neg`` answer from per-ring
-    tables.  On seeded pairs of normal forms over the K(2) at p=2
+def test_quotient_operations_match_fresh_normal_forms():
+    """``QuotientRing.mul``, ``add`` and ``neg`` reduce through the ring's
+    ``nf`` memo.  On seeded pairs of normal forms over the K(2) at p=2
     coefficient quotient Z_(2)[v1, v2^{±1}]/(2, v1), an F_3 quotient and a
     Z/4 quotient, each answer, asked twice and in both operand orders,
     equals a fresh ``normal_form_any`` of the raw result; a product that
