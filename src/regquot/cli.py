@@ -10,11 +10,11 @@ output so the JSON report stays byte-identical across runs.
 """
 from __future__ import annotations
 
-import argparse
+import gc
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .clifford import CliffordAlgebra, antipode, homology_presentation
 from .conormal import (
@@ -70,8 +70,7 @@ MATH_ERRORS = (
 )
 
 
-@dataclass
-class JobReport:
+class JobReport(NamedTuple):
     command: str
     status: int
     results: dict
@@ -364,6 +363,8 @@ def render_text(report: JobReport, elapsed=None) -> str:
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="regquot",
         description="Run one algebra job document and print the report.",
@@ -401,3 +402,10 @@ def main(argv=None) -> int:
             print("error[IO]: %s" % err, file=sys.stderr)
             return 2
     return report.status
+
+
+# Everything alive once the CLI is imported (modules, classes, functions,
+# constant tables) lives until the process exits.  Moving it to the
+# collector's permanent generation keeps a job's collections from scanning
+# it again, so they cost the same however much the import allocates.
+gc.freeze()

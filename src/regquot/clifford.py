@@ -17,8 +17,8 @@ products are memoized per algebra.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .conormal import (
     BilinearFormData,
@@ -411,8 +411,7 @@ def augmentation(u: CliffordElement):
 # -- presentations ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
+class AlgebraPresentation(NamedTuple):
     kind: str  # exterior | clifford | tensor-truncated
     generators: tuple  # (name, degree-or-None) pairs
     relations: tuple  # rendered strings

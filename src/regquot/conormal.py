@@ -8,7 +8,7 @@ representatives.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
 
@@ -24,20 +24,18 @@ from .ideals import ModuleEntry, RegularityReport, _regularity, checked_sequence
 from .ring import GradedRing, QuotientRing, RingElement, ideal_context, normal_form
 
 
-@dataclass(frozen=True)
-class ProductToken:
+class ProductToken(namedtuple("ProductToken", ("element", "obstruction", "commutative"))):
     """Declared product structure on R/x: an obstruction class mod (x).
 
-    The obstruction is stored as a representative in R of degree 2|x|+2.
-    The commutative flag is derived: it is set iff the representative
-    reduces to zero modulo (x).
+    The element and the obstruction are ``RingElement`` values; the
+    obstruction is stored as a representative in R of degree 2|x|+2, or
+    None.  The commutative flag is derived: it is set iff the
+    representative reduces to zero modulo (x).
     """
 
-    element: RingElement
-    obstruction: RingElement | None
-    commutative: bool
+    __slots__ = ()
 
-    def __init__(self, element, obstruction=None):
+    def __new__(cls, element, obstruction=None):
         if not isinstance(element, RingElement):
             raise SemanticError("token element must be a ring element")
         if element.is_zero():
@@ -62,9 +60,7 @@ class ProductToken:
             commutative = True
         else:
             commutative = normal_form(obstruction, (element,)).is_zero()
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "obstruction", obstruction)
-        object.__setattr__(self, "commutative", commutative)
+        return super().__new__(cls, element, obstruction, commutative)
 
     def obstruction_or_zero(self) -> RingElement:
         if self.obstruction is None:

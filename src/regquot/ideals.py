@@ -12,9 +12,10 @@ where it picks the integer, the p-local or the prime-field algebra.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, combinations
+from typing import NamedTuple
 
 from .errors import (
     ConditionIIFails,
@@ -62,20 +63,18 @@ def checked_sequence(ring: GradedRing, elements, allow_empty=False):
     return elems
 
 
-@dataclass(frozen=True)
-class HomogeneousIdeal:
-    """Finitely generated ideal with homogeneous even-degree generators."""
+class HomogeneousIdeal(namedtuple("HomogeneousIdeal", ("ring", "generators"))):
+    """Finitely generated ideal with homogeneous even-degree generators:
+    a ``GradedRing`` and the tuple of its checked nonzero generators."""
 
-    ring: GradedRing
-    generators: tuple
+    __slots__ = ()
 
-    def __init__(self, ring, generators):
+    def __new__(cls, ring, generators):
         gens = checked_sequence(ring, generators)
         for g in gens:
             if g.is_zero():
                 raise SemanticError("ideal generators must be nonzero")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "generators", gens)
+        return super().__new__(cls, ring, gens)
 
 
 def _gens(ring, ideal):
@@ -89,8 +88,7 @@ def _gens(ring, ideal):
 # -- module entries ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModuleEntry:
+class ModuleEntry(NamedTuple):
     """One graded piece: free rank plus nontrivial invariant factors."""
 
     free_rank: int = 0
@@ -106,12 +104,11 @@ class ModuleEntry:
         return len(self.factors)
 
 
-@dataclass
-class GradedModuleReport:
+class GradedModuleReport(NamedTuple):
     """Degreewise table of module invariants within a scan range."""
 
     scanned: tuple
-    entries: dict = field(default_factory=dict)
+    entries: dict
 
     def entry(self, d: int) -> ModuleEntry:
         return self.entries.get(d, ModuleEntry())
@@ -170,8 +167,7 @@ def _is_unit_row(coeffs, r, rows, lat, den=1) -> bool:
 # -- regular sequences ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     regular: bool
     first_failure: int | None
     failure_degree: int | None
@@ -475,7 +471,7 @@ def tor(ring: GradedRing, j_gens, k_gens, i: int, window: int | None = None):
             "sequence not verified regular (fails at entry %s)" % (reg.first_failure,)
         )
     degrees = list(ring.even_degrees(top))
-    report = GradedModuleReport((degrees[0] if degrees else 0, top))
+    report = GradedModuleReport((degrees[0] if degrees else 0, top), {})
     if i > cx.length:
         return report
     for q in degrees:
@@ -550,16 +546,14 @@ def check_condition_ii(ring: GradedRing, ideals, window: int | None = None):
 # -- conormal decomposition -------------------------------------------
 
 
-@dataclass
-class DecompositionDegree:
+class DecompositionDegree(NamedTuple):
     degree: int
     module: ModuleEntry
     summands: list
     verified: bool
 
 
-@dataclass
-class ConormalDecomposition:
+class ConormalDecomposition(NamedTuple):
     """I/I² split into per-ideal summands, verified degreewise."""
 
     degrees: dict

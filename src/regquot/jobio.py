@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .conormal import ProductToken, QuotientRingSpec
 from .errors import ParseError, SemanticError
@@ -56,8 +56,7 @@ def base_ring_from_name(name) -> BaseRing:
     )
 
 
-@dataclass
-class JobDescription:
+class JobDescription(NamedTuple):
     command: str
     data: dict
 

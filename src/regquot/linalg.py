@@ -237,7 +237,8 @@ class IntLattice(_Lattice):
     sparse and keeps that echelon form and its pivots, which is all that
     ``reduce``, ``contains`` and ``integer_coordinates`` read.  The
     transform that ``solve`` alone needs, the rows of the ``T`` of
-    ``hnf_transform`` up to the rank, is built on first read.
+    ``hnf_transform`` up to the rank, is built on first read, by a second
+    ``_hermite`` run on the rows with identity columns.
     """
 
     def __init__(self, rows, width):
@@ -252,7 +253,10 @@ class IntLattice(_Lattice):
 
     @cached_property
     def _transform(self):
-        return hnf_transform(self._rows, self.width)[1][: self.rank], 1
+        width = self.width
+        A = _with_identity([dict(row) for row in self._rows], width)
+        _hermite(A, width)
+        return [_columns(row, width, width + self.nrows) for row in A[: self.rank]], 1
 
     def _reduce(self, vec):
         """``(res, coef)``: ``vec`` reduced modulo the lattice, and the

@@ -8,7 +8,7 @@ earlier ones vanish in the quotient coefficients.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .clifford import AlgebraPresentation, homology_presentation
 from .conormal import (
@@ -24,8 +24,7 @@ from .ring import GradedRing, Generator
 from .scalars import BaseRing, is_prime
 
 
-@dataclass(frozen=True)
-class MoravaScenario:
+class MoravaScenario(NamedTuple):
     p: int
     n: int
     ring: GradedRing

@@ -8,7 +8,7 @@ reports each square separately.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .clifford import (
     AlgebraMap,
@@ -156,8 +156,7 @@ class PairMorphism:
         return "morphism(%r => %r)" % (self.source, self.target)
 
 
-@dataclass(frozen=True)
-class NaturalityReport:
+class NaturalityReport(NamedTuple):
     checks: tuple  # (name, passed, detail)
     amap: AlgebraMap | None = None  # the induced map, None when none exists
 

@@ -12,20 +12,19 @@ reduce to lattice computations over the base ring; see ``linalg``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add
+from typing import NamedTuple
 
 from .errors import MixedRings, NonHomogeneous, SemanticError, WindowOverflow
 from .linalg import cleared_matrix, lattice_for, module_invariants
 from .scalars import BaseRing
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     degree: int
     invertible: bool = False

@@ -1,6 +1,9 @@
 """End-to-end checks for the batch command line."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -601,3 +604,69 @@ def test_unwritable_report_path_exits_2(tmp_path, capsys):
     code = main([str(JOBS / "k1_p2.job"), "--json", str(tmp_path / "absent" / "r.json")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error[IO]: ")
+
+
+# -- start-up and records ----------------------------------------------
+
+
+def test_cli_import_skips_dataclasses_and_argparse_and_freezes():
+    """Importing the CLI in a fresh process adds neither ``dataclasses``
+    nor ``argparse`` to ``sys.modules``, and it leaves the import's objects
+    in the collector's permanent generation.  A bare ``import regquot``
+    freezes nothing."""
+    code = (
+        "import gc, json, sys\n"
+        "before = set(sys.modules)\n"
+        "import regquot\n"
+        "bare = gc.get_freeze_count()\n"
+        "import regquot.cli\n"
+        "added = set(sys.modules) - before\n"
+        "print(json.dumps([sorted(added & {'dataclasses', 'argparse'}), bare, gc.get_freeze_count()]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    added, bare, frozen = json.loads(out)
+    assert added == [] and bare == 0
+    assert frozen > 0
+
+
+def test_records_keep_their_semantics():
+    from regquot.clifford import AlgebraPresentation
+    from regquot.conormal import ProductToken
+    from regquot.ideals import HomogeneousIdeal, ModuleEntry, RegularityReport, tor
+    from regquot.morava import build_scenario
+    from regquot.pairs import NaturalityReport
+    from regquot.ring import Generator, GradedRing
+    from regquot.scalars import BaseRing
+
+    ring = GradedRing(BaseRing.integers(), [Generator("x", 2), Generator("y", 2)], 6)
+    x, y = ring.var("x"), ring.var("y")
+    # each report gets its own entries table
+    first, second = tor(ring, [x], [x], 0), tor(ring, [y], [y], 0)
+    assert first.entries and first.entries is not second.entries
+    # the validating constructors still refuse a zero entry
+    with pytest.raises(SemanticError):
+        ProductToken(ring.zero())
+    with pytest.raises(SemanticError):
+        HomogeneousIdeal(ring, [x, ring.zero()])
+    assert ProductToken(x).commutative and ProductToken(x, ring.zero()).obstruction is None
+    assert HomogeneousIdeal(ring, [x, y]).generators == (x, y)
+    frozen = [
+        Generator("x", 2),
+        ModuleEntry(),
+        RegularityReport(True, None, None, 6),
+        AlgebraPresentation("exterior", (), (), "Lambda()"),
+        NaturalityReport(()),
+        build_scenario(2, 1),
+        ProductToken(x),
+        HomogeneousIdeal(ring, [x]),
+    ]
+    for record in frozen:
+        field = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    assert repr(Generator("x", 2)) == "Generator(name='x', degree=2, invertible=False)"

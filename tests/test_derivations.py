@@ -759,7 +759,7 @@ def test_generator_checks_apply_no_generator(monkeypatch):
     assert not calls and not built
 
 
-def test_derivations_job_builds_each_generator_matrix_once(monkeypatch):
+def test_derivations_and_cohomology_jobs_build_no_operator_matrix(monkeypatch):
     """Neither a derivations nor a cohomology job builds a Q_i matrix: the
     squares and anticommutators are certified on the Q_i's signed word
     maps, which the Leibniz, rank and duality checks read too."""
