@@ -5,12 +5,12 @@ A lattice is the row span of a list of vectors.  Its canonical form is the
 row Hermite normal form over Z (Cohen, GTM 138, section 2.4), an echelon
 form with p-power pivots over Z_(p), and the reduced row echelon form mod
 p over F_p.  Every row and vector crossing this module's API is sparse, a
-``{col: value}`` dict that stores no zero, except the rows handed to the
-``IntLattice`` and ``LocalLattice`` constructors, which ``lattice_for``
-densifies.  The ideal-slice and Koszul rows are nearly empty, so each
-elimination step touches only nonzero entries (Dumas, Saunders & Villard,
-J. Symbolic Comput. 2001), and a reduction visits only the pivot columns
-its vector holds (``_pivot_walk``).
+``{col: value}`` dict that stores no zero, and each lattice takes the rows
+it is given as they are.  The ideal-slice and Koszul rows are nearly empty,
+so each elimination step touches only nonzero entries, a pivot column
+visits only the rows nonzero in it (``_column_index``; Dumas, Saunders &
+Villard, J. Symbolic Comput. 2001), and a reduction visits only the pivot
+columns its vector holds (``_pivot_walk``).
 
 Every lattice answers in integers over one unit ``D``, 1 over Z, F_p and
 Z/m and a p-unit over Z_(p) (``_Lattice`` lists the answers); nothing here
@@ -37,8 +37,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import compress, repeat
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .errors import SemanticError
 from .scalars import INTEGERS_LOCALIZED, INTEGERS_MOD, PRIME_FIELD
@@ -53,11 +52,6 @@ def _row_combination(coef, rows):
             for j, x in rows[k].items():
                 out[j] = out.get(j, 0) + c * x
     return {j: x for j, x in out.items() if x}
-
-
-def sparse_row(row):
-    """The nonzero entries of a dense row, as ``{col: value}``."""
-    return {j: row[j] for j in compress(range(len(row)), row)}
 
 
 def _columns(row, start, stop):
@@ -98,12 +92,29 @@ def _sub_multiple(dst, q, src):
             del dst[j]
 
 
+def _column_index(A, width):
+    """``(holders, place)``: ``holders[j]`` the indices of the rows of ``A``
+    nonzero in column ``j < width``, and ``place(i, row)`` its update on the
+    columns of ``row``, after a step that may change row ``i`` there."""
+    holders = {}
+
+    def place(i, row):
+        for j in row:
+            if j < width:
+                (holders.setdefault(j, set()).add if j in A[i] else holders[j].discard)(i)
+
+    for i, row in enumerate(A):
+        place(i, row)
+    return holders, place
+
+
 def _hermite(A, width):
     """Reduce the sparse integer rows ``A`` in place to row Hermite form.
 
     Pivots are sought in the first ``width`` columns only, so columns past
     ``width`` ride along with every row operation.  Returns the pivots as
-    ``(row, col)`` pairs.
+    ``(row, col)`` pairs.  ``_column_index`` keeps the rows nonzero in each
+    column, so a column visits only those, below the pivot and above it.
 
     It matches the dense elimination of Cohen, GTM 138, section 2.4 (kept
     as ``ref_hermite`` in the tests) step for step, on ``{col: value}``
@@ -111,25 +122,29 @@ def _hermite(A, width):
     row ``r``, the lowest row index on ties, swapped to row ``r``; every
     row below gets the floor-quotient multiple of it subtracted, until no
     entry below the pivot is left; then the pivot is made positive and the
-    rows above are reduced into ``[0, pivot)``.  Only the row operations
-    touch fewer cells.  The steps must stay the same because the transform
+    rows above are reduced into ``[0, pivot)``.  Only the cells and rows
+    visited are fewer.  The steps must stay the same because the transform
     is not unique: kernel rows and ``decompose_conormal``'s maps read it,
     and the reports built from them are pinned byte for byte in
     ``bench/golden.json``.
     """
     m = len(A)
+    holders, place = _column_index(A, width)
     pivots = []
     r = 0
     for c in range(width):
         if r == m:
             break
-        nz = [i for i in range(r, m) if c in A[i]]
+        nz = sorted(i for i in holders.get(c, ()) if i >= r)
         if not nz:
             continue
         while True:
             i0 = min(nz, key=lambda i: abs(A[i][c]))
             if i0 != r:
-                A[r], A[i0] = A[i0], A[r]
+                swapped = A[r], A[i0] = A[i0], A[r]
+                for i in (r, i0):
+                    for row in swapped:
+                        place(i, row)
             piv = A[r]
             a = piv[c]
             # The rows below r that are nonzero in column c, in row order;
@@ -139,6 +154,7 @@ def _hermite(A, width):
                 q = A[i][c] // a
                 if q:
                     _sub_multiple(A[i], q, piv)
+                    place(i, piv)
             nz = [i for i in below if c in A[i]]
             if not nz:
                 break
@@ -147,10 +163,12 @@ def _hermite(A, width):
             for j in piv:
                 piv[j] = -piv[j]
         a = piv[c]
-        for i in range(r):
-            q = A[i].get(c, 0) // a
+        # Column c is clear below r, so its other rows lie above.
+        for i in holders[c] - {r}:
+            q = A[i][c] // a
             if q:
                 _sub_multiple(A[i], q, piv)
+                place(i, piv)
         pivots.append((r, c))
         r += 1
     return pivots
@@ -233,19 +251,20 @@ class _Lattice:
 class IntLattice(_Lattice):
     """Row span of integer vectors with canonical coset representatives.
 
-    The constructor takes dense rows.  It runs ``_hermite`` on them made
-    sparse and keeps that echelon form and its pivots, which is all that
-    ``reduce``, ``contains`` and ``integer_coordinates`` read.  The
-    transform that ``solve`` alone needs, the rows of the ``T`` of
-    ``hnf_transform`` up to the rank, is built on first read, by a second
-    ``_hermite`` run on the rows with identity columns.
+    The constructor takes sparse integer rows, which it leaves as they are.
+    It runs ``_hermite`` on a copy and keeps that echelon form and its
+    pivots, which is all that ``reduce``, ``contains`` and
+    ``integer_coordinates`` read.  The transform that ``solve`` alone
+    needs, the rows of the ``T`` of ``hnf_transform`` up to the rank, is
+    built on first read, by a second ``_hermite`` run on the rows with
+    identity columns.
     """
 
     def __init__(self, rows, width):
         self.width = width
         self.nrows = len(rows)
-        self._rows = [sparse_row(row) for row in rows]
-        self._echelon = [dict(row) for row in self._rows]
+        self._rows = rows
+        self._echelon = [dict(row) for row in rows]
         self.pivots = _hermite(self._echelon, width)
         self.rank = len(self.pivots)
         self._row_at = {c: r for r, c in self.pivots}
@@ -293,16 +312,14 @@ def snf_invariants(rows):
     """Invariant factors (positive, each dividing the next) of the span of
     the sparse ``rows``.
 
-    A unit-pivot phase runs first (Dumas,
-    Saunders & Villard, J. Symbolic Comput. 2001): while some row has an
-    entry +-1, take the shortest such row (the first on ties, kept in a heap
-    keyed by length and position), subtract multiples of it from every
-    other row that is nonzero in the pivot column (kept in a column index),
-    and drop it.  Once
-    the pivot column is clear, column operations clear the rest of the
-    pivot row without touching any other row, so each such step splits off
-    one invariant factor 1.  The leftover rows, usually none, go to
-    ``_snf_general``.
+    A unit-pivot phase runs first (Dumas, Saunders & Villard, J. Symbolic
+    Comput. 2001): while some row has an entry +-1, take the shortest such
+    row (the first on ties, kept in a heap keyed by length and position),
+    subtract multiples of it from every other row that is nonzero in the
+    pivot column (``_column_index``), and drop it.  Once the pivot column is
+    clear, column operations clear the rest of the pivot row without
+    touching any other row, so each such step splits off one invariant
+    factor 1.  The leftover rows, usually none, go to ``_snf_general``.
     """
     A = [dict(row) for row in rows if row]
     # (length, index) of each row that holds a unit, smallest first.  An
@@ -310,28 +327,20 @@ def snf_invariants(rows):
     # its unit; a row is pushed again whenever an elimination changes it.
     queue = [(len(row), i) for i, row in enumerate(A) if _has_unit(row)]
     heapify(queue)
-    holders = {}  # column -> indices of the live rows nonzero there
-    for i, row in enumerate(A):
-        for j in row:
-            holders.setdefault(j, set()).add(i)
+    holders, place = _column_index(A, inf)
     units = 0
     while queue:
         n, i = heappop(queue)
         pivot = A[i]
         if not pivot or len(pivot) != n or not _has_unit(pivot):
             continue
-        A[i] = None
-        for j in pivot:
-            holders[j].discard(i)
+        A[i] = {}
+        place(i, pivot)
         c, u = next((j, x) for j, x in pivot.items() if x in (1, -1))
         for k in list(holders[c]):
             row = A[k]
             _sub_multiple(row, row[c] * u, pivot)
-            for j in pivot:
-                if j in row:
-                    holders[j].add(k)
-                else:
-                    holders[j].discard(k)
+            place(k, pivot)
             if _has_unit(row):
                 heappush(queue, (len(row), k))
         units += 1
@@ -422,9 +431,9 @@ def _stripped(row, d):
 
 
 def _local_rows(rows, p):
-    """``(A, d)``: each dense p-local row as sparse integer numerators
+    """``(A, d)``: each sparse p-local row as fresh integer numerators
     ``A[i]`` over a p-unit denominator ``d[i]``."""
-    pairs = [_local_numerators(sparse_row(row), p) for row in rows]
+    pairs = [_local_numerators(row, p) for row in rows]
     return [nums for nums, _ in pairs], [den for _, den in pairs]
 
 
@@ -443,21 +452,11 @@ def _bareiss_local(A, d, width, p):
     canonical residue in ``[0, p^v)``.  Each updated row is divided by its
     common factor with its denominator, which keeps the integers small.
 
-    ``holders`` indexes the rows nonzero in each column, as in
-    ``snf_invariants``, so a column visits only those rows, in row order;
-    ``place`` updates it on the columns of a row that a step may change.
+    ``_column_index`` keeps the rows nonzero in each column, as in
+    ``_hermite``, so a column visits only those rows, in row order.
     """
     m = len(A)
-    holders = {}  # column < width -> indices of the rows nonzero there
-
-    def place(i, row):
-        for j in row:
-            if j < width:
-                (holders.setdefault(j, set()).add if j in A[i] else holders[j].discard)(i)
-
-    for i, row in enumerate(A):
-        place(i, row)
-
+    holders, place = _column_index(A, width)
     pivots = []
     r = 0
     for c in range(width):
@@ -509,9 +508,10 @@ class LocalLattice(_Lattice):
     rows ``A[r]`` are ``integer_basis()``, and one loop, ``_reduce``, gives
     the residue and the coordinates on them over one p-unit.  The transform
     is built on first read by the same elimination with the identity
-    columns of ``_with_identity``.  The constructor takes dense rows; rows
-    whose denominator is divisible by ``p`` are not p-local and raise
-    ``SemanticError``.
+    columns of ``_with_identity``.  The constructor takes sparse rows, which
+    it leaves as they are; their values are ``int`` or p-local ``Fraction``
+    s, and a row with a denominator divisible by ``p`` is not p-local and
+    raises ``SemanticError``.
     """
 
     def __init__(self, rows, width, p):
@@ -724,15 +724,13 @@ def modulus_rows(base, width):
 def lattice_for(base, rows, width):
     """The span of the sparse ``rows`` over ``base``: a ``LocalLattice``
     over Z_(p), a ``FieldLattice`` over F_p, and an ``IntLattice`` over Z
-    and, on the rows lifted by ``modulus_rows``, over Z/m.  The integer and
-    p-local constructors take their rows dense."""
+    and, on the rows lifted by ``modulus_rows``, over Z/m.  Each lattice
+    takes the rows themselves, unchanged."""
     if base.kind == PRIME_FIELD:
         return FieldLattice(rows, width, base.p)
-    lift = rows + modulus_rows(base, width)
-    dense = [list(map(row.get, range(width), repeat(0))) for row in lift]
     if base.kind == INTEGERS_LOCALIZED:
-        return LocalLattice(dense, width, base.p)
-    return IntLattice(dense, width)
+        return LocalLattice(rows, width, base.p)
+    return IntLattice(rows + modulus_rows(base, width), width)
 
 
 def residue_prime(base, constants):

@@ -974,10 +974,11 @@ def test_slice_lattice_is_built_once_on_first_read(monkeypatch, base):
     assert ctx.rows and not built
     lat = ctx.lattice
     assert ctx.lattice is lat and len(built) == 1
-    # the integer and p-local constructors take the rows dense
+    # every constructor takes the slice's own rows, not copies made dense
     rows, width = built[0][:2]
     assert width == ctx.width
-    assert [row if type(lat) is FieldLattice else sparse_of(row) for row in rows] == ctx.rows
+    assert all(row is ctx_row for row, ctx_row in zip(rows, ctx.rows))
+    assert rows == ctx.rows
     cx = KoszulComplex(ring, [x, y], [x * y])
     assert any(cx.relation_rows(i, q) for i in range(3) for q in (4, 6, 8))
     assert len(built) == 1

@@ -151,7 +151,7 @@ def test_lattice_solve_returns_exact_witness():
         m = rng.randint(1, 4)
         w = rng.randint(1, 5)
         rows = [[rng.randint(-6, 6) for _ in range(w)] for _ in range(m)]
-        lat = IntLattice(rows, w)
+        lat = IntLattice(sparse_rows(rows), w)
         coeffs = [rng.randint(-5, 5) for _ in range(m)]
         v = combo(rows, coeffs)
         x, D = lat.solve(sparse_of(v))
@@ -165,7 +165,7 @@ def test_lattice_reduction_is_canonical_on_cosets():
         m = rng.randint(1, 3)
         w = rng.randint(1, 4)
         rows = [[rng.randint(-5, 5) for _ in range(w)] for _ in range(m)]
-        lat = IntLattice(rows, w)
+        lat = IntLattice(sparse_rows(rows), w)
         v = sparse_of([rng.randint(-9, 9) for _ in range(w)])
         shift = combo(rows, [rng.randint(-4, 4) for _ in range(m)])
         moved = sparse_of([v.get(j, 0) + b for j, b in enumerate(shift)])
@@ -227,9 +227,9 @@ def test_intersection_contains_common_vectors():
         rows_a = [[rng.randint(-4, 4) for _ in range(w)] for _ in range(rng.randint(1, 3))]
         rows_b = [[rng.randint(-4, 4) for _ in range(w)] for _ in range(rng.randint(1, 3))]
         inter = lattice_intersection_rows(ZZ, sparse_rows(rows_a), sparse_rows(rows_b), w)
-        lat_a = IntLattice(rows_a, w)
-        lat_b = IntLattice(rows_b, w)
-        lat_i = IntLattice([dense_of(g, w) for g in inter], w)
+        lat_a = IntLattice(sparse_rows(rows_a), w)
+        lat_b = IntLattice(sparse_rows(rows_b), w)
+        lat_i = IntLattice(inter, w)
         for g in inter:
             assert lat_a.contains(g) and lat_b.contains(g)
         v = sparse_of(combo(rows_a, [rng.randint(-3, 3) for _ in rows_a]))
@@ -249,14 +249,14 @@ def test_pval_and_p_part():
 
 def test_local_lattice_saturates_units():
     # over Z_(2) the row (3) spans everything, the row (6) spans 2*Z_(2)
-    lat3 = LocalLattice([[3]], 1, 2)
+    lat3 = LocalLattice(sparse_rows([[3]]), 1, 2)
     assert lat3.contains({0: 1})
     assert over(lat3.reduce({0: 1}), 1) == [0]
-    lat6 = LocalLattice([[6]], 1, 2)
+    lat6 = LocalLattice(sparse_rows([[6]]), 1, 2)
     assert over(lat6.reduce({0: 5}), 1) == [1]
     # 1/3 is 3 mod 2 * Z_(2) times the unit 3, and 3 * 3 = 9 is 1 mod 8
     assert over(lat6.reduce({0: Fraction(1, 3)}), 1) == [1]
-    assert over(LocalLattice([[8]], 1, 2).reduce({0: Fraction(1, 3)}), 1) == [3]
+    assert over(LocalLattice(sparse_rows([[8]]), 1, 2).reduce({0: Fraction(1, 3)}), 1) == [3]
     assert lat6.contains({0: Fraction(2, 3)})
     assert not lat6.contains({0: Fraction(1, 3)})
 
@@ -276,7 +276,7 @@ def test_local_lattice_solve_witness():
                     den = rng.choice([3, 5, 7, 11])
                 row.append(Fraction(rng.randint(-6, 6), den))
             rows.append(row)
-        lat = LocalLattice(rows, w, p)
+        lat = LocalLattice(sparse_rows(rows), w, p)
         coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(m)]
         v = [sum((q * row[j] for q, row in zip(coeffs, rows)), Fraction(0)) for j in range(w)]
         x = over(lat.solve(sparse_of(v)), m)
@@ -294,7 +294,7 @@ def test_local_lattice_reduction_canonical():
         w = rng.randint(1, 3)
         m = rng.randint(1, 3)
         rows = [[Fraction(rng.randint(-6, 6)) for _ in range(w)] for _ in range(m)]
-        lat = LocalLattice(rows, w, p)
+        lat = LocalLattice(sparse_rows(rows), w, p)
         v = [Fraction(rng.randint(-9, 9)) for _ in range(w)]
         coeffs = [rng.randint(-3, 3) for _ in range(m)]
         shift = [
@@ -470,10 +470,10 @@ def test_local_lattice_matches_fraction_oracle():
 
 
 def test_local_lattice_rejects_rows_that_are_not_p_local():
-    lat = LocalLattice([[Fraction(1, 3), 2]], 2, 2)
+    lat = LocalLattice(sparse_rows([[Fraction(1, 3), 2]]), 2, 2)
     assert lat.contains({0: 1, 1: 6})
     with pytest.raises(SemanticError) as err:
-        LocalLattice([[1, 0], [Fraction(3, 4), 1]], 2, 2)
+        LocalLattice(sparse_rows([[1, 0], [Fraction(3, 4), 1]]), 2, 2)
     with pytest.raises(SemanticError) as scalar_err:
         BaseRing.integers_localized(2).normalize(Fraction(3, 4))
     assert str(err.value) == str(scalar_err.value)
@@ -493,7 +493,7 @@ def test_integer_quotient_route_matches_cleared_fraction_coordinates():
     for _ in range(600):
         p = rng.choice([2, 3, 5])
         rows, w = local_matrix(rng, p)
-        lat = LocalLattice(rows, w, p)
+        lat = LocalLattice(sparse_rows(rows), w, p)
         base = BaseRing.integers_localized(p)
         b_rows = [
             [
@@ -745,7 +745,7 @@ def test_lazy_transform_matches_eager_hermite_form():
         m = len(rows)
         assert dense_hnf(rows, w) == (H, T, pivots)
         assert [dense_of(k, m) for k in kernel_basis(ZZ, sparse_rows(rows), w)] == T[len(pivots) :]
-        lat = IntLattice(rows, w)
+        lat = IntLattice(sparse_rows(rows), w)
         assert lat.integer_basis() == [sparse_of(H[r]) for r, _ in pivots]
         assert lat.pivots == pivots
         assert "_transform" not in vars(lat)
@@ -775,7 +775,7 @@ def test_hermite_reduce_is_canonical_under_unimodular_row_operations():
                 moved[i], moved[j] = moved[j], moved[i]
             else:
                 moved[i] = [-a for a in moved[i]]
-        lat, other = IntLattice(rows, w), IntLattice(moved, w)
+        lat, other = IntLattice(sparse_rows(rows), w), IntLattice(sparse_rows(moved), w)
         assert other.integer_basis() == lat.integer_basis()
         for _ in range(3):
             vec = sparse_of([rng.randint(-12, 12) for _ in range(w)])
@@ -793,7 +793,7 @@ def test_coordinates_match_second_lattice_route():
     for k in range(2000):
         if k % 4 == 0:
             rows, w = int_matrix(rng, 6, 6, list(range(-5, 6)) + [0] * 4)
-            lat = IntLattice(rows, w)
+            lat = IntLattice(sparse_rows(rows), w)
             if lat.rank:
                 H, T, pivots = ref_hnf_transform([dense_of(b, w) for b in lat.integer_basis()], w)
                 ref = lambda vec: ref_solve(H, T, pivots, vec)
@@ -808,7 +808,7 @@ def test_coordinates_match_second_lattice_route():
         else:
             p = rng.choice([2, 3, 5])
             rows, w = local_matrix(rng, p)
-            lat = LocalLattice(rows, w, p)
+            lat = LocalLattice(sparse_rows(rows), w, p)
             ref = RefLocalLattice([dense_of(b, w) for b in lat.integer_basis()], w, p).solve
 
             def member():
@@ -1014,6 +1014,60 @@ def test_int_lattice_matches_dense_reference():
         "koszul", "dense", "Z/m", "width 0", "no rows", "rows", "zero row", "repeated row",
         "dependent",
     }
+
+
+# -- the column index of the Hermite elimination, on wide sparse rows ------
+
+
+def wide_sparse_matrix(rng):
+    """Seeded rows, 20 to 40 of them over 20 to 40 columns, about one entry
+    in ten nonzero.  The entries take few sizes and both signs, so the
+    smallest entry of a column is often tied and often negative; half the
+    matrices hold no unit, so the Smith form leaves its unit-pivot phase at
+    once.  A few rows are empty, and a few are combinations of earlier rows,
+    which leave entries above the pivots."""
+    m, w = rng.randint(20, 40), rng.randint(20, 40)
+    entries = rng.choice([[1, -1, 2, -2, 2, -3, 4], [2, -2, 2, -3, 3, 4, -6, 9]])
+    rows = [[rng.choice(entries) if rng.random() < 0.1 else 0 for _ in range(w)] for _ in range(m)]
+    for i in rng.sample(range(m), 4):
+        if rng.random() < 0.5:
+            rows[i] = [0] * w
+        elif i:
+            rows[i] = combo(rows[:i], [rng.choice([0] * 6 + [1, -1, 2]) for _ in range(i)])
+    return rows, w
+
+
+def test_hermite_column_index_matches_dense_reference_on_wide_sparse_rows():
+    # The column index decides which rows each pivot column visits, below
+    # the pivot and above it; the dense references visit every row.
+    rng = Random(181)
+    cases = set()
+    for _ in range(80):
+        rows, w = wide_sparse_matrix(rng)
+        m = len(rows)
+        H, T, pivots = ref_hnf_augmented(rows, w)
+        assert dense_hnf(rows, w) == (H, T, pivots)
+        assert [dense_of(k, m) for k in kernel_basis(ZZ, sparse_rows(rows), w)] == T[len(pivots) :]
+        lat = IntLattice(sparse_rows(rows), w)
+        assert lat.pivots == pivots
+        assert lat.integer_basis() == [sparse_of(H[r]) for r, _ in pivots]
+        t, D = lat.integer_transform()
+        assert ([dense_of(x, m) for x in t], D) == (T[: len(pivots)], 1)
+        assert snf_invariants(sparse_rows(rows)) == RefSnf(rows).invariants
+        for c in range(w):
+            column = [x for row in rows if (x := row[c])]
+            least = min(map(abs, column), default=0)
+            if sum(abs(x) == least for x in column) > 1:
+                cases.add("tied")
+            if -least in column:
+                cases.add("negative")
+        if [0] * w in rows:
+            cases.add("empty row")
+        if any(H[i][c] for r, c in pivots for i in range(r)):
+            cases.add("above")
+        if not any(abs(x) == 1 for row in rows for x in row):
+            cases.add("no unit")
+    assert cases == {"tied", "negative", "empty row", "above", "no unit"}
 
 
 # -- the field lattice against the padded integer lattice ------------------

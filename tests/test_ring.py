@@ -486,11 +486,11 @@ def test_int_slice_rows_match_base_valued_rows():
                 # the padded integer route: one integer (or p-local) lattice
                 # and Smith form over the rows and the modulus rows
                 if base.kind == INTEGERS_LOCALIZED:
-                    ref_lat = LocalLattice(ref_rows, ctx.width, base.p)
+                    ref_lat = LocalLattice(sparse_rows(ref_rows), ctx.width, base.p)
                     cleared = sparse_rows(cleared_rows(ref_rows))
                     invs = [p_part(v, base.p) for v in snf_invariants(cleared)]
                 else:
-                    ref_lat = IntLattice(ref_rows, ctx.width)
+                    ref_lat = IntLattice(sparse_rows(ref_rows), ctx.width)
                     invs = snf_invariants(sparse_rows(ref_rows))
                 factors = tuple(sorted(v for v in invs if v > 1))
                 assert ctx.quotient_entry() == (ctx.width - len(invs), factors)
