@@ -7,10 +7,11 @@ form with p-power pivots over Z_(p), and the reduced row echelon form mod
 p over F_p.  Every row and vector crossing this module's API is sparse, a
 ``{col: value}`` dict that stores no zero, and each lattice takes the rows
 it is given as they are.  The ideal-slice and Koszul rows are nearly empty,
-so each elimination step touches only nonzero entries, a pivot column
-visits only the rows nonzero in it (``_column_index``; Dumas, Saunders &
-Villard, J. Symbolic Comput. 2001), and a reduction visits only the pivot
-columns its vector holds (``_pivot_walk``).
+so each elimination step touches only nonzero entries (Dumas, Saunders &
+Villard, J. Symbolic Comput. 2001), a pivot column of the p-local and
+Smith eliminations visits only the rows nonzero in it (``_column_index``),
+and a reduction visits only the pivot columns its vector holds
+(``_pivot_walk``).
 
 Every lattice answers in integers over one unit ``D``, 1 over Z, F_p and
 Z/m and a p-unit over Z_(p) (``_Lattice`` lists the answers); nothing here
@@ -113,8 +114,7 @@ def _hermite(A, width):
 
     Pivots are sought in the first ``width`` columns only, so columns past
     ``width`` ride along with every row operation.  Returns the pivots as
-    ``(row, col)`` pairs.  ``_column_index`` keeps the rows nonzero in each
-    column, so a column visits only those, below the pivot and above it.
+    ``(row, col)`` pairs.
 
     It matches the dense elimination of Cohen, GTM 138, section 2.4 (kept
     as ``ref_hermite`` in the tests) step for step, on ``{col: value}``
@@ -122,29 +122,25 @@ def _hermite(A, width):
     row ``r``, the lowest row index on ties, swapped to row ``r``; every
     row below gets the floor-quotient multiple of it subtracted, until no
     entry below the pivot is left; then the pivot is made positive and the
-    rows above are reduced into ``[0, pivot)``.  Only the cells and rows
-    visited are fewer.  The steps must stay the same because the transform
+    rows above are reduced into ``[0, pivot)``.  Only the row operations
+    touch fewer cells.  The steps must stay the same because the transform
     is not unique: kernel rows and ``decompose_conormal``'s maps read it,
     and the reports built from them are pinned byte for byte in
     ``bench/golden.json``.
     """
     m = len(A)
-    holders, place = _column_index(A, width)
     pivots = []
     r = 0
     for c in range(width):
         if r == m:
             break
-        nz = sorted(i for i in holders.get(c, ()) if i >= r)
+        nz = [i for i in range(r, m) if c in A[i]]
         if not nz:
             continue
         while True:
             i0 = min(nz, key=lambda i: abs(A[i][c]))
             if i0 != r:
-                swapped = A[r], A[i0] = A[i0], A[r]
-                for i in (r, i0):
-                    for row in swapped:
-                        place(i, row)
+                A[r], A[i0] = A[i0], A[r]
             piv = A[r]
             a = piv[c]
             # The rows below r that are nonzero in column c, in row order;
@@ -154,7 +150,6 @@ def _hermite(A, width):
                 q = A[i][c] // a
                 if q:
                     _sub_multiple(A[i], q, piv)
-                    place(i, piv)
             nz = [i for i in below if c in A[i]]
             if not nz:
                 break
@@ -163,12 +158,10 @@ def _hermite(A, width):
             for j in piv:
                 piv[j] = -piv[j]
         a = piv[c]
-        # Column c is clear below r, so its other rows lie above.
-        for i in holders[c] - {r}:
-            q = A[i][c] // a
+        for i in range(r):
+            q = A[i].get(c, 0) // a
             if q:
                 _sub_multiple(A[i], q, piv)
-                place(i, piv)
         pivots.append((r, c))
         r += 1
     return pivots
@@ -251,9 +244,9 @@ class _Lattice:
 class IntLattice(_Lattice):
     """Row span of integer vectors with canonical coset representatives.
 
-    The constructor takes sparse integer rows, which it leaves as they are.
-    It runs ``_hermite`` on a copy and keeps that echelon form and its
-    pivots, which is all that ``reduce``, ``contains`` and
+    The constructor takes sparse integer rows.  It changes none of them and
+    keeps its own list of them, which the transform reads later.  It runs
+    ``_hermite`` on a copy and keeps that echelon form and its pivots, which is all that ``reduce``, ``contains`` and
     ``integer_coordinates`` read.  The transform that ``solve`` alone
     needs, the rows of the ``T`` of ``hnf_transform`` up to the rank, is
     built on first read, by a second ``_hermite`` run on the rows with
@@ -263,7 +256,7 @@ class IntLattice(_Lattice):
     def __init__(self, rows, width):
         self.width = width
         self.nrows = len(rows)
-        self._rows = rows
+        self._rows = list(rows)
         self._echelon = [dict(row) for row in rows]
         self.pivots = _hermite(self._echelon, width)
         self.rank = len(self.pivots)
@@ -453,7 +446,7 @@ def _bareiss_local(A, d, width, p):
     common factor with its denominator, which keeps the integers small.
 
     ``_column_index`` keeps the rows nonzero in each column, as in
-    ``_hermite``, so a column visits only those rows, in row order.
+    ``snf_invariants``, so a column visits only those rows, in row order.
     """
     m = len(A)
     holders, place = _column_index(A, width)
@@ -508,17 +501,18 @@ class LocalLattice(_Lattice):
     rows ``A[r]`` are ``integer_basis()``, and one loop, ``_reduce``, gives
     the residue and the coordinates on them over one p-unit.  The transform
     is built on first read by the same elimination with the identity
-    columns of ``_with_identity``.  The constructor takes sparse rows, which
-    it leaves as they are; their values are ``int`` or p-local ``Fraction``
-    s, and a row with a denominator divisible by ``p`` is not p-local and
-    raises ``SemanticError``.
+    columns of ``_with_identity``.  The constructor takes sparse rows and,
+    like ``IntLattice``, keeps its own list of them and changes none; their
+    values are ``int`` or p-local ``Fraction`` s, and a row with a
+    denominator divisible by ``p`` is not p-local and raises
+    ``SemanticError``.
     """
 
     def __init__(self, rows, width, p):
         self.p = p
         self.width = width
         self.nrows = len(rows)
-        self._rows = rows
+        self._rows = list(rows)
         self._echelon, self._d = _local_rows(rows, p)
         self.pivots = _bareiss_local(self._echelon, self._d, width, p)
         self.rank = len(self.pivots)
@@ -655,7 +649,7 @@ class FieldLattice(_Lattice):
         self.p = p
         self.width = width
         self.nrows = len(rows)
-        self._rows = rows
+        self._rows = list(rows)
         row_at, _ = _echelon_mod_p(rows, width, p)
         self.pivots = sorted(row_at)
         self._echelon = [row_at[c] for c in self.pivots]

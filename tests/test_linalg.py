@@ -1016,7 +1016,7 @@ def test_int_lattice_matches_dense_reference():
     }
 
 
-# -- the column index of the Hermite elimination, on wide sparse rows ------
+# -- the sparse Hermite and Smith eliminations, on wide sparse rows --------
 
 
 def wide_sparse_matrix(rng):
@@ -1037,9 +1037,10 @@ def wide_sparse_matrix(rng):
     return rows, w
 
 
-def test_hermite_column_index_matches_dense_reference_on_wide_sparse_rows():
-    # The column index decides which rows each pivot column visits, below
-    # the pivot and above it; the dense references visit every row.
+def test_sparse_elimination_matches_dense_reference_on_wide_sparse_rows():
+    # The sparse row operations of _hermite and the column index of
+    # snf_invariants' unit pivots skip the zero cells and rows that the
+    # dense references visit.
     rng = Random(181)
     cases = set()
     for _ in range(80):
