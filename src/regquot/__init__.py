@@ -6,91 +6,83 @@ forms, Clifford and exterior algebra presentations of quotient
 homology, Bockstein derivations on the cohomology side, and ready-made
 Morava K-theory scenarios.  The ``regquot`` command line runs one JSON
 job document per invocation.
+
+Importing the package executes none of its modules.  The names of
+``__all__`` resolve on first use (PEP 562), and the algebra modules that
+only some commands run are registered in ``sys.modules`` through
+``importlib.util.LazyLoader``: each is there at once, and it executes on
+its first attribute read.
 """
+import sys
+from importlib import import_module
+from importlib.util import LazyLoader, find_spec, module_from_spec
+
 __version__ = "0.1.0"
 
-from .clifford import (
-    AlgebraPresentation,
-    CliffordAlgebra,
-    TensorAlgebra,
-    antipode,
-    brute_force_presentation,
-    homology_presentation,
-    induced_algebra_map,
-    orthogonal_split,
-    presentation_of,
-    tau,
-)
-from .conormal import (
-    BilinearFormData,
-    ProductToken,
-    QuotientRingSpec,
-    base_change_form,
-    characteristic_form_diagonal,
-    conormal_module,
-    zero_form,
-)
-from .derivations import (
-    bockstein,
-    cohomology_presentation,
-    compose,
-    duality_square_commutes,
-    leibniz_check,
-    theta,
-    theta_rank,
-)
-from .ideals import (
-    check_condition_ii,
-    check_regular_sequence,
-    decompose_conormal,
-    tor,
-    tor1_equals_intersection_over_product,
-)
-from .morava import MoravaScenario, build_scenario, kn_form, minimum_window
-from .pairs import AdmissiblePair, PairMorphism, make_pair, naturality_suite
-from .ring import GradedRing, Generator, QuotientRing
-from .scalars import BaseRing
+_EXPORTS = {
+    "clifford": (
+        "AlgebraPresentation",
+        "CliffordAlgebra",
+        "TensorAlgebra",
+        "antipode",
+        "brute_force_presentation",
+        "homology_presentation",
+        "induced_algebra_map",
+        "orthogonal_split",
+        "presentation_of",
+        "tau",
+    ),
+    "conormal": (
+        "BilinearFormData",
+        "ProductToken",
+        "QuotientRingSpec",
+        "base_change_form",
+        "characteristic_form_diagonal",
+        "conormal_module",
+        "zero_form",
+    ),
+    "derivations": (
+        "bockstein",
+        "cohomology_presentation",
+        "compose",
+        "duality_square_commutes",
+        "leibniz_check",
+        "theta",
+        "theta_rank",
+    ),
+    "ideals": (
+        "check_condition_ii",
+        "check_regular_sequence",
+        "decompose_conormal",
+        "tor",
+        "tor1_equals_intersection_over_product",
+    ),
+    "morava": ("MoravaScenario", "build_scenario", "kn_form", "minimum_window"),
+    "pairs": ("AdmissiblePair", "PairMorphism", "make_pair", "naturality_suite"),
+    "ring": ("GradedRing", "Generator", "QuotientRing"),
+    "scalars": ("BaseRing",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
 
-__all__ = [
-    "AdmissiblePair",
-    "AlgebraPresentation",
-    "BaseRing",
-    "BilinearFormData",
-    "CliffordAlgebra",
-    "Generator",
-    "GradedRing",
-    "MoravaScenario",
-    "PairMorphism",
-    "ProductToken",
-    "QuotientRing",
-    "QuotientRingSpec",
-    "TensorAlgebra",
-    "antipode",
-    "base_change_form",
-    "bockstein",
-    "brute_force_presentation",
-    "build_scenario",
-    "characteristic_form_diagonal",
-    "check_condition_ii",
-    "check_regular_sequence",
-    "cohomology_presentation",
-    "compose",
-    "conormal_module",
-    "decompose_conormal",
-    "duality_square_commutes",
-    "homology_presentation",
-    "induced_algebra_map",
-    "kn_form",
-    "leibniz_check",
-    "make_pair",
-    "minimum_window",
-    "naturality_suite",
-    "orthogonal_split",
-    "presentation_of",
-    "tau",
-    "theta",
-    "theta_rank",
-    "tor",
-    "tor1_equals_intersection_over_product",
-    "zero_form",
-]
+# The algebra layers past the ring core.  jobio.parse_job executes the
+# ones a job's command runs, so the tor and decompose jobs never compile
+# them.  They are in sys.modules from here on, as callers that look a
+# module up there before any job is parsed expect.
+for _name in ("clifford", "conormal", "derivations", "morava", "pairs"):
+    _spec = find_spec("%s.%s" % (__name__, _name))
+    _spec.loader = LazyLoader(_spec.loader)
+    _module = globals()[_name] = sys.modules[_spec.name] = module_from_spec(_spec)
+    _spec.loader.exec_module(_module)
+del _name, _spec, _module
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = globals()[name] = getattr(import_module("." + _HOME[name], __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

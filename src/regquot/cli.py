@@ -16,18 +16,7 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-from .clifford import CliffordAlgebra, antipode, homology_presentation
-from .conormal import (
-    base_change_form,
-    characteristic_form_diagonal,
-    conormal_module,
-    zero_form,
-)
-from .derivations import (
-    cohomology_presentation,
-    duality_square_commutes,
-    generator_checks,
-)
+from . import clifford, conormal, derivations, morava, pairs
 from .errors import (
     AlgebraError,
     ConditionIIFails,
@@ -55,8 +44,6 @@ from .jobio import (
     spec_from_job,
     target_from_job,
 )
-from .morava import build_scenario, kn_algebra
-from .pairs import PairMorphism, make_pair, naturality_suite
 from .ring import QuotientRing
 
 MATH_ERRORS = (
@@ -87,7 +74,7 @@ class JobReport(NamedTuple):
 
 def _scenario_from(doc: dict, window, laurent):
     block = doc["scenario"]
-    return build_scenario(
+    return morava.build_scenario(
         block["p"],
         block["n"],
         window=window if window is not None else doc.get("window", {}).get("degree"),
@@ -131,27 +118,27 @@ def algebra_element(cl, text: str):
 
 def _cmd_presentation(doc, window, laurent):
     spec, target = _spec_and_target(doc, window, laurent)
-    pres, _ = homology_presentation(spec, target)
+    pres, _ = clifford.homology_presentation(spec, target)
     return 0, presentation_payload(pres), pres.warnings
 
 
 def _cmd_cohomology(doc, window, laurent):
     spec, _ = _spec_and_target(doc, window, laurent)
-    pres = cohomology_presentation(spec)
+    pres = derivations.cohomology_presentation(spec)
     return 0, presentation_payload(pres), pres.warnings
 
 
 def _cmd_form(doc, window, laurent):
     spec, target = _spec_and_target(doc, window, laurent)
-    form = characteristic_form_diagonal(spec)
+    form = conormal.characteristic_form_diagonal(spec)
     if target is not None:
-        form = base_change_form(form, target)
+        form = conormal.base_change_form(form, target)
     return 0, form_payload(form), ()
 
 
 def _cmd_multiply(doc, window, laurent):
     spec, target = _spec_and_target(doc, window, laurent)
-    _, cl = homology_presentation(spec, target)
+    _, cl = clifford.homology_presentation(spec, target)
     factors = doc.get("factors")
     if not isinstance(factors, list) or not factors:
         raise SemanticError("multiply needs a non-empty factors list")
@@ -163,20 +150,21 @@ def _cmd_multiply(doc, window, laurent):
 
 def _cmd_antipode(doc, window, laurent):
     spec, target = _spec_and_target(doc, window, laurent)
-    _, cl = homology_presentation(spec, target)
+    _, cl = clifford.homology_presentation(spec, target)
     text = doc.get("element")
     if not isinstance(text, str):
         raise SemanticError("antipode needs an element expression")
     value = algebra_element(cl, text)
-    return 0, {"element": element_payload(value), "antipode": element_payload(antipode(value))}, ()
+    image = clifford.antipode(value)
+    return 0, {"element": element_payload(value), "antipode": element_payload(image)}, ()
 
 
 def _cmd_derivations(doc, window, laurent):
     spec, _ = _spec_and_target(doc, window, laurent)
-    module = conormal_module(spec)
-    ext = CliffordAlgebra(module, zero_form(module))
-    qs, leibniz, certified, rank = generator_checks(ext)
-    duality = duality_square_commutes(ext, qs)
+    module = conormal.conormal_module(spec)
+    ext = clifford.CliffordAlgebra(module, conormal.zero_form(module))
+    qs, leibniz, certified, rank = derivations.generator_checks(ext)
+    duality = derivations.duality_square_commutes(ext, qs)
     ok = certified and rank == 2**ext.n and duality
     results = {
         "rank": ext.n,
@@ -259,15 +247,15 @@ def _pair_from_block(ring, block):
     if target is None:
         raise SemanticError("pair blocks need a target ideal")
     tq = tuple(ring.parse(t) for t in target)
-    return make_pair(spec, QuotientRing(ring, tq), block.get("multiplicative", False))
+    return pairs.make_pair(spec, QuotientRing(ring, tq), block.get("multiplicative", False))
 
 
 def _cmd_naturality(doc, window, laurent):
     ring = ring_from_job(doc, window, laurent)
     source = _pair_from_block(ring, doc.get("source_pair"))
     target = _pair_from_block(ring, doc.get("target_pair"))
-    morphism = PairMorphism(source, target)
-    report = naturality_suite(morphism)
+    morphism = pairs.PairMorphism(source, target)
+    report = pairs.naturality_suite(morphism)
     if report.amap is None:
         raise NotCompatible(report.detail("induced-map-exists"))
     results = {
@@ -283,7 +271,7 @@ def _cmd_naturality(doc, window, laurent):
 
 def _cmd_scenario(doc, window, laurent):
     sc = _scenario_from(doc, window, laurent)
-    pres, algebra = kn_algebra(sc)
+    pres, algebra = morava.kn_algebra(sc)
     results = {
         "p": sc.p,
         "n": sc.n,
@@ -291,7 +279,7 @@ def _cmd_scenario(doc, window, laurent):
         "laurent": sc.laurent,
         "ring": repr(sc.ring),
         "homology": presentation_payload(pres),
-        "cohomology": presentation_payload(cohomology_presentation(sc.spec)),
+        "cohomology": presentation_payload(derivations.cohomology_presentation(sc.spec)),
         "form": form_payload(algebra.form),
     }
     return 0, results, pres.warnings
@@ -376,14 +364,11 @@ def main(argv=None) -> int:
     parser.add_argument("--window", type=int, help="override the degree window")
     parser.add_argument("--laurent", type=int, help="override the laurent window")
     ns = parser.parse_args(argv)
-    if ns.job == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            text = Path(ns.job).read_text()
-        except OSError as err:
-            print("error[IO]: %s" % err, file=sys.stderr)
-            return 2
+    try:
+        text = sys.stdin.read() if ns.job == "-" else Path(ns.job).read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        print("error[IO]: %s" % err, file=sys.stderr)
+        return 2
     started = time.monotonic()
     try:
         job = parse_job(text)

@@ -128,7 +128,10 @@ class _Parser:
 def evaluate(text: str, atom, constant, power):
     """Parse and evaluate ``text`` with the supplied semantics."""
     parser = _Parser(tokenize(text), atom, constant, power)
-    value = parser.parse_expr()
+    try:
+        value = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nests too deeply") from None
     end = parser.take("end")
     del end
     return value

@@ -9,29 +9,35 @@ inputs produce identical bytes; timing never enters the JSON form.
 """
 from __future__ import annotations
 
+import gc
 import json
 import re
+import sys
+from types import ModuleType
 from typing import NamedTuple
 
-from .conormal import ProductToken, QuotientRingSpec
 from .errors import ParseError, SemanticError
 from .ring import GradedRing, Generator, QuotientRing
 from .scalars import BaseRing
 
-COMMANDS = (
-    "presentation",
-    "cohomology",
-    "form",
-    "multiply",
-    "antipode",
-    "derivations",
-    "check-regular",
-    "tor",
-    "condition-ii",
-    "decompose",
-    "naturality",
-    "scenario",
-)
+# command -> the algebra modules its handler runs past the ring core (a
+# document with a scenario block also runs morava).  The package registers
+# them without executing them; parse_job executes a job's own, so a job
+# compiles no other algebra module and does so before it runs.
+COMMANDS = {
+    "presentation": ("clifford",),
+    "cohomology": ("derivations",),
+    "form": ("conormal",),
+    "multiply": ("clifford",),
+    "antipode": ("clifford",),
+    "derivations": ("derivations",),
+    "check-regular": ("conormal",),
+    "tor": (),
+    "condition-ii": (),
+    "decompose": (),
+    "naturality": ("pairs",),
+    "scenario": ("morava",),
+}
 
 _BASE_PATTERNS = (
     (re.compile(r"^Z$"), lambda m: BaseRing.integers()),
@@ -107,18 +113,21 @@ def parse_job(text: str) -> JobDescription:
     here: expression lists must hold strings (``sequence`` also entry
     objects), ``ideals`` must be a list of such lists, integers must be
     JSON integers, not booleans, and the flags ``invertible`` and
-    ``multiplicative`` must be JSON booleans.
+    ``multiplicative`` must be JSON booleans.  A valid job's algebra
+    modules (``COMMANDS``) are executed here, before the job runs.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(err.msg, err.lineno, err.colno)
+    except RecursionError:
+        raise ParseError("job document nests too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("job document must be a JSON object")
     command = doc.get("command")
     if command is None:
         raise SemanticError("job is missing the command field")
-    if command not in COMMANDS:
+    if not isinstance(command, str) or command not in COMMANDS:
         raise SemanticError(
             "unknown command %r (expected one of %s)" % (command, ", ".join(COMMANDS))
         )
@@ -179,7 +188,26 @@ def parse_job(text: str) -> JobDescription:
             _check_expressions(pair.get("target"), "target")
             if not isinstance(pair.get("multiplicative", False), bool):
                 raise SemanticError("%s: multiplicative must be true or false" % key)
+    _execute(COMMANDS[command] + (("morava",) if "scenario" in doc else ()))
     return JobDescription(command, doc)
+
+
+def _execute(names) -> None:
+    """Execute the deferred modules ``names`` that have not run yet.
+
+    A module ``LazyLoader`` registered executes on its first attribute
+    read and is a plain ``ModuleType`` from then on.  As at the end of the
+    CLI import, what the modules built moves to the collector's permanent
+    generation, so the job's collections never scan it.
+    """
+    executed = False
+    for name in names:
+        module = sys.modules["%s.%s" % (__package__, name)]
+        if type(module) is not ModuleType:
+            module.__name__  # the first attribute read executes it
+            executed = True
+    if executed:
+        gc.freeze()
 
 
 def ring_from_job(doc: dict, window=None, laurent=None) -> GradedRing:
@@ -203,7 +231,9 @@ def ring_from_job(doc: dict, window=None, laurent=None) -> GradedRing:
     return ring
 
 
-def sequence_from_job(ring: GradedRing, entries) -> QuotientRingSpec:
+def sequence_from_job(ring: GradedRing, entries):
+    from .conormal import ProductToken, QuotientRingSpec
+
     tokens = []
     for item in entries:
         if isinstance(item, str):
@@ -216,7 +246,7 @@ def sequence_from_job(ring: GradedRing, entries) -> QuotientRingSpec:
     return QuotientRingSpec(ring, [tok.element for tok in tokens], tokens)
 
 
-def spec_from_job(ring: GradedRing, doc: dict) -> QuotientRingSpec:
+def spec_from_job(ring: GradedRing, doc: dict):
     entries = doc.get("sequence")
     if entries is None:
         raise SemanticError("this command needs a sequence block")

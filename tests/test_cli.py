@@ -1,5 +1,6 @@
 """End-to-end checks for the batch command line."""
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -398,6 +399,49 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "error[IO]" in capsys.readouterr().err
 
 
+def test_job_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_bytes(b"\xff\xfe" + '{"command": "tor"}'.encode("utf-16-le"))
+    assert main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[IO]: ") and captured.err.count("\n") == 1
+    assert "utf-8" in captured.err and captured.out == ""
+
+
+def test_stdin_that_is_not_utf8_exits_2(capsys, monkeypatch):
+    raw = io.BytesIO(b"\xff\xfe{}")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, "utf-8", errors="strict"))
+    assert main(["-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[IO]: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000,
+        json.dumps(
+            {
+                "command": "tor",
+                "ring": {"base": "Z", "generators": [{"name": "x", "degree": 2}]},
+                "first": ["(" * 3000 + "x" + ")" * 3000],
+                "second": ["x"],
+                "index": 1,
+            }
+        ),
+    ],
+    ids=["json", "expression"],
+)
+def test_nesting_too_deep_exits_2(text, tmp_path, capsys):
+    """A document or an expression nested past the interpreter's recursion
+    limit is invalid input, not an internal error."""
+    path = tmp_path / "job.json"
+    path.write_text(text)
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[ParseError]: ") and "nests too deeply" in err
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError):
         parse_job("[1, 2]")
@@ -609,27 +653,129 @@ def test_unwritable_report_path_exits_2(tmp_path, capsys):
 # -- start-up and records ----------------------------------------------
 
 
+# The modules that run on every job, and the algebra modules past them,
+# each with the modules its execution executes.
+RING_CORE = ["", "cli", "errors", "exprs", "ideals", "jobio", "linalg", "ring", "scalars"]
+ALGEBRA = {
+    "conormal": ["conormal"],
+    "clifford": ["clifford", "conormal"],
+    "derivations": ["clifford", "conormal", "derivations"],
+    "pairs": ["clifford", "conormal", "pairs"],
+    "morava": ["clifford", "conormal", "derivations", "morava"],
+}
+
+# Prints the regquot modules that have executed.  A module that
+# LazyLoader registered is of a ModuleType subclass until its first use.
+EXECUTED = (
+    "def executed():\n"
+    "    return sorted(n[8:] for n, m in sys.modules.items()\n"
+    "                  if n.split('.')[0] == 'regquot' and type(m) is types.ModuleType)\n"
+)
+
+
+def _fresh_python(code, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return json.loads(
+        subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+    )
+
+
 def test_cli_import_skips_dataclasses_and_argparse_and_freezes():
     """Importing the CLI in a fresh process adds neither ``dataclasses``
     nor ``argparse`` to ``sys.modules``, and it leaves the import's objects
     in the collector's permanent generation.  A bare ``import regquot``
-    freezes nothing."""
+    freezes nothing.  Only the ring core executes; the algebra modules are
+    in ``sys.modules`` all the same, and every name of ``regquot.__all__``
+    resolves, by attribute and by ``from regquot import *``."""
     code = (
-        "import gc, json, sys\n"
-        "before = set(sys.modules)\n"
+        "import gc, json, sys, types\n"
+        + EXECUTED
+        + "before = set(sys.modules)\n"
         "import regquot\n"
         "bare = gc.get_freeze_count()\n"
         "import regquot.cli\n"
         "added = set(sys.modules) - before\n"
-        "print(json.dumps([sorted(added & {'dataclasses', 'argparse'}), bare, gc.get_freeze_count()]))\n"
+        "ran = executed()\n"
+        "registered = sorted(n[8:] for n in added if n.startswith('regquot.'))\n"
+        "missing = [n for n in regquot.__all__ if getattr(regquot, n, None) is None]\n"
+        "star = {}\n"
+        "exec('from regquot import *', star)\n"
+        "missing += sorted(set(regquot.__all__) - set(star))\n"
+        "print(json.dumps([sorted(added & {'dataclasses', 'argparse'}), bare,\n"
+        "                  gc.get_freeze_count(), ran, registered, missing]))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    added, bare, frozen = json.loads(out)
+    added, bare, frozen, ran, registered, missing = _fresh_python(code)
     assert added == [] and bare == 0
     assert frozen > 0
+    assert ran == RING_CORE
+    assert registered == sorted(RING_CORE[1:] + list(ALGEBRA))
+    assert missing == []
+
+
+_RING = {
+    "ring": {
+        "base": "Z",
+        "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 2}],
+    },
+    "window": {"degree": 4},
+}
+
+# one valid document per command, with the algebra modules its job runs
+LOADING = {
+    "presentation": (dict(_RING, sequence=["x", "y"], target=["x", "y"]), "clifford"),
+    "cohomology": (dict(_RING, sequence=["x", "y"]), "derivations"),
+    "form": (dict(_RING, sequence=["x", "y"], target=["x", "y"]), "conormal"),
+    # a scenario block brings in morava whatever the command
+    "multiply": ({"scenario": {"p": 2, "n": 2}, "factors": ["a0", "a1"]}, "morava"),
+    "antipode": (dict(_RING, sequence=["x", "y"], element="a0*a1 + 2*a0"), "clifford"),
+    "derivations": (dict(_RING, sequence=["x", "y"]), "derivations"),
+    "check-regular": (dict(_RING, sequence=["x", "y"]), "conormal"),
+    "tor": (dict(_RING, first=["x", "y"], second=["x"], index=1), None),
+    "condition-ii": (dict(_RING, ideals=[["x"], ["y"]]), None),
+    "decompose": (dict(_RING, ideals=[["x"], ["y"]]), None),
+    "naturality": (
+        dict(
+            _RING,
+            source_pair={"sequence": ["x", "4"], "target": ["x", "2"]},
+            target_pair={"sequence": ["x", "2"], "target": ["x", "2"]},
+        ),
+        "pairs",
+    ),
+    "scenario": ({"scenario": {"p": 2, "n": 1}}, "morava"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOADING))
+def test_parse_job_executes_every_module_its_job_runs(command):
+    """In a fresh process, ``parse_job`` executes the modules the job's
+    command runs, and no other algebra module, and freezes what they built;
+    ``run_job`` then executes no module at all.  Ring-only jobs never
+    execute an algebra module, and their parse freezes nothing more."""
+    code = (
+        "import gc, json, sys, types\n"
+        + EXECUTED
+        + "from regquot import cli, jobio\n"
+        "frozen = gc.get_freeze_count()\n"
+        "job = jobio.parse_job(sys.argv[1])\n"
+        "parsed = executed()\n"
+        "froze = gc.get_freeze_count() > frozen\n"
+        "status = cli.run_job(job).status\n"
+        "print(json.dumps([parsed, froze, executed(), status]))\n"
+    )
+    doc, layer = LOADING[command]
+    parsed, froze, ran, status = _fresh_python(code, json.dumps(dict(doc, command=command)))
+    assert status == 0
+    assert parsed == sorted(RING_CORE + ALGEBRA.get(layer, []))
+    assert froze == (layer is not None)
+    assert ran == parsed
+    if layer is None:
+        assert not set(ran) & set(ALGEBRA)
 
 
 def test_records_keep_their_semantics():
