@@ -72,25 +72,17 @@ class JobReport(NamedTuple):
         }
 
 
-def _scenario_from(doc: dict, window, laurent):
-    block = doc["scenario"]
+def _scenario_from(doc: dict):
+    block, window = doc["scenario"], doc.get("window", {})
     return morava.build_scenario(
-        block["p"],
-        block["n"],
-        window=window if window is not None else doc.get("window", {}).get("degree"),
-        laurent=(
-            laurent
-            if laurent is not None
-            else doc.get("window", {}).get("laurent", 2)
-        ),
+        block["p"], block["n"], window=window.get("degree"), laurent=window.get("laurent", 2)
     )
 
 
-def _spec_and_target(doc: dict, window, laurent):
+def _spec_and_target(doc: dict):
     if "scenario" in doc:
-        sc = _scenario_from(doc, window, laurent)
-        return sc.spec, None
-    ring = ring_from_job(doc, window, laurent)
+        return _scenario_from(doc).spec, None
+    ring = ring_from_job(doc)
     return spec_from_job(ring, doc), target_from_job(ring, doc)
 
 
@@ -116,28 +108,28 @@ def algebra_element(cl, text: str):
     return evaluate(text, atom, constant, power)
 
 
-def _cmd_presentation(doc, window, laurent):
-    spec, target = _spec_and_target(doc, window, laurent)
+def _cmd_presentation(doc):
+    spec, target = _spec_and_target(doc)
     pres, _ = clifford.homology_presentation(spec, target)
     return 0, presentation_payload(pres), pres.warnings
 
 
-def _cmd_cohomology(doc, window, laurent):
-    spec, _ = _spec_and_target(doc, window, laurent)
+def _cmd_cohomology(doc):
+    spec, _ = _spec_and_target(doc)
     pres = derivations.cohomology_presentation(spec)
     return 0, presentation_payload(pres), pres.warnings
 
 
-def _cmd_form(doc, window, laurent):
-    spec, target = _spec_and_target(doc, window, laurent)
+def _cmd_form(doc):
+    spec, target = _spec_and_target(doc)
     form = conormal.characteristic_form_diagonal(spec)
     if target is not None:
         form = conormal.base_change_form(form, target)
     return 0, form_payload(form), ()
 
 
-def _cmd_multiply(doc, window, laurent):
-    spec, target = _spec_and_target(doc, window, laurent)
+def _cmd_multiply(doc):
+    spec, target = _spec_and_target(doc)
     _, cl = clifford.homology_presentation(spec, target)
     factors = doc.get("factors")
     if not isinstance(factors, list) or not factors:
@@ -148,8 +140,8 @@ def _cmd_multiply(doc, window, laurent):
     return 0, {"factors": list(factors), "product": element_payload(product)}, ()
 
 
-def _cmd_antipode(doc, window, laurent):
-    spec, target = _spec_and_target(doc, window, laurent)
+def _cmd_antipode(doc):
+    spec, target = _spec_and_target(doc)
     _, cl = clifford.homology_presentation(spec, target)
     text = doc.get("element")
     if not isinstance(text, str):
@@ -159,8 +151,8 @@ def _cmd_antipode(doc, window, laurent):
     return 0, {"element": element_payload(value), "antipode": element_payload(image)}, ()
 
 
-def _cmd_derivations(doc, window, laurent):
-    spec, _ = _spec_and_target(doc, window, laurent)
+def _cmd_derivations(doc):
+    spec, _ = _spec_and_target(doc)
     module = conormal.conormal_module(spec)
     ext = clifford.CliffordAlgebra(module, conormal.zero_form(module))
     qs, leibniz, certified, rank = derivations.generator_checks(ext)
@@ -178,8 +170,8 @@ def _cmd_derivations(doc, window, laurent):
     return (0 if ok else 1), results, ()
 
 
-def _cmd_check_regular(doc, window, laurent):
-    spec, _ = _spec_and_target(doc, window, laurent)
+def _cmd_check_regular(doc):
+    spec, _ = _spec_and_target(doc)
     report = spec.regularity
     results = {
         "regular": report.regular,
@@ -192,8 +184,8 @@ def _cmd_check_regular(doc, window, laurent):
     return (0 if report.regular else 1), results, ()
 
 
-def _cmd_tor(doc, window, laurent):
-    ring = ring_from_job(doc, window, laurent)
+def _cmd_tor(doc):
+    ring = ring_from_job(doc)
     first = doc.get("first")
     second = doc.get("second")
     index = doc.get("index")
@@ -215,15 +207,15 @@ def _ideal_lists(ring, doc):
     return [tuple(ring.parse(t) for t in block) for block in ideals]
 
 
-def _cmd_condition_ii(doc, window, laurent):
-    ring = ring_from_job(doc, window, laurent)
+def _cmd_condition_ii(doc):
+    ring = ring_from_job(doc)
     ideals = _ideal_lists(ring, doc)
     flags = check_condition_ii(ring, ideals)
     return (0 if all(flags) else 1), {"holds": flags, "all_hold": all(flags)}, ()
 
 
-def _cmd_decompose(doc, window, laurent):
-    ring = ring_from_job(doc, window, laurent)
+def _cmd_decompose(doc):
+    ring = ring_from_job(doc)
     ideals = _ideal_lists(ring, doc)
     dec = decompose_conormal(ring, ideals)
     degrees = {}
@@ -250,8 +242,8 @@ def _pair_from_block(ring, block):
     return pairs.make_pair(spec, QuotientRing(ring, tq), block.get("multiplicative", False))
 
 
-def _cmd_naturality(doc, window, laurent):
-    ring = ring_from_job(doc, window, laurent)
+def _cmd_naturality(doc):
+    ring = ring_from_job(doc)
     source = _pair_from_block(ring, doc.get("source_pair"))
     target = _pair_from_block(ring, doc.get("target_pair"))
     morphism = pairs.PairMorphism(source, target)
@@ -269,8 +261,8 @@ def _cmd_naturality(doc, window, laurent):
     return (0 if report.all_pass else 1), results, ()
 
 
-def _cmd_scenario(doc, window, laurent):
-    sc = _scenario_from(doc, window, laurent)
+def _cmd_scenario(doc):
+    sc = _scenario_from(doc)
     pres, algebra = morava.kn_algebra(sc)
     results = {
         "p": sc.p,
@@ -285,27 +277,20 @@ def _cmd_scenario(doc, window, laurent):
     return 0, results, pres.warnings
 
 
-_HANDLERS = {
-    "presentation": _cmd_presentation,
-    "cohomology": _cmd_cohomology,
-    "form": _cmd_form,
-    "multiply": _cmd_multiply,
-    "antipode": _cmd_antipode,
-    "derivations": _cmd_derivations,
-    "check-regular": _cmd_check_regular,
-    "tor": _cmd_tor,
-    "condition-ii": _cmd_condition_ii,
-    "decompose": _cmd_decompose,
-    "naturality": _cmd_naturality,
-    "scenario": _cmd_scenario,
-}
-
-
 def run_job(job: JobDescription, window=None, laurent=None) -> JobReport:
-    """Dispatch one job; mathematical refutations become status-1 reports."""
-    handler = _HANDLERS[job.command]
+    """Dispatch one job to ``_cmd_<command>``; mathematical refutations
+    become status-1 reports.
+
+    ``window`` and ``laurent`` override the document's window block; they
+    go into a copy of the document, so ``job.data`` is never changed.
+    """
+    doc = job.data
+    overrides = {k: v for k, v in (("degree", window), ("laurent", laurent)) if v is not None}
+    if overrides:
+        doc = {**doc, "window": {**doc.get("window", {}), **overrides}}
+    handler = globals()["_cmd_" + job.command.replace("-", "_")]
     try:
-        status, results, warnings = handler(job.data, window, laurent)
+        status, results, warnings = handler(doc)
     except MATH_ERRORS as err:
         return JobReport(
             job.command,

@@ -71,7 +71,7 @@ class ProductToken(namedtuple("ProductToken", ("element", "obstruction", "commut
 class QuotientRingSpec:
     """A graded ring, a quotient sequence and per-entry product tokens."""
 
-    def __init__(self, ring: GradedRing, sequence, products=None, window=None):
+    def __init__(self, ring: GradedRing, sequence, products=None):
         if not isinstance(ring, GradedRing):
             raise SemanticError("ring must be a GradedRing")
         seq = checked_sequence(ring, sequence, allow_empty=True)
@@ -80,7 +80,6 @@ class QuotientRingSpec:
                 raise SemanticError("sequence entries must be nonzero")
         self.ring = ring
         self.sequence = seq
-        self.window = ring.degree_window if window is None else min(window, ring.degree_window)
         if products is None:
             products = [ProductToken(x) for x in seq]
         products = tuple(products)
@@ -97,7 +96,7 @@ class QuotientRingSpec:
     @cached_property
     def regularity(self) -> RegularityReport:
         """The regularity report of the sequence, computed on first read."""
-        return _regularity(self.ring, self.sequence, self.window)
+        return _regularity(self.ring, self.sequence, self.ring.degree_window)
 
     @property
     def is_regular(self) -> bool:
@@ -107,7 +106,7 @@ class QuotientRingSpec:
         return len(self.sequence)
 
     def with_products(self, products) -> "QuotientRingSpec":
-        return QuotientRingSpec(self.ring, self.sequence, products, self.window)
+        return QuotientRingSpec(self.ring, self.sequence, products)
 
     def __eq__(self, other):
         return (
@@ -306,7 +305,7 @@ def opposite_form(spec: QuotientRingSpec, opposite_obstructions):
     return ring_form, mixed
 
 
-def exterior_rank_profile(module: ConormalModule, p: int, window: int | None = None):
+def exterior_rank_profile(module: ConormalModule, p: int):
     """Degreewise dimensions of the exterior algebra on the module basis.
 
     Coefficients are taken in the module's coefficient ring, which must be
@@ -316,7 +315,7 @@ def exterior_rank_profile(module: ConormalModule, p: int, window: int | None = N
     degs = module.degrees
     shifts = [sum(c) for k in range(len(degs) + 1) for c in combinations(degs, k)]
     profile: dict = {}
-    for q in ring.even_degrees(window):
+    for q in ring.even_degrees():
         dim = ModuleEntry(*module.coefficients.entry(q)).dimension_over(p)
         if dim is None:
             raise SemanticError(

@@ -29,7 +29,6 @@ from .errors import (
     MixedOwners,
     NonHomogeneous,
     NotExterior,
-    NotRegular,
     SemanticError,
 )
 
@@ -394,11 +393,6 @@ def cohomology_presentation(spec: QuotientRingSpec) -> AlgebraPresentation:
     Leibniz, squares, anticommutators and the rank of the formal-word map
     are checked by ``generator_checks`` before the presentation is emitted.
     """
-    if not spec.is_regular:
-        raise NotRegular(
-            "sequence not verified regular (fails at entry %s)"
-            % (spec.regularity.first_failure,)
-        )
     module = conormal_module(spec)
     ext = CliffordAlgebra(module, zero_form(module))
     _, _, certified, rank = generator_checks(ext)

@@ -33,9 +33,9 @@ def tokenize(text: str):
             i += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", int(text[i:j]), line, start_col))
             col += j - i

@@ -313,11 +313,9 @@ def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport
     return RegularityReport(True, None, None, window, "")
 
 
-def check_regular_sequence(ring: GradedRing, elements, window: int | None = None):
+def check_regular_sequence(ring: GradedRing, elements):
     """Degreewise verification that the sequence is regular inside the window."""
-    elems = checked_sequence(ring, elements)
-    top = ring.degree_window if window is None else min(window, ring.degree_window)
-    return _regularity(ring, elems, top)
+    return _regularity(ring, checked_sequence(ring, elements), ring.degree_window)
 
 
 # -- Koszul complexes -------------------------------------------------
@@ -456,7 +454,7 @@ class KoszulComplex:
         return quotient_invariants(z_rows, b_rows, width, base)
 
 
-def tor(ring: GradedRing, j_gens, k_gens, i: int, window: int | None = None):
+def tor(ring: GradedRing, j_gens, k_gens, i: int):
     """Degreewise Tor_i(R/J, R/K) through the Koszul resolution of R/J."""
     if i < 0:
         raise SemanticError("homological degree must be >= 0")
@@ -464,14 +462,13 @@ def tor(ring: GradedRing, j_gens, k_gens, i: int, window: int | None = None):
     # the complex refuses invalid input, such as a zero entry of the first
     # sequence or a non-homogeneous second one, before any verdict
     cx = KoszulComplex(ring, jseq, k_gens)
-    top = ring.degree_window if window is None else min(window, ring.degree_window)
-    reg = check_regular_sequence(ring, jseq, top)
+    reg = check_regular_sequence(ring, jseq)
     if not reg.regular:
         raise NotVerifiedRegular(
             "sequence not verified regular (fails at entry %s)" % (reg.first_failure,)
         )
-    degrees = list(ring.even_degrees(top))
-    report = GradedModuleReport((degrees[0] if degrees else 0, top), {})
+    degrees = list(ring.even_degrees())
+    report = GradedModuleReport((degrees[0] if degrees else 0, ring.degree_window), {})
     if i > cx.length:
         return report
     for q in degrees:
@@ -492,15 +489,13 @@ def _product_gens(ring, a_gens, b_gens):
     return tuple(out)
 
 
-def tor1_equals_intersection_over_product(
-    ring: GradedRing, j_gens, k_gens, window: int | None = None
-) -> bool:
+def tor1_equals_intersection_over_product(ring: GradedRing, j_gens, k_gens) -> bool:
     """Whether Tor_1 agrees degreewise with (J∩K)/(J·K) inside the window."""
     jseq = _gens(ring, j_gens)
     kseq = _gens(ring, k_gens)
-    t1 = tor(ring, jseq, kseq, 1, window)
+    t1 = tor(ring, jseq, kseq, 1)
     prod = _product_gens(ring, jseq, kseq)
-    for q in ring.even_degrees(window):
+    for q in ring.even_degrees():
         rows_j = ideal_context(ring, jseq, q).rows
         rows_k = ideal_context(ring, kseq, q).rows
         width = len(ring.degree_exps(q))
@@ -511,7 +506,7 @@ def tor1_equals_intersection_over_product(
     return True
 
 
-def check_condition_ii(ring: GradedRing, ideals, window: int | None = None):
+def check_condition_ii(ring: GradedRing, ideals):
     """Product equals intersection for each ideal against its predecessors.
 
     Returns one boolean per index k = 2..n.
@@ -528,7 +523,7 @@ def check_condition_ii(ring: GradedRing, ideals, window: int | None = None):
         tail = fams[k - 1]
         prod = _product_gens(ring, prev, tail)
         holds = True
-        for q in ring.even_degrees(window):
+        for q in ring.even_degrees():
             width = len(ring.degree_exps(q))
             rows_p = ideal_context(ring, prev, q).rows
             rows_t = ideal_context(ring, tail, q).rows
@@ -560,7 +555,7 @@ class ConormalDecomposition(NamedTuple):
     verified: bool
 
 
-def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
+def decompose_conormal(ring: GradedRing, ideals):
     """Split I/I² into one summand per ideal, with verified inverse maps.
 
     In each degree the forward map splits every basis vector of I into the
@@ -574,7 +569,7 @@ def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
     for fam in fams:
         if not fam:
             raise EmptySequence("ideals must have at least one generator")
-    cond = check_condition_ii(ring, ideals, window)
+    cond = check_condition_ii(ring, ideals)
     if not all(cond):
         bad = 2 + cond.index(False)
         raise ConditionIIFails(
@@ -586,7 +581,7 @@ def decompose_conormal(ring: GradedRing, ideals, window: int | None = None):
     prod_all = _product_gens(ring, allgens, allgens)
     degrees = {}
     all_ok = True
-    for q in ring.even_degrees(window):
+    for q in ring.even_degrees():
         width = len(ring.degree_exps(q))
         if width == 0:
             continue

@@ -20,10 +20,11 @@ from .errors import ParseError, SemanticError
 from .ring import GradedRing, Generator, QuotientRing
 from .scalars import BaseRing
 
-# command -> the algebra modules its handler runs past the ring core (a
-# document with a scenario block also runs morava).  The package registers
-# them without executing them; parse_job executes a job's own, so a job
-# compiles no other algebra module and does so before it runs.
+# The one command table: command -> the algebra modules its handler,
+# cli._cmd_<command> with - read as _, runs past the ring core (a document
+# with a scenario block also runs morava).  The package registers them
+# without executing them; parse_job executes a job's own, so a job compiles
+# no other algebra module and does so before it runs.
 COMMANDS = {
     "presentation": ("clifford",),
     "cohomology": ("derivations",),
@@ -210,7 +211,7 @@ def _execute(names) -> None:
         gc.freeze()
 
 
-def ring_from_job(doc: dict, window=None, laurent=None) -> GradedRing:
+def ring_from_job(doc: dict) -> GradedRing:
     block = doc.get("ring")
     if block is None:
         raise SemanticError("this command needs a ring block")
@@ -219,8 +220,8 @@ def ring_from_job(doc: dict, window=None, laurent=None) -> GradedRing:
         Generator(g["name"], g["degree"], g.get("invertible", False))
         for g in block.get("generators", ())
     ]
-    degree = window if window is not None else doc.get("window", {}).get("degree", 8)
-    laur = laurent if laurent is not None else doc.get("window", {}).get("laurent", 2)
+    window = doc.get("window", {})
+    degree, laur = window.get("degree", 8), window.get("laurent", 2)
     ring = GradedRing(base, gens, degree_window=degree, laurent_window=laur)
     relations = block.get("relations", ())
     if relations:

@@ -564,7 +564,7 @@ def ideal_context(ring: GradedRing, gens, d: int) -> IdealContext:
     return _cached_context(ring, tuple(gens), d)
 
 
-def normal_form(element: RingElement, gens, degree: int | None = None) -> RingElement:
+def normal_form(element: RingElement, gens) -> RingElement:
     """Canonical residue of a homogeneous element modulo an ideal slice.
 
     The residue is zero exactly when the element lies in the ideal's span
@@ -578,17 +578,7 @@ def normal_form(element: RingElement, gens, degree: int | None = None) -> RingEl
         return element
     if not element.is_homogeneous():
         raise NonHomogeneous("normal_form needs a homogeneous element")
-    d = element.degree()
-    if degree is not None:
-        if d > degree:
-            raise WindowOverflow(
-                "element degree %d exceeds requested bound %d" % (d, degree)
-            )
-        if degree > ring.degree_window:
-            raise WindowOverflow(
-                "bound %d exceeds degree window %d" % (degree, ring.degree_window)
-            )
-    ctx = ideal_context(ring, gens, d)
+    ctx = ideal_context(ring, gens, element.degree())
     # The lattice answers the canonical residue as integers N over one unit
     # D: ints over Z, in [0, pivot), inside [0, m), over Z/m, residues mod p
     # over F_p, and over Z_(p) numerators over a p-unit.  This exit and

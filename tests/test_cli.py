@@ -13,7 +13,7 @@ from jsonschema import validate
 from regquot import cli, pairs
 from regquot.cli import main, run_job
 from regquot.errors import NotCompatible, ParseError, SemanticError
-from regquot.jobio import canonical_json, parse_job
+from regquot.jobio import COMMANDS, canonical_json, parse_job
 
 ROOT = Path(__file__).resolve().parents[1]
 JOBS = ROOT / "jobs"
@@ -380,6 +380,91 @@ def test_window_override(tmp_path):
     assert report["results"]["window"] == 8
 
 
+def test_laurent_override_on_a_scenario_job(tmp_path):
+    code, report = run_file(JOBS / "k1_p2.job", tmp_path, ["--laurent", "1"])
+    assert code == 0
+    assert report["results"]["laurent"] == 1 and report["results"]["window"] == 4
+
+
+# Tor_1(R/(x), R/(x)) over F_2[x, u^{±1}] with |u| = 0 is x * F_2[u^{±1}]
+# in degree 2: one factor 2 for each Laurent monomial u^k, |k| <= laurent.
+LAURENT_TOR_DOC = {
+    "command": "tor",
+    "ring": {
+        "base": "F2",
+        "generators": [
+            {"name": "x", "degree": 2},
+            {"name": "u", "degree": 0, "invertible": True},
+        ],
+    },
+    "window": {"degree": 6, "laurent": 2},
+    "first": ["x"],
+    "second": ["x"],
+    "index": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "extra, scanned, factors",
+    [
+        ((), [0, 6], 5),
+        (["--window", "4"], [0, 4], 5),
+        (["--laurent", "1"], [0, 6], 3),
+        (["--window", "2", "--laurent", "3"], [0, 2], 7),
+    ],
+)
+def test_overrides_on_a_ring_job(tmp_path, extra, scanned, factors):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(LAURENT_TOR_DOC))
+    code, report = run_file(path, tmp_path, extra)
+    assert code == 0
+    result = report["results"]["report"]
+    assert result["scanned"] == scanned
+    assert result["entries"]["2"]["factors"] == [2] * factors
+
+
+@pytest.mark.parametrize(
+    "doc", [LAURENT_TOR_DOC, {"command": "scenario", "scenario": {"p": 2, "n": 1}}]
+)
+def test_overridden_run_job_leaves_the_job_unchanged(doc):
+    job = parse_job(json.dumps(doc))
+    before = job.render()
+    run_job(job, window=8, laurent=1)
+    assert job.data == doc and job.render() == before
+    assert parse_job(job.render()) == job
+
+
+def test_every_command_has_one_handler():
+    """jobio.COMMANDS is the one command table: run_job finds each
+    command's handler as cli._cmd_<command>, with - read as _."""
+    handlers = {name[len("_cmd_"):] for name in vars(cli) if name.startswith("_cmd_")}
+    assert handlers == {command.replace("-", "_") for command in COMMANDS}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {
+            "command": "tor",
+            "ring": {"base": "Z", "generators": [{"name": "x", "degree": 2}]},
+            "first": ["x^²"],
+            "second": ["x"],
+            "index": 1,
+        },
+        {"command": "multiply", "scenario": {"p": 2, "n": 1}, "factors": ["a0", "1²"]},
+    ],
+    ids=["tor-entry", "multiply-factor"],
+)
+def test_superscript_digit_is_a_parse_error(doc, tmp_path, capsys):
+    """str.isdigit accepts a superscript digit that int() refuses; the
+    tokenizer reads decimal digits only, so one is invalid input."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[ParseError]: ") and err.count("\n") == 1
+
+
 def test_unknown_command_exits_2(tmp_path, capsys):
     path = tmp_path / "job.json"
     path.write_text('{"command": "nonsense"}')
@@ -634,10 +719,10 @@ def test_mutated_bundled_jobs_never_exit_internal(tmp_path, capsys):
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
-    def broken(doc, window, laurent):
+    def broken(doc):
         raise ZeroDivisionError("division by zero")
 
-    monkeypatch.setitem(cli._HANDLERS, "scenario", broken)
+    monkeypatch.setattr(cli, "_cmd_scenario", broken)
     assert main([str(JOBS / "k1_p2.job")]) == 3
     captured = capsys.readouterr()
     assert captured.err == "error[internal]: ZeroDivisionError: division by zero\n"

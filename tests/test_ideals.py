@@ -243,7 +243,7 @@ def test_decompose_two_variables(f2_xy):
 
 def test_decompose_integer_polynomial(z_v1):
     v1, two = z_v1.var("v1"), z_v1.constant(2)
-    dec = decompose_conormal(z_v1, [[two], [v1 - two]], window=6)
+    dec = decompose_conormal(z_v1, [[two], [v1 - two]])
     assert dec.verified
     rec = dec.degrees[0]
     assert rec.module == ModuleEntry(0, (2, 2))
@@ -271,13 +271,11 @@ def test_regular_pairs_satisfy_condition_ii(f2_xy):
         g = sum(m for m in f2_xy.degree_basis(4) if rng.random() < 0.5)
         if f == 0 or g == 0:
             continue
-        rep = check_regular_sequence(f2_xy, [f, g], window=6)
+        rep = check_regular_sequence(f2_xy, [f, g])
         if rep.regular:
             found += 1
-            assert check_condition_ii(f2_xy, [[f], [g]], window=6) == [True]
-            assert tor1_equals_intersection_over_product(
-                f2_xy, [f], [g], window=6
-            )
+            assert check_condition_ii(f2_xy, [[f], [g]]) == [True]
+            assert tor1_equals_intersection_over_product(f2_xy, [f], [g])
     assert found >= 3
 
 
