@@ -39,7 +39,8 @@ from .linalg import (
     residue_prime,
 )
 from .ring import (
-    GradedRing, QuotientRing, RingElement, _row_block, cleared_coefficients, ideal_context
+    GradedRing, QuotientRing, RingElement, _row_block, cleared_coefficients, ideal_context,
+    split_ideal,
 )
 
 
@@ -216,21 +217,11 @@ def _passes_by_structure(ring: GradedRing, prev: tuple, x: RingElement) -> bool:
     """Whether ``prev`` leaves a (Laurent) polynomial ring over a domain
     base/c, in which x's image, its terms on killed generators dropped and
     its coefficients taken mod c, is nonzero: see ``_regularity``."""
-    if ring.relations:
+    split = split_ideal(ring, prev)
+    if split is None:
         return False
-    base, gens = ring.base, ring.generators
-    constants, killed = [], set()
-    for e in prev:
-        (exps, a), *rest = e.terms.items()
-        i = exps.index(1) if 1 in exps and exps.count(0) == len(exps) - 1 else None
-        if not rest and not any(exps):
-            constants.append(a)
-        elif rest or i is None or gens[i].invertible or not base.is_unit(a):
-            return False
-        else:
-            killed.add(i)
-    c = constants[0] if constants else 0
-    return len(constants) <= 1 and base.residue_is_domain(c) and any(
+    (c, killed), base = split, ring.base
+    return base.residue_is_domain(c) and any(
         not base.divides(c, a) for exps, a in x.terms.items() if not any(exps[i] for i in killed)
     )
 
@@ -271,15 +262,13 @@ def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport
     Both paths decide each degree alike, so the report, ``failure_degree``
     included, does not depend on the path.
 
-    ``_passes_by_structure`` decides some passes with no scan.  In a ring
-    without relations, let the earlier entries be at most one constant c
-    with base/c a domain (c = 0 for none) and unit multiples of
-    non-invertible generators.  Then L_s and L_t are spanned by the c * e_m
-    and the e_m of monomials on a killed generator, and y * M mod L_t is
-    the product of the images of x and y in the (Laurent) polynomial ring
-    over base/c on the other generators (a ``used`` m has all of x * m in
-    the window).  That ring is a domain, so when x's image is nonzero, y * M
-    in L_t forces y in L_s in every degree.  With no earlier entry this
+    ``_passes_by_structure`` decides some passes with no scan.  When
+    ``split_ideal`` reads the earlier entries as a constant c, with base/c
+    a domain, and killed generators, y * M mod L_t is the product of the
+    images of x and y in the (Laurent) polynomial ring over base/c on the
+    other generators (a ``used`` m has all of x * m in the window).  That
+    ring is a domain, so when x's image is nonzero, y * M in L_t forces y
+    in L_s in every degree.  With no earlier entry this
     needs a domain base: Z/4 is none, there 2 * 2 = 0.  Only passes are
     decided: a zero image, and every other prefix, go to the scan.  The
     same certificate on the prefix through x and the element 1 proves R/I

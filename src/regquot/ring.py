@@ -192,11 +192,14 @@ class GradedRing:
 
     # -- degreewise bases ---------------------------------------------
 
-    def degree_exps(self, d: int):
+    def check_degree(self, d: int) -> None:
         if d > self.degree_window:
             raise WindowOverflow(
                 "degree %d exceeds window %d" % (d, self.degree_window)
             )
+
+    def degree_exps(self, d: int):
+        self.check_degree(d)
         return _degree_exps(self, d)
 
     def degree_basis(self, d: int):
@@ -564,11 +567,50 @@ def ideal_context(ring: GradedRing, gens, d: int) -> IdealContext:
     return _cached_context(ring, tuple(gens), d)
 
 
+@lru_cache(maxsize=None)
+def split_ideal(ring: GradedRing, gens: tuple):
+    """``(c, killed)`` when ``ring`` has no relations and the nonzero
+    ``gens`` are at most one constant c (0 for none) and unit multiples of
+    non-invertible generators, ``killed`` their indices; else None.
+
+    Such an ideal splits by coordinates: its degree-d slice is spanned by
+    the c * e_m and the e_m of the monomials m on a killed x_i, as m / x_i
+    lies in the window with m.  So R/I is the (Laurent) polynomial ring over
+    base/(c) on the other generators, and a residue is read off each
+    coordinate alone, with no domain needed; ``ideals._passes_by_structure``
+    adds the domain test that its certificate needs."""
+    if ring.relations:
+        return None
+    constants, killed = [], set()
+    for g in filter(None, gens):
+        (exps, a), *rest = g.terms.items()
+        i = exps.index(1) if 1 in exps and exps.count(0) == len(exps) - 1 else None
+        if not rest and not any(exps):
+            constants.append(a)
+        elif rest or i is None or ring.generators[i].invertible or not ring.base.is_unit(a):
+            return None
+        else:
+            killed.add(i)
+    return (constants[0] if constants else 0, frozenset(killed)) if len(constants) <= 1 else None
+
+
+@lru_cache(maxsize=None)
+def _constant_lattice(base: BaseRing, c):
+    """The width-1 lattice of the ideal (c) of ``base``: over Z_(p) (c) is
+    generated by c's numerator, and over Z/m ``lattice_for`` adds m."""
+    return lattice_for(base, [{0: c.numerator}] if c else [], 1)
+
+
 def normal_form(element: RingElement, gens) -> RingElement:
     """Canonical residue of a homogeneous element modulo an ideal slice.
 
     The residue is zero exactly when the element lies in the ideal's span
-    within the window.
+    within the window.  When ``split_ideal`` reads the ideal, the slice
+    splits by coordinates and none is built: each term is checked against
+    the window as the slice would check it, the terms on killed generators
+    drop, and each other coefficient reduces alone on the lattice of (c).
+    Unlike the regularity certificate this needs no domain: base/(c) may
+    have zero divisors, as Z/4 has.
     """
     ring = element.ring
     for g in gens:
@@ -578,14 +620,29 @@ def normal_form(element: RingElement, gens) -> RingElement:
         return element
     if not element.is_homogeneous():
         raise NonHomogeneous("normal_form needs a homogeneous element")
-    ctx = ideal_context(ring, gens, element.degree())
-    # The lattice answers the canonical residue as integers N over one unit
+    normalize, d = ring.base.normalize, element.degree()
+    # The lattices answer each canonical residue as integers N over one unit
     # D: ints over Z, in [0, pivot), inside [0, m), over Z/m, residues mod p
     # over F_p, and over Z_(p) numerators over a p-unit.  This exit and
     # IdealContext.solve_vector are the only places that divide, and
     # normalize gives each coefficient its base ring's type.
+    split = split_ideal(ring, tuple(gens))
+    if split is not None:
+        ring.check_degree(d)
+        c, killed = split
+        lattice, out = _constant_lattice(ring.base, c), {}
+        for exps in sorted(element.terms):  # the slice's order
+            try:
+                ring.check_exps(exps)
+            except (SemanticError, WindowOverflow):
+                raise SemanticError("element has terms outside the given basis") from None
+            if not any(exps[i] for i in killed):
+                N, D = lattice.reduce({0: element.terms[exps]})
+                out[exps] = normalize(N.get(0, 0) if D == 1 else Fraction(N.get(0, 0), D))
+        return RingElement(ring, out)
+    ctx = ideal_context(ring, gens, d)
     N, D = ctx.lattice.reduce(ctx.vector(element))
-    normalize, exps = ring.base.normalize, ctx.exps
+    exps = ctx.exps
     return RingElement(
         ring, {exps[j]: normalize(N[j] if D == 1 else Fraction(N[j], D)) for j in sorted(N)}
     )

@@ -49,6 +49,7 @@ from regquot.ring import (
     IdealContext,
     QuotientRing,
     _cached_context,
+    _constant_lattice,
     ideal_context,
 )
 from regquot.scalars import BaseRing
@@ -603,6 +604,7 @@ def _random_homogeneous(rng, ring, coeffs):
 def _clear_ring_caches():
     _regularity.cache_clear()
     _cached_context.cache_clear()
+    _constant_lattice.cache_clear()
 
 
 def test_regularity_matches_row_loop_oracle():

@@ -521,12 +521,15 @@ def test_int_slice_rows_match_base_valued_rows():
 def test_cached_slices_keep_their_shared_rows(monkeypatch):
     # Ideal slices share the cached row block of each polynomial and degree
     # with each other and with the regularity check.  After a scenario, a
-    # Z_(2) tor, a Z decompose and a Z_(2) check-regular job in one
+    # Z_(2) tor, a Z decompose and two Z_(2) check-regular jobs in one
     # process, every slice still cached equals a fresh build and the
     # base-valued rows, so no consumer changed a shared row.  The
     # regularity certificate decides the scenario's and the tor's entries
-    # with no scan; in the check-regular job, z after (x, x + y) is not
-    # decided by it, so the scan reads the shared rows of that prefix.
+    # with no scan, and split_ideal reads the scenario's ideals, so its
+    # normal forms build no slice; in the check-regular jobs, z after
+    # (x, x + y) and after (2, x, y + x) is not decided by it, so the scan
+    # reads the shared rows of those prefixes, and 1 is reduced on the
+    # twisted prefix's own slice.
     built = []
     cached = ring_module._cached_context
 
@@ -546,6 +549,8 @@ def test_cached_slices_keep_their_shared_rows(monkeypatch):
          "ideals": [["x"], ["y"], ["z"]]},
         {"command": "check-regular", "ring": xyz, "window": {"degree": 40},
          "sequence": ["x", "x + y", "z"]},
+        {"command": "check-regular", "ring": xyz, "window": {"degree": 16},
+         "sequence": ["2", "x", "y + x", "z"]},
     ]
     for doc in docs:
         assert run_job(parse_job(json.dumps(doc))).status == 0
@@ -559,6 +564,136 @@ def test_cached_slices_keep_their_shared_rows(monkeypatch):
         assert ctx.tags == [tag for tag, _ in ref]
         assert ctx.rows == [{j: ctx.scale * x for j, x in enumerate(row) if x} for _, row in ref]
     cached.cache_clear()
+
+
+# -- normal forms by structure against the slice lattice ---------------
+
+
+def lattice_terms(element, gens):
+    """The terms of ``element``'s residue on the lattice of its degree's
+    slice, in the slice's order, each coefficient normalized."""
+    ring = element.ring
+    ctx = ideal_context(ring, gens, element.degree())
+    N, D = ctx.lattice.reduce(ctx.vector(element))
+    normalize = ring.base.normalize
+    return [(ctx.exps[j], normalize(N[j] if D == 1 else Fraction(N[j], D))) for j in sorted(N)]
+
+
+def split_spy(monkeypatch):
+    """Record, for each ``split_ideal`` call, whether it read the ideal."""
+    read, split = [], ring_module.split_ideal
+
+    def spy(ring, gens):
+        out = split(ring, gens)
+        read.append(out is not None)
+        return out
+
+    monkeypatch.setattr(ring_module, "split_ideal", spy)
+    return read
+
+
+def test_normal_form_by_structure_matches_slice_lattice(monkeypatch):
+    """Seeded ideals of constants and generator multiples, over Z, Z_(3),
+    F_3, Z/4 and Z/6 in a ring with a degree-zero and a Laurent generator:
+    ``normal_form`` gives the slice lattice's residue, term for term, in
+    the slice's order and with the base ring's coefficient type, whether
+    ``split_ideal`` reads the ideal or the slice is built."""
+    gens = [Generator("x", 2), Generator("y", 4), Generator("t", 0),
+            Generator("v", 2, invertible=True)]
+    cases = [
+        (BaseRing.integers(), [1, -1, 2, 3, -3, 4, 6, 9, 12]),
+        (BaseRing.integers_localized(3),
+         [1, -1, 2, 3, 6, 9, Fraction(3, 2), Fraction(9, 4), Fraction(-5, 7)]),
+        (BaseRing.prime_field(3), [1, 2, 3, 4]),
+        (BaseRing.integers_mod(4), [1, 2, 3, 6]),
+        (BaseRing.integers_mod(6), [1, 2, 3, 4, 5, 9]),
+    ]
+    split = ring_module.split_ideal
+    read = split_spy(monkeypatch)
+    rng = Random(32)
+    checked = on_killed = 0
+    for base, scalars in cases:
+        R = GradedRing(base, gens, degree_window=6, laurent_window=1)
+        x, y, t, v = (R.var(n) for n in "xytv")
+        for _ in range(40):
+            ideal = [R.constant(rng.choice(scalars)) for _ in range(rng.choice([0, 1, 1, 1, 2]))]
+            # mostly unit multiples of the non-invertible generators
+            ideal += [
+                (rng.choice(scalars) if rng.random() < 0.2 else -1) * g
+                for g in rng.sample([x, y, t] if rng.random() < 0.8 else [x, y, t, v], rng.randint(0, 3))
+            ]
+            if rng.random() < 0.15:
+                ideal.append(x * x + y)
+            rng.shuffle(ideal)
+            d = rng.choice(list(R.even_degrees()))
+            exps = list(R.degree_exps(d))
+            terms = {m: rng.choice(scalars) for m in rng.sample(exps, min(len(exps), 6))}
+            element = R.element(terms)
+            if element.is_zero():
+                continue
+            got = list(normal_form(element, ideal).terms.items())
+            want = [(m, c) for m, c in lattice_terms(element, ideal) if c]
+            assert got == want, (base, ideal, element)
+            assert [type(c) for _, c in got] == [type(c) for _, c in want]
+            checked += 1
+            killed = (split(R, tuple(ideal)) or (0, ()))[1]
+            on_killed += any(m[i] for m in element.terms for i in killed)
+    assert checked > 150 and on_killed > 60, (checked, on_killed)
+    assert read.count(True) > 100 and read.count(False) > 50, (read.count(True), read.count(False))
+
+
+def test_normal_form_errors_match_on_both_paths(monkeypatch):
+    """A term past the Laurent window and an element of degree past the
+    degree window raise the same error whether ``split_ideal`` reads the
+    ideal (3, x) or the slice of (3, 6, x), which it does not read, is
+    built."""
+    R = GradedRing(
+        BaseRing.integers_localized(3),
+        [Generator("x", 2), Generator("v", 2, invertible=True)],
+        degree_window=4, laurent_window=1,
+    )
+    x = R.var("x")
+    past_laurent = RingElement(R, {(2, 0): Fraction(1), (0, 2): Fraction(1)})
+    past_window = RingElement(R, {(3, 0): Fraction(1)})
+    read = split_spy(monkeypatch)
+    for element, error in ((past_laurent, SemanticError), (past_window, WindowOverflow)):
+        raised = []
+        for ideal in ((R.constant(3), x), (R.constant(3), R.constant(6), x)):
+            with pytest.raises(error) as info:
+                normal_form(element, ideal)
+            raised.append((info.type, str(info.value)))
+        assert raised[0] == raised[1], raised
+    assert read == [True, False, True, False]
+
+
+def test_bundled_scenarios_build_no_ideal_context(monkeypatch):
+    """The K(n) sequence p, v1, ..., v_{n-1} is a constant and generators,
+    so ``scenario`` and ``multiply`` jobs at K(2) and K(3) for p = 2 build
+    no slice; a twisted sequence, which ``split_ideal`` does not read,
+    still builds some."""
+    built = []
+    construct = ring_module.IdealContext
+
+    def counting(*args):
+        built.append(args)
+        return construct(*args)
+
+    monkeypatch.setattr(ring_module, "IdealContext", counting)
+    ring_module._cached_context.cache_clear()
+    _regularity.cache_clear()
+    for n in (2, 3):
+        for doc in (
+            {"command": "scenario", "scenario": {"p": 2, "n": n}},
+            {"command": "multiply", "scenario": {"p": 2, "n": n}, "factors": ["a0", "a1"]},
+        ):
+            assert run_job(parse_job(json.dumps(doc))).status == 0
+            assert built == [], doc
+    xyz = {"base": "Z_(2)", "generators": [{"name": n, "degree": 2} for n in "xyz"]}
+    twisted = {"command": "check-regular", "ring": xyz, "window": {"degree": 8},
+               "sequence": ["2", "x", "y + x", "z"]}
+    assert run_job(parse_job(json.dumps(twisted))).status == 0
+    assert built
+    ring_module._cached_context.cache_clear()
 
 
 # -- trusted arithmetic against a validating constructor ---------------
