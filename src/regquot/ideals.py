@@ -4,11 +4,13 @@ All computations are degreewise and windowed.  Graded pieces of quotient
 modules are presented as integer, p-local or F_p lattices: a slice is a span
 ``Z`` of coefficient rows together with a relation span ``B``, and homology
 or quotient invariants come from Smith normal form of ``B`` written in a
-basis of ``Z``.  An ideal's span in one degree is the lazy lattice of its
-``ring.IdealContext``, never rebuilt here.  Nothing here branches on the
-base ring: ``linalg.lattice_for``, ``linalg.module_invariants``,
-``linalg.kernel_basis`` and ``linalg.residue_prime`` are the one place
-where it picks the integer, the p-local or the prime-field algebra.
+basis of ``Z``.  Over a split R/K and a PID the Koszul complex is free, so
+C/B = Z/B ⊕ C/Z for its chains C, with C/Z free, and one rank and one Smith
+form per degree give Z/B.  An ideal's span in one degree is the lazy lattice
+of its ``ring.IdealContext``, never rebuilt here.  Nothing here branches on
+the base ring: ``linalg``'s ``lattice_for``, ``module_invariants``,
+``homology_invariants``, ``kernel_basis`` and ``residue_prime`` alone pick
+the integer, the p-local or the prime-field algebra.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .linalg import (
     FieldLattice,
     _row_combination,
     common_denominator,
+    homology_invariants,
     kernel_basis,
     lattice_for,
     lattice_intersection_rows,
@@ -363,6 +366,19 @@ class KoszulComplex:
             rows.extend({cols[j]: val for j, val in row.items()} for row in ctx.rows)
         return rows
 
+    def _free_part(self, i: int, q: int, killed):
+        """d_i on the degree-q slice, cut to the chain basis vectors (S, m)
+        with no ``killed`` generator in m, and the two cut widths."""
+        src, tgt = (
+            [j for j, (_, m) in enumerate(self.chain_slice(k, q))
+             if not any(map(m.__getitem__, killed))]
+            for k in (i, i - 1)
+        )
+        col = {j: n for n, j in enumerate(tgt)}
+        rows, _ = self.differential_rows(i, q)
+        cut = ({col[c]: v for c, v in rows[j].items() if c in col} for j in src)
+        return [row for row in cut if row], len(src), len(tgt)
+
     def differential_rows(self, i: int, q: int):
         """Matrix rows of d_i on the degree-q slice, with truncation flag.
 
@@ -426,6 +442,12 @@ class KoszulComplex:
                     raise SemanticError("Koszul differential does not square to zero")
 
     def homology_entry(self, i: int, q: int) -> ModuleEntry:
+        """H_i in degree q, in Smith form: cycles mod relations, as a lattice,
+        mod boundaries and relations.  Over a split R/K (``split_ideal``) the
+        relations span the (S, m) with a killed generator in m, which d keeps,
+        so the complex is free on the other (S, m) and, over a PID,
+        ``homology_invariants`` reads H_i off d_i and d_{i+1} cut to them;
+        d∘d = 0 there, as R has no relations and a truncated d raises first."""
         width = len(self.chain_slice(i, q))
         if not width:
             return ModuleEntry()
@@ -436,6 +458,12 @@ class KoszulComplex:
             raise WindowOverflow(
                 "Koszul differential truncated at the window boundary"
             )
+        split = split_ideal(self.ring, self.k_gens)
+        if split and not split[0]:
+            d_out, n, n_out = self._free_part(i, q, split[1])
+            got = homology_invariants(base, d_out, self._free_part(i + 1, q, split[1])[0], n, n_out)
+            if got:
+                return ModuleEntry(*got)
         z_rows = _cycle_rows(
             base, d_i, self.relation_rows(i - 1, q), width, len(self.chain_slice(i - 1, q))
         )

@@ -27,12 +27,13 @@ denominators arrive only as vectors.  The p-local routines are
 fraction-free: each row is an integer vector over one p-unit denominator,
 and elimination multiplies rows by p-units (Bareiss-style).
 
-``lattice_for``, ``module_invariants``, ``kernel_basis`` and
-``residue_prime`` are the one place where the base ring picks the algebra:
-the p-local lattice and p-parts of the invariant factors over Z_(p), the
-field lattice over F_p, and the integer lattice over Z and over Z/m,
-whose spans are lifted to Z here by the ``modulus_rows`` m * e_j.
-``residue_prime`` says when a span may be taken mod p.
+``lattice_for``, ``module_invariants``, ``homology_invariants``,
+``kernel_basis`` and ``residue_prime`` are the one place where the base
+ring picks the algebra: the p-local lattice and p-parts of the invariant
+factors over Z_(p), the field lattice over F_p, and the integer lattice
+over Z and over Z/m, whose spans are lifted to Z here by the
+``modulus_rows`` m * e_j.  ``residue_prime`` says when a span may be taken
+mod p.
 """
 from __future__ import annotations
 
@@ -764,6 +765,17 @@ def module_invariants(base, rows, width):
     else:
         invs = snf_invariants(rows + modulus_rows(base, width))
     return width - len(invs), tuple(sorted(v for v in invs if v > 1))
+
+
+def homology_invariants(base, d_out, d_in, width, out_width):
+    """``module_invariants`` of ker(d_out)/im(d_in) on C = ``base^width``, for
+    sparse rows with d_out∘d_in = 0 and d_out onto ``base^out_width``; None
+    over Z/m.  Over a PID, C/ker is free of rank r = rank d_out, so it is C/im
+    with r less free rank (over F_p, r fewer factors p): see ``ideals``."""
+    if base.kind != INTEGERS_MOD:
+        free, factors = module_invariants(base, d_in, width)
+        rank = lattice_for(base, d_out, out_width).rank
+        return (0, factors[rank:]) if base.kind == PRIME_FIELD else (free - rank, factors)
 
 
 def kernel_basis(base, rows, width):

@@ -1219,3 +1219,150 @@ def test_int_koszul_rows_match_base_valued_rows(base, a, b):
         cx.validate_squares(4)
     with pytest.raises(SemanticError):
         ref_validate_squares(cx, 4, lambda i: ref if i == 2 else ref_differential_rows(cx, i, 4))
+
+
+# -- Koszul homology over a split R/K ----------------------------------
+
+
+SPLIT_BASES = [
+    BaseRing.integers(), BaseRing.prime_field(3),
+    BaseRing.integers_localized(2), BaseRing.integers_localized(3),
+]
+
+
+def _split_koszul_cases():
+    """``(ring, J, K, taken)``: seeded sequences J over Z, F_3, Z_(2) and
+    Z_(3), in x, y, z and in x, y, v^{±1}, against quotients R/K that
+    ``split_ideal`` reads as generators alone (``taken``), and against
+    quotients over Z/4 and Z/6, with a constant, not split, or in a ring
+    with relations, where ``homology_entry`` keeps its lattice path."""
+    xyz = [Generator(n, 2) for n in ("x", "y", "z")]
+    laurent = [Generator("x", 2), Generator("y", 2), Generator("v", 2, invertible=True)]
+    rng = random.Random(3307)
+    cases = []
+    for base in SPLIT_BASES + [BaseRing.integers_mod(4), BaseRing.integers_mod(6)]:
+        taken = base in SPLIT_BASES
+        ring = GradedRing(base, xyz, degree_window=8)
+        x, y, z = (ring.var(n) for n in ("x", "y", "z"))
+        pool = [x, y, z, x * 2, y * 2 + z, x + y, x * y + z * z, y * z - x * x * 5]
+        for k_gens in ([x], [x * -1], [x, z], [z, y * -1], []):
+            cases.append((ring, [x, y * 2, z], k_gens, taken))
+            for _ in range(3):
+                j_gens = rng.sample(pool, rng.randint(1, 3))
+                cases.append((ring, j_gens, k_gens, taken))
+        ring = GradedRing(base, laurent, degree_window=6, laurent_window=1)
+        x, y, v = (ring.var(n) for n in ("x", "y", "v"))
+        for j_gens in ([x, y], [x * 2, y], [x * v, y], [y * v + x * y * 2]):
+            cases.append((ring, j_gens, [x], taken))
+    z2 = GradedRing(BaseRing.integers_localized(2), xyz, degree_window=8)
+    x, y, z = (z2.var(n) for n in ("x", "y", "z"))
+    for k_gens in ([x * -1], [x, z], [y * 3], [x * Fraction(3, 5)]):
+        for j_gens in ([x, y + x * Fraction(5, 3), z], [x * Fraction(2, 3), y, z * 3]):
+            cases.append((z2, j_gens, k_gens, True))
+    z = GradedRing(BaseRing.integers(), xyz, degree_window=8)
+    x, y = z.var("x"), z.var("y")
+    cases.append((z, [x, y], [x * 2], False))
+    cases.append((z, [x, y], [y * y], False))
+    z3 = GradedRing(BaseRing.integers_localized(3), xyz, degree_window=8)
+    x, y = z3.var("x"), z3.var("y")
+    cases.append((z3, [x, y], [z3.constant(3), x], False))
+    rel = GradedRing(BaseRing.integers(), xyz, degree_window=8, relations=[{(0, 0, 2): 1, (1, 1, 0): -1}])
+    x, y = rel.var("x"), rel.var("y")
+    cases.append((rel, [x, y], [x], False))
+    return cases
+
+
+def test_split_koszul_homology_matches_lattice_oracle(monkeypatch):
+    # Over a split R/K, homology_entry reads H_i off one rank and one Smith
+    # form of the cut differentials; it must give the lattice oracle's
+    # entry for every i <= length + 1 and every degree, and a truncated
+    # slice must still raise.  The spy sees the path answer on every
+    # nonempty slice of a split case, and never elsewhere.
+    answers = []
+    free = ideals_module.homology_invariants
+
+    def spy(*args):
+        got = free(*args)
+        answers.append(got is not None)
+        return got
+
+    monkeypatch.setattr(ideals_module, "homology_invariants", spy)
+    counts = {True: 0, False: 0}
+    torsion = truncated = 0
+    for ring, j_gens, k_gens, taken in _split_koszul_cases():
+        cx = KoszulComplex(ring, j_gens, k_gens)
+        answers.clear()
+        slices = 0
+        for q in ring.even_degrees():
+            for i in range(cx.length + 2):
+                if cx.differential_rows(i, q)[1] or cx.differential_rows(i + 1, q)[1]:
+                    with pytest.raises(WindowOverflow):
+                        cx.homology_entry(i, q)
+                    truncated += 1
+                    continue
+                entry = cx.homology_entry(i, q)
+                assert entry == ref_homology_entry(cx, i, q), (ring, j_gens, k_gens, i, q)
+                slices += bool(cx.chain_slice(i, q))
+                torsion += bool(taken and entry.factors and ring.base.characteristic == 0)
+        assert answers == [True] * slices if taken else not any(answers), (ring, j_gens, k_gens)
+        counts[taken] += 1
+    _clear_ring_caches()
+    assert counts[True] >= 80 and counts[False] >= 40, counts
+    assert torsion >= 20 and truncated >= 10, (torsion, truncated)
+
+
+def test_split_koszul_tor1_matches_intersection_over_product():
+    # An independent route: (J ∩ K) / (J K) read off the slice lattices,
+    # with no Koszul homology, against Tor_1 on the split path.
+    checked = set()
+    for ring, j_gens, k_gens, taken in _split_koszul_cases():
+        cx = KoszulComplex(ring, j_gens, k_gens)
+        if any(
+            cx.differential_rows(i, q)[1]
+            for q in ring.even_degrees() for i in range(cx.length + 1)
+        ):
+            continue  # tor raises WindowOverflow on both routes
+        if taken and check_regular_sequence(ring, j_gens).regular:
+            assert tor1_equals_intersection_over_product(ring, j_gens, k_gens), (ring, j_gens, k_gens)
+            checked.add(ring.base)
+    _clear_ring_caches()
+    assert checked == set(SPLIT_BASES)
+
+
+@pytest.mark.parametrize("base", SPLIT_BASES, ids=["Z", "F3", "Z_(2)", "Z_(3)"])
+def test_split_koszul_path_keeps_the_square_check(monkeypatch, base):
+    # The split path builds no cycle lattice, so no "relation span escapes
+    # the cycle span" check runs there: validate_squares stands in for it.
+    # One flipped sign in d_2, at the row of e_y ∧ e_z and its entry y e_z,
+    # gives d∘d = -2yz, outside (x): it must raise on both routes, and tor
+    # must raise at degree 4 before reporting that degree's entry.
+    ring = GradedRing(base, [Generator(n, 2) for n in ("x", "y", "z")], degree_window=8)
+    x, y, z = (ring.var(n) for n in ("x", "y", "z"))
+    cx = KoszulComplex(ring, [x, y, z], [x])
+    row = cx.chain_slice(2, 4).index(((1, 2), (0, 0, 0)))
+    col = cx.chain_slice(1, 4).index(((2,), (0, 1, 0)))
+    build = KoszulComplex._differential
+
+    def flipped(self, i, q):
+        rows, truncated = build(self, i, q)
+        if (i, q) == (2, 4):
+            rows = [dict(r) for r in rows]
+            rows[row][col] = -rows[row][col]
+        return rows, truncated
+
+    ref = ref_differential_rows(cx, 2, 4)
+    ref[row][col] = base.neg(ref[row][col])
+    monkeypatch.setattr(KoszulComplex, "_differential", flipped)
+    with pytest.raises(SemanticError):
+        cx.validate_squares(4)
+    with pytest.raises(SemanticError):
+        ref_validate_squares(cx, 4, lambda i: ref if i == 2 else ref_differential_rows(cx, i, 4))
+    reported = []
+    entry = KoszulComplex.homology_entry
+    monkeypatch.setattr(
+        KoszulComplex, "homology_entry",
+        lambda self, i, q: reported.append(q) or entry(self, i, q),
+    )
+    with pytest.raises(SemanticError):
+        tor(ring, [x, y, z], [x], 1)
+    assert reported == [0, 2]
