@@ -41,7 +41,6 @@ from .jobio import (
     presentation_payload,
     ring_from_job,
     sequence_from_job,
-    spec_from_job,
     target_from_job,
 )
 from .ring import QuotientRing
@@ -83,7 +82,7 @@ def _spec_and_target(doc: dict):
     if "scenario" in doc:
         return _scenario_from(doc).spec, None
     ring = ring_from_job(doc)
-    return spec_from_job(ring, doc), target_from_job(ring, doc)
+    return sequence_from_job(ring, doc["sequence"]), target_from_job(ring, doc)
 
 
 def algebra_element(cl, text: str):
@@ -131,22 +130,16 @@ def _cmd_form(doc):
 def _cmd_multiply(doc):
     spec, target = _spec_and_target(doc)
     _, cl = clifford.homology_presentation(spec, target)
-    factors = doc.get("factors")
-    if not isinstance(factors, list) or not factors:
-        raise SemanticError("multiply needs a non-empty factors list")
     product = cl.one()
-    for text in factors:
+    for text in doc["factors"]:
         product = product * algebra_element(cl, text)
-    return 0, {"factors": list(factors), "product": element_payload(product)}, ()
+    return 0, {"factors": list(doc["factors"]), "product": element_payload(product)}, ()
 
 
 def _cmd_antipode(doc):
     spec, target = _spec_and_target(doc)
     _, cl = clifford.homology_presentation(spec, target)
-    text = doc.get("element")
-    if not isinstance(text, str):
-        raise SemanticError("antipode needs an element expression")
-    value = algebra_element(cl, text)
+    value = algebra_element(cl, doc["element"])
     image = clifford.antipode(value)
     return 0, {"element": element_payload(value), "antipode": element_payload(image)}, ()
 
@@ -186,25 +179,13 @@ def _cmd_check_regular(doc):
 
 def _cmd_tor(doc):
     ring = ring_from_job(doc)
-    first = doc.get("first")
-    second = doc.get("second")
-    index = doc.get("index")
-    if first is None or second is None or not isinstance(index, int):
-        raise SemanticError("tor needs first, second and an integer index")
-    report = tor(
-        ring,
-        tuple(ring.parse(t) for t in first),
-        tuple(ring.parse(t) for t in second),
-        index,
-    )
-    return 0, {"index": index, "report": graded_report_payload(report)}, ()
+    first, second = (tuple(ring.parse(t) for t in doc[key]) for key in ("first", "second"))
+    report = tor(ring, first, second, doc["index"])
+    return 0, {"index": doc["index"], "report": graded_report_payload(report)}, ()
 
 
 def _ideal_lists(ring, doc):
-    ideals = doc.get("ideals")
-    if not isinstance(ideals, list) or not ideals:
-        raise SemanticError("this command needs a non-empty ideals list")
-    return [tuple(ring.parse(t) for t in block) for block in ideals]
+    return [tuple(ring.parse(t) for t in block) for block in doc["ideals"]]
 
 
 def _cmd_condition_ii(doc):
@@ -229,23 +210,14 @@ def _cmd_decompose(doc):
 
 
 def _pair_from_block(ring, block):
-    if not isinstance(block, dict):
-        raise SemanticError("pair blocks must be objects")
-    entries = block.get("sequence")
-    if entries is None:
-        raise SemanticError("pair blocks need a sequence")
-    spec = sequence_from_job(ring, entries)
-    target = block.get("target")
-    if target is None:
-        raise SemanticError("pair blocks need a target ideal")
-    tq = tuple(ring.parse(t) for t in target)
-    return pairs.make_pair(spec, QuotientRing(ring, tq), block.get("multiplicative", False))
+    spec, target = sequence_from_job(ring, block["sequence"]), target_from_job(ring, block)
+    return pairs.make_pair(spec, target, block.get("multiplicative", False))
 
 
 def _cmd_naturality(doc):
     ring = ring_from_job(doc)
-    source = _pair_from_block(ring, doc.get("source_pair"))
-    target = _pair_from_block(ring, doc.get("target_pair"))
+    source = _pair_from_block(ring, doc["source_pair"])
+    target = _pair_from_block(ring, doc["target_pair"])
     morphism = pairs.PairMorphism(source, target)
     report = pairs.naturality_suite(morphism)
     if report.amap is None:

@@ -1,11 +1,13 @@
 """Job documents for the batch interface.
 
 A job is a single JSON object with a ``command`` plus the blocks that
-command needs: a ``ring`` (base, generators, optional relations), a
-``sequence`` of element expressions with optional obstructions, an
-optional ``target`` ideal, a ``window`` block, or a named ``scenario``.
-Reports are rendered to canonical JSON with sorted keys so identical
-inputs produce identical bytes; timing never enters the JSON form.
+command reads, which ``COMMANDS`` names and ``parse_job`` alone checks: a
+``ring`` (base, generators, optional relations) and a ``sequence`` of
+element expressions with optional obstructions, or a named ``scenario``,
+and the command's own fields; an optional ``target`` ideal and ``window``
+block may join them.  Reports are rendered to canonical JSON with sorted
+keys so identical inputs produce identical bytes; timing never enters the
+JSON form.
 """
 from __future__ import annotations
 
@@ -20,24 +22,27 @@ from .errors import ParseError, SemanticError
 from .ring import GradedRing, Generator, QuotientRing
 from .scalars import BaseRing
 
-# The one command table: command -> the algebra modules its handler,
-# cli._cmd_<command> with - read as _, runs past the ring core (a document
-# with a scenario block also runs morava).  The package registers them
-# without executing them; parse_job executes a job's own, so a job compiles
-# no other algebra module and does so before it runs.
+# The one command table: command -> (modules, blocks).  The modules are the
+# algebra modules its handler, cli._cmd_<command> with - read as _, runs past
+# the ring core (a scenario block also runs morava); the package registers
+# them unexecuted, and parse_job executes a job's own, and no other, before
+# it runs.  The blocks are the top-level fields the handler reads, which
+# parse_job requires; a scenario block stands in for the ring and sequence
+# (_SPEC), as cli._spec_and_target reads it first.
+_SPEC = ("ring", "sequence")
 COMMANDS = {
-    "presentation": ("clifford",),
-    "cohomology": ("derivations",),
-    "form": ("conormal",),
-    "multiply": ("clifford",),
-    "antipode": ("clifford",),
-    "derivations": ("derivations",),
-    "check-regular": ("conormal",),
-    "tor": (),
-    "condition-ii": (),
-    "decompose": (),
-    "naturality": ("pairs",),
-    "scenario": ("morava",),
+    "presentation": (("clifford",), _SPEC),
+    "cohomology": (("derivations",), _SPEC),
+    "form": (("conormal",), _SPEC),
+    "multiply": (("clifford",), _SPEC + ("factors",)),
+    "antipode": (("clifford",), _SPEC + ("element",)),
+    "derivations": (("derivations",), _SPEC),
+    "check-regular": (("conormal",), _SPEC),
+    "tor": ((), ("ring", "first", "second", "index")),
+    "condition-ii": ((), ("ring", "ideals")),
+    "decompose": ((), ("ring", "ideals")),
+    "naturality": (("pairs",), ("ring", "source_pair", "target_pair")),
+    "scenario": (("morava",), ("scenario",)),
 }
 
 _BASE_PATTERNS = (
@@ -108,14 +113,16 @@ def _check_expressions(value, key: str, entries: bool = False) -> None:
 
 
 def parse_job(text: str) -> JobDescription:
-    """Parse and structurally validate one job document.
+    """Parse and check one job document, the one place its shape is checked.
 
-    Besides the blocks, the fields that commands read are type checked
-    here: expression lists must hold strings (``sequence`` also entry
-    objects), ``ideals`` must be a list of such lists, integers must be
-    JSON integers, not booleans, and the flags ``invertible`` and
-    ``multiplicative`` must be JSON booleans.  A valid job's algebra
-    modules (``COMMANDS``) are executed here, before the job runs.
+    Each field that commands read is type checked when present: expression
+    lists must hold strings (``sequence`` also entry objects), ``factors``
+    must not be empty, ``ideals`` must be a list of such lists, ``element``
+    a string, each pair an object with a ``sequence`` and a ``target``,
+    integers JSON integers, not booleans, and ``invertible`` and
+    ``multiplicative`` JSON booleans.  Then each block that ``COMMANDS``
+    names must be present.  Only then are the job's algebra modules
+    executed, so a malformed document is refused before any module runs.
     """
     try:
         doc = json.loads(text)
@@ -160,8 +167,6 @@ def parse_job(text: str) -> JobDescription:
                 raise SemanticError(
                     "generator %s: invertible must be true or false" % gen["name"]
                 )
-    if command == "scenario" and "scenario" not in doc:
-        raise SemanticError("the scenario command needs a scenario block")
     if "scenario" in doc:
         scenario = doc["scenario"]
         if not isinstance(scenario, dict):
@@ -176,6 +181,10 @@ def parse_job(text: str) -> JobDescription:
     _check_expressions(doc.get("sequence"), "sequence", entries=True)
     for key in ("first", "second", "factors", "target"):
         _check_expressions(doc.get(key), key)
+    if doc.get("factors") == []:
+        raise SemanticError("factors must not be empty")
+    if not isinstance(doc.get("element", ""), str):
+        raise SemanticError("element must be an expression string")
     ideals = doc.get("ideals")
     if ideals is not None:
         if not isinstance(ideals, list) or not all(isinstance(b, list) for b in ideals):
@@ -184,12 +193,23 @@ def parse_job(text: str) -> JobDescription:
             _check_expressions(block, "ideals")
     for key in ("source_pair", "target_pair"):
         pair = doc.get(key)
-        if isinstance(pair, dict):
-            _check_expressions(pair.get("sequence"), "sequence", entries=True)
-            _check_expressions(pair.get("target"), "target")
-            if not isinstance(pair.get("multiplicative", False), bool):
-                raise SemanticError("%s: multiplicative must be true or false" % key)
-    _execute(COMMANDS[command] + (("morava",) if "scenario" in doc else ()))
+        if pair is None:
+            continue
+        if not isinstance(pair, dict) or None in (pair.get("sequence"), pair.get("target")):
+            raise SemanticError("%s must be an object with a sequence and a target" % key)
+        _check_expressions(pair["sequence"], "sequence", entries=True)
+        _check_expressions(pair["target"], "target")
+        if not isinstance(pair.get("multiplicative", False), bool):
+            raise SemanticError("%s: multiplicative must be true or false" % key)
+    modules, blocks = COMMANDS[command]
+    if "scenario" in doc:
+        modules += ("morava",)
+        if blocks[:2] == _SPEC:
+            blocks = blocks[2:]
+    for block in blocks:
+        if doc.get(block) is None:
+            raise SemanticError("%s needs %s" % (command, block))
+    _execute(modules)
     return JobDescription(command, doc)
 
 
@@ -212,9 +232,7 @@ def _execute(names) -> None:
 
 
 def ring_from_job(doc: dict) -> GradedRing:
-    block = doc.get("ring")
-    if block is None:
-        raise SemanticError("this command needs a ring block")
+    block = doc["ring"]
     base = base_ring_from_name(block["base"])
     gens = [
         Generator(g["name"], g["degree"], g.get("invertible", False))
@@ -239,19 +257,10 @@ def sequence_from_job(ring: GradedRing, entries):
     for item in entries:
         if isinstance(item, str):
             item = {"element": item}
-        if not isinstance(item, dict) or "element" not in item:
-            raise SemanticError("sequence entries need an element expression")
         x = ring.parse(item["element"])
         obs = item.get("obstruction")
         tokens.append(ProductToken(x, None if obs in (None, 0, "0") else ring.parse(obs)))
     return QuotientRingSpec(ring, [tok.element for tok in tokens], tokens)
-
-
-def spec_from_job(ring: GradedRing, doc: dict):
-    entries = doc.get("sequence")
-    if entries is None:
-        raise SemanticError("this command needs a sequence block")
-    return sequence_from_job(ring, entries)
 
 
 def target_from_job(ring: GradedRing, doc: dict):

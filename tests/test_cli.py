@@ -565,6 +565,15 @@ XY_RING = {
     "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 2}],
 }
 
+# Over Z[x], the projection to Z[x]/(x^2) does not kill (x), so the algebra
+# itself is refuted (exit 1); a malformed document must exit 2 all the same.
+REFUTED = {
+    "ring": {"base": "Z", "generators": [{"name": "x", "degree": 2}]},
+    "window": {"degree": 6},
+    "sequence": ["x"],
+    "target": ["x^2"],
+}
+
 
 @pytest.mark.parametrize(
     "doc, line",
@@ -616,6 +625,8 @@ def test_text_report_renders_empty_lists_on_their_key(doc, line, tmp_path, capsy
             "sequence": [{"element": "0*x", "obstruction": "x^3"}],
             "factors": ["a0"],
         },
+        dict(REFUTED, command="multiply"),
+        dict(REFUTED, command="antipode", element=5),
     ],
     ids=[
         "first-not-a-list",
@@ -635,6 +646,8 @@ def test_text_report_renders_empty_lists_on_their_key(doc, line, tmp_path, capsy
         "invertible-number",
         "multiplicative-string",
         "zero-element-with-obstruction",
+        "factors-missing-on-a-refuted-algebra",
+        "element-number-on-a-refuted-algebra",
     ],
 )
 def test_mistyped_job_fields_exit_2(tmp_path, capsys, doc):
@@ -834,6 +847,47 @@ LOADING = {
     ),
     "scenario": ({"scenario": {"p": 2, "n": 1}}, "morava"),
 }
+
+
+@pytest.mark.parametrize("command", sorted(LOADING))
+def test_parse_job_refuses_each_missing_block(command):
+    """Deleting any block that ``COMMANDS`` names for the command from its
+    valid document, or the scenario block that stands in for a ring and
+    sequence, or a pair's sequence or target, fails in ``parse_job``."""
+    doc, _ = LOADING[command]
+    doc = dict(doc, command=command)
+    blocks = set(COMMANDS[command][1])
+    if "scenario" in doc:
+        blocks = blocks - {"ring", "sequence"} | {"scenario"}
+    assert blocks <= doc.keys()
+    mutants = [{k: v for k, v in doc.items() if k != block} for block in blocks]
+    for pair in {"source_pair", "target_pair"} & blocks:
+        for key in ("sequence", "target"):
+            block = {k: v for k, v in doc[pair].items() if k != key}
+            mutants.append(dict(doc, **{pair: block}))
+    for mutant in mutants:
+        with pytest.raises(SemanticError):
+            parse_job(json.dumps(mutant))
+
+
+def test_a_document_missing_a_block_executes_no_algebra_module():
+    """``parse_job`` refuses a ``multiply`` document with no ``factors``
+    before it executes ``clifford`` or any other algebra module."""
+    code = (
+        "import json, sys, types\n"
+        + EXECUTED
+        + "from regquot import cli, jobio\n"
+        "from regquot.errors import SemanticError\n"
+        "try:\n"
+        "    jobio.parse_job(sys.argv[1])\n"
+        "    error = None\n"
+        "except SemanticError as err:\n"
+        "    error = str(err)\n"
+        "print(json.dumps([error, executed()]))\n"
+    )
+    error, ran = _fresh_python(code, json.dumps(dict(REFUTED, command="multiply")))
+    assert error == "multiply needs factors"
+    assert ran == RING_CORE
 
 
 @pytest.mark.parametrize("command", sorted(LOADING))
