@@ -3,14 +3,16 @@
 Exit codes: 0 when the computation succeeds, 1 when the mathematics
 refutes the request (a sequence is not regular, a square fails, a
 projection is not unital), 2 for malformed or semantically invalid
-input, and 3 for an internal error: an exception that is not an
-``AlgebraError`` is reported as one ``error[internal]`` line, so that a
-crash never reads as a refutation.  Timing appears only in the text
-output so the JSON report stays byte-identical across runs.
+input or a report that cannot be written, and 3 for an internal error:
+an exception that is not an ``AlgebraError`` is reported as one
+``error[internal]`` line, so that a crash never reads as a refutation.
+Timing appears only in the text output so the JSON report stays
+byte-identical across runs.
 """
 from __future__ import annotations
 
 import gc
+import os
 import sys
 import time
 from pathlib import Path
@@ -78,11 +80,17 @@ def _scenario_from(doc: dict):
     )
 
 
-def _spec_and_target(doc: dict):
+def _spec(doc: dict):
     if "scenario" in doc:
-        return _scenario_from(doc).spec, None
-    ring = ring_from_job(doc)
-    return sequence_from_job(ring, doc["sequence"]), target_from_job(ring, doc)
+        return _scenario_from(doc).spec
+    return sequence_from_job(ring_from_job(doc), doc["sequence"])
+
+
+def _spec_and_target(doc: dict):
+    """The spec and its target ideal, for the commands that read one: a
+    scenario job has none."""
+    spec = _spec(doc)
+    return spec, None if "scenario" in doc else target_from_job(spec.ring, doc)
 
 
 def algebra_element(cl, text: str):
@@ -114,7 +122,7 @@ def _cmd_presentation(doc):
 
 
 def _cmd_cohomology(doc):
-    spec, _ = _spec_and_target(doc)
+    spec = _spec(doc)
     pres = derivations.cohomology_presentation(spec)
     return 0, presentation_payload(pres), pres.warnings
 
@@ -145,7 +153,7 @@ def _cmd_antipode(doc):
 
 
 def _cmd_derivations(doc):
-    spec, _ = _spec_and_target(doc)
+    spec = _spec(doc)
     module = conormal.conormal_module(spec)
     ext = clifford.CliffordAlgebra(module, conormal.zero_form(module))
     qs, leibniz, certified, rank = derivations.generator_checks(ext)
@@ -164,7 +172,7 @@ def _cmd_derivations(doc):
 
 
 def _cmd_check_regular(doc):
-    spec, _ = _spec_and_target(doc)
+    spec = _spec(doc)
     report = spec.regularity
     results = {
         "regular": report.regular,
@@ -336,13 +344,15 @@ def main(argv=None) -> int:
     except Exception as err:
         print("error[internal]: %s: %s" % (type(err).__name__, err), file=sys.stderr)
         return 3
-    print(render_text(report, time.monotonic() - started))
-    if ns.json_path:
-        try:
+    try:
+        print(render_text(report, time.monotonic() - started), flush=True)
+        if ns.json_path:
             Path(ns.json_path).write_text(canonical_json(report.payload()))
-        except OSError as err:
-            print("error[IO]: %s" % err, file=sys.stderr)
-            return 2
+    except OSError as err:  # a closed stdout too: exit 1 would read as a refutation
+        if isinstance(err, BrokenPipeError):  # so the final flush cannot raise
+            sys.stdout = open(os.devnull, "w")
+        print("error[IO]: %s" % err, file=sys.stderr)
+        return 2
     return report.status
 
 

@@ -338,32 +338,39 @@ class KoszulComplex:
         self._degs = [g.degree() for g in self.j_gens]
         self._coeffs, self.scale = cleared_coefficients(self.j_gens)
         self._differentials: dict = {}  # (i, q) -> differential_rows(i, q)
+        self._slices: dict = {}  # (i, q) -> _chain_slice(i, q)
 
     def shift(self, subset) -> int:
         return sum(self._degs[j] for j in subset)
 
     def chain_slice(self, i: int, q: int):
-        """Basis of the internal degree-q slice of the i-th chain module."""
-        if i < 0 or i > self.length:
-            return []
-        out = []
-        for S in combinations(range(self.length), i):
+        """Basis of the internal degree-q slice of the i-th chain module,
+        built once per complex: no caller may change it."""
+        return self._slice(i, q)[0]
+
+    def _slice(self, i: int, q: int):
+        """``(chain_slice(i, q), {S: (its first column, its monomials m)})``."""
+        key = (i, q)
+        if key not in self._slices:
+            self._slices[key] = self._chain_slice(i, q)
+        return self._slices[key]
+
+    def _chain_slice(self, i: int, q: int):
+        basis, blocks = [], {}
+        for S in combinations(range(self.length), i) if i >= 0 else ():
             d = q - self.shift(S)
-            if d > self.ring.degree_window:
-                continue
-            for m in self.ring.degree_exps(d):
-                out.append((S, m))
-        return out
+            if d <= self.ring.degree_window:
+                ms = self.ring.degree_exps(d)
+                blocks[S] = (len(basis), ms)
+                basis.extend((S, m) for m in ms)
+        return basis, blocks
 
     def relation_rows(self, i: int, q: int):
         """Coefficient-quotient relation rows for the (i, q) slice, sparse."""
-        basis = self.chain_slice(i, q)
-        index = {sm: j for j, sm in enumerate(basis)}
         rows = []
-        for S in dict.fromkeys(S for S, _ in basis):
+        for S, (col, _) in self._slice(i, q)[1].items():
             ctx = ideal_context(self.ring, self.k_gens, q - self.shift(S))
-            cols = [index[(S, m)] for m in ctx.exps]
-            rows.extend({cols[j]: val for j, val in row.items()} for row in ctx.rows)
+            rows.extend({col + j: val for j, val in row.items()} for row in ctx.rows)
         return rows
 
     def _free_part(self, i: int, q: int, killed):
@@ -391,26 +398,32 @@ class KoszulComplex:
         return self._differentials[key]
 
     def _differential(self, i: int, q: int):
-        src = self.chain_slice(i, q)
-        tgt = self.chain_slice(i - 1, q)
-        index = {sm: j for j, sm in enumerate(tgt)}
-        rows = []
-        truncated = False
-        for S, m in src:
-            # each (rest, prod) is hit once: rest names j, and prod the term
-            row = {}
+        """Row (S, m) sums (-1)^t * (scale // s_j) times row m of g_j's
+        ``_row_block``, for j the t-th entry of S, on the block of S minus j.
+        Where the block drops an m, whose product leaves the window, or S
+        minus j has no block, the slice is truncated, and each m takes the
+        terms of g_j that fit one by one."""
+        tgt = self._slice(i - 1, q)[1]
+        out, truncated = [], False
+        for S, (_, ms) in self._slice(i, q)[1].items():
+            rows = [{} for _ in ms]
             for t, j in enumerate(S):
-                rest = tuple(x for x in S if x != j)
+                rest, g = S[:t] + S[t + 1:], self.j_gens[j]
+                if rest not in tgt:
+                    truncated |= bool(ms)
+                    continue
+                col, tms = tgt[rest]
+                block, used, s = _row_block(self.ring, g, q - self.shift(rest))
                 sign = -1 if t % 2 else 1
-                for exps, c in zip(self.j_gens[j].terms, self._coeffs[j]):
-                    prod = tuple(a + b for a, b in zip(m, exps))
-                    key = (rest, prod)
-                    if key not in index:
-                        truncated = True
-                        continue
-                    row[index[key]] = sign * c
-            rows.append(row)
-        return rows, truncated
+                k = sign * (self.scale // s)
+                if len(used) < len(ms):  # the terms that fit, on the common scale
+                    truncated, k, at = True, sign, {e: n for n, e in enumerate(tms)}
+                    block = [{at[p]: c for e, c in zip(g.terms, self._coeffs[j])
+                              if (p := tuple(a + b for a, b in zip(m, e))) in at} for m in ms]
+                for row, brow in zip(rows, block):
+                    row.update({col + c: k * v for c, v in brow.items()})
+            out.extend(rows)
+        return out, truncated
 
     def validate_squares(self, q: int) -> None:
         """d∘d lands in the relation span of the target slice.

@@ -748,6 +748,41 @@ def test_unwritable_report_path_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[IO]: ")
 
 
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as under ``regquot job | head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_2_not_1(tmp_path, capsys, monkeypatch):
+    # The job itself succeeds; exit 1 would read as a refutation, and the
+    # interpreter's last flush of the closed stdout must not raise either.
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(LAURENT_TOR_DOC))
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main([str(path), "--json", str(tmp_path / "r.json")])
+    sys.stdout.write("nothing")
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert code == 2
+    assert capsys.readouterr().err == "error[IO]: [Errno 32] Broken pipe\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["cohomology", "derivations", "check-regular"])
+def test_a_command_that_reads_no_target_does_not_parse_it(tmp_path, capsys, command):
+    # z is no name of Z[x], so parsing the target would exit 2
+    doc = dict(REFUTED, command=command, target=["z"])
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    path.write_text(json.dumps(dict(doc, command="presentation")))
+    assert main([str(path)]) == 2
+    assert capsys.readouterr().err == "error[SemanticError]: unknown name 'z' in element expression\n"
+
+
 # -- start-up and records ----------------------------------------------
 
 

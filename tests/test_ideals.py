@@ -1041,33 +1041,42 @@ def test_every_lattice_receives_int_rows(monkeypatch):
 def test_koszul_differential_slices_are_built_once(monkeypatch):
     # validate_squares(q) reads d_i and d_{i-1}, and homology_entry(i, q)
     # reads d_i and d_{i+1}: each slice is built on its first read only.
-    built, read = [], []
-    build, get = KoszulComplex._differential, KoszulComplex.differential_rows
+    # So is each chain slice, which the differentials, the relation rows,
+    # the cut to the free part and the slice widths all read.
+    built, read, slices_built, slices_read = [], [], [], []
 
-    def counting_build(self, i, q):
-        built.append((i, q))
-        return build(self, i, q)
+    def counting(name, log):
+        method = getattr(KoszulComplex, name)
 
-    def counting_read(self, i, q):
-        read.append((i, q))
-        return get(self, i, q)
+        def spy(self, i, q):
+            log.append((i, q))
+            return method(self, i, q)
 
-    monkeypatch.setattr(KoszulComplex, "_differential", counting_build)
-    monkeypatch.setattr(KoszulComplex, "differential_rows", counting_read)
+        monkeypatch.setattr(KoszulComplex, name, spy)
+
+    for name, log in (("_differential", built), ("differential_rows", read),
+                      ("_chain_slice", slices_built), ("_slice", slices_read)):
+        counting(name, log)
     gens = [Generator(n, 2) for n in ("x", "y", "z")]
     for base in (BaseRing.integers(), BaseRing.prime_field(3)):
-        built.clear()
-        read.clear()
+        for log in (built, read, slices_built, slices_read):
+            log.clear()
         ring = GradedRing(base, gens, degree_window=12)
         x, y, z = (ring.var(n) for n in ("x", "y", "z"))
         report = tor(ring, [x, y, z], [x], 1)
         assert report.nonzero_degrees() == [2]
         assert len(built) == len(set(built)) == len(set(read))
         assert len(read) > 1.5 * len(built)
+        assert len(slices_built) == len(set(slices_built)) == len(set(slices_read))
+        assert len(slices_read) > 3 * len(slices_built)
         built.clear()
+        slices_built.clear()
         cx = KoszulComplex(ring, [x, y], [x * y])
         rows = cx.differential_rows(2, 8)
         assert cx.differential_rows(2, 8) is rows and built == [(2, 8)]
+        basis = cx.chain_slice(1, 8)
+        assert cx.chain_slice(1, 8) is basis and cx.relation_rows(1, 8)
+        assert sorted(slices_built) == [(1, 8), (2, 8)]
 
 
 # -- integer Koszul rows against the base-valued rows ------------------
@@ -1092,6 +1101,65 @@ def ref_differential_rows(cx, i, q):
                     row[index[key]] = base.add(row[index[key]], base.mul(c, sign))
         rows.append(row)
     return rows
+
+
+def ref_differential_columns(cx, i, q):
+    """The columns of each row of d_i on the degree-q slice, in the order
+    the terms come, t-th entry j of S first, then g_j's terms in order, and
+    whether some product (S minus j, m * e) falls outside the target slice."""
+    index = {sm: j for j, sm in enumerate(cx.chain_slice(i - 1, q))}
+    columns, truncated = [], False
+    for S, m in cx.chain_slice(i, q):
+        keys = [
+            (S[:t] + S[t + 1:], tuple(a + b for a, b in zip(m, e)))
+            for t, j in enumerate(S) for e in cx.j_gens[j].terms
+        ]
+        columns.append([index[k] for k in keys if k in index])
+        truncated = truncated or any(k not in index for k in keys)
+    return columns, truncated
+
+
+def test_koszul_rows_from_row_blocks_keep_truncated_slices():
+    # With v invertible in the Laurent window 1, v y * m leaves the window
+    # for the m with a factor v, so v y's row blocks drop those m, and the
+    # slice is truncated; its rows must still hold every term that fits,
+    # in the order the terms come, and the flag must be set just where a
+    # product is missing.  The entry 1/v, of degree -2, leaves S minus j
+    # past the window for some S in the top degrees.  The fraction 3/5
+    # puts scale 5 beside the scale 1 of x's own rows.
+    gens = [Generator("x", 2), Generator("y", 2), Generator("v", 2, invertible=True)]
+    cases = []
+    for base, c in ((BaseRing.integers(), -1), (BaseRing.prime_field(3), 2),
+                    (BaseRing.integers_localized(2), Fraction(3, 5))):
+        ring = GradedRing(base, gens, degree_window=10, laurent_window=1)
+        x, y, v = (ring.var(n) for n in ("x", "y", "v"))
+        cases.append((ring, [x, v * y * c, x * v + y * y, ring.parse("v^-1")], 5 if c == Fraction(3, 5) else 1))
+    # In Z[v^{±1}] every product with 1/v fits, so only the block of S
+    # minus j, past the window, truncates the slice of (v, 1/v) in degree 2
+    ring = GradedRing(BaseRing.integers(), [gens[2]], degree_window=2, laurent_window=1)
+    cases.append((ring, [ring.var("v"), ring.parse("v^-1")], 1))
+    flags = {False: 0, True: 0}
+    for ring, seq, scale in cases:
+        cx = KoszulComplex(ring, seq, seq[:1])
+        n = ring.base.characteristic
+        assert cx.scale == scale
+        for q in ring.even_degrees():
+            for i in range(cx.length + 2):
+                rows, truncated = cx.differential_rows(i, q)
+                columns, want = ref_differential_columns(cx, i, q)
+                assert truncated == want, (ring, i, q)
+                assert [list(row) for row in rows] == columns, (ring, i, q)
+                for row, ref in zip(rows, ref_differential_rows(cx, i, q)):
+                    assert all(type(val) is int for val in row.values())
+                    got = dense_of(row, len(ref))
+                    assert all(
+                        (a - b) % n == 0 if n else a == scale * b for a, b in zip(got, ref)
+                    ), (ring, i, q)
+                flags[truncated] += bool(rows)
+            if not any(cx.differential_rows(i, q)[1] for i in range(cx.length + 1)):
+                cx.validate_squares(q)
+    assert cx.differential_rows(2, 2) == ([{0: -1}], True)
+    assert flags[True] >= 30 and flags[False] >= 15, flags
 
 
 def ref_validate_squares(cx, q, rows_of):
