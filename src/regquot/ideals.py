@@ -6,11 +6,14 @@ modules are presented as integer, p-local or F_p lattices: a slice is a span
 or quotient invariants come from Smith normal form of ``B`` written in a
 basis of ``Z``.  Over a split R/K and a PID the Koszul complex is free, so
 C/B = Z/B ⊕ C/Z for its chains C, with C/Z free, and one rank and one Smith
-form per degree give Z/B.  An ideal's span in one degree is the lazy lattice
-of its ``ring.IdealContext``, never rebuilt here.  Nothing here branches on
-the base ring: ``linalg``'s ``lattice_for``, ``module_invariants``,
-``homology_invariants``, ``kernel_basis`` and ``residue_prime`` alone pick
-the integer, the p-local or the prime-field algebra.
+form per degree give Z/B.  A slice spanned by unit vectors e_m, as
+``ring.IdealContext.columns`` reads it, is its set of columns: condition II
+and I/I² are read off those sets where they can be.  Any other ideal's span
+in one degree is the lazy lattice of its context, never rebuilt here.
+Nothing here branches on the base ring: ``linalg``'s ``lattice_for``,
+``module_invariants``, ``homology_invariants``, ``kernel_basis``,
+``residue_prime`` and ``lift_rank`` alone pick the integer, the p-local or
+the prime-field algebra.
 """
 from __future__ import annotations
 
@@ -549,23 +552,24 @@ def check_condition_ii(ring: GradedRing, ideals):
             raise EmptySequence("ideals must have at least one generator")
     results = []
     for k in range(2, len(fams) + 1):
-        prev = sum(fams[: k - 1], ())
-        tail = fams[k - 1]
+        prev, tail = sum(fams[: k - 1], ()), fams[k - 1]
         prod = _product_gens(ring, prev, tail)
-        holds = True
-        for q in ring.even_degrees():
-            width = len(ring.degree_exps(q))
-            rows_p = ideal_context(ring, prev, q).rows
-            rows_t = ideal_context(ring, tail, q).rows
-            inter = lattice_intersection_rows(ring.base, rows_p, rows_t, width)
-            if not inter:
-                continue
-            lat = ideal_context(ring, prod, q).lattice
-            if not all(lat.contains(g) for g in inter):
-                holds = False
-                break
-        results.append(holds)
+        results.append(all(_meet_in_product(ring, prev, tail, prod, q)
+                           for q in ring.even_degrees()))
     return results
+
+
+def _meet_in_product(ring, prev, tail, prod, q) -> bool:
+    """Whether the degree-q slices of (prev) and (tail) meet inside (prod)'s:
+    C_prev ∩ C_tail ⊆ C_prod on ``IdealContext.columns``, else on lattices."""
+    ctx_p, ctx_t = ideal_context(ring, prev, q), ideal_context(ring, tail, q)
+    if ctx_p.columns is not None and ctx_t.columns is not None:
+        meet = ctx_p.columns & ctx_t.columns
+        cols = meet and ideal_context(ring, prod, q).columns
+        if cols is not None:
+            return meet <= cols
+    inter = lattice_intersection_rows(ring.base, ctx_p.rows, ctx_t.rows, ctx_p.width)
+    return not inter or all(map(ideal_context(ring, prod, q).lattice.contains, inter))
 
 
 # -- conormal decomposition -------------------------------------------
@@ -590,10 +594,10 @@ def decompose_conormal(ring: GradedRing, ideals):
 
     In each degree the forward map splits every basis vector of I into the
     parts its single ideals generate, and the backward map writes every
-    summand basis vector in the basis of I; both are exact coordinates in
-    the slice lattices of the ideal contexts.  A degree is verified when
-    backward∘forward is the identity modulo I² and forward∘backward the
-    identity on each summand modulo its relations.
+    summand basis vector in the basis of I, on columns (``_split_by_columns``)
+    or on the slice lattices.  A degree is verified when backward∘forward is
+    the identity modulo I² and forward∘backward the identity on each summand
+    modulo its relations.
     """
     fams = [_gens(ring, i) for i in ideals]
     for fam in fams:
@@ -610,23 +614,26 @@ def decompose_conormal(ring: GradedRing, ideals):
     owner = [idx for idx, fam in enumerate(fams) for _ in fam]
     prod_all = _product_gens(ring, allgens, allgens)
     degrees = {}
-    all_ok = True
     for q in ring.even_degrees():
         width = len(ring.degree_exps(q))
         if width == 0:
             continue
         ctx_all = ideal_context(ring, allgens, q)
-        lat = ctx_all.lattice
+        cols = ctx_all.columns
         # A degree is listed when the integer lift of I's slice is nonzero,
         # which over F_p and Z/m is every degree of positive width.
-        if not lift_rank(lat):
+        if not lift_rank(base, ctx_all.lattice.rank if cols is None else len(cols), width):
             continue
-        row_owner = [owner[gi] if kind == "gen" else None for kind, gi, _ in ctx_all.tags]
-        n_rows = len(row_owner)
         rel_all = ideal_context(ring, prod_all, q)
-        a_entry = _lattice_quotient(lat, rel_all.rows, base)
         ctxs = [ideal_context(ring, fam, q) for fam in fams]
         rels = [ideal_context(ring, _product_gens(ring, allgens, fam), q) for fam in fams]
+        if split := _split_by_columns(base, [ctx_all, *ctxs], [rel_all, *rels]):
+            degrees[q] = DecompositionDegree(q, split[0], split[1:], True)
+            continue
+        lat = ctx_all.lattice
+        row_owner = [owner[gi] if kind == "gen" else None for kind, gi, _ in ctx_all.tags]
+        n_rows = len(row_owner)
+        a_entry = _lattice_quotient(lat, rel_all.rows, base)
         entries = [_lattice_quotient(c.lattice, r.rows, base) for c, r in zip(ctxs, rels)]
         a_basis = lat.integer_basis()
         bases = [c.lattice.integer_basis() for c in ctxs]
@@ -671,6 +678,17 @@ def decompose_conormal(ring: GradedRing, ideals):
             for r, brow in enumerate(rows)
             for s in range(len(fams))
         )
-        all_ok = all_ok and ok
         degrees[q] = DecompositionDegree(q, a_entry, entries, ok)
-    return ConormalDecomposition(degrees, all_ok)
+    return ConormalDecomposition(degrees, all(d.verified for d in degrees.values()))
+
+
+def _split_by_columns(base, ctxs, rels):
+    """The entries of I/I² and each summand in one degree when the slices of
+    I, ``ctxs[0]``, each ideal and their relations have ``columns``, C_rel ⊆
+    C, and the ideals' C − C_rel partition I's, else None: each is then free
+    on its C − C_rel, and the coordinate maps are mutually inverse."""
+    pairs = ((c.columns, r.columns) for c, r in zip(ctxs, rels))
+    free = [c - r for c, r in pairs if None not in (c, r) and r <= c]
+    if len(free) < len(ctxs) or sorted(j for f in free[1:] for j in f) != sorted(free[0]):
+        return None
+    return [ModuleEntry(*module_invariants(base, [], len(f))) for f in free]

@@ -5,9 +5,9 @@ command reads, which ``COMMANDS`` names and ``parse_job`` alone checks: a
 ``ring`` (base, generators, optional relations) and a ``sequence`` of
 element expressions with optional obstructions, or a named ``scenario``,
 and the command's own fields; an optional ``target`` ideal and ``window``
-block may join them.  Reports are rendered to canonical JSON with sorted
-keys so identical inputs produce identical bytes; timing never enters the
-JSON form.
+block may join them, and no other field.  Reports are rendered to canonical
+JSON with sorted keys so identical inputs produce identical bytes; timing
+never enters the JSON form.
 """
 from __future__ import annotations
 
@@ -115,6 +115,8 @@ def _check_expressions(value, key: str, entries: bool = False) -> None:
 def parse_job(text: str) -> JobDescription:
     """Parse and check one job document, the one place its shape is checked.
 
+    A field outside ``command``, ``window``, ``target`` and the command's
+    blocks, or a window key but ``degree`` and ``laurent``, is refused first.
     Each field that commands read is type checked when present: expression
     lists must hold strings (``sequence`` also entry objects), ``factors``
     must not be empty, ``ideals`` must be a list of such lists, ``element``
@@ -139,9 +141,17 @@ def parse_job(text: str) -> JobDescription:
         raise SemanticError(
             "unknown command %r (expected one of %s)" % (command, ", ".join(COMMANDS))
         )
+    modules, blocks = COMMANDS[command]
+    if "scenario" in doc:
+        modules += ("morava",)
+        if blocks[:2] == _SPEC:
+            blocks = ("scenario",) + blocks[2:]
+    unread = set(doc).difference(("command", "window", "target") + blocks)
+    if unread:
+        raise SemanticError("%s reads no field %s" % (command, ", ".join(sorted(unread))))
     window = doc.get("window", {})
-    if not isinstance(window, dict):
-        raise SemanticError("window block must be an object")
+    if not isinstance(window, dict) or set(window).difference(("degree", "laurent")):
+        raise SemanticError("window block must be an object with degree and laurent keys only")
     for key in ("degree", "laurent"):
         if key in window and (not _is_int(window[key]) or window[key] < 0):
             raise SemanticError("window %s must be a non-negative integer" % key)
@@ -201,11 +211,6 @@ def parse_job(text: str) -> JobDescription:
         _check_expressions(pair["target"], "target")
         if not isinstance(pair.get("multiplicative", False), bool):
             raise SemanticError("%s: multiplicative must be true or false" % key)
-    modules, blocks = COMMANDS[command]
-    if "scenario" in doc:
-        modules += ("morava",)
-        if blocks[:2] == _SPEC:
-            blocks = blocks[2:]
     for block in blocks:
         if doc.get(block) is None:
             raise SemanticError("%s needs %s" % (command, block))

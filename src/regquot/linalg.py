@@ -125,10 +125,10 @@ def _hermite(A, width):
     entry below the pivot is left; then the pivot is made positive and the
     rows above are reduced into ``[0, pivot)``.  Only the row operations
     touch fewer cells.  The steps must stay the same because the transform
-    is not unique: kernel rows and ``decompose_conormal``'s maps read it,
-    and the reports built from them are pinned byte for byte in
-    ``bench/golden.json``.
-    """
+    is not unique, and pinned reports read it: ``IntLattice.solve`` in the
+    naturality jobs over Z, such as ``bench/golden.json``'s ``bundled_exa``,
+    and ``kernel_basis`` and the lattice maps of ``decompose_conormal`` in
+    ``LATTICE_DECOMPOSE_DIGESTS`` and in CI's ``tor`` on (y^2)."""
     m = len(A)
     pivots = []
     r = 0
@@ -739,14 +739,14 @@ def residue_prime(base, constants):
     return None
 
 
-def lift_rank(lat) -> int:
-    """Rank of the integer lattice that ``lat`` stands for.
+def lift_rank(base, rank, width) -> int:
+    """Rank of the integer lattice that a rank-``rank`` span in ``base^width``
+    stands for.
 
-    A span over F_p stands for its preimage in Z^width, which contains
-    ``p * Z^width`` and so has full rank; the other lattices are their own
-    lift (over Z/m it already holds ``modulus_rows``).
-    """
-    return lat.width if isinstance(lat, FieldLattice) else lat.rank
+    A span over F_p or Z/m stands for its preimage in Z^width, which holds
+    ``p * Z^width`` or ``modulus_rows`` and so has full rank; the others
+    are their own lift."""
+    return width if base.kind in (PRIME_FIELD, INTEGERS_MOD) else rank
 
 
 def module_invariants(base, rows, width):

@@ -494,7 +494,7 @@ class IdealContext:
         for g in polys:
             if g.ring != ring:
                 raise MixedRings("ideal generator from a different ring")
-        self._ngens = len(gens)
+        self._ngens, self._polys = len(gens), polys
         self._blocks = [(gi, _row_block(ring, g, d)) for gi, g in enumerate(polys) if g]
         self.scale = lcm(*(s for _, (_, _, s) in self._blocks))
         self.rows = []
@@ -507,6 +507,13 @@ class IdealContext:
         """The tag of each row, built on first read."""
         n = self._ngens
         return [("gen" if i < n else "relation", i, m) for i, (_, ms, _) in self._blocks for m in ms]
+
+    @cached_property
+    def columns(self):
+        """The columns of ``rows`` when each polynomial is a unit times a monomial; else None."""
+        is_unit = self.ring.base.is_unit
+        if all(len(g.terms) == 1 and is_unit(*g.terms.values()) for g in self._polys if g):
+            return {j for row in self.rows for j in row}
 
     @cached_property
     def lattice(self):

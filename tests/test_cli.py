@@ -308,6 +308,36 @@ def test_modular_reports_match_pinned_digests(command, base):
     assert hashlib.sha256(text.encode()).hexdigest() == MODULAR_DIGESTS[command, base]
 
 
+# sha256 of the canonical reports of decompose jobs on the ladder's x, y, z
+# ring at window 12 whose ideals hold a sum or a non-unit multiple, so that
+# no slice is spanned by unit vectors and every degree runs the lattice
+# path; every ladder and MODULAR_DIGESTS decompose job reads column sets.
+LATTICE_DECOMPOSE_DIGESTS = {
+    ("Z", "x + y"): "daa0dd3e618c1bf35d457dd5e0c8e1291875618fa0f187dff883b22610cc34f6",
+    ("Z_(2)", "x + y"): "daa0dd3e618c1bf35d457dd5e0c8e1291875618fa0f187dff883b22610cc34f6",
+    ("F3", "x + y"): "0c51640fed1424dd1f3622d19f06e9e567e524ff744d8377ad53fb478c38321f",
+    ("Z", "2*x"): "437aeba0e26efdbd0ef69d29324e21299350318d19187ee370d087d3692a1b17",
+}
+
+
+@pytest.mark.parametrize("base, first", sorted(LATTICE_DECOMPOSE_DIGESTS))
+def test_lattice_path_decompose_reports_match_pinned_digests(base, first):
+    ideals = [["x + y"], ["z"]] if first == "x + y" else [["2*x"], ["y"], ["z"]]
+    doc = {
+        "command": "decompose",
+        "ring": {
+            "base": base,
+            "generators": [{"name": n, "degree": 2} for n in ("x", "y", "z")],
+        },
+        "window": {"degree": 12},
+        "ideals": ideals,
+    }
+    report = run_job(parse_job(json.dumps(doc)))
+    assert report.status == 0
+    text = canonical_json(report.payload())
+    assert hashlib.sha256(text.encode()).hexdigest() == LATTICE_DECOMPOSE_DIGESTS[base, first]
+
+
 @pytest.mark.parametrize("command, window", [("tor", 20), ("decompose", 12)])
 def test_integer_and_two_local_reports_are_identical(command, window):
     # The ladder's shapes have unit coefficients, so localizing at 2 keeps
@@ -903,6 +933,31 @@ def test_parse_job_refuses_each_missing_block(command):
     for mutant in mutants:
         with pytest.raises(SemanticError):
             parse_job(json.dumps(mutant))
+
+
+@pytest.mark.parametrize("command", sorted(LOADING))
+def test_unknown_field_or_window_key_exits_2(command, tmp_path, capsys):
+    """A top-level field that is neither ``command``, ``window``,
+    ``target`` nor one of the command's blocks, and a window key other
+    than ``degree`` and ``laurent``, exit 2; both exited 0 before, the
+    field unread and the window left at its default."""
+    doc, _ = LOADING[command]
+    doc = dict(doc, command=command)
+    parse_job(json.dumps(dict(doc, target=["x"])))
+    other = "sequence" if "ideals" in COMMANDS[command][1] else "ideals"
+    mutants = [
+        (dict(doc, indx=2), "indx"),
+        (dict(doc, **{other: ["x"]}), other),
+        (dict(doc, window={"degre": 20}), "window"),
+        (dict(doc, window=dict(doc.get("window", {}), laurnet=1)), "window"),
+    ]
+    if "scenario" in doc:
+        mutants.append((dict(doc, ring=_RING["ring"]), "ring"))
+    for mutant, word in mutants:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(mutant))
+        assert main([str(path)]) == 2, mutant
+        assert word in capsys.readouterr().err
 
 
 def test_a_document_missing_a_block_executes_no_algebra_module():

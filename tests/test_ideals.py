@@ -33,7 +33,7 @@ from regquot.ideals import (
     tor,
     tor1_equals_intersection_over_product,
 )
-from regquot.jobio import parse_job
+from regquot.jobio import base_ring_from_name, parse_job
 from regquot.linalg import (
     FieldLattice,
     IntLattice,
@@ -538,6 +538,143 @@ def test_conormal_checks_match_fraction_reference():
             assert dec.verified
             checked += 1
     assert checked >= 10
+
+
+SWEEP_BASES = ["Z", "F2", "F3", "Z/4", "Z/6", "Z_(2)", "Z_(3)"]
+
+
+def _sweep_rings(base, window):
+    """The x, y, z ring and the x, y, v^{±1} ring over ``base``, each with
+    its variables, its unit monomials, a pool of unit multiples of
+    monomials and one of sums and multiples that are, on some bases, not
+    units, from which the oracle sweep draws its ideals."""
+    xyz = GradedRing(base, [Generator(n, 2) for n in "xyz"], degree_window=window)
+    x, y, z = (xyz.var(n) for n in "xyz")
+    laurent = GradedRing(
+        base, [Generator("x", 2), Generator("y", 2), Generator("v", 2, True)],
+        degree_window=window, laurent_window=1,
+    )
+    a, b, v = (laurent.var(n) for n in "xyv")
+    w = laurent.monomial((0, 0, -1))
+    one, lone = xyz.one(), laurent.one()
+    return [
+        (xyz, [x, y, z], [one, -one],
+         [x, y, z, x * y, y * z, x * x, -z, x * z], [2 * x, 3 * y, x + y, x * y + z * z]),
+        (laurent, [a, b], [lone, -lone, v, w],
+         [a, b, v * a, w * b, a * b, -a, v], [2 * b, a + b, v * a + b * b]),
+    ]
+
+
+def _disjoint_family(rng, variables, units):
+    """Ideals on disjoint sets of variables, each a unit times a power of
+    its variable, so that condition II holds; at times one generator is
+    doubled, or is the sum of the first two variables of its block."""
+    shuffled = rng.sample(variables, len(variables))
+    cuts = sorted(rng.sample(range(1, len(shuffled)), rng.randint(1, len(shuffled) - 1)))
+    blocks = [shuffled[i:j] for i, j in zip([0, *cuts], [*cuts, len(shuffled)])]
+    ideals = [[rng.choice(units) * g ** rng.choice((1, 1, 2)) for g in block] for block in blocks]
+    if rng.random() < 0.3:
+        block = rng.choice(blocks)
+        k = blocks.index(block)
+        ideals[k][0] = 2 * ideals[k][0] if len(block) == 1 else block[0] + block[1]
+    return ideals
+
+
+def _not_unit_monomial(base, g):
+    """Whether ``g`` is nonzero and not a unit times a monomial."""
+    return bool(g) and (len(g.terms) != 1 or not base.is_unit(*g.terms.values()))
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (ConditionIIFails, EmptySequence, WindowOverflow, SemanticError) as err:
+        return type(err).__name__, str(err)
+
+
+def test_column_reading_matches_lattice_oracle(monkeypatch):
+    # Each case runs check_condition_ii and decompose_conormal as shipped
+    # and again with IdealContext.columns forced to None, which takes the
+    # lattice path in every degree; results and exceptions must be equal.
+    # Spies on the two paths show that the column reading is taken in most
+    # cases, and never where a context holds a non-unit or multi-term
+    # generator.
+    rng = random.Random(3607)
+    calls = {"meets": [], "split": []}
+    meet, split = ideals_module._meet_in_product, ideals_module._split_by_columns
+    lattice_meet = ideals_module.lattice_intersection_rows
+
+    def spy_meet(ring, prev, tail, prod, q):
+        calls["meets"].append([prev + tail, False])
+        return meet(ring, prev, tail, prod, q)
+
+    def spy_lattice(*args):
+        calls["meets"][-1][1] = True
+        return lattice_meet(*args)
+
+    def spy_split(*args):
+        got = split(*args)
+        calls["split"].append(got is not None)
+        return got
+
+    monkeypatch.setattr(ideals_module, "_meet_in_product", spy_meet)
+    monkeypatch.setattr(ideals_module, "lattice_intersection_rows", spy_lattice)
+    monkeypatch.setattr(ideals_module, "_split_by_columns", spy_split)
+    cases = taken = 0
+    for name in SWEEP_BASES:
+        for window in (6, 8, 10, 12):
+            for ring, variables, units, monomials, others in _sweep_rings(
+                base_ring_from_name(name), window
+            ):
+                x, y = variables[:2]
+                families = [[[x], [x]], [[x], [y]], [[x], [x * y]], [[x], [y], [x + y]]]
+                families += [_disjoint_family(rng, variables, units) for _ in range(4)]
+                for _ in range(3):
+                    pool = monomials + others if rng.random() < 0.4 else monomials
+                    families.append(
+                        [rng.sample(pool, rng.choice((1, 1, 2))) for _ in range(rng.choice((2, 3)))]
+                    )
+                for ideals in families:
+                    calls["meets"].clear()
+                    calls["split"].clear()
+                    runs = (check_condition_ii, decompose_conormal)
+                    shipped = [_outcome(f, ring, ideals) for f in runs]
+                    meets, splits = list(calls["meets"]), list(calls["split"])
+                    with monkeypatch.context() as m:
+                        m.setattr(IdealContext, "columns", property(lambda self: None))
+                        oracle = [_outcome(f, ring, ideals) for f in runs]
+                    assert shipped == oracle, (ring, ideals)
+                    for gens, by_lattice in meets:
+                        want = any(_not_unit_monomial(ring.base, g) for g in gens)
+                        assert by_lattice == want, (ring, ideals)
+                    if any(_not_unit_monomial(ring.base, g) for fam in ideals for g in fam):
+                        assert not any(splits), (ring, ideals)
+                    if ideals is families[0]:  # a shared generator
+                        assert shipped[1][0] == "ConditionIIFails", (ring, ideals)
+                    cases += 1
+                    taken += any(splits) or not all(lat for _, lat in meets)
+    assert taken > cases // 2, (taken, cases)
+
+
+def test_split_by_columns_refuses_overlap_and_escaping_relations():
+    # decompose_conormal reaches _split_by_columns only after condition II
+    # holds, where monomial slices partition; called directly, a summand
+    # that overlaps another, or relations outside their slice, get None
+    # and leave the degree to the lattice path.
+    ring = GradedRing(BaseRing.integers(), [Generator(n, 2) for n in "xyz"], degree_window=4)
+    x, y, z = (ring.var(n) for n in "xyz")
+    split = ideals_module._split_by_columns
+
+    def ctx(*gens):
+        return ideal_context(ring, gens, 2)
+
+    base = ring.base
+    assert split(base, [ctx(x, y), ctx(x), ctx(y)], [ctx(), ctx(), ctx()]) == [
+        ModuleEntry(2), ModuleEntry(1), ModuleEntry(1)
+    ]
+    assert split(base, [ctx(x, y), ctx(x), ctx(x, y)], [ctx(), ctx(), ctx()]) is None
+    assert split(base, [ctx(x, y), ctx(x), ctx(y)], [ctx(), ctx(z), ctx()]) is None
+    assert split(base, [ctx(x, y), ctx(x), ctx(2 * y)], [ctx(), ctx(), ctx()]) is None
 
 
 # -- oracle for the regularity check ----------------------------------

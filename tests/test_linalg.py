@@ -1159,7 +1159,7 @@ def test_field_lattice_matches_padded_integer_lattice():
         m = len(rows)
         lat, ref = lattice_for(base, sparse_rows(rows), w), padded_ref(rows, w, p)
         assert type(lat) is FieldLattice
-        assert lift_rank(lat) == ref.rank == w
+        assert lift_rank(base, lat.rank, w) == ref.rank == w
         basis = [dense_of(b, w) for b in lat.integer_basis()]
         # the Hermite rows with pivot 1 are the echelon rows, the rest p * e_c
         assert basis == [ref.H[r] for r, c in ref.pivots if ref.H[r][c] == 1]
