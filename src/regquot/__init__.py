@@ -23,14 +23,11 @@ _EXPORTS = {
     "clifford": (
         "AlgebraPresentation",
         "CliffordAlgebra",
-        "TensorAlgebra",
         "antipode",
         "brute_force_presentation",
         "homology_presentation",
         "induced_algebra_map",
-        "orthogonal_split",
         "presentation_of",
-        "tau",
     ),
     "conormal": (
         "BilinearFormData",
@@ -57,7 +54,7 @@ _EXPORTS = {
         "tor",
         "tor1_equals_intersection_over_product",
     ),
-    "morava": ("MoravaScenario", "build_scenario", "kn_form", "minimum_window"),
+    "morava": ("MoravaScenario", "build_scenario", "minimum_window"),
     "pairs": ("AdmissiblePair", "PairMorphism", "make_pair", "naturality_suite"),
     "ring": ("GradedRing", "Generator", "QuotientRing"),
     "scalars": ("BaseRing",),

@@ -243,7 +243,7 @@ def _cmd_naturality(doc):
 
 def _cmd_scenario(doc):
     sc = _scenario_from(doc)
-    pres, algebra = morava.kn_algebra(sc)
+    pres, algebra = clifford.homology_presentation(sc.spec)
     results = {
         "p": sc.p,
         "n": sc.n,

@@ -14,6 +14,11 @@ reduced residue, so a reduced coefficient is zero exactly when it is
 falsy, and the algebra tests it so.  ``BruteForceModel`` alone calls the
 ring's ``is_zero``, which normalizes or reduces first.  Basis-word
 products are memoized per algebra.
+
+Past the algebra and its elements the module holds what the commands
+report or run: presentations, ``antipode``, and the induced maps of the
+naturality suite.  ``BruteForceModel`` is the independent oracle for the
+products.
 """
 from __future__ import annotations
 
@@ -33,7 +38,6 @@ from .errors import (
     MixedAlgebras,
     MixedCoefficients,
     NotCompatible,
-    NotExterior,
     SemanticError,
 )
 from .ring import RingElement
@@ -149,26 +153,6 @@ class CliffordAlgebra:
         if self.degrees is None:
             return None
         return sum(self.degrees[i] for i in word)
-
-    def restrict(self, indices):
-        """Subalgebra on a subset of the generators (orthogonal block)."""
-        idx = tuple(indices)
-        for i in idx:
-            if not 0 <= i < self.n:
-                raise BadIndex("generator index out of range")
-        pos = {g: t for t, g in enumerate(idx)}
-        s = {}
-        for (i, j), v in self.s.items():
-            if i in pos and j in pos:
-                a, b = sorted((pos[i], pos[j]))
-                s[(a, b)] = v
-        return CliffordAlgebra._raw(
-            self.coeff,
-            tuple(self.names[i] for i in idx),
-            None if self.degrees is None else tuple(self.degrees[i] for i in idx),
-            tuple(self.q[i] for i in idx),
-            s,
-        )
 
     # -- element constructors -----------------------------------------
 
@@ -401,18 +385,11 @@ def antipode(u: CliffordElement) -> CliffordElement:
     return CliffordElement(u.owner, out)
 
 
-def augmentation(u: CliffordElement):
-    """Coefficient of the empty word; multiplicative only for exterior owners."""
-    if not u.owner.is_exterior():
-        raise NotExterior("augmentation requires the zero form")
-    return u.terms.get((), u.owner.coeff.zero())
-
-
 # -- presentations ----------------------------------------------------
 
 
 class AlgebraPresentation(NamedTuple):
-    kind: str  # exterior | clifford | tensor-truncated
+    kind: str  # exterior | clifford
     generators: tuple  # (name, degree-or-None) pairs
     relations: tuple  # rendered strings
     display: str
@@ -500,173 +477,6 @@ def homology_presentation(
             "lift only: sequence not verified regular, no isomorphism asserted"
         )
     return presentation_of(algebra, warnings), algebra
-
-
-# -- graded tensor products -------------------------------------------
-
-
-class TensorAlgebra:
-    """Graded tensor product of two Clifford algebras over one coefficient ring."""
-
-    def __init__(self, left: CliffordAlgebra, right: CliffordAlgebra):
-        if left.coeff != right.coeff:
-            raise MixedCoefficients("tensor factors over different coefficients")
-        self.left = left
-        self.right = right
-        self.coeff = left.coeff
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorAlgebra)
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def element(self, terms) -> "TensorElement":
-        """``{(left word, right word): coefficient}`` terms, each checked
-        as ``CliffordAlgebra.element`` checks them."""
-        left, right, coerce = self.left.checked_word, self.right.checked_word, self.coeff.coerce
-        terms = {(left(u), right(v)): coerce(c) for (u, v), c in dict(terms).items()}
-        return TensorElement(self, terms)
-
-    def zero(self):
-        return TensorElement(self, {})
-
-    def one(self):
-        return TensorElement(self, {((), ()): self.coeff.one()})
-
-    def pure(self, u: CliffordElement, v: CliffordElement) -> "TensorElement":
-        if u.owner != self.left or v.owner != self.right:
-            raise MixedAlgebras("tensor factors from the wrong algebras")
-        mul = self.coeff.mul
-        return TensorElement(
-            self,
-            {(w1, w2): mul(c1, c2) for w1, c1 in u.terms.items() for w2, c2 in v.terms.items()},
-        )
-
-    def basis_pairs(self):
-        return [
-            (w1, w2)
-            for w1 in self.left.basis_words()
-            for w2 in self.right.basis_words()
-        ]
-
-
-class TensorElement:
-    __slots__ = ("owner", "terms")
-
-    def __init__(self, owner: TensorAlgebra, terms):
-        self.owner = owner
-        self.terms = {k: c for k, c in terms.items() if c}
-
-    def _same(self, other):
-        if not isinstance(other, TensorElement) or self.owner != other.owner:
-            raise MixedAlgebras("tensor elements of different products")
-
-    def __add__(self, other):
-        self._same(other)
-        coeff = self.owner.coeff
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = coeff.add(out.get(k, coeff.zero()), c)
-        return TensorElement(self.owner, out)
-
-    def __neg__(self):
-        coeff = self.owner.coeff
-        return TensorElement(
-            self.owner, {k: coeff.neg(c) for k, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._same(other)
-        coeff = self.owner.coeff
-        left, right = self.owner.left, self.owner.right
-        out: dict = {}
-        for (u1, v1), c1 in self.terms.items():
-            for (u2, v2), c2 in other.terms.items():
-                sign = -1 if (len(v1) % 2) and (len(u2) % 2) else 1
-                c12 = coeff.mul(c1, c2)
-                if sign < 0:
-                    c12 = coeff.neg(c12)
-                if not c12:
-                    continue
-                for wu, cu in left.word_product(u1, u2).items():
-                    for wv, cv in right.word_product(v1, v2).items():
-                        val = coeff.mul(c12, coeff.mul(cu, cv))
-                        if val:
-                            key = (wu, wv)
-                            out[key] = coeff.add(out.get(key, coeff.zero()), val)
-        return TensorElement(self.owner, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.owner == other.owner
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        coeff = self.owner.coeff
-        parts = []
-        for w1, w2 in sorted(self.terms, key=lambda k: (len(k[0]) + len(k[1]), k)):
-            c = self.terms[(w1, w2)]
-            lw = "*".join(self.owner.left.names[i] for i in w1) if w1 else "1"
-            rw = "*".join(self.owner.right.names[i] for i in w2) if w2 else "1"
-            body = "%s(x)%s" % (lw, rw)
-            cs = coeff.render(c)
-            parts.append(body if cs == "1" else "%s*%s" % (_render_value(coeff, c), body))
-        return " + ".join(parts)
-
-
-def tau(elem: TensorElement) -> TensorElement:
-    """Graded swap of the two tensor factors (Koszul sign)."""
-    owner = elem.owner
-    if owner.left != owner.right:
-        raise MixedAlgebras("swap needs both factors equal")
-    coeff = owner.coeff
-    out: dict = {}
-    for (w1, w2), c in elem.terms.items():
-        sign = -1 if (len(w1) % 2) and (len(w2) % 2) else 1
-        val = coeff.neg(c) if sign < 0 else c
-        key = (w2, w1)
-        out[key] = coeff.add(out.get(key, coeff.zero()), val)
-    return TensorElement(owner, out)
-
-
-def orthogonal_split(algebra: CliffordAlgebra, threshold: int):
-    """Split off the first `threshold` generators as a tensor factor.
-
-    Returns (tensor algebra, map) where the map sends elements of the
-    combined algebra to the tensor product.  The two blocks must be
-    orthogonal: cross terms across the threshold refute the split.
-    """
-    if not 0 <= threshold <= algebra.n:
-        raise BadIndex("threshold out of range")
-    for (i, j) in algebra.s:
-        if i < threshold <= j:
-            raise NotCompatible(
-                "cross term between the blocks; the split is not orthogonal"
-            )
-    left = algebra.restrict(range(threshold))
-    right = algebra.restrict(range(threshold, algebra.n))
-    product = TensorAlgebra(left, right)
-
-    def split(elem: CliffordElement) -> TensorElement:
-        if elem.owner != algebra:
-            raise MixedAlgebras("element of a different algebra")
-        out = {}
-        for w, c in elem.terms.items():
-            w1 = tuple(i for i in w if i < threshold)
-            w2 = tuple(i - threshold for i in w if i >= threshold)
-            out[(w1, w2)] = c
-        return TensorElement(product, out)
-
-    return product, split
 
 
 # -- induced maps -----------------------------------------------------

@@ -105,9 +105,6 @@ class QuotientRingSpec:
     def rank(self) -> int:
         return len(self.sequence)
 
-    def with_products(self, products) -> "QuotientRingSpec":
-        return QuotientRingSpec(self.ring, self.sequence, products)
-
     def __eq__(self, other):
         return (
             isinstance(other, QuotientRingSpec)
@@ -279,30 +276,6 @@ def base_change_form(form: BilinearFormData, target) -> BilinearFormData:
     new_module = module.with_coefficients(tq)
     entries = [[tq.nf(e) for e in row] for row in form.entries]
     return BilinearFormData(new_module, entries)
-
-
-def opposite(spec: QuotientRingSpec, opposite_obstructions) -> QuotientRingSpec:
-    """Same ring and sequence with the product tokens swapped."""
-    obs = list(opposite_obstructions)
-    if len(obs) != len(spec.sequence):
-        raise SemanticError("one opposite obstruction per sequence entry required")
-    tokens = []
-    for x, c in zip(spec.sequence, obs):
-        if isinstance(c, int) and c == 0:
-            c = None
-        tokens.append(ProductToken(x, c))
-    return spec.with_products(tokens)
-
-
-def opposite_form(spec: QuotientRingSpec, opposite_obstructions):
-    """The ring form of the opposite product data, and the mixed-pair form.
-
-    Opposite obstruction representatives are caller-supplied.  The mixed
-    form (opposite against the ring itself) is identically zero.
-    """
-    ring_form = characteristic_form_diagonal(opposite(spec, opposite_obstructions))
-    mixed = zero_form(conormal_module(spec, allow_unverified=True))
-    return ring_form, mixed
 
 
 def exterior_rank_profile(module: ConormalModule, p: int):

@@ -291,7 +291,7 @@ def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport
         dx = x.degree()
         no_scan = _passes_by_structure(ring, prev, x)
         for d in () if no_scan else ring.even_degrees(window - dx):
-            rows, used, _ = _row_block(ring, x, d + dx)
+            rows, used, _ = _row_block(ring, tuple(x.terms.items()), d + dx)
             if used and _has_kernel(
                 ring.base, rows, used,
                 ideal_context(ring, prev, d), ideal_context(ring, prev, d + dx), p,
@@ -416,7 +416,7 @@ class KoszulComplex:
                     truncated |= bool(ms)
                     continue
                 col, tms = tgt[rest]
-                block, used, s = _row_block(self.ring, g, q - self.shift(rest))
+                block, used, s = _row_block(self.ring, tuple(g.terms.items()), q - self.shift(rest))
                 sign = -1 if t % 2 else 1
                 k = sign * (self.scale // s)
                 if len(used) < len(ms):  # the terms that fit, on the common scale

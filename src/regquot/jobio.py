@@ -42,7 +42,7 @@ COMMANDS = {
     "condition-ii": ((), ("ring", "ideals")),
     "decompose": ((), ("ring", "ideals")),
     "naturality": (("pairs",), ("ring", "source_pair", "target_pair")),
-    "scenario": (("morava",), ("scenario",)),
+    "scenario": (("clifford", "derivations", "morava"), ("scenario",)),
 }
 
 _BASE_PATTERNS = (
@@ -313,10 +313,7 @@ def module_entry_payload(entry) -> dict:
 def graded_report_payload(report) -> dict:
     return {
         "scanned": list(report.scanned),
-        "entries": {
-            str(d): {"free_rank": e["free_rank"], "factors": e["factors"]}
-            for d, e in report.as_dict().items()
-        },
+        "entries": {str(d): e for d, e in report.as_dict().items()},
     }
 
 

@@ -5,20 +5,17 @@ Z_(p)[v1, ..., v_{n-1}, vn^{±1}] with |v_i| = 2(p^i - 1) and the quotient
 sequence (p, v1, ..., v_{n-1}).  At odd primes every product token is
 commutative; at p = 2 the last entry carries the obstruction vn and the
 earlier ones vanish in the quotient coefficients.
+
+This module only builds the scenario.  Its homology, cohomology and
+form are the library's own calls on ``spec``: ``homology_presentation``,
+``cohomology_presentation`` and ``characteristic_form_diagonal``, as
+the ``scenario`` command runs them.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .clifford import AlgebraPresentation, homology_presentation
-from .conormal import (
-    BilinearFormData,
-    ProductToken,
-    QuotientRingSpec,
-    characteristic_form_diagonal,
-    opposite_form,
-)
-from .derivations import cohomology_presentation
+from .conormal import ProductToken, QuotientRingSpec
 from .errors import SemanticError, WindowTooSmall
 from .ring import GradedRing, Generator
 from .scalars import BaseRing, is_prime
@@ -31,9 +28,6 @@ class MoravaScenario(NamedTuple):
     spec: QuotientRingSpec
     window: int
     laurent: int
-
-    def generator_degree(self, i: int) -> int:
-        return 2 * (self.p**i - 1)
 
 
 def minimum_window(p: int, n: int) -> int:
@@ -77,35 +71,3 @@ def build_scenario(p: int, n: int, window=None, laurent: int = 2) -> MoravaScena
         spec = QuotientRingSpec(ring, sequence)
     return MoravaScenario(p, n, ring, spec, window, laurent)
 
-
-def obstruction_degree_consistent(scenario: MoravaScenario) -> bool:
-    """2|v_{n-1}| + 2 must equal |v_n| when p = 2."""
-    if scenario.p != 2:
-        return True
-    low = scenario.generator_degree(scenario.n - 1)
-    return 2 * low + 2 == scenario.generator_degree(scenario.n)
-
-
-def kn_algebra(scenario: MoravaScenario):
-    """Presentation and computing algebra of the quotient homology."""
-    return homology_presentation(scenario.spec)
-
-
-def kn_homology(scenario: MoravaScenario) -> AlgebraPresentation:
-    pres, _ = kn_algebra(scenario)
-    return pres
-
-
-def kn_cohomology(scenario: MoravaScenario) -> AlgebraPresentation:
-    return cohomology_presentation(scenario.spec)
-
-
-def kn_form(scenario: MoravaScenario) -> BilinearFormData:
-    return characteristic_form_diagonal(scenario.spec)
-
-
-def kn_opposite_form_agrees(scenario: MoravaScenario) -> bool:
-    """The opposite product data induces the same diagonal form."""
-    obs = [tok.obstruction_or_zero() for tok in scenario.spec.products]
-    ring_form, mixed = opposite_form(scenario.spec, obs)
-    return ring_form.entries == kn_form(scenario).entries and mixed.is_zero()

@@ -4,26 +4,15 @@ A pair couples a quotient F = R/I with a target k = R/K through the
 canonical projection, which must kill I.  Morphisms nest the ideals on
 both levels; the naturality suite checks the characteristic-map square,
 form functoriality and multiplicativity of the induced algebra map and
-reports each square separately.
+reports each square separately.  The ``naturality`` command runs the
+suite.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .clifford import (
-    AlgebraMap,
-    CliffordAlgebra,
-    homology_presentation,
-    induced_algebra_map,
-    presentation_of,
-)
-from .conormal import (
-    QuotientRingSpec,
-    base_change_form,
-    characteristic_form_diagonal,
-    conormal_module,
-    zero_form,
-)
+from .clifford import AlgebraMap, homology_presentation, induced_algebra_map
+from .conormal import QuotientRingSpec, base_change_form, characteristic_form_diagonal
 from .errors import (
     MixedRings,
     NotCompatible,
@@ -201,19 +190,3 @@ def naturality_suite(m: PairMorphism) -> NaturalityReport:
     )
     return NaturalityReport(checks, amap)
 
-
-def mixed_pair_presentation(spec: QuotientRingSpec):
-    """Homology of the quotient against its opposite: always exterior.
-
-    The mixed pair sees the zero form regardless of the ring's own
-    obstruction data, so the answer is the exterior algebra and the
-    augmentation is defined on it.
-    """
-    module = conormal_module(spec, allow_unverified=True)
-    ext = CliffordAlgebra(module, zero_form(module))
-    warnings = []
-    if not spec.is_regular:
-        warnings.append(
-            "lift only: sequence not verified regular, no isomorphism asserted"
-        )
-    return presentation_of(ext, warnings), ext

@@ -445,12 +445,17 @@ def cleared_coefficients(polys):
 
 
 @lru_cache(maxsize=None)
-def _row_block(ring: GradedRing, g: RingElement, d: int):
-    """``(rows, monomials, scale)``: the sparse ``int`` rows g * m on
+def _row_block(ring: GradedRing, terms: tuple, d: int):
+    """``(rows, monomials, scale)``: for the polynomial g with ``terms``,
+    ``tuple(g.terms.items())``, the sparse ``int`` rows g * m on
     ``degree_exps(d)`` for the monomials m of degree d - |g| whose product
     with g fits the window, in monomial order, those m, and the
-    ``cleared_coefficients`` scale of g alone.  Built once per process and
-    shared by every ideal slice and regularity check: no caller may change it."""
+    ``cleared_coefficients`` scale of g alone.  The cache keys on the terms
+    in their order, not on g's value, so each row lists its columns in the
+    order of g's own terms, whichever equal polynomial came first.  Built
+    once per process and shared by every ideal slice and regularity check:
+    no caller may change it."""
+    g = RingElement(ring, dict(terms))
     (coeffs,), scale = cleared_coefficients([g])
     if d - g.degree() > ring.degree_window:
         return (), (), scale
@@ -495,7 +500,9 @@ class IdealContext:
             if g.ring != ring:
                 raise MixedRings("ideal generator from a different ring")
         self._ngens, self._polys = len(gens), polys
-        self._blocks = [(gi, _row_block(ring, g, d)) for gi, g in enumerate(polys) if g]
+        self._blocks = [
+            (gi, _row_block(ring, tuple(g.terms.items()), d)) for gi, g in enumerate(polys) if g
+        ]
         self.scale = lcm(*(s for _, (_, _, s) in self._blocks))
         self.rows = []
         for _, (rows, _, s) in self._blocks:

@@ -824,7 +824,7 @@ ALGEBRA = {
     "clifford": ["clifford", "conormal"],
     "derivations": ["clifford", "conormal", "derivations"],
     "pairs": ["clifford", "conormal", "pairs"],
-    "morava": ["clifford", "conormal", "derivations", "morava"],
+    "morava": ["conormal", "morava"],
 }
 
 # Prints the regquot modules that have executed.  A module that
@@ -889,38 +889,49 @@ _RING = {
     "window": {"degree": 4},
 }
 
-# one valid document per command, with the algebra modules its job runs
+# one valid document per command, and one per command beside it with a
+# scenario block (the case names the command before the colon), with the
+# algebra modules its job runs
 LOADING = {
-    "presentation": (dict(_RING, sequence=["x", "y"], target=["x", "y"]), "clifford"),
-    "cohomology": (dict(_RING, sequence=["x", "y"]), "derivations"),
-    "form": (dict(_RING, sequence=["x", "y"], target=["x", "y"]), "conormal"),
+    "presentation": (dict(_RING, sequence=["x", "y"], target=["x", "y"]), ("clifford",)),
+    "cohomology": (dict(_RING, sequence=["x", "y"]), ("derivations",)),
+    "form": (dict(_RING, sequence=["x", "y"], target=["x", "y"]), ("conormal",)),
     # a scenario block brings in morava whatever the command
-    "multiply": ({"scenario": {"p": 2, "n": 2}, "factors": ["a0", "a1"]}, "morava"),
-    "antipode": (dict(_RING, sequence=["x", "y"], element="a0*a1 + 2*a0"), "clifford"),
-    "derivations": (dict(_RING, sequence=["x", "y"]), "derivations"),
-    "check-regular": (dict(_RING, sequence=["x", "y"]), "conormal"),
-    "tor": (dict(_RING, first=["x", "y"], second=["x"], index=1), None),
-    "condition-ii": (dict(_RING, ideals=[["x"], ["y"]]), None),
-    "decompose": (dict(_RING, ideals=[["x"], ["y"]]), None),
+    "multiply": ({"scenario": {"p": 2, "n": 2}, "factors": ["a0", "a1"]}, ("clifford", "morava")),
+    "antipode": (dict(_RING, sequence=["x", "y"], element="a0*a1 + 2*a0"), ("clifford",)),
+    "derivations": (dict(_RING, sequence=["x", "y"]), ("derivations",)),
+    "check-regular": (dict(_RING, sequence=["x", "y"]), ("conormal",)),
+    "tor": (dict(_RING, first=["x", "y"], second=["x"], index=1), ()),
+    "condition-ii": (dict(_RING, ideals=[["x"], ["y"]]), ()),
+    "decompose": (dict(_RING, ideals=[["x"], ["y"]]), ()),
     "naturality": (
         dict(
             _RING,
             source_pair={"sequence": ["x", "4"], "target": ["x", "2"]},
             target_pair={"sequence": ["x", "2"], "target": ["x", "2"]},
         ),
-        "pairs",
+        ("pairs",),
     ),
-    "scenario": ({"scenario": {"p": 2, "n": 1}}, "morava"),
+    "scenario": ({"scenario": {"p": 2, "n": 1}}, ("clifford", "derivations", "morava")),
+    "form:scenario": ({"scenario": {"p": 2, "n": 2}}, ("morava",)),
+    "presentation:scenario": ({"scenario": {"p": 2, "n": 2}}, ("clifford", "morava")),
 }
 
 
-@pytest.mark.parametrize("command", sorted(LOADING))
-def test_parse_job_refuses_each_missing_block(command):
+def _loading_case(case):
+    """The document of a ``LOADING`` case with its command, and the case's
+    algebra modules."""
+    doc, layers = LOADING[case]
+    return dict(doc, command=case.partition(":")[0]), layers
+
+
+@pytest.mark.parametrize("case", sorted(LOADING))
+def test_parse_job_refuses_each_missing_block(case):
     """Deleting any block that ``COMMANDS`` names for the command from its
     valid document, or the scenario block that stands in for a ring and
     sequence, or a pair's sequence or target, fails in ``parse_job``."""
-    doc, _ = LOADING[command]
-    doc = dict(doc, command=command)
+    doc, _ = _loading_case(case)
+    command = doc["command"]
     blocks = set(COMMANDS[command][1])
     if "scenario" in doc:
         blocks = blocks - {"ring", "sequence"} | {"scenario"}
@@ -935,16 +946,15 @@ def test_parse_job_refuses_each_missing_block(command):
             parse_job(json.dumps(mutant))
 
 
-@pytest.mark.parametrize("command", sorted(LOADING))
-def test_unknown_field_or_window_key_exits_2(command, tmp_path, capsys):
+@pytest.mark.parametrize("case", sorted(LOADING))
+def test_unknown_field_or_window_key_exits_2(case, tmp_path, capsys):
     """A top-level field that is neither ``command``, ``window``,
     ``target`` nor one of the command's blocks, and a window key other
     than ``degree`` and ``laurent``, exit 2; both exited 0 before, the
     field unread and the window left at its default."""
-    doc, _ = LOADING[command]
-    doc = dict(doc, command=command)
+    doc, _ = _loading_case(case)
     parse_job(json.dumps(dict(doc, target=["x"])))
-    other = "sequence" if "ideals" in COMMANDS[command][1] else "ideals"
+    other = "sequence" if "ideals" in COMMANDS[doc["command"]][1] else "ideals"
     mutants = [
         (dict(doc, indx=2), "indx"),
         (dict(doc, **{other: ["x"]}), other),
@@ -980,8 +990,8 @@ def test_a_document_missing_a_block_executes_no_algebra_module():
     assert ran == RING_CORE
 
 
-@pytest.mark.parametrize("command", sorted(LOADING))
-def test_parse_job_executes_every_module_its_job_runs(command):
+@pytest.mark.parametrize("case", sorted(LOADING))
+def test_parse_job_executes_every_module_its_job_runs(case):
     """In a fresh process, ``parse_job`` executes the modules the job's
     command runs, and no other algebra module, and freezes what they built;
     ``run_job`` then executes no module at all.  Ring-only jobs never
@@ -997,13 +1007,13 @@ def test_parse_job_executes_every_module_its_job_runs(command):
         "status = cli.run_job(job).status\n"
         "print(json.dumps([parsed, froze, executed(), status]))\n"
     )
-    doc, layer = LOADING[command]
-    parsed, froze, ran, status = _fresh_python(code, json.dumps(dict(doc, command=command)))
+    doc, layers = _loading_case(case)
+    parsed, froze, ran, status = _fresh_python(code, json.dumps(doc))
     assert status == 0
-    assert parsed == sorted(RING_CORE + ALGEBRA.get(layer, []))
-    assert froze == (layer is not None)
+    assert parsed == sorted(set(RING_CORE).union(*(ALGEBRA[layer] for layer in layers)))
+    assert froze == bool(layers)
     assert ran == parsed
-    if layer is None:
+    if not layers:
         assert not set(ran) & set(ALGEBRA)
 
 

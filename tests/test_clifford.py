@@ -8,15 +8,11 @@ from regquot.clifford import (
     AlgebraMap,
     BruteForceModel,
     CliffordAlgebra,
-    TensorAlgebra,
     antipode,
-    augmentation,
     brute_force_presentation,
     homology_presentation,
     induced_algebra_map,
-    orthogonal_split,
     presentation_of,
-    tau,
 )
 from regquot.conormal import ProductToken, QuotientRingSpec, conormal_module, zero_form
 from regquot.derivations import DerivationOperator, Psi, bockstein, compose, kronecker_dual
@@ -24,13 +20,11 @@ from regquot.errors import (
     BadIndex,
     BoundTooSmall,
     MixedAlgebras,
-    MixedCoefficients,
     NotCompatible,
-    NotExterior,
     NotInIdeal,
     SemanticError,
 )
-from regquot.morava import build_scenario, kn_algebra
+from regquot.morava import build_scenario
 from regquot.ring import GradedRing, Generator, QuotientRing
 from regquot.scalars import BaseRing
 
@@ -154,15 +148,6 @@ def test_antipode_sign_per_word_length():
         assert antipode(u) == expect
 
 
-def test_augmentation_requires_zero_form(k1_setup):
-    ring, spec, pres, cl = k1_setup
-    ext = CliffordAlgebra.from_scalars(BaseRing.prime_field(2), [0, 0])
-    u = ext.one() + ext.generator(0) + ext.generator(0) * ext.generator(1)
-    assert augmentation(u) == 1
-    with pytest.raises(NotExterior):
-        augmentation(cl.one())
-
-
 def test_scalar_diagonal_mode():
     cl = CliffordAlgebra.from_scalars(BaseRing.prime_field(3), [1, 2])
     a0, a1 = cl.generator(0), cl.generator(1)
@@ -202,47 +187,6 @@ def test_element_repr():
     u = cl.one() + cl.generator(0) * 3
     assert repr(u) == "1 + 3*a0"
     assert repr(cl.zero()) == "0"
-
-
-def test_tensor_product_signs():
-    ext = CliffordAlgebra.from_scalars(BaseRing.integers(), [0])
-    tp = TensorAlgebra(ext, ext)
-    a = ext.generator(0)
-    left = tp.pure(a, ext.one())
-    right = tp.pure(ext.one(), a)
-    both = tp.pure(a, a)
-    assert left * right == both
-    # moving a over a picks up the Koszul sign
-    assert right * left == -both
-    assert tau(left) == right
-    assert tau(both) == -both
-
-
-def test_tensor_mixed_coefficients_guard():
-    cl1 = CliffordAlgebra.from_scalars(BaseRing.integers(), [0])
-    cl2 = CliffordAlgebra.from_scalars(BaseRing.prime_field(2), [0])
-    with pytest.raises(MixedCoefficients):
-        TensorAlgebra(cl1, cl2)
-
-
-def test_orthogonal_split_is_algebra_iso():
-    cl = CliffordAlgebra.from_scalars(BaseRing.integers(), [2, 0, 3])
-    tp, split = orthogonal_split(cl, 1)
-    words = cl.basis_words()
-    images = [split(cl.element({w: 1})) for w in words]
-    # bijective on the basis
-    assert len({tuple(sorted(img.terms)) for img in images}) == len(words)
-    for u in words:
-        for v in words:
-            eu = cl.element({u: 1})
-            ev = cl.element({v: 1})
-            assert split(eu) * split(ev) == split(eu * ev)
-
-
-def test_orthogonal_split_rejects_cross_terms():
-    cl = CliffordAlgebra.from_scalars(BaseRing.integers(), [0, 0], cross={(0, 1): 1})
-    with pytest.raises(NotCompatible):
-        orthogonal_split(cl, 1)
 
 
 def test_induced_map_multiplies_by_two(z_ring):
@@ -384,7 +328,7 @@ def test_stored_coefficients_are_truthy_and_nonzero():
     sc = build_scenario(2, 2)
     module = conormal_module(sc.spec)
     graded_ext = CliffordAlgebra(module, zero_form(module))
-    cases.append((kn_algebra(sc)[1], graded_ext, [1, 2, 3, -1, sc.ring.var("v1")]))
+    cases.append((homology_presentation(sc.spec)[1], graded_ext, [1, 2, 3, -1, sc.ring.var("v1")]))
     assert not sc.ring.zero() and sc.ring.one()
     for cl, ext, values in cases:
         coeff = cl.coeff
@@ -429,25 +373,24 @@ def test_trivial_quotient_coefficients_have_zero_one():
     assert cl.one().is_zero() and cl.generator(0).is_zero()
 
 
-def test_tensor_element_checks_words_and_coefficients():
-    """``TensorAlgebra.element`` checks each word as
-    ``CliffordAlgebra.element`` does and stores coerced coefficients."""
+def test_element_checks_words_and_coefficients():
+    """``CliffordAlgebra.element`` refuses a word out of range or not
+    strictly increasing, and stores coerced coefficients."""
     cl = CliffordAlgebra.from_scalars(BaseRing.prime_field(3), [1, 2])
-    t = TensorAlgebra(cl, cl)
     with pytest.raises(BadIndex):
-        t.element({((0,), (5,)): 1})
+        cl.element({(5,): 1})
     with pytest.raises(SemanticError):
-        t.element({((1, 0), ()): 1})
+        cl.element({(1, 0): 1})
     with pytest.raises(SemanticError):
-        t.element({((0,), (1, 1)): 1})
+        cl.element({(1, 1): 1})
     # a generator index is checked as a one-letter word
     for i in (0.5, 2, -1):
         with pytest.raises(BadIndex):
             cl.generator(i)
-    u = t.element({((0, 1), (1,)): 7, ((), ()): 3})
-    assert u.terms == {((0, 1), (1,)): 1}
-    # (a0*a1)^2 = -q0*q1 = -2 and a1^2 = q1 = 2, so the square is -4 = 2
-    assert u * u == t.element({((), ()): 2})
+    u = cl.element({(0, 1): 7, (): 3})
+    assert u.terms == {(0, 1): 1}
+    # (a0*a1)^2 = -q0*q1 = -2 = 1
+    assert u * u == cl.element({(): 1})
 
 
 def test_brute_force_bound_too_small():

@@ -11,7 +11,6 @@ from regquot.conormal import (
     characteristic_form_diagonal,
     conormal_module,
     exterior_rank_profile,
-    opposite_form,
     zero_form,
 )
 from regquot.errors import (
@@ -165,15 +164,6 @@ def test_base_change_form(z_ring, k1_ring):
     kform = characteristic_form_diagonal(kspec)
     same = base_change_form(kform, kspec)
     assert same.entry(0, 0) == kform.entry(0, 0)
-
-
-def test_opposite_form(k1_ring):
-    two = k1_ring.constant(2)
-    v1 = k1_ring.var("v1")
-    spec = QuotientRingSpec(k1_ring, [two], [ProductToken(two, v1)])
-    ring_form, mixed = opposite_form(spec, [v1])
-    assert mixed.is_zero()
-    assert ring_form.entry(0, 0) == characteristic_form_diagonal(spec).entry(0, 0)
 
 
 def test_zero_form_constructor(f2_xy):

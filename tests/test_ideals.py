@@ -7,6 +7,7 @@ from test_linalg import dense_of, over, sparse_of, sparse_rows
 
 from regquot import ideals as ideals_module
 from regquot import linalg
+from regquot import ring as ring_module
 from regquot.cli import run_job
 from regquot.errors import (
     ConditionIIFails,
@@ -1297,6 +1298,35 @@ def test_koszul_rows_from_row_blocks_keep_truncated_slices():
                 cx.validate_squares(q)
     assert cx.differential_rows(2, 2) == ([{0: -1}], True)
     assert flags[True] >= 30 and flags[False] >= 15, flags
+
+
+def test_row_blocks_follow_each_polynomials_own_term_order():
+    # x*z + z^2 and z^2 + x*z are one polynomial with its terms in two
+    # orders.  The slices and Koszul differentials of each list the columns
+    # of a row in the order of its own terms, whichever of the two came
+    # first in the process: key for key the rows from a cleared cache.
+    ring = GradedRing(BaseRing.integers(), [Generator(n, 2) for n in "xyz"], degree_window=8)
+    x, y, z = (ring.var(n) for n in "xyz")
+    polys = {"xz first": x * z + z * z, "z^2 first": z * z + x * z}
+    assert polys["xz first"] == polys["z^2 first"]
+
+    def rows(g):
+        cx = KoszulComplex(ring, [y, g])
+        built = {("slice", d): IdealContext(ring, [y, g], d).rows for d in ring.even_degrees()}
+        for q in ring.even_degrees():
+            for i in range(cx.length + 2):
+                built["d", i, q] = cx.differential_rows(i, q)[0]
+        return {key: [list(row.items()) for row in block] for key, block in built.items()}
+
+    fresh = {}
+    for name, g in polys.items():
+        ring_module._row_block.cache_clear()
+        fresh[name] = rows(g)
+    assert fresh["xz first"] != fresh["z^2 first"]
+    for order in (list(polys), list(polys)[::-1]):
+        ring_module._row_block.cache_clear()
+        for name in order:
+            assert rows(polys[name]) == fresh[name], (order, name)
 
 
 def ref_validate_squares(cx, q, rows_of):

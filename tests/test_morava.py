@@ -1,23 +1,17 @@
 import pytest
 
+from regquot.clifford import homology_presentation
+from regquot.conormal import characteristic_form_diagonal
+from regquot.derivations import cohomology_presentation
 from regquot.errors import SemanticError, WindowTooSmall
-from regquot.morava import (
-    build_scenario,
-    kn_algebra,
-    kn_cohomology,
-    kn_form,
-    kn_homology,
-    kn_opposite_form_agrees,
-    minimum_window,
-    obstruction_degree_consistent,
-)
+from regquot.morava import build_scenario, minimum_window
 
 
 def test_odd_p_rank_one():
     sc = build_scenario(3, 1)
     assert sc.window == 6
     assert sc.spec.is_regular
-    pres = kn_homology(sc)
+    pres, _ = homology_presentation(sc.spec)
     assert pres.kind == "exterior"
     assert pres.display == "Lambda(a0)"
     assert pres.generators == (("a0", 1),)
@@ -25,14 +19,14 @@ def test_odd_p_rank_one():
 
 def test_odd_p_rank_two_degrees():
     sc = build_scenario(3, 2)
-    pres = kn_homology(sc)
+    pres, _ = homology_presentation(sc.spec)
     assert pres.kind == "exterior"
     assert pres.generators == (("a0", 1), ("a1", 5))
 
 
 def test_p5_rank_two_degrees():
     sc = build_scenario(5, 2)
-    pres = kn_homology(sc)
+    pres, _ = homology_presentation(sc.spec)
     assert pres.kind == "exterior"
     assert pres.generators == (("a0", 1), ("a1", 9))
     assert pres.display == "Lambda(a0, a1)"
@@ -40,7 +34,7 @@ def test_p5_rank_two_degrees():
 
 def test_p2_height_one_twisted_square():
     sc = build_scenario(2, 1)
-    pres, cl = kn_algebra(sc)
+    pres, cl = homology_presentation(sc.spec)
     assert pres.kind == "clifford"
     assert pres.display == "T(a0)/(a0^2 - v1*1)"
     a0 = cl.generator(0)
@@ -49,7 +43,7 @@ def test_p2_height_one_twisted_square():
 
 def test_p2_height_two_shape():
     sc = build_scenario(2, 2)
-    pres, cl = kn_algebra(sc)
+    pres, cl = homology_presentation(sc.spec)
     assert pres.display == "Lambda(a0) (x) T(a1)/(a1^2 - v2*1)"
     a0, a1 = cl.generator(0), cl.generator(1)
     assert (a0 * a0).is_zero()
@@ -58,7 +52,7 @@ def test_p2_height_two_shape():
 
 def test_p2_height_three_shape():
     sc = build_scenario(2, 3)
-    pres, cl = kn_algebra(sc)
+    pres, cl = homology_presentation(sc.spec)
     assert pres.display == "Lambda(a0, a1) (x) T(a2)/(a2^2 - v3*1)"
     a2 = cl.generator(2)
     assert a2 * a2 == cl.scalar(sc.ring.var("v3"))
@@ -69,7 +63,7 @@ def test_p2_height_three_shape():
 
 def test_form_single_entry_at_p2():
     sc = build_scenario(2, 2)
-    form = kn_form(sc)
+    form = characteristic_form_diagonal(sc.spec)
     assert form.entry(1, 1) == sc.ring.var("v2")
     assert form.entry(0, 0).is_zero()
     assert form.entry(0, 1).is_zero()
@@ -78,17 +72,12 @@ def test_form_single_entry_at_p2():
 
 def test_form_vanishes_at_odd_p():
     sc = build_scenario(3, 2)
-    assert kn_form(sc).is_zero()
-
-
-def test_opposite_form_agrees():
-    for p, n in [(2, 1), (2, 2), (3, 2)]:
-        assert kn_opposite_form_agrees(build_scenario(p, n))
+    assert characteristic_form_diagonal(sc.spec).is_zero()
 
 
 def test_cohomology_height_one():
     sc = build_scenario(2, 1)
-    pres = kn_cohomology(sc)
+    pres = cohomology_presentation(sc.spec)
     assert pres.display == "Lambda(Q0)"
     assert pres.generators == (("Q0", -1),)
 
@@ -109,5 +98,8 @@ def test_bad_parameters():
 def test_obstruction_degree_arithmetic():
     for n in (1, 2, 3):
         sc = build_scenario(2, n)
-        assert obstruction_degree_consistent(sc)
+        # |v_i| = 2(2^i - 1), so the token's obstruction v_n has degree
+        # 2|v_{n-1}| + 2, which ProductToken checks
+        assert [g.degree for g in sc.ring.generators] == [2 * (2**i - 1) for i in range(1, n + 1)]
+        assert sc.spec.products[-1].obstruction == sc.ring.var("v%d" % n)
         assert sc.spec.is_regular

@@ -4,22 +4,11 @@ from random import Random
 import pytest
 
 from regquot.cli import run_job
-from regquot.clifford import (
-    AlgebraMap,
-    CliffordAlgebra,
-    augmentation,
-    homology_presentation,
-)
-from regquot.conormal import ProductToken, QuotientRingSpec, opposite
+from regquot.clifford import AlgebraMap, CliffordAlgebra, homology_presentation
+from regquot.conormal import ProductToken, QuotientRingSpec
 from regquot.errors import NotCompatible, NotUnital, NotWellDefined
 from regquot.jobio import parse_job
-from regquot.pairs import (
-    AdmissiblePair,
-    PairMorphism,
-    make_pair,
-    mixed_pair_presentation,
-    naturality_suite,
-)
+from regquot.pairs import AdmissiblePair, PairMorphism, make_pair, naturality_suite
 from regquot.ring import GradedRing, Generator, QuotientRing
 from regquot.scalars import BaseRing
 
@@ -125,28 +114,6 @@ def test_morphism_requires_nested_ideals(f2_xy):
     p_one = make_pair(QuotientRingSpec(f2_xy, [x]), k)
     with pytest.raises(NotWellDefined):
         PairMorphism(p_two, p_one)
-
-
-def test_opposite_swaps_tokens(k1_spec):
-    ring = k1_spec.ring
-    v1 = ring.var("v1")
-    op = opposite(k1_spec, [v1])
-    assert op.products[0].obstruction == v1
-    assert op.sequence == k1_spec.sequence
-
-
-def test_opposite_of_commutative_is_itself(z_ring):
-    spec = QuotientRingSpec(z_ring, [z_ring.constant(16)])
-    assert opposite(spec, [0]) == spec
-
-
-def test_mixed_pair_presentation_is_exterior(k1_spec):
-    own_pres, own_cl = homology_presentation(k1_spec)
-    assert own_pres.kind == "clifford"
-    mixed_pres, mixed_cl = mixed_pair_presentation(k1_spec)
-    assert mixed_pres.kind == "exterior"
-    assert mixed_pres.display == "Lambda(a0)"
-    assert augmentation(mixed_cl.one()) == mixed_cl.coeff.one()
 
 
 def test_pair_accepts_quotient_ring_target(z_ring):
