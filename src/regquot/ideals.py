@@ -327,7 +327,8 @@ class KoszulComplex:
     the other bases, and over F_p and Z/m an entry is any integer of its
     residue class, so the rows are ``scale`` times the differential over
     the base.  Scaling by a unit keeps the kernels, the spans and the check
-    that d∘d lies in the relations.
+    that d∘d lies in the relations.  Each chain slice and d_i is built on
+    first read and kept until ``release`` drops its degree.
     """
 
     def __init__(self, ring: GradedRing, j_gens, k_gens=()):
@@ -348,7 +349,7 @@ class KoszulComplex:
 
     def chain_slice(self, i: int, q: int):
         """Basis of the internal degree-q slice of the i-th chain module,
-        built once per complex: no caller may change it."""
+        built once until ``release(q)``: no caller may change it."""
         return self._slice(i, q)[0]
 
     def _slice(self, i: int, q: int):
@@ -380,8 +381,8 @@ class KoszulComplex:
         """d_i on the degree-q slice, cut to the chain basis vectors (S, m)
         with no ``killed`` generator in m, and the two cut widths."""
         src, tgt = (
-            [j for j, (_, m) in enumerate(self.chain_slice(k, q))
-             if not any(map(m.__getitem__, killed))]
+            [col + n for col, ms in self._slice(k, q)[1].values()
+             for n, m in enumerate(ms) if not any(map(m.__getitem__, killed))]
             for k in (i, i - 1)
         )
         col = {j: n for n, j in enumerate(tgt)}
@@ -389,11 +390,16 @@ class KoszulComplex:
         cut = ({col[c]: v for c, v in rows[j].items() if c in col} for j in src)
         return [row for row in cut if row], len(src), len(tgt)
 
+    def release(self, q: int) -> None:
+        """Drop the slices and differentials of degree q; a later read rebuilds them."""
+        self._slices = {k: v for k, v in self._slices.items() if k[1] != q}
+        self._differentials = {k: v for k, v in self._differentials.items() if k[1] != q}
+
     def differential_rows(self, i: int, q: int):
         """Matrix rows of d_i on the degree-q slice, with truncation flag.
 
-        Each slice is built once per complex, and every caller reads that
-        one copy, so no caller may change it.
+        Each slice is built once until ``release(q)``, and every caller
+        reads that one copy, so no caller may change it.
         """
         key = (i, q)
         if key not in self._differentials:
@@ -424,7 +430,8 @@ class KoszulComplex:
                     block = [{at[p]: c for e, c in zip(g.terms, self._coeffs[j])
                               if (p := tuple(a + b for a, b in zip(m, e))) in at} for m in ms]
                 for row, brow in zip(rows, block):
-                    row.update({col + c: k * v for c, v in brow.items()})
+                    for c, v in brow.items():
+                        row[col + c] = k * v
             out.extend(rows)
         return out, truncated
 
@@ -507,6 +514,7 @@ def tor(ring: GradedRing, j_gens, k_gens, i: int):
     for q in degrees:
         cx.validate_squares(q)
         entry = cx.homology_entry(i, q)
+        cx.release(q)
         if not entry.is_zero():
             report.entries[q] = entry
     return report
@@ -613,6 +621,7 @@ def decompose_conormal(ring: GradedRing, ideals):
     allgens = sum(fams, ())
     owner = [idx for idx, fam in enumerate(fams) for _ in fam]
     prod_all = _product_gens(ring, allgens, allgens)
+    prods = [_product_gens(ring, allgens, fam) for fam in fams]
     degrees = {}
     for q in ring.even_degrees():
         width = len(ring.degree_exps(q))
@@ -626,7 +635,7 @@ def decompose_conormal(ring: GradedRing, ideals):
             continue
         rel_all = ideal_context(ring, prod_all, q)
         ctxs = [ideal_context(ring, fam, q) for fam in fams]
-        rels = [ideal_context(ring, _product_gens(ring, allgens, fam), q) for fam in fams]
+        rels = [ideal_context(ring, prod, q) for prod in prods]
         if split := _split_by_columns(base, [ctx_all, *ctxs], [rel_all, *rels]):
             degrees[q] = DecompositionDegree(q, split[0], split[1:], True)
             continue

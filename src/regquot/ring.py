@@ -445,6 +445,12 @@ def cleared_coefficients(polys):
 
 
 @lru_cache(maxsize=None)
+def _degree_index(ring: GradedRing, d: int):
+    """``{exps: column}`` on ``degree_exps(d)``, shared: no caller may change it."""
+    return {e: j for j, e in enumerate(ring.degree_exps(d))}
+
+
+@lru_cache(maxsize=None)
 def _row_block(ring: GradedRing, terms: tuple, d: int):
     """``(rows, monomials, scale)``: for the polynomial g with ``terms``,
     ``tuple(g.terms.items())``, the sparse ``int`` rows g * m on
@@ -459,7 +465,7 @@ def _row_block(ring: GradedRing, terms: tuple, d: int):
     (coeffs,), scale = cleared_coefficients([g])
     if d - g.degree() > ring.degree_window:
         return (), (), scale
-    index = {e: j for j, e in enumerate(ring.degree_exps(d))}
+    index = _degree_index(ring, d)
     ms = ring.degree_exps(d - g.degree())
     # for each m, the column of m * e for each term e of g, None outside the window
     products = (map(tuple, map(map, repeat(add), ms, repeat(e))) for e in g.terms)
@@ -482,17 +488,18 @@ class IdealContext:
     polynomial's rows are its ``_row_block``, rescaled where its scale is
     not ``scale``, so contexts share rows with each other and with the
     regularity check: no consumer may change a row.  Vectors, as
-    ``vector`` builds them, are sparse on ``exps`` too.
-    The rows carry nothing for the base itself: ``linalg`` works mod p
-    over F_p and adds the multiples of m over Z/m.  The context is the one
-    owner of its slice's ``lattice``, built on first read: a caller that
-    needs only the rows builds none.
+    ``vector`` builds them, are sparse on ``exps`` too, through the shared,
+    read-only ``index``.  The rows carry nothing for the base itself:
+    ``linalg`` works mod p over F_p and adds the multiples of m over Z/m.
+    ``rows`` and ``lattice`` are built on first read: a caller that needs
+    only the ``columns`` builds neither, and one that needs only the rows
+    builds no lattice.
     """
 
     def __init__(self, ring: GradedRing, gens, d: int):
         self.ring = ring
         self.exps = ring.degree_exps(d)
-        self.index = {e: j for j, e in enumerate(self.exps)}
+        self.index = _degree_index(ring, d)
         self.width = len(self.exps)
         gens = tuple(gens)
         polys = gens + ring.relations
@@ -504,10 +511,15 @@ class IdealContext:
             (gi, _row_block(ring, tuple(g.terms.items()), d)) for gi, g in enumerate(polys) if g
         ]
         self.scale = lcm(*(s for _, (_, _, s) in self._blocks))
-        self.rows = []
+
+    @cached_property
+    def rows(self):
+        """The blocks' rows in order, each rescaled to ``scale``, built on first read."""
+        out = []
         for _, (rows, _, s) in self._blocks:
             k = self.scale // s
-            self.rows.extend(rows if k == 1 else ({j: k * x for j, x in r.items()} for r in rows))
+            out.extend(rows if k == 1 else ({j: k * x for j, x in r.items()} for r in rows))
+        return out
 
     @cached_property
     def tags(self):
@@ -520,7 +532,7 @@ class IdealContext:
         """The columns of ``rows`` when each polynomial is a unit times a monomial; else None."""
         is_unit = self.ring.base.is_unit
         if all(len(g.terms) == 1 and is_unit(*g.terms.values()) for g in self._polys if g):
-            return {j for row in self.rows for j in row}
+            return {j for _, (rows, _, _) in self._blocks for row in rows for j in row}
 
     @cached_property
     def lattice(self):
@@ -573,12 +585,15 @@ class IdealContext:
 
 
 @lru_cache(maxsize=None)
-def _cached_context(ring: GradedRing, gens, d: int) -> IdealContext:
+def _cached_context(ring: GradedRing, gens: tuple, d: int, terms: tuple) -> IdealContext:
+    """Keyed on ``terms`` too, each generator's terms in order, as equal
+    ``gens`` may list them otherwise: the rows follow the gens as given."""
     return IdealContext(ring, gens, d)
 
 
 def ideal_context(ring: GradedRing, gens, d: int) -> IdealContext:
-    return _cached_context(ring, tuple(gens), d)
+    gens = tuple(gens)
+    return _cached_context(ring, gens, d, tuple(tuple(g.terms.items()) for g in gens))
 
 
 @lru_cache(maxsize=None)

@@ -1215,6 +1215,86 @@ def test_koszul_differential_slices_are_built_once(monkeypatch):
         basis = cx.chain_slice(1, 8)
         assert cx.chain_slice(1, 8) is basis and cx.relation_rows(1, 8)
         assert sorted(slices_built) == [(1, 8), (2, 8)]
+        cx.release(8)
+        assert cx.chain_slice(1, 8) == basis and cx.chain_slice(1, 8) is not basis
+
+
+def test_tor_releases_each_degree_once_read(monkeypatch):
+    # tor reads each degree q once, in order, and then releases its chain
+    # slices and differentials: no (i, q) entry outlives its degree, every
+    # slice is still built once per run, and the report is the one of a
+    # complex that keeps every degree.  K = (x) is split and reads the
+    # free part; K = (y^2) is not and keeps the relation rows.
+    events = []
+    chain_slice, release = KoszulComplex._chain_slice, KoszulComplex.release
+
+    def build(self, i, q):
+        events.append(("build", i, q))
+        return chain_slice(self, i, q)
+
+    def drop(self, q):
+        release(self, q)
+        assert all(key[1] != q for key in (*self._slices, *self._differentials))
+        events.append(("release", q))
+
+    monkeypatch.setattr(KoszulComplex, "_chain_slice", build)
+    gens = [Generator(n, 2) for n in "xyz"]
+    for base in (BaseRing.integers(), BaseRing.prime_field(3), BaseRing.integers_localized(2)):
+        ring = GradedRing(base, gens, degree_window=14)
+        x, y, z = (ring.var(n) for n in "xyz")
+        for k_gens in ([x], [y * y]):
+            with monkeypatch.context() as m:
+                m.setattr(KoszulComplex, "release", lambda self, q: None)
+                kept = tor(ring, [x, y, z], k_gens, 1)
+            events.clear()
+            monkeypatch.setattr(KoszulComplex, "release", drop)
+            assert tor(ring, [x, y, z], k_gens, 1) == kept and kept.entries
+            builds = [e[1:] for e in events if e[0] == "build"]
+            assert len(builds) == len(set(builds)) > 0
+            released = [e[1] for e in events if e[0] == "release"]
+            assert released == list(ring.even_degrees())
+            for n, (kind, *at) in enumerate(events):
+                if kind == "release":
+                    assert all(e[2] != at[0] for e in events[n:] if e[0] == "build")
+
+
+def test_decompose_builds_each_product_once_and_column_degrees_no_rows(monkeypatch):
+    # decompose_conormal multiplies each family's products once, not once
+    # per degree, so a wider window makes no more products.  Where every
+    # slice is spanned by unit vectors, condition II and the summands are
+    # read off column sets, and no context concatenates its rows; an ideal
+    # with a sum runs the lattice path, which reads them.
+    calls, contexts = [], []
+    products, build = ideals_module._product_gens, IdealContext.__init__
+
+    def count(*args):
+        calls.append(args)
+        return products(*args)
+
+    def spy(self, *args):
+        contexts.append(self)
+        build(self, *args)
+
+    monkeypatch.setattr(ideals_module, "_product_gens", count)
+    monkeypatch.setattr(IdealContext, "__init__", spy)
+    gens = [Generator(n, 2) for n in "xyz"]
+    made = {}
+    for base in (BaseRing.integers(), BaseRing.prime_field(3), BaseRing.integers_localized(2)):
+        for window in (12, 40):
+            ring = GradedRing(base, gens, degree_window=window)
+            x, y, z = (ring.var(n) for n in "xyz")
+            calls.clear()
+            contexts.clear()
+            _clear_ring_caches()
+            assert decompose_conormal(ring, [[x], [y], [z]]).verified
+            made[base, window] = len(calls)
+            assert contexts and all("rows" not in c.__dict__ for c in contexts)
+        assert made[base, 12] == made[base, 40] > 0
+        contexts.clear()
+        _clear_ring_caches()
+        assert decompose_conormal(ring, [[x + y], [z]]).verified
+        assert any("rows" in c.__dict__ for c in contexts)
+    _clear_ring_caches()
 
 
 # -- integer Koszul rows against the base-valued rows ------------------

@@ -557,13 +557,74 @@ def test_cached_slices_keep_their_shared_rows(monkeypatch):
     slices = {key: cached(*key) for key in built}
     assert len(slices) > 100, len(slices)
     ring_module._row_block.cache_clear()
-    for (ring, gens, d), ctx in slices.items():
+    for (ring, gens, d, _), ctx in slices.items():
         fresh = IdealContext(ring, gens, d)
         assert (ctx.rows, ctx.tags, ctx.scale) == (fresh.rows, fresh.tags, fresh.scale)
         ref = [(tag, row) for tag, row in ref_slice_rows(ring, gens, d) if tag[0] != "modulus"]
         assert ctx.tags == [tag for tag, _ in ref]
         assert ctx.rows == [{j: ctx.scale * x for j, x in enumerate(row) if x} for _, row in ref]
     cached.cache_clear()
+
+
+def test_ideal_contexts_follow_each_generators_own_term_order():
+    # x*z + z^2 and z^2 + x*z are one polynomial with its terms in two
+    # orders.  The cached context of each lists the columns of a row in
+    # the order of its own terms, key for key as a fresh build does,
+    # whichever of the two the process asked for first.
+    R = GradedRing(BaseRing.integers(), [Generator(n, 2) for n in "xyz"], degree_window=8)
+    x, z = R.var("x"), R.var("z")
+    polys = [x * z + z * z, z * z + x * z]
+    assert polys[0] == polys[1]
+
+    def items(ctx):
+        return [list(row.items()) for row in ctx.rows]
+
+    fresh = [items(IdealContext(R, [g], 6)) for g in polys]
+    assert fresh[0] != fresh[1]
+    for order in ([0, 1], [1, 0]):
+        ring_module._cached_context.cache_clear()
+        for k in order:
+            assert items(ideal_context(R, [polys[k]], 6)) == fresh[k], (order, k)
+    with pytest.raises(MixedRings):
+        ideal_context(R, [poly_f2_xy().var("x")], 6)
+    ring_module._cached_context.cache_clear()
+
+
+def test_rows_are_built_on_first_read_from_the_rescaled_blocks():
+    # A context concatenates its rows only when they are read, and the
+    # columns of a slice spanned by unit vectors come from the blocks, so
+    # reading them builds none.  The rows are then the blocks of the
+    # generators and relations in order, each times scale over its own
+    # scale: over Z_(2), x/3 + y and z/5 have scales 3 and 5, both rescaled
+    # to 15, and the rows equal the base-valued rows times 15.
+    xyz = [Generator(n, 2) for n in "xyz"]
+    zp = GradedRing(BaseRing.integers_localized(2), xyz, degree_window=8)
+    x, y, z = (zp.var(n) for n in "xyz")
+    rel = GradedRing(BaseRing.integers(), xyz, degree_window=8, relations=[x * y - z * z])
+    cases = [
+        (zp, [x * Fraction(1, 3) + y, z * Fraction(1, 5)], 15),
+        (zp, [x, zp.zero(), 3 * y], 1),
+        (rel, [rel.var("y") * 2, rel.var("x") * rel.var("x")], 1),
+    ]
+    for ring, gens, scale in cases:
+        polys = tuple(gens) + ring.relations
+        for d in ring.even_degrees():
+            ctx = IdealContext(ring, gens, d)
+            columns = ctx.columns
+            assert "rows" not in ctx.__dict__
+            assert ctx.scale == scale
+            blocks = [
+                ring_module._row_block(ring, tuple(g.terms.items()), d) for g in polys if g
+            ]
+            want = [
+                {j: scale // s * v for j, v in row.items()} for rows, _, s in blocks for row in rows
+            ]
+            ref = [row for tag, row in ref_slice_rows(ring, gens, d) if tag[0] != "modulus"]
+            assert ctx.rows == want
+            assert ctx.rows == [{j: scale * v for j, v in enumerate(row) if v} for row in ref]
+            assert columns is None or columns == {j for row in ctx.rows for j in row}
+            assert ctx.rows is ctx.rows
+    assert [ring_module.cleared_coefficients([g])[1] for g in cases[0][1]] == [3, 5]
 
 
 # -- normal forms by structure against the slice lattice ---------------
