@@ -291,7 +291,7 @@ def _regularity(ring: GradedRing, elems: tuple, window: int) -> RegularityReport
         dx = x.degree()
         no_scan = _passes_by_structure(ring, prev, x)
         for d in () if no_scan else ring.even_degrees(window - dx):
-            rows, used, _ = _row_block(ring, tuple(x.terms.items()), d + dx)
+            rows, used, _ = _row_block(ring, x.ordered_terms(), d + dx)
             if used and _has_kernel(
                 ring.base, rows, used,
                 ideal_context(ring, prev, d), ideal_context(ring, prev, d + dx), p,
@@ -327,8 +327,11 @@ class KoszulComplex:
     the other bases, and over F_p and Z/m an entry is any integer of its
     residue class, so the rows are ``scale`` times the differential over
     the base.  Scaling by a unit keeps the kernels, the spans and the check
-    that d∘d lies in the relations.  Each chain slice and d_i is built on
-    first read and kept until ``release`` drops its degree.
+    that d∘d lies in the relations.  Each chain slice is built on first
+    read as its width and its blocks, and only ``chain_slice`` lists its
+    (S, m).  d_1 is made of the sequence's ``_row_block`` rows themselves
+    wherever an entry's own scale is ``scale``, shared and read-only like
+    them.  Each slice, basis list and d_i is kept until ``release``.
     """
 
     def __init__(self, ring: GradedRing, j_gens, k_gens=()):
@@ -343,31 +346,35 @@ class KoszulComplex:
         self._coeffs, self.scale = cleared_coefficients(self.j_gens)
         self._differentials: dict = {}  # (i, q) -> differential_rows(i, q)
         self._slices: dict = {}  # (i, q) -> _chain_slice(i, q)
+        self._bases: dict = {}  # (i, q) -> chain_slice(i, q)
 
     def shift(self, subset) -> int:
         return sum(self._degs[j] for j in subset)
 
     def chain_slice(self, i: int, q: int):
-        """Basis of the internal degree-q slice of the i-th chain module,
-        built once until ``release(q)``: no caller may change it."""
-        return self._slice(i, q)[0]
+        """Basis (S, m) of the internal degree-q slice of the i-th chain
+        module, listed once until ``release(q)``: no caller may change it."""
+        key = (i, q)
+        if key not in self._bases:
+            self._bases[key] = [(S, m) for S, (_, ms) in self._slice(i, q)[1].items() for m in ms]
+        return self._bases[key]
 
     def _slice(self, i: int, q: int):
-        """``(chain_slice(i, q), {S: (its first column, its monomials m)})``."""
+        """``(width, {S: (its first column, its monomials m)})`` of slice (i, q)."""
         key = (i, q)
         if key not in self._slices:
             self._slices[key] = self._chain_slice(i, q)
         return self._slices[key]
 
     def _chain_slice(self, i: int, q: int):
-        basis, blocks = [], {}
+        width, blocks = 0, {}
         for S in combinations(range(self.length), i) if i >= 0 else ():
             d = q - self.shift(S)
             if d <= self.ring.degree_window:
                 ms = self.ring.degree_exps(d)
-                blocks[S] = (len(basis), ms)
-                basis.extend((S, m) for m in ms)
-        return basis, blocks
+                blocks[S] = (width, ms)
+                width += len(ms)
+        return width, blocks
 
     def relation_rows(self, i: int, q: int):
         """Coefficient-quotient relation rows for the (i, q) slice, sparse."""
@@ -377,23 +384,24 @@ class KoszulComplex:
             rows.extend({col + j: val for j, val in row.items()} for row in ctx.rows)
         return rows
 
-    def _free_part(self, i: int, q: int, killed):
-        """d_i on the degree-q slice, cut to the chain basis vectors (S, m)
-        with no ``killed`` generator in m, and the two cut widths."""
-        src, tgt = (
-            [col + n for col, ms in self._slice(k, q)[1].values()
-             for n, m in enumerate(ms) if not any(map(m.__getitem__, killed))]
-            for k in (i, i - 1)
-        )
+    def _free_part(self, i: int, q: int, src, tgt):
+        """d_i on the degree-q slice, cut to the columns ``src`` of slice i
+        and ``tgt`` of slice i - 1, each as ``_cut`` lists them."""
         col = {j: n for n, j in enumerate(tgt)}
         rows, _ = self.differential_rows(i, q)
         cut = ({col[c]: v for c, v in rows[j].items() if c in col} for j in src)
-        return [row for row in cut if row], len(src), len(tgt)
+        return [row for row in cut if row]
+
+    def _cut(self, k: int, q: int, killed):
+        """The columns of slice (k, q) whose (S, m) has no ``killed`` generator in m."""
+        return [col + n for col, ms in self._slice(k, q)[1].values()
+                for n, m in enumerate(ms) if not any(map(m.__getitem__, killed))]
 
     def release(self, q: int) -> None:
-        """Drop the slices and differentials of degree q; a later read rebuilds them."""
-        self._slices = {k: v for k, v in self._slices.items() if k[1] != q}
-        self._differentials = {k: v for k, v in self._differentials.items() if k[1] != q}
+        """Drop everything kept for degree q; a later read rebuilds it."""
+        for memo in (self._slices, self._bases, self._differentials):
+            for key in [key for key in memo if key[1] == q]:
+                del memo[key]
 
     def differential_rows(self, i: int, q: int):
         """Matrix rows of d_i on the degree-q slice, with truncation flag.
@@ -411,7 +419,8 @@ class KoszulComplex:
         ``_row_block``, for j the t-th entry of S, on the block of S minus j.
         Where the block drops an m, whose product leaves the window, or S
         minus j has no block, the slice is truncated, and each m takes the
-        terms of g_j that fit one by one."""
+        terms of g_j that fit one by one.  Where S = (j,) and the multiple
+        is 1, the rows are the block's own."""
         tgt = self._slice(i - 1, q)[1]
         out, truncated = [], False
         for S, (_, ms) in self._slice(i, q)[1].items():
@@ -422,13 +431,16 @@ class KoszulComplex:
                     truncated |= bool(ms)
                     continue
                 col, tms = tgt[rest]
-                block, used, s = _row_block(self.ring, tuple(g.terms.items()), q - self.shift(rest))
+                block, used, s = _row_block(self.ring, g.ordered_terms(), q - self.shift(rest))
                 sign = -1 if t % 2 else 1
                 k = sign * (self.scale // s)
                 if len(used) < len(ms):  # the terms that fit, on the common scale
                     truncated, k, at = True, sign, {e: n for n, e in enumerate(tms)}
                     block = [{at[p]: c for e, c in zip(g.terms, self._coeffs[j])
                               if (p := tuple(a + b for a, b in zip(m, e))) in at} for m in ms]
+                elif k == 1 and not rest:  # S = (j,), its only term: share the rows
+                    rows = block
+                    continue
                 for row, brow in zip(rows, block):
                     for c, v in brow.items():
                         row[col + c] = k * v
@@ -445,19 +457,22 @@ class KoszulComplex:
         """
         base = self.ring.base
         for i in range(2, self.length + 1):
-            width = len(self.chain_slice(i - 2, q))
-            if not width or not self.chain_slice(i - 1, q):
+            width = self._slice(i - 2, q)[0]
+            if not width or not self._slice(i - 1, q)[0]:
                 continue
             d_i, t1 = self.differential_rows(i, q)
             d_im1, t2 = self.differential_rows(i - 1, q)
             lat = None  # the relation lattice, built for the first nonzero row
             for row in d_i:
-                comp = _row_combination(row, d_im1)
-                if not comp:
+                comp = {}
+                for k, c in row.items():
+                    for j, x in d_im1[k].items():
+                        comp[j] = comp.get(j, 0) + c * x
+                if not any(comp.values()):
                     continue
                 if lat is None:
                     lat = lattice_for(base, self.relation_rows(i - 2, q), width)
-                if not lat.contains(comp):
+                if not lat.contains({j: x for j, x in comp.items() if x}):
                     if t1 or t2:
                         raise WindowOverflow(
                             "Koszul differentials truncated; enlarge the window"
@@ -471,7 +486,7 @@ class KoszulComplex:
         so the complex is free on the other (S, m) and, over a PID,
         ``homology_invariants`` reads H_i off d_i and d_{i+1} cut to them;
         d∘d = 0 there, as R has no relations and a truncated d raises first."""
-        width = len(self.chain_slice(i, q))
+        width = self._slice(i, q)[0]
         if not width:
             return ModuleEntry()
         base = self.ring.base
@@ -482,13 +497,14 @@ class KoszulComplex:
                 "Koszul differential truncated at the window boundary"
             )
         split = split_ideal(self.ring, self.k_gens)
-        if split and not split[0]:
-            d_out, n, n_out = self._free_part(i, q, split[1])
-            got = homology_invariants(base, d_out, self._free_part(i + 1, q, split[1])[0], n, n_out)
+        if split and not split[0]:  # slices i - 1, i and i + 1 cut once each
+            tgt, src, up = (self._cut(k, q, split[1]) for k in (i - 1, i, i + 1))
+            got = homology_invariants(base, self._free_part(i, q, src, tgt),
+                                      self._free_part(i + 1, q, up, src), len(src), len(tgt))
             if got:
                 return ModuleEntry(*got)
         z_rows = _cycle_rows(
-            base, d_i, self.relation_rows(i - 1, q), width, len(self.chain_slice(i - 1, q))
+            base, d_i, self.relation_rows(i - 1, q), width, self._slice(i - 1, q)[0]
         )
         b_rows = d_up + self.relation_rows(i, q)
         return quotient_invariants(z_rows, b_rows, width, base)

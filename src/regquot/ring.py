@@ -263,15 +263,18 @@ class RingElement:
     ``terms`` maps exponent tuples that pass ``ring.check_exps`` to
     coefficients that ``ring.base.normalize`` leaves unchanged; the
     constructor drops the zero ones and trusts the rest.  Outside input
-    enters through ``GradedRing.element``, which checks both.
+    enters through ``GradedRing.element``, which checks both.  Terms never
+    change after construction: no module assigns to ``terms`` outside a
+    constructor, so the hash, the degree and ``ordered_terms`` are each
+    computed once.
     """
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_degree", "_ordered")
 
     def __init__(self, ring: GradedRing, terms):
         self.ring = ring
         self.terms = {exps: c for exps, c in terms.items() if c}
-        self._hash = None
+        self._hash = self._degree = self._ordered = None
 
     # -- predicates ---------------------------------------------------
 
@@ -286,13 +289,20 @@ class RingElement:
         return len(degs) <= 1
 
     def degree(self):
-        """Degree of a homogeneous element; None for zero."""
-        degs = {self.ring.monomial_degree(e) for e in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise NonHomogeneous("element %s has mixed degrees" % (self,))
-        return degs.pop()
+        """Degree of a homogeneous element, kept once computed; None for zero."""
+        if self._degree is None:
+            degs = {self.ring.monomial_degree(e) for e in self.terms}
+            if len(degs) > 1:
+                raise NonHomogeneous("element %s has mixed degrees" % (self,))
+            self._degree = degs.pop() if degs else None
+        return self._degree
+
+    def ordered_terms(self) -> tuple:
+        """``tuple(terms.items())``, built once: the key, in term order, of
+        this polynomial's cached facts, row blocks and ideal contexts."""
+        if self._ordered is None:
+            self._ordered = tuple(self.terms.items())
+        return self._ordered
 
     def homogeneous_components(self):
         comps: dict[int, dict] = {}
@@ -451,24 +461,32 @@ def _degree_index(ring: GradedRing, d: int):
 
 
 @lru_cache(maxsize=None)
+def _poly_facts(ring: GradedRing, terms: tuple):
+    """The degree of the nonzero homogeneous g with ``terms``, its
+    ``ordered_terms()``, and ``cleared_coefficients([g])``, once per process."""
+    g = RingElement(ring, dict(terms))
+    (coeffs,), scale = cleared_coefficients([g])
+    return g.degree(), coeffs, scale
+
+
+@lru_cache(maxsize=None)
 def _row_block(ring: GradedRing, terms: tuple, d: int):
     """``(rows, monomials, scale)``: for the polynomial g with ``terms``,
-    ``tuple(g.terms.items())``, the sparse ``int`` rows g * m on
+    ``g.ordered_terms()``, the sparse ``int`` rows g * m on
     ``degree_exps(d)`` for the monomials m of degree d - |g| whose product
     with g fits the window, in monomial order, those m, and the
     ``cleared_coefficients`` scale of g alone.  The cache keys on the terms
     in their order, not on g's value, so each row lists its columns in the
     order of g's own terms, whichever equal polynomial came first.  Built
-    once per process and shared by every ideal slice and regularity check:
-    no caller may change it."""
-    g = RingElement(ring, dict(terms))
-    (coeffs,), scale = cleared_coefficients([g])
-    if d - g.degree() > ring.degree_window:
+    once per process and shared by every ideal slice, regularity check and
+    Koszul d_1: no caller may change it."""
+    deg, coeffs, scale = _poly_facts(ring, terms)
+    if d - deg > ring.degree_window:
         return (), (), scale
     index = _degree_index(ring, d)
-    ms = ring.degree_exps(d - g.degree())
+    ms = ring.degree_exps(d - deg)
     # for each m, the column of m * e for each term e of g, None outside the window
-    products = (map(tuple, map(map, repeat(add), ms, repeat(e))) for e in g.terms)
+    products = (map(tuple, map(map, repeat(add), ms, repeat(e))) for e, _ in terms)
     cols = list(zip(*(map(index.get, prods) for prods in products)))
     fits = [None not in c for c in cols]
     rows = tuple(map(dict, map(zip, compress(cols, fits), repeat(coeffs))))
@@ -491,9 +509,10 @@ class IdealContext:
     ``vector`` builds them, are sparse on ``exps`` too, through the shared,
     read-only ``index``.  The rows carry nothing for the base itself:
     ``linalg`` works mod p over F_p and adds the multiples of m over Z/m.
+    ``scale`` comes from each polynomial's ``_poly_facts``, and the blocks,
     ``rows`` and ``lattice`` are built on first read: a caller that needs
-    only the ``columns`` builds neither, and one that needs only the rows
-    builds no lattice.
+    only the ``columns`` builds no rows, one that needs only the rows builds
+    no lattice, and ``residue_lattice`` builds no block it skips.
     """
 
     def __init__(self, ring: GradedRing, gens, d: int):
@@ -506,11 +525,18 @@ class IdealContext:
         for g in polys:
             if g.ring != ring:
                 raise MixedRings("ideal generator from a different ring")
-        self._ngens, self._polys = len(gens), polys
-        self._blocks = [
-            (gi, _row_block(ring, tuple(g.terms.items()), d)) for gi, g in enumerate(polys) if g
-        ]
-        self.scale = lcm(*(s for _, (_, _, s) in self._blocks))
+        self._ngens, self._d = len(gens), d
+        self._polys = [(gi, g) for gi, g in enumerate(polys) if g]
+
+    @cached_property
+    def scale(self):
+        """The lcm of each polynomial's ``_poly_facts`` scale, read on first use."""
+        return lcm(*(_poly_facts(self.ring, g.ordered_terms())[2] for _, g in self._polys))
+
+    @cached_property
+    def _blocks(self):
+        """``(i, _row_block)`` for each nonzero polynomial i, built on first read."""
+        return [(gi, _row_block(self.ring, g.ordered_terms(), self._d)) for gi, g in self._polys]
 
     @cached_property
     def rows(self):
@@ -531,7 +557,7 @@ class IdealContext:
     def columns(self):
         """The columns of ``rows`` when each polynomial is a unit times a monomial; else None."""
         is_unit = self.ring.base.is_unit
-        if all(len(g.terms) == 1 and is_unit(*g.terms.values()) for g in self._polys if g):
+        if all(len(g.terms) == 1 and is_unit(*g.terms.values()) for _, g in self._polys):
             return {j for _, (rows, _, _) in self._blocks for row in rows for j in row}
 
     @cached_property
@@ -542,14 +568,16 @@ class IdealContext:
     def residue_lattice(self):
         """The span of ``rows`` mod the prime p of F_p or Z_(p), built on
         first read; over F_p it is ``lattice`` itself.  Over Z_(p) it is
-        built on the blocks, p-unit multiples of their rows, and skips each
-        block whose coefficients, which all its rows share, vanish mod p."""
-        p = self.ring.base.p
+        built on the blocks, p-unit multiples of their rows, and skips, before
+        building it, each block whose coefficients, which all its rows
+        share, vanish mod p."""
+        ring, p = self.ring, self.ring.base.p
         field = BaseRing.prime_field(p)
-        if field == self.ring.base:
+        if field == ring.base:
             return self.lattice
-        blocks = [b for _, (b, _, _) in self._blocks if b and any(x % p for x in b[0].values())]
-        return lattice_for(field, [row for b in blocks for row in b], self.width)
+        keep = (g.ordered_terms() for _, g in self._polys)
+        keep = [t for t in keep if any(x % p for x in _poly_facts(ring, t)[1])]
+        return lattice_for(field, [r for t in keep for r in _row_block(ring, t, self._d)[0]], self.width)
 
     def vector(self, element):
         """The coefficients of ``element``, of this context's degree, as a
@@ -593,7 +621,7 @@ def _cached_context(ring: GradedRing, gens: tuple, d: int, terms: tuple) -> Idea
 
 def ideal_context(ring: GradedRing, gens, d: int) -> IdealContext:
     gens = tuple(gens)
-    return _cached_context(ring, gens, d, tuple(tuple(g.terms.items()) for g in gens))
+    return _cached_context(ring, gens, d, tuple(g.ordered_terms() for g in gens))
 
 
 @lru_cache(maxsize=None)

@@ -1297,6 +1297,154 @@ def test_decompose_builds_each_product_once_and_column_degrees_no_rows(monkeypat
     _clear_ring_caches()
 
 
+def test_tor_lists_no_chain_basis(monkeypatch):
+    # validate_squares and homology_entry read each chain slice's width, so
+    # a tor run lists no (S, m) basis; chain_slice lists one on request, in
+    # the order of the slice's blocks, and keeps it until release (see
+    # test_koszul_differential_slices_are_built_once).
+    listed, chain_slice = [], KoszulComplex.chain_slice
+    monkeypatch.setattr(KoszulComplex, "chain_slice",
+                        lambda self, i, q: listed.append((i, q)) or chain_slice(self, i, q))
+    gens = [Generator(n, 2) for n in "xyz"]
+    for base in (BaseRing.integers(), BaseRing.prime_field(3), BaseRing.integers_localized(2)):
+        ring = GradedRing(base, gens, degree_window=12)
+        x, y, z = (ring.var(n) for n in "xyz")
+        for k_gens in ([x], [y * y]):
+            assert tor(ring, [x, y, z], k_gens, 1).entries
+    assert not listed
+    cx = KoszulComplex(ring, [x, y, z], [x])
+    basis = cx.chain_slice(1, 6)
+    assert len(basis) == cx._slice(1, 6)[0] == 3 * 6 and listed == [(1, 6)]
+    assert basis == [((j,), m) for j in range(3) for m in ring.degree_exps(4)]
+
+
+def test_each_free_part_cut_is_built_once(monkeypatch):
+    # Over a split R/K, H_i reads d_i cut to slices i and i - 1 and d_{i+1}
+    # cut to slices i + 1 and i: slice i is cut once per degree, not twice.
+    cuts, cut = [], KoszulComplex._cut
+    monkeypatch.setattr(KoszulComplex, "_cut",
+                        lambda self, k, q, killed: cuts.append((k, q)) or cut(self, k, q, killed))
+    gens = [Generator(n, 2) for n in "xyz"]
+    for base in (BaseRing.integers(), BaseRing.prime_field(3), BaseRing.integers_localized(2)):
+        ring = GradedRing(base, gens, degree_window=14)
+        x, y, z = (ring.var(n) for n in "xyz")
+        cuts.clear()
+        assert tor(ring, [x, y, z], [x], 1).entries
+        assert len(cuts) == len(set(cuts)) and {k for k, _ in cuts} == {0, 1, 2}
+
+
+def test_shared_row_blocks_stay_unchanged(monkeypatch):
+    # Each polynomial's _row_block is built once per process and shared,
+    # read-only, by the ideal slices, the regularity scan and d_1.  Every
+    # block is copied when first returned; after tor with K = (x) and
+    # K = (y^2), decompose on the column and the lattice paths and
+    # check-regular, over Z, F_3 and Z_(2), each still equals its copy.
+    seen, block = {}, ring_module._row_block
+
+    def spy(ring, terms, d):
+        out = block(ring, terms, d)
+        seen.setdefault(id(out), (out, [dict(row) for row in out[0]]))
+        return out
+
+    monkeypatch.setattr(ring_module, "_row_block", spy)
+    monkeypatch.setattr(ideals_module, "_row_block", spy)
+    block.cache_clear()
+    _clear_ring_caches()
+    for base in ("Z", "F3", "Z_(2)"):
+        xyz = {"base": base, "generators": [{"name": n, "degree": 2} for n in "xyz"]}
+        tor_doc = {"command": "tor", "ring": xyz, "window": {"degree": 14},
+                   "first": ["x", "y", "z"], "index": 1}
+        docs = [
+            dict(tor_doc, second=["x"]),
+            dict(tor_doc, second=["y^2"]),
+            {"command": "decompose", "ring": xyz, "window": {"degree": 10},
+             "ideals": [["x"], ["y"], ["z"]]},
+            {"command": "decompose", "ring": xyz, "window": {"degree": 10},
+             "ideals": [["x"], ["y + z"]]},
+            {"command": "check-regular", "ring": xyz, "window": {"degree": 14},
+             "sequence": ["x", "x + y", "z"]},
+        ]
+        for doc in docs:
+            assert run_job(parse_job(json.dumps(doc))).status == 0
+    assert len(seen) > 100, len(seen)
+    for out, rows in seen.values():
+        assert list(out[0]) == rows
+    _clear_ring_caches()
+
+
+def test_d1_rows_are_the_row_blocks():
+    # Where S = (j,) nothing moves: the row of (S, m) is row m of g_j's
+    # block times scale // s_j.  Where that is 1 the rows of d_1 are the
+    # block's rows themselves; over Z_(2), x/3 and y have scales 3 and 1
+    # and the complex 3, so y's rows are tripled copies.
+    gens = [Generator(n, 2) for n in "xyz"]
+    zp = GradedRing(BaseRing.integers_localized(2), gens, degree_window=10)
+    cases = [(zp, [zp.var("x") * Fraction(1, 3), zp.var("y")], 3)]
+    for base in (BaseRing.integers(), BaseRing.prime_field(3)):
+        ring = GradedRing(base, gens, degree_window=10)
+        cases.append((ring, [ring.var("x"), ring.parse("y + z"), ring.var("z")], 1))
+    for ring, seq, scale in cases:
+        cx = KoszulComplex(ring, seq)
+        assert cx.scale == scale
+        for q in ring.even_degrees():
+            rows, at = cx.differential_rows(1, q)[0], 0
+            for g in seq:
+                block, _, s = ring_module._row_block(ring, g.ordered_terms(), q)
+                got, at = rows[at:at + len(block)], at + len(block)
+                if s == scale:
+                    assert all(a is b for a, b in zip(got, block))
+                else:
+                    assert got == [{j: scale // s * v for j, v in b.items()} for b in block]
+                    assert not any(a is b for a, b in zip(got, block))
+            assert at == len(rows)
+
+
+def test_each_polynomial_is_cleared_once(monkeypatch):
+    # Each polynomial's degree and cleared coefficients are computed once
+    # per process (ring._poly_facts), however many degrees its row blocks
+    # and contexts are built in: across decompose jobs on both paths no
+    # polynomial is cleared twice, and row blocks miss more often.
+    cleared, clear = [], ring_module.cleared_coefficients
+    monkeypatch.setattr(ring_module, "cleared_coefficients", lambda polys: cleared.append(
+        tuple(g.ordered_terms() for g in polys)) or clear(polys))
+    ring_module._poly_facts.cache_clear()
+    ring_module._row_block.cache_clear()
+    _clear_ring_caches()
+    ring = GradedRing(BaseRing.integers_localized(2), [Generator(n, 2) for n in "xyz"],
+                      degree_window=12)
+    x, y, z = (ring.var(n) for n in "xyz")
+    for ideals in ([[x], [y + z]], [[x], [y], [z]], [[x * 2], [y + z * Fraction(1, 3)]]):
+        assert decompose_conormal(ring, ideals).verified
+    facts = ring_module._poly_facts.cache_info()
+    assert len(cleared) == len(set(cleared)) == facts.misses and facts.hits > facts.misses
+    assert ring_module._row_block.cache_info().misses > 3 * len(cleared)
+    _clear_ring_caches()
+
+
+def test_residue_path_builds_no_block_of_the_constant(monkeypatch):
+    # Over Z_(5) the entries after 5 run the residue-field path, which reads
+    # each prefix slice mod 5 and skips the polynomials whose coefficients
+    # all vanish mod 5 before it builds their blocks.  So no slice builds
+    # the block of 5 in a degree the scan reads; only the normal form of 1
+    # modulo (5, x, y + x), in degree 0, reads that slice's rows.
+    built, block = [], ring_module._row_block
+    monkeypatch.setattr(ring_module, "_row_block",
+                        lambda ring, terms, d: built.append((terms, d)) or block(ring, terms, d))
+    primes, has_kernel = [], ideals_module._has_kernel
+    monkeypatch.setattr(ideals_module, "_has_kernel",
+                        lambda *args: primes.append(args[-1]) or has_kernel(*args))
+    ring = GradedRing(BaseRing.integers_localized(5), [Generator(n, 2) for n in "xyz"],
+                      degree_window=16)
+    x, y, z = (ring.var(n) for n in "xyz")
+    five = ring.constant(5)
+    _clear_ring_caches()
+    assert check_regular_sequence(ring, [five, x, y + x, z]).regular
+    assert primes and set(primes) == {5}
+    assert {d for terms, d in built if terms == five.ordered_terms()} <= {0}
+    assert {d for terms, d in built if terms == x.ordered_terms()} >= set(range(2, 18, 2))
+    _clear_ring_caches()
+
+
 # -- integer Koszul rows against the base-valued rows ------------------
 
 

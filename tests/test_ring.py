@@ -627,6 +627,60 @@ def test_rows_are_built_on_first_read_from_the_rescaled_blocks():
     assert [ring_module.cleared_coefficients([g])[1] for g in cases[0][1]] == [3, 5]
 
 
+def test_context_blocks_are_built_on_first_read_and_equal_an_eager_build():
+    # A context takes its scale from each polynomial's cached facts and
+    # builds its blocks only when rows, tags, columns or a lattice read
+    # them, and columns only for a slice of unit monomials; over Z_(p) the
+    # residue lattice builds the blocks it keeps without them.  Whatever is read first, rows, tags, columns and scale
+    # equal those of a context whose blocks were built before anything.
+    xyz = [Generator(n, 2) for n in "xyz"]
+    zp = GradedRing(BaseRing.integers_localized(5), xyz, degree_window=8)
+    x, y, z = (zp.var(n) for n in "xyz")
+    f3 = GradedRing(BaseRing.prime_field(3), xyz, degree_window=8)
+    rel = GradedRing(f3.base, xyz, degree_window=8, relations=[f3.parse("x*y - z^2")])
+    cases = [
+        (zp, [zp.constant(5), x, y + x]),
+        (zp, [x * Fraction(1, 3) + y, z * Fraction(1, 7)]),
+        (zp, [x, zp.zero(), 3 * y]),
+        (rel, [rel.parse("2*y"), rel.parse("x^2")]),
+    ]
+    reads = ("scale", "residue_lattice", "columns", "tags", "rows", "lattice")
+    for ring, gens in cases:
+        for d in ring.even_degrees():
+            eager = IdealContext(ring, gens, d)
+            assert eager._blocks is eager._blocks
+            want = (eager.rows, eager.tags, eager.columns, eager.scale)
+            for first in reads:
+                ctx = IdealContext(ring, gens, d)
+                assert "_blocks" not in ctx.__dict__
+                getattr(ctx, first)
+                unread = first == "scale" or (first, ring) == ("residue_lattice", zp) or (
+                    first == "columns" and want[2] is None
+                )
+                assert ("_blocks" in ctx.__dict__) != unread, (ring, d, first)
+                assert (ctx.rows, ctx.tags, ctx.columns, ctx.scale) == want
+
+
+def test_degree_and_ordered_terms_are_computed_once(monkeypatch):
+    # Terms never change after construction, so an element's degree is
+    # computed once and ordered_terms() is one tuple, its terms in order.
+    # A mixed element has no degree to keep: it raises on every call.
+    R = poly_f2_xy()
+    x, y = R.var("x"), R.var("y")
+    calls = []
+    degree_of = R.monomial_degree
+    monkeypatch.setattr(R, "monomial_degree", lambda e: calls.append(e) or degree_of(e))
+    g = x * y + x * x
+    assert g.ordered_terms() is g.ordered_terms() == tuple(g.terms.items())
+    calls.clear()
+    assert g.degree() == g.degree() == 4 and len(calls) == 2
+    assert R.zero().degree() is None and R.zero().ordered_terms() == ()
+    mixed = x + x * y
+    for _ in range(2):
+        with pytest.raises(NonHomogeneous):
+            mixed.degree()
+
+
 # -- normal forms by structure against the slice lattice ---------------
 
 
